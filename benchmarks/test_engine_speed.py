@@ -1,16 +1,15 @@
-"""Fast-engine speed trajectory: skipping must pay for itself.
+"""Array-engine speed trajectory: the default engine must stay fast.
 
-The event-horizon engine exists to make idle-heavy simulations cheap
-without perturbing results.  These benchmarks time the fast engine
-against the reference on the two ends of the load spectrum and fail
-when the trajectory regresses:
+Every production path runs the struct-of-arrays array core; the
+reference cycle-by-cycle engine is kept as the test oracle.  These
+benchmarks time the array core against the reference on the two ends
+of the load spectrum and fail when the trajectory regresses:
 
-* idle-heavy — the fast engine must be at least ``IDLE_SPEEDUP_FLOOR``
-  times faster (spans of thousands of quiescent cycles collapse into
-  closed-form advances);
-* saturated — the skip machinery must cost at most
-  ``SATURATED_OVERHEAD_BUDGET`` (quiescence probes back off
-  exponentially under sustained load).
+* idle-heavy — the array core must be at least ``IDLE_SPEEDUP_FLOOR``
+  times faster (quiescent spans cost nothing: every per-cycle integral
+  is settled lazily, so the cycle counter just jumps);
+* saturated — quiescence never holds, and the masked vector step must
+  still beat per-router scalar stepping by ``SATURATED_SPEEDUP_FLOOR``.
 
 ``scripts/bench.py`` produces the same comparison as a JSON artifact
 for CI trending; this module is the local regression canary.
@@ -26,19 +25,20 @@ from repro.noc.packet import CoreType
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
 
-#: Minimum idle-heavy reference/fast wall-time ratio (measured ~6-10x;
+#: Minimum idle-heavy reference/array wall-time ratio (measured ~40-50x;
 #: the floor leaves headroom for loaded CI machines).
 IDLE_SPEEDUP_FLOOR = 2.0
 
-#: Maximum saturated fast/reference wall-time ratio.
-SATURATED_OVERHEAD_BUDGET = 1.15
+#: Minimum saturated reference/array wall-time ratio (measured ~2x;
+#: the same floor ``scripts/bench.py --check`` applies to every row).
+SATURATED_SPEEDUP_FLOOR = 1.3
 
 #: Timing repetitions; interleaved best-of-N cancels machine drift.
 REPEATS = 3
 
 
 def _time_engines(config, trace, policy=PowerPolicyKind.REACTIVE, seed=3):
-    best = {"reference": float("inf"), "fast": float("inf")}
+    best = {"reference": float("inf"), "array": float("inf")}
     results = {}
     for _ in range(REPEATS):
         for engine in best:
@@ -47,7 +47,7 @@ def _time_engines(config, trace, policy=PowerPolicyKind.REACTIVE, seed=3):
             results[engine] = network.run(trace, engine=engine)
             best[engine] = min(best[engine], time.perf_counter() - start)
     assert (
-        results["reference"].stats.to_dict() == results["fast"].stats.to_dict()
+        results["reference"].stats.to_dict() == results["array"].stats.to_dict()
     ), "engines diverged — speed is meaningless if results differ"
     return best
 
@@ -64,9 +64,9 @@ def test_idle_heavy_speedup():
         seed=5,
     )
     best = _time_engines(config, trace)
-    speedup = best["reference"] / best["fast"]
+    speedup = best["reference"] / best["array"]
     print(
-        f"idle-heavy ref={best['reference']:.3f}s fast={best['fast']:.3f}s "
+        f"idle-heavy ref={best['reference']:.3f}s array={best['array']:.3f}s "
         f"speedup={speedup:.2f}x"
     )
     assert speedup >= IDLE_SPEEDUP_FLOOR, (
@@ -75,7 +75,7 @@ def test_idle_heavy_speedup():
     )
 
 
-def test_saturated_overhead_within_budget():
+def test_saturated_speedup():
     config = PearlConfig().replace(
         simulation=SimulationConfig(warmup_cycles=1_000, measure_cycles=8_000)
     )
@@ -87,12 +87,12 @@ def test_saturated_overhead_within_budget():
         seed=5,
     )
     best = _time_engines(config, trace)
-    ratio = best["fast"] / best["reference"]
+    speedup = best["reference"] / best["array"]
     print(
-        f"saturated ref={best['reference']:.3f}s fast={best['fast']:.3f}s "
-        f"ratio={ratio:.3f}"
+        f"saturated ref={best['reference']:.3f}s array={best['array']:.3f}s "
+        f"speedup={speedup:.2f}x"
     )
-    assert ratio <= SATURATED_OVERHEAD_BUDGET, (
-        f"saturated fast/reference ratio {ratio:.3f} exceeds the "
-        f"{SATURATED_OVERHEAD_BUDGET:.2f} budget"
+    assert speedup >= SATURATED_SPEEDUP_FLOOR, (
+        f"saturated speedup {speedup:.2f}x below the "
+        f"{SATURATED_SPEEDUP_FLOOR:.1f}x floor"
     )

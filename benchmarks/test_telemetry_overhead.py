@@ -2,10 +2,12 @@
 
 The observability layer promises that leaving telemetry enabled costs
 less than 5% wall time over an uninstrumented simulation.  This
-benchmark times identical closed-loop runs with the session off and on
-(interleaved, best-of-N so scheduler noise cancels) and fails if the
-ratio exceeds the budget — a regression canary for anyone adding
-instrumentation to the cycle path.
+benchmark times identical closed-loop runs on the default (array)
+engine, whose lazy DBA settlement and window-series hooks are part of
+the instrumented path, with the session off and on (interleaved,
+best-of-N so scheduler noise cancels) and fails if the ratio exceeds
+the budget — a regression canary for anyone adding instrumentation to
+the cycle path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ OVERHEAD_BUDGET = 1.05
 REPEATS = 7
 
 
-def _workload(engine="fast"):
+def _workload():
     config = PearlConfig(
         simulation=SimulationConfig(
             warmup_cycles=200, measure_cycles=4_000, seed=5
@@ -46,7 +48,7 @@ def _workload(engine="fast"):
         network = PearlNetwork(
             config, power_policy=PowerPolicyKind.REACTIVE, seed=5
         )
-        network.run(trace, engine=engine)
+        network.run(trace)
 
     return run
 
@@ -92,19 +94,6 @@ def test_telemetry_overhead_within_budget():
     print(f"bare={bare:.4f}s instrumented={on:.4f}s ratio={ratio:.4f}")
     assert ratio <= OVERHEAD_BUDGET, (
         f"telemetry overhead {ratio:.3f}x exceeds the "
-        f"{OVERHEAD_BUDGET:.2f}x budget"
-    )
-
-
-def test_array_engine_telemetry_overhead_within_budget():
-    """The array engine is a first-class instrumented path: the lazy
-    DBA settlement and window-series hooks must fit the same budget."""
-    bare, on, ratio = _measure_ratio(_workload(engine="array"))
-    print(
-        f"array bare={bare:.4f}s instrumented={on:.4f}s ratio={ratio:.4f}"
-    )
-    assert ratio <= OVERHEAD_BUDGET, (
-        f"array-engine telemetry overhead {ratio:.3f}x exceeds the "
         f"{OVERHEAD_BUDGET:.2f}x budget"
     )
 

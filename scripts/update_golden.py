@@ -3,9 +3,9 @@
 
 Run after an *intentional* simulator behaviour change and commit the
 resulting diff together with the code change.  Each case is simulated
-on every cycle engine (reference, fast, array) and the script refuses
-to write a snapshot the engines disagree on — a divergence means a
-bug, not a new golden.
+on both cycle engines; the reference engine's result is the snapshot,
+and the script refuses to write one the array engine disagrees with —
+a divergence means a bug, not a new golden.
 
 Usage: python scripts/update_golden.py
 """

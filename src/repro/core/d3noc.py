@@ -21,7 +21,7 @@ active channels for the next epoch.  Mapped onto PEARL's machinery:
   ML extrapolates with a trained model, D3NOC smooths history.
 
 The reconfigurer is deliberately snapshot-driven: it has **no per-cycle
-observe path**, so all three engines reproduce it bit-identically by
+observe path**, so both engines reproduce it bit-identically by
 construction — the label and feature snapshot they hand to
 ``close_window`` are already pinned identical by the ML test matrix.
 """

@@ -128,6 +128,12 @@ class TraceSpec:
         return data
 
 
+#: Job kinds whose worker regenerates an injection trace.
+_TRACED_KINDS = ("pearl", "cmesh", "mwsr", "trace")
+
+_POLICY_VALUES = frozenset(kind.value for kind in PowerPolicyKind)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One picklable simulation job.
@@ -158,6 +164,24 @@ class JobSpec:
     activity: float = 0.0
     settle_cycles: int = 0
     settle_steps: int = 1
+
+    def __post_init__(self) -> None:
+        # Reject what would otherwise only fail inside a pool worker, so
+        # a malformed served spec is a 400 at decode, never a job error.
+        if self.kind in _TRACED_KINDS and self.trace is None:
+            raise ValueError(f"{self.kind} job specs need a trace")
+        if self.power_policy not in _POLICY_VALUES:
+            raise ValueError(
+                f"unknown power policy {self.power_policy!r} "
+                f"(choose from {sorted(_POLICY_VALUES)})"
+            )
+        if self.static_state is not None:
+            states = self.config.photonic.wavelength_states
+            if self.static_state not in states:
+                raise ValueError(
+                    f"unknown static wavelength state {self.static_state!r} "
+                    f"(choose from {states})"
+                )
 
     def payload(self) -> Dict[str, object]:
         """Content payload the result cache hashes.

@@ -86,6 +86,7 @@ class SweepServer:
             "cache_hits": 0,
             "rejected": 0,
             "errors": 0,
+            "bad_requests": 0,
         }
         self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -244,7 +245,11 @@ class SweepServer:
     async def _write_error(
         self, writer: asyncio.StreamWriter, exc: _HttpError
     ) -> None:
-        self.counters["errors"] += 1
+        # A 4xx is the client's malformed request, not a server fault.
+        if exc.status < 500:
+            self.counters["bad_requests"] += 1
+        else:
+            self.counters["errors"] += 1
         extra = ("Retry-After: 1",) if exc.status == 503 else ()
         await self._write_json(
             writer,

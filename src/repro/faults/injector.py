@@ -7,9 +7,9 @@ into the per-cycle state the simulator consumes:
   ring set and the droop cap as piecewise-constant functions of the
   cycle, exposes the largest sustainable wavelength state
   (``max_usable_state``), and clamps policy requests to it.  Fault
-  start/end cycles are *events*: the router's ``skip_bound`` must stop
-  a fast-forwarded span at the next one, so both cycle engines apply
-  every fault transition on exactly the same cycle.
+  start/end cycles are *events*: the array core's idle skipping stops
+  at the next one (:meth:`RouterFaultInjector.next_event`), so both
+  cycle engines apply every fault transition on exactly the same cycle.
 
 * :class:`NetworkFaultContext` — network-wide.  Owns the dedicated
   bit-error RNG (seeded from the schedule alone, never shared with the
@@ -90,9 +90,9 @@ class RouterFaultInjector:
         """Consume fault events up to ``cycle``; True when state changed.
 
         Called once per executed cycle from the router's control tick.
-        The fast engine never skips across an unconsumed event (see
-        :meth:`next_event`), so the recompute lands on the same cycle
-        under both engines.
+        The array core calls it only on event cycles and never skips
+        across an unconsumed event (see :meth:`next_event`), so the
+        recompute lands on the same cycle under both engines.
         """
         events = self._events
         idx = self._next_idx

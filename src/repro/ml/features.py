@@ -126,22 +126,6 @@ class FeatureCollector:
         if busy:
             self._link_busy_cycles += 1
 
-    def observe_idle_cycles(self, cycles: int, link_busy: bool) -> None:
-        """Batch form of the per-cycle observations over a quiescent span.
-
-        With every buffer empty each occupancy observation adds exactly
-        ``+0.0`` to the float sums — an IEEE-754 no-op — so only the
-        integer sample counters need to advance.  The link-busy flag is
-        constant over the span (the fast-forward horizon stops at the
-        first transmit-engine drain), making this exactly equal to
-        ``cycles`` calls of :meth:`observe_occupancies` +
-        :meth:`observe_link`.
-        """
-        self._occupancy_samples += cycles
-        self._link_samples += cycles
-        if link_busy:
-            self._link_busy_cycles += cycles
-
     # -- per-packet events -------------------------------------------------
 
     def on_injected(self, packet: Packet) -> None:

@@ -1,14 +1,15 @@
 """Struct-of-arrays cycle engine (``engine="array"``).
 
-The scalar engines walk 17 :class:`~repro.noc.router.PearlRouter`
+The reference engine walks 17 :class:`~repro.noc.router.PearlRouter`
 objects every cycle; this engine keeps the per-router *cycle-path*
 state in flat arrays indexed by router id and replaces the per-router
 Python calls with a handful of vectorized operations plus tightly
 masked scalar loops over only the routers that can actually do work
 this cycle.  Everything it computes is **bit-identical** to the
 reference engine — the differential harness in
-``tests/noc/test_array_engine.py`` enforces array == fast == reference
-across every policy, allocator, fault schedule and quantization format.
+``tests/noc/test_array_engine.py`` enforces array == reference across
+every policy, allocator, fault schedule and quantization format.  It
+is the default engine of :meth:`~repro.noc.network.PearlNetwork.run`.
 
 State layout (indexed by router id, ``n = num_routers``; numpy arrays
 carry the vectorized integrals, plain Python lists carry the scalars
@@ -37,10 +38,9 @@ Three ideas make the vector step cheap *and* exact:
   piecewise constant between events, so they are settled in closed
   form only when something changes (a state flip, a dispatch, a window
   close) — per-cycle cost is a couple of integer compares.  Every
-  closed form is integer arithmetic or an IEEE-exact ``+0.0`` no-op,
-  which is exactly the invariant the fast engine's
-  :meth:`~repro.core.power_scaling.LaserBank.advance` already relies
-  on.
+  closed form is integer arithmetic (the laser bank integrates power
+  as integer cycle counts) or an IEEE-exact ``+0.0`` no-op, so a
+  settled span equals the per-cycle accumulation bit for bit.
 * **Candidate masking.**  A router is a transmit candidate only when a
   pool head can actually move: a photonic engine is free, or the head
   packet is local and the crossbar is free.  Head-locality flags are
@@ -51,7 +51,7 @@ Three ideas make the vector step cheap *and* exact:
   window) and full of policy/RNG/feature logic, so the engine settles
   the closing rows back into their router objects and reuses the
   *same* :meth:`~repro.noc.network.PearlNetwork._close_windows`
-  grouped path as the scalar engines — including the batched
+  grouped path as the reference engine — including the batched
   ``(k, n_features)`` ML matmul, which is the defining inference
   semantics shared by every engine.
 
@@ -229,7 +229,7 @@ class ArrayCore:
         for backlog in network._retransmit_backlog:
             work += len(backlog)
         #: Packets that could move next cycle (pools + backlogs); the
-        #: O(1) quiescence probe of the event-horizon skipper.
+        #: O(1) quiescence probe of the idle skipper (:meth:`_advance`).
         self._work = work
         self._backlogs = network._injection_backlog
         #: Rows whose injection backlog is worth retrying.  A blocked
@@ -360,7 +360,7 @@ class ArrayCore:
         ]
 
         # -- DBA split tallies (lazy, telemetry only) -----------------------
-        # The scalar engines tally one split label per router per cycle.
+        # The reference engine tallies one split label per router per cycle.
         # The DBA decision is a pure function of the input-pool slot
         # counts, which are piecewise constant between pool mutations —
         # so under instrumentation the tally is settled in closed form
@@ -649,7 +649,7 @@ class ArrayCore:
         """Settle closing rows into their routers and run the shared close.
 
         The grouped :meth:`PearlNetwork._close_windows` is the same
-        code the scalar engines run, so policy/RNG/ML behaviour
+        code the reference engine runs, so policy/RNG/ML behaviour
         (including the batched same-cycle inference) is identical by
         construction rather than by reimplementation.
         """
@@ -1317,7 +1317,7 @@ class ArrayCore:
         for r in done:
             self._ej_rows.discard(r)
 
-    # -- event-horizon skipping --------------------------------------------------
+    # -- idle skipping --------------------------------------------------------------
 
     def _skip_horizon(
         self, cycle: int, end: int, cursor: Optional[TraceCursor]
@@ -1326,10 +1326,9 @@ class ArrayCore:
 
         Only *externally scheduled* events bound the horizon: heap
         arrivals, trace events, window boundaries and fault
-        transitions.  Laser flips and engine drains — which bound the
-        scalar fast engine — are integrated lazily here (segment
-        ledgers, link-busy spans), so a quiescent span may skip
-        straight over them.
+        transitions.  Laser flips and engine drains are integrated
+        lazily (segment ledgers, link-busy spans), so a quiescent span
+        may skip straight over them.
         """
         net = self.net
         horizon = end
@@ -1352,13 +1351,12 @@ class ArrayCore:
     def _advance(
         self, start: int, end: int, cursor: Optional[TraceCursor]
     ) -> None:
-        """Advance cycles [start, end) with event-horizon skipping.
+        """Advance cycles [start, end), skipping idle spans.
 
-        Because every per-cycle integral is lazy, fast-forwarding a
-        quiescent span costs *nothing* — the cycle counter jumps and
-        the next settlement's closed form covers the gap exactly, so
-        the quiescence probe (``work == 0``) runs every cycle without
-        the scalar engine's backoff machinery.
+        Because every per-cycle integral is lazy, skipping a quiescent
+        span costs *nothing* — the cycle counter jumps and the next
+        settlement's closed form covers the gap exactly, so the O(1)
+        quiescence probe (``work == 0``) runs after every cycle.
         """
         step = self.step
         cycle = start
@@ -1388,6 +1386,9 @@ class ArrayCore:
         if cycle is None:
             cycle = self._cycle
         self._settle_links_all(cycle)
+        # A flip inside a skipped idle tail has no later executed cycle
+        # to land it, so split the ledgers at it before settling.
+        self._apply_flips(cycle)
         self._settle_lasers_all(cycle)
         in_flight = self.net._in_flight
         for i, entry in enumerate(in_flight):
@@ -1449,6 +1450,7 @@ class ArrayCore:
         """Warm-up boundary: settle, reset integrals, re-anchor bases."""
         net = self.net
         self._settle_links_all(warmup)
+        self._apply_flips(warmup)  # flips skipped before the boundary
         self._settle_lasers_all(warmup)
         net.stats.begin_measurement(warmup)
         for router in self.routers:

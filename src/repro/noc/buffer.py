@@ -159,11 +159,6 @@ class PartitionedBuffer:
         """Packets queued across both pools."""
         return len(self.cpu) + len(self.gpu)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when both pools are empty."""
-        return self.cpu.is_empty and self.gpu.is_empty
-
 
 class VirtualChannelBuffer:
     """One virtual channel of a CMESH input port (flit-granular FIFO)."""

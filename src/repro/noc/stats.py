@@ -120,17 +120,6 @@ class NetworkStats:
         if busy:
             self.link_busy_cycles += 1
 
-    def on_link_samples(self, busy: bool, cycles: int) -> None:
-        """``cycles`` consecutive link samples with the same busy flag.
-
-        Integer counters make this batch form exactly equal to calling
-        :meth:`on_link_sample` ``cycles`` times, which the fast-forward
-        engine relies on.
-        """
-        self.link_total_cycles += cycles
-        if busy:
-            self.link_busy_cycles += cycles
-
     # -- derived metrics --------------------------------------------------------
 
     @property

@@ -2,8 +2,8 @@
 
 The registry aggregates a whole run into counters and histograms; this
 module keeps the *trajectory* — one record per router per reservation
-window, emitted from the shared window-close path that every cycle
-engine (reference, fast, array) funnels through.  Each record captures
+window, emitted from the shared window-close path that both cycle
+engines (reference, array) funnel through.  Each record captures
 what the policy saw and what it did at that boundary:
 
 * realized vs. predicted injection (the ML scaler's target pair),

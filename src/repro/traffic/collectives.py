@@ -13,7 +13,7 @@ drain_slack``), and phases (reduce-scatter vs. all-gather, push vs.
 pull) are additionally separated by a compute gap that models the
 gradient computation between communication rounds.  Steps compile down
 to the same :class:`~repro.traffic.trace.InjectionEvent` substrate as
-the PARSEC traces, so all three engines replay them bit-identically.
+the PARSEC traces, so both cycle engines replay them bit-identically.
 
 Roles respect the heterogeneous clusters: accelerator workers inject
 GPU-class requests (``GPU_L2_DOWN``), while the parameter-server host

@@ -159,11 +159,11 @@ class TraceCursor:
     order, exactly once: an event is returned by the first call whose
     ``cycle`` reaches it and by no later call, so a caller stepping
     cycle-by-cycle and a caller that jumps straight to the same cycle
-    observe identical event batches (the fast-forward engine relies on
-    this boundary semantics).
+    observe identical event batches (the array core's idle skipping
+    relies on this boundary semantics).
 
     ``next_cycle()`` exposes the cycle of the next unpopped event — the
-    trace's contribution to the fast-forward event horizon.
+    trace's contribution to the array core's skip horizon.
     """
 
     __slots__ = ("_events", "_cycles", "_index", "_count")

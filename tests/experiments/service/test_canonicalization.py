@@ -158,6 +158,7 @@ class TestSpecCodecPreservesKeys:
                 allow_8wl=True,
             ),
             pearl_job(config, pair_spec(pair, 3), seed=3, faults=faults),
+            pearl_job(config, pair_spec(pair, 3), seed=3, static_state=16),
             cmesh_job(config, pair_spec(pair, 2), seed=2),
             trace_job(config, uniform_spec(0.2, 9), seed=9),
             pearl_job(
@@ -206,6 +207,26 @@ class TestSpecCodecPreservesKeys:
         doc = spec_to_doc(spec)
         doc["trace"]["algorithm"] = "ring_of_fire"
         with pytest.raises(ValueError, match="ring_of_fire"):
+            spec_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("power_policy", "warp", "unknown power policy 'warp'"),
+            ("trace", None, "pearl job specs need a trace"),
+            ("static_state", 7, "unknown static wavelength state 7"),
+        ],
+        ids=["unknown-policy", "pearl-without-trace", "off-ladder-state"],
+    )
+    def test_malformed_pearl_spec_rejected_at_decode(
+        self, tiny_sim_config, field, value, match
+    ):
+        """Documents that used to decode fine and then fail inside a
+        pool worker are rejected by JobSpec validation at decode."""
+        pair = experiment_pairs(quick=True)[0]
+        doc = spec_to_doc(pearl_job(tiny_sim_config, pair_spec(pair, 3)))
+        doc[field] = value
+        with pytest.raises(ValueError, match=match):
             spec_from_doc(doc)
 
     def test_pair_trace_payload_has_no_algorithm_key(self, tiny_sim_config):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -99,6 +100,30 @@ class TestEndpoints:
             live.client.submit({"format": 1, "spec": {"kind": "nonsense"}})
         assert err.value.status == 400
 
+    def test_malformed_pearl_specs_are_400_before_the_pool(
+        self, live, tiny_sim_config
+    ):
+        """An unknown policy, a pearl spec without a trace and an
+        off-ladder static state are client errors: 400 at decode,
+        nothing executed, nothing cached, no server error counted."""
+        pair = experiment_pairs(quick=True)[0]
+        good = spec_to_doc(pearl_job(tiny_sim_config, pair_spec(pair, 3)))
+        for field, value in (
+            ("power_policy", "warp"),
+            ("trace", None),
+            ("static_state", 7),
+        ):
+            doc = dict(good, **{field: value})
+            with pytest.raises(ServeError) as err:
+                live.client.submit(doc)
+            assert err.value.status == 400, field
+        stats = live.client.stats()
+        assert stats["bad_requests"] == 3
+        assert stats["errors"] == 0
+        assert stats["submissions"] == 0
+        assert stats["executions"] == 0
+        assert stats["store"]["entries"] == 0
+
     def test_unknown_route_is_404(self, live):
         conn = http.client.HTTPConnection(
             live.server.host, live.server.port, timeout=30
@@ -118,6 +143,45 @@ class TestEndpoints:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"GET /nope HTTP/1.1\r\n\r\n", 404),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: 9\r\n\r\n"
+                b"{not json",
+                400,
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\n"
+                b"Content-Length: 999999999\r\n\r\n",
+                413,
+            ),
+        ],
+        ids=[
+            "malformed-request-line",
+            "unknown-route",
+            "unparseable-body",
+            "oversized-body",
+        ],
+    )
+    def test_client_errors_count_as_bad_requests(
+        self, live, request_bytes, status
+    ):
+        """Every 4xx is the client's fault: it is counted under
+        ``bad_requests``, never under the server's ``errors``."""
+        with socket.create_connection(
+            (live.server.host, live.server.port), timeout=30
+        ) as sock:
+            sock.sendall(request_bytes)
+            status_line = sock.makefile("rb").readline().decode("latin-1")
+        assert status_line.split()[1] == str(status)
+        stats = live.client.stats()
+        assert stats["bad_requests"] == 1
+        assert stats["errors"] == 0
+        assert stats["submissions"] == 0
 
 
 class TestCoalescing:

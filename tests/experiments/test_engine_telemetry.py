@@ -144,6 +144,15 @@ class TestResultDeterminism:
             assert a.state_residency == b.state_residency
             assert a.mean_laser_power_w == b.mean_laser_power_w
 
+    def test_pearl_jobs_run_on_the_array_engine(self, specs):
+        """Production guard: a pearl job takes the default engine, and
+        that default is the array core (the reference engine is only
+        the test oracle)."""
+        with obs.session():
+            ExperimentEngine(jobs=1).run(specs[:1])
+            engines = dict(OBS.engines)
+        assert engines == {"array": 1}
+
     def test_execute_job_attaches_telemetry_only_when_enabled(self, specs):
         assert execute_job(specs[0]).telemetry is None
         with obs.session():

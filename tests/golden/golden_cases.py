@@ -5,7 +5,7 @@ cycles) is simulated under every (power policy × bandwidth allocator)
 combination, and the canonical form of each run is pinned as a JSON
 snapshot under ``tests/golden/snapshots/``.  Both cycle engines are
 checked against the *same* snapshot, so the harness simultaneously
-catches unintended behavioural drift and fast/reference divergence.
+catches unintended behavioural drift and array/reference divergence.
 
 Regenerate snapshots with ``python scripts/update_golden.py`` after an
 *intentional* behaviour change (see ``docs/resilience.md``).
@@ -37,7 +37,9 @@ POLICIES = (
     "d3noc",
 )
 ALLOCATORS = ("dynamic", "fcfs")
-ENGINES = ("fast", "reference", "array")
+#: The reference engine is the oracle: update_golden.py pins its result
+#: and refuses to write a snapshot the array engine disagrees with.
+ENGINES = ("reference", "array")
 
 #: Snapshot stem of the drift->retrain->promote->swap mid-run case.
 RETRAIN_CASE = "ml_retrain_dynamic"

@@ -4,14 +4,17 @@ The array engine (``PearlNetwork.run(trace, engine="array")``) keeps
 router state in numpy arrays and Python-list shadows and replaces the
 per-router scalar calls with one vectorized step; ML inference becomes
 a single batched matmul per window.  None of that may change a single
-bit of the result.  These tests run the same workloads through all
-three engines across every power policy, both bandwidth allocators, a
-full fault schedule and the Qm.n quantized inference path, and require
-byte-equal statistics, residencies, ML prediction streams and backlog
-state.  Hypothesis drives the deeper properties: stepping the array
-core from an *arbitrary mid-window scalar state* matches scalar
-stepping cycle-for-cycle, and the array <-> object state round-trip is
-the identity.
+bit of the result.  These tests run the same workloads through the
+array engine and the reference (cycle-by-cycle) oracle across every
+power policy, both bandwidth allocators, both L3 link-bank widths,
+several seeds, a full fault schedule and the Qm.n quantized inference
+path, and require byte-equal statistics, residencies, ML prediction
+streams and backlog state.  Hypothesis drives the deeper properties:
+whole runs over random bursty traces (so the idle skipping in
+``ArrayCore._advance`` sees arbitrary quiet spans) agree with the
+oracle, stepping the array core from an *arbitrary mid-window scalar
+state* matches scalar stepping cycle-for-cycle, and the array <->
+object state round-trip is the identity.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.config import (
     ArchitectureConfig,
     MLConfig,
     PearlConfig,
+    PhotonicConfig,
     PowerScalingConfig,
     SimulationConfig,
 )
@@ -46,7 +50,7 @@ from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 from repro.traffic.synthetic import generate_pair_trace, uniform_random_trace
 from repro.traffic.trace import InjectionEvent, Trace, TraceCursor
 
-ALL_ENGINES = ("reference", "fast", "array")
+ALL_ENGINES = ("reference", "array")
 
 
 def _config(measure=1_500, warmup=100, window=200, stagger=None):
@@ -112,15 +116,16 @@ def _run_engines(
     dyn=True,
     seed=3,
     faults=None,
-    engines=ALL_ENGINES,
+    links=8,
 ):
     out = {}
-    for engine in engines:
+    for engine in ALL_ENGINES:
         network = PearlNetwork(
             config=config,
             power_policy=policy,
             use_dynamic_bandwidth=dyn,
             ml_model=model if policy is PowerPolicyKind.ML else None,
+            l3_parallel_links=links,
             seed=seed,
             faults=faults,
         )
@@ -159,10 +164,38 @@ class TestArrayEngineEquivalence:
     @pytest.mark.parametrize("policy", list(PowerPolicyKind))
     @pytest.mark.parametrize("dyn", [True, False])
     def test_policy_allocator_matrix(self, policy, dyn, toy_model):
-        """Every policy x both allocators, three engines, one trace."""
+        """Every policy x both allocators on an idle-heavy trace."""
         config = _config()
         trace = _idle_heavy_trace(config)
         out = _run_engines(config, trace, policy, toy_model, dyn=dyn)
+        _assert_all_equal(out)
+
+    @pytest.mark.parametrize("seed", [1, 2, 9])
+    @pytest.mark.parametrize(
+        "policy", [PowerPolicyKind.REACTIVE, PowerPolicyKind.ML]
+    )
+    def test_seeds_on_benchmark_pair(self, seed, policy, toy_model):
+        """Closed-loop benchmark-pair traffic across seeds; the trace
+        stops halfway, so the run ends in an idle tail."""
+        config = _config(measure=1_200)
+        trace = generate_pair_trace(
+            CPU_BENCHMARKS["fluidanimate"],
+            GPU_BENCHMARKS["dct"],
+            config.architecture,
+            config.simulation.total_cycles // 2,
+            seed=seed,
+        )
+        out = _run_engines(config, trace, policy, toy_model, seed=seed)
+        _assert_all_equal(out)
+
+    @pytest.mark.parametrize("links", [1, 8])
+    def test_l3_parallel_link_banks(self, links):
+        """The banked L3 router's engine array, one link and eight."""
+        config = _config()
+        trace = _idle_heavy_trace(config, seed=11)
+        out = _run_engines(
+            config, trace, PowerPolicyKind.REACTIVE, links=links
+        )
         _assert_all_equal(out)
 
     @pytest.mark.parametrize(
@@ -177,7 +210,7 @@ class TestArrayEngineEquivalence:
     )
     @pytest.mark.parametrize("dyn", [True, False])
     def test_faulted(self, policy, dyn, toy_model):
-        """Wavelength + droop + bit-error faults on all three engines."""
+        """Wavelength + droop + bit-error faults on both engines."""
         config = _config()
         out = _run_engines(
             config,
@@ -246,8 +279,49 @@ class TestArrayEngineEquivalence:
         assert out["array"]["stats"]["link_total_cycles"] > 0
 
 
+class TestCollectionModeIdentity:
+    """ML training data is collected on the default (array) engine, so
+    the ``(router_id, features, label)`` stream that
+    :meth:`PearlNetwork.enable_collection` records must equal the
+    oracle's — for both phases of the collection pipeline."""
+
+    def _stream(self, engine, policy, model=None):
+        config = _config()
+        network = PearlNetwork(
+            config=config,
+            power_policy=policy,
+            ml_model=model,
+            allow_8wl=False if policy is PowerPolicyKind.ML else None,
+            seed=5,
+        )
+        rows = []
+        network.enable_collection(
+            lambda rid, feats, label: rows.append(
+                (rid, feats.dtype.str, feats.tobytes(), label)
+            )
+        )
+        network.run(_pair_trace(config, seed=5), engine=engine)
+        return rows
+
+    @pytest.mark.parametrize("phase", ["random", "ml-driven"])
+    def test_collection_stream_identical(self, phase, toy_model):
+        """Phase 1 runs the RANDOM policy; phase 2 drives the ML policy
+        with the 8 WL state disabled, as ``collect_pair_dataset`` does."""
+        if phase == "random":
+            policy, model = PowerPolicyKind.RANDOM, None
+        else:
+            policy, model = PowerPolicyKind.ML, toy_model
+        streams = {
+            engine: self._stream(engine, policy, model)
+            for engine in ALL_ENGINES
+        }
+        reference = streams["reference"]
+        assert len({rid for rid, *_ in reference}) == 17
+        assert streams["array"] == reference
+
+
 class TestCollectiveWorkloads:
-    """Phase-structured collective schedules through all three engines.
+    """Phase-structured collective schedules through both engines.
 
     The collective compiler emits bursty, barrier-ordered traffic with
     multi-flit packets — a different injection shape from the pair and
@@ -340,7 +414,7 @@ class TestNonDefaultClusterCounts:
             seed=7,
         )
         out = {}
-        for engine in ("fast", "array"):
+        for engine in ALL_ENGINES:
             network = PearlNetwork(
                 config=config, power_policy=PowerPolicyKind.REACTIVE, seed=7
             )
@@ -348,12 +422,107 @@ class TestNonDefaultClusterCounts:
             out[engine] = _canonical(
                 network, network.run(trace, engine=engine)
             )
-        assert out["fast"] == out["array"]
+        assert out["reference"] == out["array"]
         delivered = sum(
             c["packets_delivered"]
             for c in out["array"]["stats"]["counters"].values()
         )
         assert delivered > 0
+
+
+class TestTurnOnSkippedAtRunBoundary:
+    """A laser turn-on that completes inside an idle span skipped right
+    before the warm-up boundary or the end of the run has no later
+    executed cycle to land it, so the boundary itself must land it
+    before settling the ledgers (regression: the array core used to
+    settle the turn-on span as stall time in the old state, or fail
+    with "laser ledger settled backwards" at the next flip).
+
+    Each case idles the network and schedules the upward transition so
+    it completes five cycles before the boundary: a RANDOM-policy
+    window close, or a static-policy run whose wavelength or droop
+    fault clears and releases the clamp.
+    """
+
+    WINDOW = 100
+
+    def _case(self, cause, boundary, turn_on_ns):
+        w = self.WINDOW
+        turn_on = PhotonicConfig(laser_turn_on_ns=turn_on_ns).turn_on_cycles()
+        # The other boundary sits one cycle after a window close, where
+        # no transition is due, so only ``boundary`` sees a skipped flip.
+        if boundary == "warm-up":
+            warmup, total = 2 * w + turn_on + 5, 5 * w + 1
+            release = 2 * w
+        else:
+            warmup, total = 2 * w + 1, 5 * w + turn_on + 5
+            release = 5 * w
+        config = PearlConfig(
+            simulation=SimulationConfig(
+                warmup_cycles=warmup, measure_cycles=total - warmup
+            ),
+            power_scaling=PowerScalingConfig(
+                reservation_window=w, router_stagger_cycles=0
+            ),
+            ml=MLConfig(reservation_window=w),
+        ).with_turn_on_ns(turn_on_ns)
+        if cause == "window-close":
+            return config, PowerPolicyKind.RANDOM, None
+        if cause == "wavelength-clear":
+            faults = FaultSchedule(
+                wavelength_faults=(
+                    WavelengthFault(wavelengths=40, start=20, end=release),
+                )
+            )
+        else:
+            faults = FaultSchedule(
+                droop_faults=(
+                    LaserDroopFault(max_state=8, start=20, end=release),
+                )
+            )
+        return config, PowerPolicyKind.STATIC, faults
+
+    @pytest.mark.parametrize("turn_on_ns", [2.0, 40.0])
+    @pytest.mark.parametrize("boundary", ["warm-up", "end-of-run"])
+    @pytest.mark.parametrize(
+        "cause", ["window-close", "wavelength-clear", "droop-clear"]
+    )
+    def test_turn_on_completing_in_skipped_span(
+        self, cause, boundary, turn_on_ns
+    ):
+        config, policy, faults = self._case(cause, boundary, turn_on_ns)
+        trace = Trace([], name="empty")
+
+        def network():
+            return PearlNetwork(
+                config=config, power_policy=policy, seed=3, faults=faults
+            )
+
+        array_net = network()
+        core = ArrayCore(array_net)
+        due = {}
+
+        def probe(name, settle):
+            def wrapped(cycle):
+                due[name] = core._next_flip <= cycle
+                settle(cycle)
+
+            return wrapped
+
+        core._begin_measurement = probe("warm-up", core._begin_measurement)
+        core._finish = probe("end-of-run", core._finish)
+        array_out = _canonical(array_net, core.run(trace))
+        # The scenario really leaves a landed-but-unapplied turn-on at
+        # the boundary under test (and only there).
+        assert due == {
+            "warm-up": boundary == "warm-up",
+            "end-of-run": boundary == "end-of-run",
+        }
+        reference_net = network()
+        reference_out = _canonical(
+            reference_net, reference_net.run(trace, engine="reference")
+        )
+        assert array_out == reference_out
 
 
 # -- mid-window state properties ---------------------------------------------
@@ -555,6 +724,29 @@ def traces(draw):
             )
         )
     return Trace(events, name="random")
+
+
+class TestRandomTraceProperty:
+    @given(
+        trace=traces(),
+        policy=st.sampled_from(
+            [
+                PowerPolicyKind.STATIC,
+                PowerPolicyKind.REACTIVE,
+                PowerPolicyKind.ADAPTIVE,
+                PowerPolicyKind.RANDOM,
+            ]
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_random_traces_bit_identical(self, trace, policy, seed):
+        """Whole runs over arbitrary bursty traces: the array core's
+        idle skipping (random quiet spans, then a long idle tail)
+        agrees with the oracle byte-for-byte."""
+        config = _config(measure=1_000, warmup=50)
+        out = _run_engines(config, trace, policy, seed=seed)
+        _assert_all_equal(out)
 
 
 class TestMidWindowStateProperties:

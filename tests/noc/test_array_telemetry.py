@@ -2,13 +2,13 @@
 
 The array core is a first-class instrumented path — ``run(engine=
 "array")`` under an enabled session executes on the ArrayCore (no
-silent downgrade to the fast engine) and must satisfy two identities:
+silent downgrade to the scalar path) and must satisfy two identities:
 
 * **Simulation identity**: an instrumented array run is bit-identical
   to an uninstrumented array run (telemetry is observational).
 * **Telemetry identity**: the metrics registry, the window series and
   the deterministic (non-wall) trace events of an array run equal
-  those of a fast-engine run — the window-close flow is shared, and
+  those of a reference-engine run — the window-close flow is shared, and
   the array core's lazy DBA settlement replays the scalar per-cycle
   split tallies exactly.
 """
@@ -158,18 +158,18 @@ class TestArrayInstrumentedIdentity:
         assert instrumented == bare
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_array_telemetry_matches_fast(self, name, toy_model):
+    def test_array_telemetry_matches_reference(self, name, toy_model):
         config, policy, model, faults = _scenario(name, toy_model)
         result_a, registry_a, series_a, events_a = _run(
             config, "array", policy, model, faults
         )
-        result_f, registry_f, series_f, events_f = _run(
-            config, "fast", policy, model, faults
+        result_r, registry_r, series_r, events_r = _run(
+            config, "reference", policy, model, faults
         )
-        assert result_a == result_f
-        assert registry_a == registry_f
-        _assert_series_equal(series_a, series_f)
-        assert events_a == events_f
+        assert result_a == result_r
+        assert registry_a == registry_r
+        _assert_series_equal(series_a, series_r)
+        assert events_a == events_r
 
     def test_series_has_rows_and_all_routers(self, toy_model):
         config, policy, model, faults = _scenario("ml-quantized", toy_model)
@@ -191,11 +191,11 @@ class TestNoSilentDowngrade:
     def test_instrumented_array_never_takes_the_scalar_path(
         self, toy_model, monkeypatch
     ):
-        """The old behaviour downgraded array->fast under telemetry;
+        """The old behaviour downgraded array->scalar under telemetry;
         prove the scalar instrumented path is not reachable anymore."""
         config, policy, model, faults = _scenario("reactive", toy_model)
 
-        def boom(self, trace, fast=True):  # pragma: no cover - must not run
+        def boom(self, trace):  # pragma: no cover - must not run
             raise AssertionError("array run fell back to the scalar path")
 
         monkeypatch.setattr(PearlNetwork, "_run_instrumented", boom)
@@ -214,11 +214,11 @@ class TestNoSilentDowngrade:
         network = PearlNetwork(config=config, power_policy=policy, seed=3)
         with obs.session():
             network.run(trace, engine="array")
-            network.run(trace, engine="fast")
+            network.run(trace, engine="reference")
             engines = dict(obs.OBS.engines)
-        assert engines == {"array": 1, "fast": 1}
-        assert network.last_engine_requested == "fast"
-        assert network.last_engine_used == "fast"
+        assert engines == {"array": 1, "reference": 1}
+        assert network.last_engine_requested == "reference"
+        assert network.last_engine_used == "reference"
 
     def test_requested_equals_used_for_array(self, toy_model):
         config, policy, model, faults = _scenario("reactive", toy_model)

@@ -1,18 +1,16 @@
-"""Fast-engine equivalence under fault injection, plus the latent-bug
-regressions the fault work uncovered.
+"""Engine equivalence under fault injection, plus a latent-bug
+regression the fault work uncovered.
 
-A mid-run fault onset/clear is a state transition the event-horizon
-skipper must not jump over.  These tests pin ``engine="fast"`` ==
-``engine="reference"`` byte-for-byte while faults fire, including on
-idle-heavy traces whose quiescent spans straddle fault boundaries, and
-they pin the two bug fixes directly:
-
-* ``LaserBank.request_state`` must cancel a pending *upward*
-  transition when the same (or a lower) state is re-requested — the
-  fault clamp re-requests the current state at fault onset, which used
-  to leave a stale pending transition stalling the link;
-* ``Router.fast_forward`` must refuse to advance across an unconsumed
-  fault event rather than silently integrate the wrong laser state.
+A mid-run fault onset/clear is a state transition the array core's
+idle skipping must not jump over.  These tests pin ``engine="array"``
+== ``engine="reference"`` byte-for-byte while faults fire, including on
+idle-heavy traces whose quiescent spans straddle fault boundaries,
+check the skip horizon itself stops at every transition, and they pin
+the bug fix directly: ``LaserBank.request_state`` must cancel
+a pending *upward* transition when the same (or a lower) state is
+re-requested — the fault clamp re-requests the current state at fault
+onset, which used to leave a stale pending transition stalling the
+link.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from repro.faults import (
 )
 from repro.ml.features import NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
+from repro.noc.array_core import ArrayCore
 from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
@@ -104,7 +103,7 @@ def _canonical(network, result):
 
 def _run_both(config, trace, policy, faults, model=None, seed=3):
     out = {}
-    for engine in ("reference", "fast"):
+    for engine in ("reference", "array"):
         network = PearlNetwork(
             config=config,
             power_policy=policy,
@@ -129,9 +128,9 @@ class TestFaultedEngineEquivalence:
             seed=3,
         )
         out = _run_both(config, trace, policy, schedule, toy_model)
-        assert out["reference"] == out["fast"]
+        assert out["reference"] == out["array"]
         # The schedule actually did something:
-        assert out["fast"]["stats"]["crc_errors"] >= 0
+        assert out["array"]["stats"]["crc_errors"] >= 0
 
     def test_idle_heavy_trace_skips_across_fault_boundaries(self):
         """Quiescent spans straddle fault onset/clear; skips must stop
@@ -144,7 +143,7 @@ class TestFaultedEngineEquivalence:
             duration=config.simulation.total_cycles // 4,
             seed=5,
         )
-        # Faults fire deep in the idle tail, where the fast engine
+        # Faults fire deep in the idle tail, where the array core
         # would otherwise skip hundreds of cycles at a time.
         total = config.simulation.total_cycles
         schedule = FaultSchedule(
@@ -160,8 +159,8 @@ class TestFaultedEngineEquivalence:
         out = _run_both(
             config, trace, PowerPolicyKind.REACTIVE, schedule
         )
-        assert out["reference"] == out["fast"]
-        assert sum(out["fast"]["clamp_events"]) > 0
+        assert out["reference"] == out["array"]
+        assert sum(out["array"]["clamp_events"]) > 0
 
     def test_fault_during_long_stabilization(self):
         """Fault onset lands inside a laser turn-on window."""
@@ -184,7 +183,7 @@ class TestFaultedEngineEquivalence:
         out = _run_both(
             config, trace, PowerPolicyKind.REACTIVE, schedule
         )
-        assert out["reference"] == out["fast"]
+        assert out["reference"] == out["array"]
 
     def test_total_corruption_small_retry_budget(self):
         """rate=1.0 bit errors with retry_limit=1: every packet drops,
@@ -203,13 +202,65 @@ class TestFaultedEngineEquivalence:
         out = _run_both(
             config, trace, PowerPolicyKind.STATIC, schedule
         )
-        assert out["reference"] == out["fast"]
-        stats = out["fast"]["stats"]
+        assert out["reference"] == out["array"]
+        stats = out["array"]["stats"]
         assert stats["packets_dropped"] > 0
         assert (
             stats["crc_errors"]
             == stats["retransmissions"] + stats["packets_dropped"]
         )
+
+
+class TestSkipHorizonGuard:
+    """Idle skipping stops at every fault transition: the onset and the
+    clear each execute on their own cycle, where they clamp or release
+    the lasers exactly as the reference engine's every-cycle tick does."""
+
+    ONSET, CLEAR = 377, 455
+
+    def _core(self, kind):
+        # A 1,000-cycle window puts every staggered boundary in the
+        # first 170 cycles, so only the fault bounds the idle tail.
+        config = _config(measure=600, warmup=0, window=1_000)
+        if kind == "wavelength":
+            schedule = FaultSchedule(
+                wavelength_faults=(
+                    WavelengthFault(
+                        wavelengths=8, start=self.ONSET, end=self.CLEAR
+                    ),
+                )
+            )
+        else:
+            schedule = FaultSchedule(
+                droop_faults=(
+                    LaserDroopFault(
+                        max_state=32, start=self.ONSET, end=self.CLEAR
+                    ),
+                )
+            )
+        return ArrayCore(PearlNetwork(config=config, seed=3, faults=schedule))
+
+    @pytest.mark.parametrize("kind", ["wavelength", "droop"])
+    def test_skip_horizon_stops_at_fault_onset(self, kind):
+        core = self._core(kind)
+        core._advance(0, 200, None)
+        assert core._skip_horizon(200, 600, None) == self.ONSET
+
+    @pytest.mark.parametrize("kind", ["wavelength", "droop"])
+    def test_idle_tail_executes_only_the_fault_transitions(self, kind):
+        core = self._core(kind)
+        executed = []
+        step = core.step
+
+        def recording_step(cycle, cursor=None):
+            executed.append(cycle)
+            step(cycle, cursor)
+
+        core.step = recording_step
+        core._advance(0, 600, None)
+        assert [c for c in executed if c >= 200] == [self.ONSET, self.CLEAR]
+        clamps = [r.fault_clamp_events for r in core.routers]
+        assert all(n > 0 for n in clamps)
 
 
 class TestLaserBankRegression:
@@ -236,24 +287,3 @@ class TestLaserBankRegression:
         for _ in range(20):
             bank.tick()
         assert bank.state == 8
-
-
-class TestFastForwardGuard:
-    def test_fast_forward_refuses_to_cross_fault_event(self):
-        config = _config(measure=400, warmup=0)
-        schedule = FaultSchedule(
-            wavelength_faults=(WavelengthFault(wavelengths=8, start=100),)
-        )
-        network = PearlNetwork(config=config, seed=3, faults=schedule)
-        router = network.routers[0]
-        with pytest.raises(ValueError, match="fault transition"):
-            router.fast_forward(50, 100)
-
-    def test_skip_bound_stops_at_fault_event(self):
-        config = _config(measure=400, warmup=0, window=1_000)
-        schedule = FaultSchedule(
-            droop_faults=(LaserDroopFault(max_state=32, start=77),)
-        )
-        network = PearlNetwork(config=config, seed=3, faults=schedule)
-        router = network.routers[0]
-        assert router.skip_bound(0) <= 77

@@ -4,10 +4,10 @@ import pytest
 
 from repro.config import PearlConfig, SimulationConfig
 from repro.noc.network import PearlNetwork, ResponderConfig
-from repro.noc.packet import CoreType
+from repro.noc.packet import CacheLevel, CoreType, PacketClass
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
-from repro.traffic.trace import Trace
+from repro.traffic.trace import InjectionEvent, Trace
 
 
 def _config(measure=1_500, warmup=100):
@@ -30,6 +30,11 @@ class TestConstruction:
     def test_ml_policy_requires_model(self):
         with pytest.raises(ValueError):
             PearlNetwork(_config(), power_policy=PowerPolicyKind.ML)
+
+    def test_unknown_engine_rejected(self):
+        network = PearlNetwork(_config(measure=200, warmup=0))
+        with pytest.raises(ValueError, match="unknown engine"):
+            network.run(Trace([], name="empty"), engine="warp")
 
 
 class TestClosedLoop:
@@ -205,3 +210,62 @@ class TestAdaptivePolicy:
         ]
         assert len(scalers) == 17
         assert any(s.scale_history for s in scalers)
+
+
+def _flood(source, n):
+    """``n`` one-flit CPU requests from ``source`` to the L3, all at
+    cycle 0: more than the 64-slot CPU input pool holds."""
+    events = [
+        InjectionEvent(
+            cycle=0,
+            source=source,
+            destination=16,
+            core_type=CoreType.CPU,
+            packet_class=PacketClass.REQUEST,
+            cache_level=CacheLevel.CPU_L2_DOWN,
+        )
+        for _ in range(n)
+    ]
+    return Trace(events, name="flood")
+
+
+class TestInjectionBacklogOrdering:
+    """Stalled-core injection order, on the reference engine.
+
+    The FIFO check wraps ``router.inject``, which only the reference
+    engine calls (the array core inlines injection).
+    """
+
+    def test_backlog_preserves_fifo_order(self):
+        """Packets stalled at a full input buffer inject oldest-first.
+
+        64 CPU slots fill with the first 64 one-flit requests; the rest
+        queue in the network backlog and must enter the buffer in
+        creation order as the router drains.
+        """
+        n = 100  # > cpu_buffer_slots
+        network = PearlNetwork(_config(measure=2_000, warmup=0), seed=3)
+        network.run(_flood(2, n), engine="reference")
+        # Requests plus their closed-loop responses all entered despite
+        # the initial overflow, and nothing is left stranded.
+        injected = network.stats.counters[CoreType.CPU].packets_injected
+        assert injected >= n
+        assert network.injection_backlog_size == 0
+
+    def test_backlog_fifo_cycles_monotonic(self):
+        """injected_cycle is non-decreasing in packet creation order."""
+        packets = []
+        network = PearlNetwork(_config(measure=2_000, warmup=0), seed=3)
+        original_inject = network.routers[4].inject
+
+        def tracking_inject(packet, cycle):
+            packets.append(packet)
+            original_inject(packet, cycle)
+
+        network.routers[4].inject = tracking_inject
+        network.run(_flood(4, 90), engine="reference")
+        assert len(packets) == 90
+        cycles = [p.injected_cycle for p in packets]
+        assert cycles == sorted(cycles)
+        ids = [p.packet_id for p in packets]
+        assert ids == sorted(ids)

@@ -36,7 +36,7 @@ def _telemetry_off():
     obs.disable()
 
 
-def _tiny_run(seed=7, engine="fast"):
+def _tiny_run(seed=7, engine="array"):
     config = PearlConfig().replace(
         simulation=SimulationConfig(
             warmup_cycles=500, measure_cycles=3_000, seed=seed
@@ -98,23 +98,23 @@ class TestNetworkInstrumentation:
             instrumented = _canonical(_tiny_run())
         assert plain == instrumented
 
-    def test_fast_engine_reports_same_sim_metrics(self):
-        """An instrumented fast-engine run matches the reference run.
+    def test_array_engine_reports_same_sim_metrics(self):
+        """An instrumented array-engine run matches the reference run.
 
-        Skipped-span accounting folds into the existing counters (DBA
-        split tallies, link samples, laser state cycles) — no new
-        metric names, no diverging values.  Wall-clock trace spans are
+        Lazily settled spans fold into the existing counters (DBA split
+        tallies, link samples, laser state cycles) — no new metric
+        names, no diverging values.  Wall-clock trace spans are
         excluded: only the simulated quantities must agree.
         """
         with obs.session():
             reference = _canonical(_tiny_run(engine="reference"))
             ref_metrics = OBS.registry.snapshot()
         with obs.session():
-            fast = _canonical(_tiny_run(engine="fast"))
-            fast_metrics = OBS.registry.snapshot()
-        assert reference == fast
-        assert sorted(ref_metrics) == sorted(fast_metrics)
-        assert ref_metrics == fast_metrics
+            array = _canonical(_tiny_run(engine="array"))
+            array_metrics = OBS.registry.snapshot()
+        assert reference == array
+        assert sorted(ref_metrics) == sorted(array_metrics)
+        assert ref_metrics == array_metrics
 
     def test_disabled_session_records_nothing(self):
         with obs.session():

@@ -99,9 +99,9 @@ class TestDoc:
             registry,
             tracer,
             series=series,
-            engines={"array": 2, "fast": 1},
+            engines={"array": 2, "reference": 1},
         )
-        assert doc["engines"] == {"array": 2, "fast": 1}
+        assert doc["engines"] == {"array": 2, "reference": 1}
         assert (
             doc["trace_dropped"]
             == doc["trace_dropped_sampling"] + doc["trace_dropped_overflow"]

@@ -2,12 +2,12 @@
 
 The golden suite pins one workload at one seed; this matrix spreads
 thinner but wider — every power policy under both bandwidth allocators
-across three seeds, asserting the fast *and* array engines are
-bit-identical to the reference engine on each combination, plus a
-faulted and a q4.12-quantized configuration per seed on the array
-engine.  The ML policy's model is not handed over in memory: it goes
-through a registry put/promote/get round trip first, so the deployment
-path the workers use is the path under test.
+across three seeds, asserting the array engine is bit-identical to the
+reference engine (the oracle) on each combination, plus faulted and
+q4.12-quantized configurations per seed.  The ML policy's model is not
+handed over in memory: it goes through a registry put/promote/get round
+trip first, so the deployment path the workers use is the path under
+test.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.traffic.synthetic import generate_pair_trace
 pytestmark = pytest.mark.slow
 
 SEEDS = (3, 11, 2018)
+ENGINES = ("reference", "array")
 POLICIES = (
     "static",
     "reactive",
@@ -143,11 +144,8 @@ def test_engines_match_reference(
     reference = _canonical(
         _run(policy, allocator, seed, "reference", model)
     )
-    for engine in ("fast", "array"):
-        engine_result = _canonical(
-            _run(policy, allocator, seed, engine, model)
-        )
-        assert engine_result == reference, f"{engine} diverged"
+    array = _canonical(_run(policy, allocator, seed, "array", model))
+    assert array == reference, "array diverged"
 
 
 def _seed_faults(seed: int) -> FaultSchedule:
@@ -186,11 +184,11 @@ HARDENED = (
 def test_array_engine_hardened_configs(
     policy: str, variant: str, seed: int, registry_model
 ) -> None:
-    """Per-seed faulted and quantized configs on the array engine."""
+    """Per-seed faulted and quantized configs, array vs reference."""
     quantization = "q4.12" if variant == "q4.12" else None
     faults = _seed_faults(seed) if variant == "faulted" else None
     results = {}
-    for engine in ("fast", "array"):
+    for engine in ENGINES:
         results[engine] = _canonical(
             _run(
                 policy,
@@ -202,7 +200,7 @@ def test_array_engine_hardened_configs(
                 faults=faults,
             )
         )
-    assert results["array"] == results["fast"]
+    assert results["array"] == results["reference"]
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +269,10 @@ def test_collective_engines_match_reference(
     reference = _canonical(
         _collective_run(algorithm, policy, signaling, "reference", model)
     )
-    for engine in ("fast", "array"):
-        engine_result = _canonical(
-            _collective_run(algorithm, policy, signaling, engine, model)
-        )
-        assert engine_result == reference, f"{engine} diverged"
+    array = _canonical(
+        _collective_run(algorithm, policy, signaling, "array", model)
+    )
+    assert array == reference, "array diverged"
 
 
 def test_collective_faulted_array(registry_model) -> None:
@@ -291,9 +288,9 @@ def test_collective_faulted_array(registry_model) -> None:
                 faults=_seed_faults(COLLECTIVE_SEED),
             )
         )
-        for engine in ("fast", "array")
+        for engine in ENGINES
     }
-    assert results["array"] == results["fast"]
+    assert results["array"] == results["reference"]
 
 
 def test_collective_quantized_array(registry_model) -> None:
@@ -309,6 +306,6 @@ def test_collective_quantized_array(registry_model) -> None:
                 quantization="q4.12",
             )
         )
-        for engine in ("fast", "array")
+        for engine in ENGINES
     }
-    assert results["array"] == results["fast"]
+    assert results["array"] == results["reference"]

@@ -123,7 +123,7 @@ class TestTraceCursor:
     def test_horizon_edge_no_skip_no_double_pop(self):
         """Jumping exactly to an event's cycle pops it exactly once.
 
-        The fast engine's horizon lands precisely on the next event's
+        The array core's skip horizon lands precisely on the next event's
         cycle; popping at that edge must deliver every event of that
         cycle once, and a re-pop at the same cycle must return nothing.
         """
