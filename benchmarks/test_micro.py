@@ -53,7 +53,7 @@ def test_feature_snapshot(benchmark):
     collector = FeatureCollector()
 
     def run():
-        collector.observe_occupancies(0.1, 0.2, 0.3, 0.4)
+        collector.observe_occupancies(6, 13, 19, 26)
         collector.observe_link(True)
         return collector.snapshot(64)
 

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the array engine against the reference engine.
 
-Runs a small workload matrix (idle-heavy, mixed, saturated) under the
-reference cycle-by-cycle engine (the test oracle) and the
-struct-of-arrays array engine (the default every production path
-runs), verifies the two are bit-identical, and writes
-``BENCH_<label>.json`` with per-engine wall time, simulated
-cycles/second and the array-over-reference speedup.
+Runs a small workload matrix under the reference cycle-by-cycle engine
+(the test oracle) and the struct-of-arrays array engine (the default
+every production path runs), verifies the two are bit-identical, and
+writes ``BENCH_<label>.json`` with per-engine wall time, simulated
+cycles/second and the array-over-reference speedup.  The matrix has
+two parts: three synthetic traces (idle-heavy, mixed, saturated) under
+static and reactive scaling at the default 500-cycle window, and rows
+at the PEARL benchmark's production job shapes (``perfbench/``: window
+100, PARSEC jobs of 200+1,000 cycles, collective jobs of 100+1,200)
+under the ML, PROTEUS and D3NOC window closes, built from the same
+``pearl_job``/``pair_spec``/``collective_spec`` helpers.
 
 Usage::
 
@@ -34,18 +39,34 @@ See ``docs/performance.md`` for how to read the output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import PearlConfig, SimulationConfig  # noqa: E402
+from repro.experiments.parallel import (  # noqa: E402
+    collective_spec,
+    pair_spec,
+    pearl_job,
+    pearl_network,
+)
+from repro.ml import pipeline  # noqa: E402
+from repro.ml.ridge import RidgeRegression  # noqa: E402
 from repro.noc.network import PearlNetwork  # noqa: E402
 from repro.noc.packet import CoreType  # noqa: E402
 from repro.noc.router import PowerPolicyKind  # noqa: E402
-from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS  # noqa: E402
+from repro.traffic.benchmarks import (  # noqa: E402
+    CPU_BENCHMARKS,
+    GPU_BENCHMARKS,
+    test_pairs,
+)
 from repro.traffic.synthetic import (  # noqa: E402
     generate_pair_trace,
     uniform_random_trace,
@@ -117,6 +138,95 @@ def _workloads(quick: bool):
     )
 
 
+#: The PEARL benchmark's job shapes (perfbench/workloads.py).
+WINDOW = 100
+PARSEC_CYCLES = (200, 1_000)
+COLLECTIVE_CYCLES = (100, 1_200)
+#: ``collective_study``'s tight drift settings, which make the ML
+#: collective row drift, refit and hot-swap its model mid-run.
+RETRAIN_ML = dict(
+    drift_detection=True,
+    drift_action="retrain",
+    drift_calibration_windows=8,
+    drift_patience=3,
+    drift_z_threshold=4.0,
+    retrain_min_samples=20,
+    retrain_cooldown_windows=10_000,
+)
+
+
+def _production_config(cycles, signaling="nrz", retrain=False) -> PearlConfig:
+    warmup, measure = cycles
+    config = PearlConfig(
+        simulation=SimulationConfig(warmup_cycles=warmup, measure_cycles=measure)
+    ).with_reservation_window(WINDOW)
+    if signaling != "nrz":
+        config = config.replace(
+            photonic=dataclasses.replace(config.photonic, signaling=signaling)
+        )
+    if retrain:
+        config = config.replace(
+            ml=dataclasses.replace(config.ml, **RETRAIN_ML)
+        )
+    return config
+
+
+def _production_specs(model_path: str):
+    """(workload, policy, spec) rows at the benchmark's job shapes.
+
+    One Table IV pair under each window-close policy the synthetic
+    rows do not cover, and the ML collective row with online
+    retraining.
+    """
+    pair = test_pairs()[0]
+    parsec = _production_config(PARSEC_CYCLES)
+    for policy in (
+        PowerPolicyKind.ML,
+        PowerPolicyKind.PROTEUS,
+        PowerPolicyKind.D3NOC,
+    ):
+        yield "parsec_pair", policy.value, pearl_job(
+            parsec,
+            pair_spec(pair, 3),
+            seed=3,
+            power_policy=policy,
+            ml_model_path=(
+                model_path if policy is PowerPolicyKind.ML else None
+            ),
+        )
+    yield "allreduce_ring_pam4", "ml_retrain", pearl_job(
+        _production_config(COLLECTIVE_CYCLES, "pam4", retrain=True),
+        collective_spec("allreduce_ring", 3),
+        seed=3,
+        power_policy=PowerPolicyKind.ML,
+        ml_model_path=model_path,
+    )
+
+
+def _rows(quick: bool, model_dir: str):
+    """(workload, policy, network factory, trace, cycles) per row."""
+    for workload, config, trace in _workloads(quick):
+        for policy_name, policy in POLICIES.items():
+            make = functools.partial(
+                PearlNetwork, config=config, power_policy=policy, seed=3
+            )
+            yield workload, policy_name, make, trace, (
+                config.simulation.total_cycles
+            )
+    model_path = str(Path(model_dir) / "deployment.npz")
+    pipeline.deployment_fitted_model(
+        config=PearlConfig().with_reservation_window(WINDOW)
+    ).save(model_path)
+    model = RidgeRegression.load(model_path)
+    for workload, policy_name, spec in _production_specs(model_path):
+        make = functools.partial(
+            pearl_network, spec, model if spec.ml_model_path else None
+        )
+        yield workload, policy_name, make, spec.trace.build(spec.config), (
+            spec.config.simulation.total_cycles
+        )
+
+
 def _canonical(network: PearlNetwork, result) -> dict:
     """Everything that must be bit-identical across engines."""
     return {
@@ -126,56 +236,69 @@ def _canonical(network: PearlNetwork, result) -> dict:
         "laser_stall_cycles": result.laser_stall_cycles,
         "ml_predictions": result.ml_predictions,
         "ml_labels": result.ml_labels,
+        "retrained_model_ids": result.retrained_model_ids,
         "sequence": network._sequence,
         "backlog": network.injection_backlog_size,
     }
 
 
 def run_matrix(quick: bool, repeats: int) -> dict:
-    """Time every workload/policy/engine combination (best-of-N)."""
+    """Time every workload/policy/engine combination (best-of-N).
+
+    Online retraining registers models, so the run points
+    ``PEARL_REGISTRY_DIR`` at a temporary directory it removes after.
+    """
     entries = {}
-    for workload, config, trace in _workloads(quick):
-        cycles = config.simulation.total_cycles
-        for policy_name, policy in POLICIES.items():
-            # Interleave the engines inside each repeat (best-of-N) so
-            # machine-load drift hits both variants equally.
-            walls = {engine: float("inf") for engine in ENGINES}
-            outputs = {}
-            for _ in range(repeats):
-                for engine in ENGINES:
-                    network = PearlNetwork(
-                        config=config, power_policy=policy, seed=3
-                    )
-                    start = time.perf_counter()
-                    result = network.run(trace, engine=engine)
-                    wall = time.perf_counter() - start
-                    walls[engine] = min(walls[engine], wall)
-                    outputs[engine] = _canonical(network, result)
-            identical = outputs["array"] == outputs["reference"]
-            entries[f"{workload}/{policy_name}"] = {
-                "workload": workload,
-                "policy": policy_name,
-                "cycles": cycles,
-                "identical": identical,
-                "array_speedup": walls["reference"] / walls["array"],
-                **{
-                    engine: {
-                        "wall_s": walls[engine],
-                        "cycles_per_s": cycles / walls[engine],
-                    }
-                    for engine in ENGINES
-                },
-            }
-            entry = entries[f"{workload}/{policy_name}"]
-            print(
-                f"{workload:11s} {policy_name:9s} "
-                f"ref={walls['reference']:.3f}s "
-                f"array={walls['array']:.3f}s "
-                f"x{entry['array_speedup']:.2f} "
-                f"identical={identical}",
-                flush=True,
-            )
+    saved = os.environ.get("PEARL_REGISTRY_DIR")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["PEARL_REGISTRY_DIR"] = str(Path(tmp) / "registry")
+        try:
+            for row in _rows(quick, tmp):
+                _time_row(entries, *row, repeats=repeats)
+        finally:
+            if saved is None:
+                os.environ.pop("PEARL_REGISTRY_DIR", None)
+            else:
+                os.environ["PEARL_REGISTRY_DIR"] = saved
     return entries
+
+
+def _time_row(entries, workload, policy_name, make, trace, cycles, repeats):
+    # Interleave the engines inside each repeat (best-of-N) so
+    # machine-load drift hits both variants equally.
+    walls = {engine: float("inf") for engine in ENGINES}
+    outputs = {}
+    for _ in range(repeats):
+        for engine in ENGINES:
+            network = make()
+            start = time.perf_counter()
+            result = network.run(trace, engine=engine)
+            wall = time.perf_counter() - start
+            walls[engine] = min(walls[engine], wall)
+            outputs[engine] = _canonical(network, result)
+    identical = outputs["array"] == outputs["reference"]
+    entry = entries[f"{workload}/{policy_name}"] = {
+        "workload": workload,
+        "policy": policy_name,
+        "cycles": cycles,
+        "identical": identical,
+        "array_speedup": walls["reference"] / walls["array"],
+        **{
+            engine: {
+                "wall_s": walls[engine],
+                "cycles_per_s": cycles / walls[engine],
+            }
+            for engine in ENGINES
+        },
+    }
+    print(
+        f"{workload:19s} {policy_name:10s} "
+        f"ref={walls['reference']:.3f}s "
+        f"array={walls['array']:.3f}s "
+        f"x{entry['array_speedup']:.2f} "
+        f"identical={identical}",
+        flush=True,
+    )
 
 
 def check(entries: dict, min_array_speedup: float):

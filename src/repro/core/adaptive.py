@@ -86,8 +86,7 @@ class AdaptiveReactiveScaler(ReactivePowerScaler):
             state = states[4] if self.config.use_8wl else states[3]
         return state
 
-    def close_window(self) -> int:
+    def close_window(self, mean_occupancy: float) -> int:
         """Adapt on the window mean, then select as usual."""
-        mean = self._occupancy_sum / self._samples if self._samples else 0.0
-        self._adapt(mean)
-        return super().close_window()
+        self._adapt(mean_occupancy)
+        return super().close_window(mean_occupancy)

@@ -7,7 +7,7 @@ active channels for the next epoch.  Mapped onto PEARL's machinery:
 
 * **Bandwidth reconfiguration** — at every reservation-window close the
   window-mean CPU/GPU input-buffer utilizations (features 2 and 4 of
-  the Table III vector, already frozen by ``begin_window_close``) are
+  the Table III vector the engine froze for the close) are
   pushed through the Algorithm 1 decision structure once, and the
   resulting split is *pinned* on the router's
   :class:`~repro.core.dba.DynamicBandwidthAllocator` for the whole next
@@ -22,8 +22,9 @@ active channels for the next epoch.  Mapped onto PEARL's machinery:
 
 The reconfigurer is deliberately snapshot-driven: it has **no per-cycle
 observe path**, so both engines reproduce it bit-identically by
-construction — the label and feature snapshot they hand to
-``close_window`` are already pinned identical by the ML test matrix.
+construction — both hand ``close_window`` the label and feature row
+frozen by the one close path,
+:meth:`~repro.noc.network.PearlNetwork._close_windows`.
 """
 
 from __future__ import annotations

@@ -59,6 +59,12 @@ class StateSelector:
         self.allow_8wl = allow_8wl
         self.capacity_multiplier = capacity_multiplier
         self.headroom = headroom
+        #: (state, packets per window) for the candidate states, lowest
+        #: power first: the Eq. 7 table every decision scans.
+        self._capacities = [
+            (state, self.window_capacity_packets(state))
+            for state in self.candidate_states()
+        ]
 
     def window_capacity_flits(self, state: int) -> float:
         """Flits the link can send in one window at ``state``.
@@ -101,15 +107,15 @@ class StateSelector:
         selects the largest state still allowed.
         """
         demand = max(predicted_packets, 0.0) * self.headroom
-        candidates = self.candidate_states()
+        table = self._capacities
         if max_state is not None:
-            allowed = [s for s in candidates if s <= max_state]
+            allowed = [entry for entry in table if entry[0] <= max_state]
             if allowed:
-                candidates = allowed
-        for state in candidates:
-            if demand <= self.window_capacity_packets(state):
+                table = allowed
+        for state, capacity in table:
+            if demand <= capacity:
                 return state
-        return candidates[-1]
+        return table[-1][0]
 
 
 class MLPowerScaler:
@@ -176,15 +182,16 @@ class MLPowerScaler:
         return (cycle - self.offset) % self._window == 0
 
     def predict_window_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """One batched inference for several same-cycle feature rows.
+        """One inference over the feature rows of a close group.
 
-        ``matrix`` is ``(k, NUM_FEATURES)``; the float path runs a
+        ``matrix`` is ``(k, NUM_FEATURES)``, one row per router closing
+        on the same cycle (k = 1 included); the float path runs a
         single ``matrix @ weights`` matmul and the quantized path one
         row-parallel saturating-MAC sweep.  This is the *defining*
-        inference semantics for routers whose windows close on the same
-        cycle: a ``(k, n)`` GEMV is not guaranteed bitwise equal to k
-        separate ``(1, n)`` calls on every BLAS, so every engine must
-        group identically and feed groups through this one kernel
+        inference semantics of a window close: a ``(k, n)`` GEMV is not
+        guaranteed bitwise equal to k separate ``(1, n)`` calls on
+        every BLAS, so both engines group by close cycle and feed every
+        group through this one kernel
         (``decide(..., precomputed=row)`` then consumes the rows).
         """
         matrix = np.asarray(matrix, dtype=float)
@@ -209,9 +216,10 @@ class MLPowerScaler:
         injector's ``max_usable_state``), making the scaler fault-aware
         rather than clamped after the fact.
 
-        ``precomputed`` supplies this router's row of a batched
-        :meth:`predict_window_batch` inference (grouped same-cycle
-        closers); everything downstream of the prediction is unchanged.
+        ``precomputed`` supplies this router's row of the
+        :meth:`predict_window_batch` inference over its close group
+        (what the network's close path always passes); without it the
+        row is predicted alone, which equals a group of one.
         """
         features = np.asarray(features, dtype=float).ravel()
         if features.shape[0] != NUM_FEATURES:

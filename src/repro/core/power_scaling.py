@@ -1,11 +1,12 @@
 """Reactive dynamic power scaling — Algorithm 1, steps 6-8.
 
 Every reservation window (RW) each router averages its combined buffer
-occupancy (step 7) and compares it against four thresholds to pick one
-of five wavelength states for the *next* window (step 8).  The laser
-array that realises the state is modelled by :class:`LaserBank`,
-including the on-chip Fabry-Perot laser turn-on (stabilization) delay
-during which no data is transmitted (Sec. IV-C sensitivity study).
+occupancy (step 7, integrated by the cycle engine) and compares the
+mean against four thresholds to pick one of five wavelength states for
+the *next* window (step 8).  The laser array that realises the state is
+modelled by :class:`LaserBank`, including the on-chip Fabry-Perot laser
+turn-on (stabilization) delay during which no data is transmitted
+(Sec. IV-C sensitivity study).
 """
 
 from __future__ import annotations
@@ -180,10 +181,11 @@ class LaserBank:
 class ReactivePowerScaler:
     """Buffer-occupancy-driven wavelength-state selector (steps 6-8).
 
-    The scaler accumulates the router's combined buffer occupancy every
-    cycle; when the reservation window closes it converts the window
-    mean into a state via the four descending thresholds.  When
-    ``use_8wl`` is off the ladder bottoms out at 16 wavelengths.
+    When the reservation window closes, the engine passes in the
+    router's window-mean combined buffer occupancy (Buf_w) and the
+    scaler converts it into a state via the four descending thresholds.
+    It keeps no per-cycle state.  When ``use_8wl`` is off the ladder
+    bottoms out at 16 wavelengths.
     """
 
     def __init__(
@@ -200,16 +202,7 @@ class ReactivePowerScaler:
             config.reservation_window, 1
         )
         self._window = config.reservation_window
-        self._occupancy_sum = 0.0
-        self._samples = 0
         self.decisions: List[int] = []
-
-    def observe(self, combined_occupancy: float) -> None:
-        """Step 7: accumulate one cycle's Buf_w reading."""
-        if not 0.0 <= combined_occupancy <= 1.0:
-            raise ValueError("occupancy must be a fraction in [0, 1]")
-        self._occupancy_sum += combined_occupancy
-        self._samples += 1
 
     def window_boundary(self, cycle: int) -> bool:
         """Step 6: does this cycle close the router's staggered window?"""
@@ -231,12 +224,11 @@ class ReactivePowerScaler:
             state = states[4] if self.config.use_8wl else states[3]
         return state
 
-    def close_window(self) -> int:
-        """Consume the accumulated window and return the next state."""
-        mean = self._occupancy_sum / self._samples if self._samples else 0.0
-        self._occupancy_sum = 0.0
-        self._samples = 0
-        state = self.select_state(mean)
+    def close_window(self, mean_occupancy: float) -> int:
+        """Step 8 on the closed window's mean Buf_w: the next state."""
+        if not 0.0 <= mean_occupancy <= 1.0:
+            raise ValueError("occupancy must be a fraction in [0, 1]")
+        state = self.select_state(mean_occupancy)
         self.decisions.append(state)
         return state
 
@@ -253,9 +245,6 @@ class StaticPowerPolicy:
             raise ValueError(f"unknown wavelength state {state}")
         self.state = state
         self.ladder = ladder
-
-    def observe(self, combined_occupancy: float) -> None:
-        """Statistics hook — a static policy ignores occupancy."""
 
     def window_boundary(self, cycle: int) -> bool:
         """A static policy never reconfigures."""

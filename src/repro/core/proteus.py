@@ -21,8 +21,8 @@ This module implements that co-management on top of the PEARL ladder:
   and cap.
 
 Drop-in replacement for :class:`ReactivePowerScaler` in the router's
-``reactive`` slot, so the array engine's occupancy accumulators work
-unchanged.
+``reactive`` slot: it decides from the same window-mean occupancy the
+engines pass to every reactive scaler.
 """
 
 from __future__ import annotations

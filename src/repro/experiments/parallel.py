@@ -71,10 +71,37 @@ class TraceSpec:
     algorithm: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Reject what would otherwise only fail in ``build`` inside a
+        # pool worker, so a malformed served spec is a 400 at decode.
         if self.kind == "collective":
             if self.algorithm is None:
                 raise ValueError("collective trace specs need an algorithm")
             validate_collective(self.algorithm)
+        elif self.kind == "pair":
+            for name, core_type in (
+                (self.cpu, CoreType.CPU),
+                (self.gpu, CoreType.GPU),
+            ):
+                if name is None:
+                    raise ValueError("pair trace specs need cpu and gpu")
+                try:
+                    profile = get_benchmark(name)
+                except KeyError as exc:
+                    raise ValueError(exc.args[0]) from None
+                if profile.core_type is not core_type:
+                    raise ValueError(
+                        f"{name!r} is not a {core_type.value} benchmark"
+                    )
+        elif self.kind == "uniform":
+            if not 0.0 <= self.rate <= 1.0:
+                raise ValueError(
+                    f"uniform trace rate must be in [0, 1], got {self.rate!r}"
+                )
+        else:
+            raise ValueError(
+                f"unknown trace kind {self.kind!r} "
+                "(choose from pair, uniform, collective)"
+            )
 
     def build(self, config: PearlConfig) -> Trace:
         """Regenerate the trace for ``config``'s run length."""
@@ -182,6 +209,10 @@ class JobSpec:
                     f"unknown static wavelength state {self.static_state!r} "
                     f"(choose from {states})"
                 )
+        if self.bandwidth_divisor is not None and self.bandwidth_divisor < 1:
+            raise ValueError("bandwidth_divisor must be positive")
+        if self.settle_cycles < 0 or self.settle_steps < 0:
+            raise ValueError("settle_cycles and settle_steps cannot be negative")
 
     def payload(self) -> Dict[str, object]:
         """Content payload the result cache hashes.
@@ -380,14 +411,15 @@ def _dispatch_job(spec: JobSpec) -> JobResult:
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def _run_pearl_job(spec: JobSpec) -> JobResult:
-    from ..ml.ridge import RidgeRegression
+def pearl_network(spec: JobSpec, ml_model=None):
+    """The :class:`~repro.noc.network.PearlNetwork` a pearl job runs.
+
+    ``ml_model`` is the model loaded from ``spec.ml_model_path`` (the
+    caller loads it, so a benchmark can load it once).
+    """
     from ..noc.network import PearlNetwork
 
-    ml_model = None
-    if spec.ml_model_path is not None:
-        ml_model = RidgeRegression.load(spec.ml_model_path)
-    network = PearlNetwork(
+    return PearlNetwork(
         spec.config,
         power_policy=PowerPolicyKind(spec.power_policy),
         use_dynamic_bandwidth=spec.use_dynamic_bandwidth,
@@ -397,6 +429,15 @@ def _run_pearl_job(spec: JobSpec) -> JobResult:
         seed=spec.seed,
         faults=spec.faults,
     )
+
+
+def _run_pearl_job(spec: JobSpec) -> JobResult:
+    from ..ml.ridge import RidgeRegression
+
+    ml_model = None
+    if spec.ml_model_path is not None:
+        ml_model = RidgeRegression.load(spec.ml_model_path)
+    network = pearl_network(spec, ml_model)
     run = network.run(spec.trace.build(spec.config))
     return JobResult(
         kind=spec.kind,

@@ -46,6 +46,47 @@ _SPEC_KEYS = {
 
 _TRACE_KEYS = {"kind", "cpu", "gpu", "rate", "seed", "algorithm"}
 
+_MISSING = object()
+
+_JSON_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    None: "null",
+}
+
+#: JSON numbers: an integer or a float literal (never a boolean).
+_NUMBER = (int, float)
+
+
+def _typed(doc: Dict[str, Any], key: str, kinds: tuple, default: Any) -> Any:
+    """``doc[key]`` when its JSON type is one of ``kinds``, else reject.
+
+    JSON booleans decode to Python ``bool``, a subclass of ``int``, so
+    they only count as booleans: ``true`` is no seed and ``1`` is no
+    switch.  ``None`` in ``kinds`` admits an explicit ``null``.
+    """
+    value = doc.get(key, _MISSING)
+    if value is _MISSING:
+        return default
+    if value is None:
+        ok = None in kinds
+    elif isinstance(value, bool):
+        ok = bool in kinds
+    else:
+        ok = any(
+            kind is not None and isinstance(value, kind) for kind in kinds
+        )
+    if not ok:
+        names = " or ".join(
+            _JSON_NAMES[kind]
+            for kind in kinds
+            if not (kind is int and float in kinds)
+        )
+        raise ValueError(f"{key} must be {names}, got {value!r}")
+    return value
+
 
 def spec_to_doc(
     spec: JobSpec, ml_model: Optional[str] = None
@@ -90,8 +131,11 @@ def spec_from_doc(doc: Dict[str, Any]) -> JobSpec:
     """Rebuild a :class:`JobSpec` from its wire document, strictly.
 
     Unknown keys are rejected (a typo must not silently change which
-    cache entry a request lands on).  ``ml_model`` references resolve
-    through the default model registry.
+    cache entry a request lands on), and so is a value of the wrong
+    JSON type: booleans must be ``true``/``false`` and integers integer
+    literals, never a string, a float or a boolean that a ``bool()`` or
+    ``int()`` coercion would quietly turn into a different job.
+    ``ml_model`` references resolve through the default model registry.
     """
     if not isinstance(doc, dict):
         raise ValueError("spec document must be a JSON object")
@@ -109,46 +153,51 @@ def spec_from_doc(doc: Dict[str, Any]) -> JobSpec:
     trace = None
     trace_doc = doc.get("trace")
     if trace_doc is not None:
+        if not isinstance(trace_doc, dict):
+            raise ValueError("trace must be a JSON object or null")
         extra = set(trace_doc) - _TRACE_KEYS
         if extra:
             raise ValueError(f"unknown trace fields: {sorted(extra)}")
-        algorithm = trace_doc.get("algorithm")
-        # TraceSpec's own validation rejects unknown collective
-        # algorithms here, at decode time, before any job runs.
+        # TraceSpec's own validation rejects an unknown kind, benchmark
+        # or collective algorithm here, at decode time, before any job
+        # runs.
         trace = TraceSpec(
-            kind=str(trace_doc.get("kind", "pair")),
-            cpu=trace_doc.get("cpu"),
-            gpu=trace_doc.get("gpu"),
-            rate=float(trace_doc.get("rate", 0.0)),
-            seed=int(trace_doc.get("seed", 1)),
-            algorithm=None if algorithm is None else str(algorithm),
+            kind=_typed(trace_doc, "kind", (str,), "pair"),
+            cpu=_typed(trace_doc, "cpu", (str, None), None),
+            gpu=_typed(trace_doc, "gpu", (str, None), None),
+            rate=float(_typed(trace_doc, "rate", _NUMBER, 0.0)),
+            seed=_typed(trace_doc, "seed", (int,), 1),
+            algorithm=_typed(trace_doc, "algorithm", (str, None), None),
         )
     faults = None
     if doc.get("faults") is not None:
         faults = FaultSchedule.from_dict(doc["faults"])
     ml_model_path = None
-    if doc.get("ml_model") is not None:
+    ml_model = _typed(doc, "ml_model", (str, None), None)
+    if ml_model is not None:
         from ...ml.lifecycle import default_registry
 
         registry = default_registry()
-        record = registry.record(str(doc["ml_model"]))
+        record = registry.record(ml_model)
         ml_model_path = str(registry.model_path(record.model_id))
     return JobSpec(
-        kind=str(kind),
+        kind=kind,
         config=config,
         trace=trace,
-        seed=int(doc.get("seed", 1)),
-        power_policy=str(doc.get("power_policy", "static")),
-        use_dynamic_bandwidth=bool(doc.get("use_dynamic_bandwidth", True)),
-        static_state=doc.get("static_state"),
-        allow_8wl=doc.get("allow_8wl"),
+        seed=_typed(doc, "seed", (int,), 1),
+        power_policy=_typed(doc, "power_policy", (str,), "static"),
+        use_dynamic_bandwidth=_typed(
+            doc, "use_dynamic_bandwidth", (bool,), True
+        ),
+        static_state=_typed(doc, "static_state", (int, None), None),
+        allow_8wl=_typed(doc, "allow_8wl", (bool, None), None),
         ml_model_path=ml_model_path,
         faults=faults,
-        bandwidth_divisor=doc.get("bandwidth_divisor"),
-        wavelength_state=int(doc.get("wavelength_state", 64)),
-        activity=float(doc.get("activity", 0.0)),
-        settle_cycles=int(doc.get("settle_cycles", 0)),
-        settle_steps=int(doc.get("settle_steps", 1)),
+        bandwidth_divisor=_typed(doc, "bandwidth_divisor", (int, None), None),
+        wavelength_state=_typed(doc, "wavelength_state", (int,), 64),
+        activity=float(_typed(doc, "activity", _NUMBER, 0.0)),
+        settle_cycles=_typed(doc, "settle_cycles", (int,), 0),
+        settle_steps=_typed(doc, "settle_steps", (int,), 1),
     )
 
 

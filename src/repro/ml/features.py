@@ -21,11 +21,14 @@ Feature order matches Table III exactly:
 The collector is event-driven: the router calls the ``on_*`` hooks as
 packets move and ``observe_occupancies``/``observe_link`` once per
 cycle; ``snapshot`` freezes the window into a vector and resets.
+Buffer occupancy is integrated in integer slot-cycles and divided only
+when the window freezes (:func:`window_row`, :func:`input_buffer_mean`),
+the one definition both cycle engines use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,21 +74,81 @@ FEATURE_NAMES: List[str] = (
 assert len(FEATURE_NAMES) == NUM_FEATURES
 
 
-class FeatureCollector:
-    """Accumulates one router's Table III counters over a window."""
+#: Slots of the four buffers behind features 2-5 (CPU input pool, CPU
+#: ejection, GPU input pool, GPU ejection) on the default router.
+DEFAULT_CAPACITIES = (64, 64, 64, 64)
 
-    def __init__(self, is_l3_router: bool = False) -> None:
+
+def window_row(
+    is_l3_router: bool,
+    occupancy: Sequence[int],
+    capacities: Sequence[int],
+    samples: int,
+    link_busy: int,
+    link_samples: int,
+    counts: Sequence[int],
+    requests_by_level: Sequence[int],
+    responses_by_level: Sequence[int],
+    wavelength_state: int,
+) -> np.ndarray:
+    """One window's Table III vector from its integer counters.
+
+    ``occupancy`` holds the slot-cycle integrals of the four buffers
+    behind features 2-5; each mean divides by the buffer's capacity,
+    then by the occupancy samples.  ``counts`` are features 7-13 in
+    table order.  Both cycle engines freeze windows through this
+    function, so they share one definition of every feature.
+    """
+    samples = max(samples, 1)
+    row = [
+        1.0 if is_l3_router else 0.0,
+        occupancy[0] / capacities[0] / samples,
+        occupancy[1] / capacities[1] / samples,
+        occupancy[2] / capacities[2] / samples,
+        occupancy[3] / capacities[3] / samples,
+        link_busy / max(link_samples, 1),
+    ]
+    row += counts
+    row += requests_by_level
+    row += responses_by_level
+    row.append(wavelength_state)
+    return np.array(row, dtype=float)
+
+
+def input_buffer_mean(
+    cpu: int, gpu: int, total_slots: int, samples: int
+) -> float:
+    """Algorithm 1's window-mean Buf_w from the input-pool integrals.
+
+    ``cpu``/``gpu`` are the slot-cycle integrals of the two input pools
+    (the numerators of features 2 and 4); the combined occupancy is
+    divided by the pooled capacity, then by the samples.
+    """
+    return (cpu + gpu) / total_slots / max(samples, 1)
+
+
+class FeatureCollector:
+    """Accumulates one router's Table III counters over a window.
+
+    ``capacities`` are the slots of the CPU input pool, CPU ejection
+    buffer, GPU input pool and GPU ejection buffer, in that order.
+    """
+
+    def __init__(
+        self,
+        is_l3_router: bool = False,
+        capacities: Tuple[int, int, int, int] = DEFAULT_CAPACITIES,
+    ) -> None:
+        if len(capacities) != 4 or min(capacities) <= 0:
+            raise ValueError("capacities must be four positive slot counts")
         self.is_l3_router = is_l3_router
+        self.capacities = tuple(capacities)
         self.reset()
 
     def reset(self) -> None:
         """Clear all counters (done at every window boundary)."""
-        self._occupancy_sums = {
-            "cpu_core": 0.0,
-            "cpu_other": 0.0,
-            "gpu_core": 0.0,
-            "gpu_other": 0.0,
-        }
+        #: Slot-cycle integrals behind features 2-5, in capacity order.
+        self._occupancy_slot_cycles = [0, 0, 0, 0]
         self._occupancy_samples = 0
         self._link_busy_cycles = 0
         self._link_samples = 0
@@ -108,16 +171,17 @@ class FeatureCollector:
 
     def observe_occupancies(
         self,
-        cpu_core: float,
-        cpu_other: float,
-        gpu_core: float,
-        gpu_other: float,
+        cpu_core: int,
+        cpu_other: int,
+        gpu_core: int,
+        gpu_other: int,
     ) -> None:
-        """Record one cycle's four buffer occupancies (features 2-5)."""
-        self._occupancy_sums["cpu_core"] += cpu_core
-        self._occupancy_sums["cpu_other"] += cpu_other
-        self._occupancy_sums["gpu_core"] += gpu_core
-        self._occupancy_sums["gpu_other"] += gpu_other
+        """Record one cycle's four buffer occupancies, in slots (2-5)."""
+        sums = self._occupancy_slot_cycles
+        sums[0] += cpu_core
+        sums[1] += cpu_other
+        sums[2] += gpu_core
+        sums[3] += gpu_other
         self._occupancy_samples += 1
 
     def observe_link(self, busy: bool) -> None:
@@ -163,30 +227,35 @@ class FeatureCollector:
 
     # -- window snapshot ----------------------------------------------------
 
+    def buffer_mean(self) -> float:
+        """The open window's mean combined input-buffer occupancy (Buf_w)."""
+        sums = self._occupancy_slot_cycles
+        caps = self.capacities
+        return input_buffer_mean(
+            sums[0], sums[2], caps[0] + caps[2], self._occupancy_samples
+        )
+
     def snapshot(self, wavelength_state: int) -> np.ndarray:
         """Freeze the window into a Table III-ordered vector and reset."""
-        samples = max(self._occupancy_samples, 1)
-        link_samples = max(self._link_samples, 1)
-        vector = np.array(
-            [
-                1.0 if self.is_l3_router else 0.0,
-                self._occupancy_sums["cpu_core"] / samples,
-                self._occupancy_sums["cpu_other"] / samples,
-                self._occupancy_sums["gpu_core"] / samples,
-                self._occupancy_sums["gpu_other"] / samples,
-                self._link_busy_cycles / link_samples,
-                float(self._sent_to_core),
-                float(self._incoming_other),
-                float(self._incoming_cores),
-                float(self._requests_sent),
-                float(self._requests_received),
-                float(self._responses_sent),
-                float(self._responses_received),
-            ]
-            + [float(self._requests_by_level[lvl]) for lvl in CACHE_LEVEL_ORDER]
-            + [float(self._responses_by_level[lvl]) for lvl in CACHE_LEVEL_ORDER]
-            + [float(wavelength_state)],
-            dtype=float,
+        vector = window_row(
+            self.is_l3_router,
+            self._occupancy_slot_cycles,
+            self.capacities,
+            self._occupancy_samples,
+            self._link_busy_cycles,
+            self._link_samples,
+            (
+                self._sent_to_core,
+                self._incoming_other,
+                self._incoming_cores,
+                self._requests_sent,
+                self._requests_received,
+                self._responses_sent,
+                self._responses_received,
+            ),
+            [self._requests_by_level[lvl] for lvl in CACHE_LEVEL_ORDER],
+            [self._responses_by_level[lvl] for lvl in CACHE_LEVEL_ORDER],
+            wavelength_state,
         )
         self.reset()
         return vector

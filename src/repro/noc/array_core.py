@@ -12,15 +12,15 @@ every policy, allocator, fault schedule and quantization format.  It
 is the default engine of :meth:`~repro.noc.network.PearlNetwork.run`.
 
 State layout (indexed by router id, ``n = num_routers``; numpy arrays
-carry the vectorized integrals, plain Python lists carry the scalars
-the per-packet hot path touches):
+carry the laser ledgers and window cadence, plain Python lists carry
+the scalars the per-packet hot path touches):
 
 =========================  ====================================================
-``_s_* / _caps (4, n)``    occupied/capacity slots (cpu, ej-cpu, gpu, ej-gpu)
-``_occ_frac (4, n)``       cached occupancy fractions (``_slots_dirty`` guard)
-``_comb_frac (n,)``        cached combined input occupancy (reactive Buf_w)
-``feat_occ (4, n)``        window occupancy sums (features 2-5 numerators)
-``occ_base/link_base``     lazy sample counters: ``samples = cycle - base``
+``_s_*``                   occupied slots (cpu, ej-cpu, gpu, ej-gpu pools)
+``_occ_sums``              window slot-cycle integrals of those four pools
+                           (features 2-5 and the reactive Buf_w numerators)
+``_occ_settled``           first cycle not yet credited to ``_occ_sums``
+``_occ_base/_link_base``   lazy sample counters: ``samples = cycle - base``
 ``_feat_link_busy``        link-busy cycles settled into the open window
 ``_emax / _cpu_free ...``  per-pool transmit-engine busy caches
 ``_f_* lists``             Table III event counters (features 7-29)
@@ -34,32 +34,39 @@ the per-packet hot path touches):
 Three ideas make the vector step cheap *and* exact:
 
 * **Lazy segment settlement.**  Laser residency/power/stall ledgers,
-  occupancy/link sample counters and the link-busy integral are all
-  piecewise constant between events, so they are settled in closed
-  form only when something changes (a state flip, a dispatch, a window
+  occupancy/link sample counters, the occupancy slot-cycle integrals
+  and the link-busy integral are all piecewise constant between
+  events, so they are settled in closed form only when something
+  changes (a state flip, a dispatch, a pool push or pop, a window
   close) — per-cycle cost is a couple of integer compares.  Every
   closed form is integer arithmetic (the laser bank integrates power
-  as integer cycle counts) or an IEEE-exact ``+0.0`` no-op, so a
-  settled span equals the per-cycle accumulation bit for bit.
+  as integer cycle counts, the feature collector occupancy as integer
+  slot-cycles), so a settled span equals the per-cycle accumulation
+  exactly.
 * **Candidate masking.**  A router is a transmit candidate only when a
   pool head can actually move: a photonic engine is free, or the head
   packet is local and the crossbar is free.  Head-locality flags are
   maintained at push/pop time, and excluded routers are provably
   side-effect-free (the allocator is pure, link/feature sampling is
   lazy).
-* **Sync-at-closure.**  Window closes are rare (once per router per
-  window) and full of policy/RNG/feature logic, so the engine settles
-  the closing rows back into their router objects and reuses the
-  *same* :meth:`~repro.noc.network.PearlNetwork._close_windows`
-  grouped path as the reference engine — including the batched
-  ``(k, n_features)`` ML matmul, which is the defining inference
-  semantics shared by every engine.
+* **Frozen rows, one close path.**  At a window boundary the engine
+  freezes each closing row's label, Table III row and Buf_w mean
+  straight from its counters and integrals, through the same
+  :func:`~repro.ml.features.window_row` the reference engine's feature
+  collector uses, and hands them to the *same*
+  :meth:`~repro.noc.network.PearlNetwork._close_windows` as the
+  reference engine — one ``(k, n_features)`` ML inference per close
+  group, then each router's policy.  Only the closing rows' laser
+  views round-trip through their bank objects (the policies request
+  states there); the feature collectors are written back once, at
+  :meth:`ArrayCore.sync_to_objects`.
 
 What stays scalar: packet movement (FIFO pushes/pops, heap events,
-responder/fault RNG draws) and everything at window cadence.  Per-packet
-work is irreducible and order-sensitive; the array core inlines the
-per-packet counter updates (features, stats, slot accounting) and
-removes the per-cycle *per-router* overhead around them.
+responder/fault RNG draws) and the policy decisions at window cadence.
+Per-packet work is irreducible and order-sensitive; the array core
+inlines the per-packet counter updates (features, stats, slot
+accounting) and removes the per-cycle *per-router* overhead around
+them.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..ml.features import CACHE_LEVEL_ORDER
+from ..ml.features import CACHE_LEVEL_ORDER, input_buffer_mean, window_row
 from ..obs import OBS
 from ..traffic.trace import Trace, TraceCursor
 from .packet import CoreType, PacketClass
@@ -125,7 +132,6 @@ class ArrayCore:
         n_states = len(self._states)
 
         # -- object hoists (packet movement stays on these) ----------------
-        self._buffers = [r.buffers for r in routers]
         self._cpu_pool = [r.buffers.cpu for r in routers]
         self._gpu_pool = [r.buffers.gpu for r in routers]
         self._ej_cpu = [r._ejection_cpu for r in routers]
@@ -174,29 +180,13 @@ class ArrayCore:
         for r in range(n):
             self._refresh_dba_pin(r)
 
-        # -- slot accounting (occupancy fractions are cached/vectorized) ---
+        # -- slot accounting ------------------------------------------------
         self._cap_cpu = [p.capacity_slots for p in self._cpu_pool]
         self._cap_gpu = [p.capacity_slots for p in self._gpu_pool]
         self._s_cpu = [p._occupied_slots for p in self._cpu_pool]
         self._s_gpu = [p._occupied_slots for p in self._gpu_pool]
         self._s_ejc = [p._occupied_slots for p in self._ej_cpu]
         self._s_ejg = [p._occupied_slots for p in self._ej_gpu]
-        self._caps = np.array(
-            [
-                self._cap_cpu,
-                [p.capacity_slots for p in self._ej_cpu],
-                self._cap_gpu,
-                [p.capacity_slots for p in self._ej_gpu],
-            ],
-            dtype=np.int64,
-        )
-        self._tot = np.array(
-            [b._total_slots for b in self._buffers], dtype=np.int64
-        )
-        self._occ_int = np.empty((4, n), dtype=np.int64)
-        self._occ_frac = np.zeros((4, n), dtype=np.float64)
-        self._comb_frac = np.zeros(n, dtype=np.float64)
-        self._slots_dirty = True
 
         # -- queue-head flags and work counter ------------------------------
         self._cpu_has = [False] * n
@@ -244,13 +234,20 @@ class ArrayCore:
         }
 
         # -- window accumulators (lazy sample counters) ---------------------
-        self.feat_occ = np.zeros((4, n), dtype=np.float64)
+        self._is_l3 = [r.features.is_l3_router for r in routers]
+        #: Per row: the four feature capacities (cpu, ej-cpu, gpu,
+        #: ej-gpu) and the pooled input capacity Buf_w divides by.
+        self._feat_caps = [r.features.capacities for r in routers]
+        self._in_caps = [caps[0] + caps[2] for caps in self._feat_caps]
+        self._occ_sums: List[List[int]] = [[0] * 4 for _ in range(n)]
+        #: Occupancy is observed after injection (phases 0-3) and before
+        #: transmit, so every pool push or pop first credits the slots
+        #: it is about to change: through ``cycle - 1`` for a mutation
+        #: in phases 0-3, through ``cycle`` for one in phases 5-7.
+        self._occ_settled = [start_cycle] * n
         self._feat_link_busy = [0] * n
-        self.occ_base = np.zeros(n, dtype=np.int64)
-        self.link_base = np.zeros(n, dtype=np.int64)
-        self.r_sum = np.zeros(n, dtype=np.float64)
-        self.r_base = np.zeros(n, dtype=np.int64)
-        self._has_reactive = routers[0].reactive is not None
+        self._occ_base = [0] * n
+        self._link_base = [0] * n
         self._f_core = [0] * n
         self._f_other = [0] * n
         self._f_cores = [0] * n
@@ -263,21 +260,14 @@ class ArrayCore:
         self._f_plvl: List[List[int]] = [[0] * 8 for _ in range(n)]
         for r, router in enumerate(routers):
             fc = router.features
-            sums = fc._occupancy_sums
-            self.feat_occ[0, r] = sums["cpu_core"]
-            self.feat_occ[1, r] = sums["cpu_other"]
-            self.feat_occ[2, r] = sums["gpu_core"]
-            self.feat_occ[3, r] = sums["gpu_other"]
+            self._occ_sums[r] = list(fc._occupancy_slot_cycles)
             self._feat_link_busy[r] = fc._link_busy_cycles
             # Lazy counters: ``samples = cycle - base``.  Occupancy is
             # observed *before* a close on the boundary cycle (so that
             # cycle counts into the closing window) while the link is
             # sampled after it — hence the off-by-one between the two.
-            self.occ_base[r] = start_cycle - fc._occupancy_samples - 1
-            self.link_base[r] = start_cycle - fc._link_samples
-            if router.reactive is not None:
-                self.r_sum[r] = router.reactive._occupancy_sum
-                self.r_base[r] = start_cycle - router.reactive._samples - 1
+            self._occ_base[r] = start_cycle - fc._occupancy_samples - 1
+            self._link_base[r] = start_cycle - fc._link_samples
             self._f_core[r] = fc._sent_to_core
             self._f_other[r] = fc._incoming_other
             self._f_cores[r] = fc._incoming_cores
@@ -479,24 +469,26 @@ class ArrayCore:
         self._gpu_free[r] = lo_g
         self._emax[r] = hi if hi > hi_g else hi_g
 
-    # -- occupancy cache ----------------------------------------------------
+    # -- occupancy integrals -------------------------------------------------
 
-    def _refresh_fracs(self) -> None:
-        """Recompute the cached occupancy fractions from the slot shadows.
+    def _settle_occ_row(self, r: int, to: int) -> None:
+        """Credit row ``r``'s current pool slots to cycles [settled, to).
 
-        The divisions are exactly those of the ``occupancy`` properties
-        the scalar observe path reads (int64/int64 true division is the
-        same correctly-rounded float64 for any slot count < 2^53), so
-        the accumulated sums are bit-identical.
+        The same rule as :meth:`_settle_dba_row`: callers settle to
+        ``cycle`` before a pool mutation in phases 0-3 (it changes what
+        cycle ``cycle`` observes), to ``cycle + 1`` before one in phases
+        5-7 and at a close (cycle ``cycle`` was observed before them).
         """
-        arr = self._occ_int
-        arr[0] = self._s_cpu
-        arr[1] = self._s_ejc
-        arr[2] = self._s_gpu
-        arr[3] = self._s_ejg
-        np.divide(arr, self._caps, out=self._occ_frac)
-        np.divide(arr[0] + arr[2], self._tot, out=self._comb_frac)
-        self._slots_dirty = False
+        settled = self._occ_settled[r]
+        if to <= settled:
+            return
+        self._occ_settled[r] = to
+        d = to - settled
+        sums = self._occ_sums[r]
+        sums[0] += self._s_cpu[r] * d
+        sums[1] += self._s_ejc[r] * d
+        sums[2] += self._s_gpu[r] * d
+        sums[3] += self._s_ejg[r] * d
 
     # -- laser ledger settlement --------------------------------------------
 
@@ -577,22 +569,21 @@ class ArrayCore:
 
     # -- link-busy settlement --------------------------------------------------
 
+    def _settle_link_row(self, r: int, to: int) -> None:
+        """Credit row ``r``'s engine-busy cycles in [settled, to)."""
+        hi = self._emax[r]
+        if hi > to:
+            hi = to
+        d = hi - self._link_settled[r]
+        if d > 0:
+            self._feat_link_busy[r] += d
+            self._stats.link_busy_cycles += d
+        self._link_settled[r] = to
+
     def _settle_links_all(self, to: int) -> None:
-        emax = self._emax
-        settled = self._link_settled
-        busy = self._feat_link_busy
-        total = 0
         for r in range(self.n):
-            hi = emax[r]
-            if hi > to:
-                hi = to
-            d = hi - settled[r]
-            if d > 0:
-                busy[r] += d
-                total += d
-            settled[r] = to
+            self._settle_link_row(r, to)
         stats = self._stats
-        stats.link_busy_cycles += total
         stats.link_total_cycles += self.n * (to - self._stats_link_base)
         self._stats_link_base = to
 
@@ -622,42 +613,23 @@ class ArrayCore:
         self._next_fault = int(self._fault_next.min())
         self._recompute_next_flip()
 
-    # -- feature counters ---------------------------------------------------------
-
-    def _counters_to_object(self, r: int) -> None:
-        """Write a row's event counters into its FeatureCollector."""
-        fc = self.routers[r].features
-        fc._sent_to_core = self._f_core[r]
-        fc._incoming_other = self._f_other[r]
-        fc._incoming_cores = self._f_cores[r]
-        fc._network_injected = self._f_netinj[r]
-        fc._requests_sent = self._f_qs[r]
-        fc._responses_sent = self._f_ps[r]
-        fc._requests_received = self._f_qr[r]
-        fc._responses_received = self._f_pr[r]
-        ql = fc._requests_by_level
-        pl = fc._responses_by_level
-        row_q = self._f_qlvl[r]
-        row_p = self._f_plvl[r]
-        for i, lvl in enumerate(CACHE_LEVEL_ORDER):
-            ql[lvl] = row_q[i]
-            pl[lvl] = row_p[i]
-
     # -- window boundary ----------------------------------------------------------
 
     def _close_boundary(self, cycle: int) -> None:
-        """Settle closing rows into their routers and run the shared close.
+        """Freeze the closing rows and run the shared close path.
 
-        The grouped :meth:`PearlNetwork._close_windows` is the same
-        code the reference engine runs, so policy/RNG/ML behaviour
-        (including the batched same-cycle inference) is identical by
-        construction rather than by reimplementation.
+        Each closing row's label, Table III row and Buf_w mean come
+        straight from its counters and integrals (through the same
+        :func:`~repro.ml.features.window_row` the reference engine's
+        collectors use), and :meth:`PearlNetwork._close_windows` is the
+        code the reference engine runs, so policy/RNG/ML behaviour is
+        identical by construction.  Only the laser view round-trips
+        through the bank objects the policies drive.
         """
         rows = np.nonzero((cycle - self.off) % self.win == 0)[0].tolist()
-        self._settle_links_all(cycle)
         closers: List = []
+        frozen: List = []
         for r in rows:
-            router = self.routers[r]
             if self._obs_tally:
                 # The close flushes the split dict; the scalar engine
                 # tallies cycle ``cycle`` *after* its close (transmit
@@ -666,33 +638,45 @@ class ArrayCore:
                 self._flush_dba_row(r)
             self._settle_laser_row(r, cycle)
             self._laser_to_bank(r, cycle)
-            fc = router.features
-            sums = fc._occupancy_sums
-            sums["cpu_core"] = float(self.feat_occ[0, r])
-            sums["cpu_other"] = float(self.feat_occ[1, r])
-            sums["gpu_core"] = float(self.feat_occ[2, r])
-            sums["gpu_other"] = float(self.feat_occ[3, r])
-            fc._occupancy_samples = cycle - int(self.occ_base[r])
-            fc._link_busy_cycles = self._feat_link_busy[r]
-            fc._link_samples = cycle - int(self.link_base[r])
-            self._counters_to_object(r)
-            reactive = router.reactive
-            if reactive is not None:
-                reactive._occupancy_sum = float(self.r_sum[r])
-                reactive._samples = cycle - int(self.r_base[r])
-            closers.append(router)
-        self.net._close_windows(closers, cycle)
-        for r in rows:
-            self._laser_from_bank(r, cycle)
-            self._refresh_dba_pin(r)
-            # ``snapshot`` reset the collector; restart the window rows.
-            self.feat_occ[:, r] = 0.0
+            self._settle_link_row(r, cycle)
+            self._settle_occ_row(r, cycle + 1)
+            sums = self._occ_sums[r]
+            samples = cycle - self._occ_base[r]
+            row = window_row(
+                self._is_l3[r],
+                sums,
+                self._feat_caps[r],
+                samples,
+                self._feat_link_busy[r],
+                cycle - self._link_base[r],
+                (
+                    self._f_core[r],
+                    self._f_other[r],
+                    self._f_cores[r],
+                    self._f_qs[r],
+                    self._f_qr[r],
+                    self._f_ps[r],
+                    self._f_pr[r],
+                ),
+                self._f_qlvl[r],
+                self._f_plvl[r],
+                self._states[int(self.state_idx[r])],
+            )
+            frozen.append(
+                (
+                    float(self._f_netinj[r]),
+                    row,
+                    input_buffer_mean(
+                        sums[0], sums[2], self._in_caps[r], samples
+                    ),
+                )
+            )
+            closers.append(self.routers[r])
+            # Open the next window.
+            self._occ_sums[r] = [0, 0, 0, 0]
             self._feat_link_busy[r] = 0
-            self.occ_base[r] = cycle
-            self.link_base[r] = cycle
-            if self._has_reactive:
-                self.r_sum[r] = 0.0
-                self.r_base[r] = cycle
+            self._occ_base[r] = cycle
+            self._link_base[r] = cycle
             self._f_core[r] = 0
             self._f_other[r] = 0
             self._f_cores[r] = 0
@@ -703,6 +687,10 @@ class ArrayCore:
             self._f_pr[r] = 0
             self._f_qlvl[r] = [0] * 8
             self._f_plvl[r] = [0] * 8
+        self.net._close_windows(closers, frozen, cycle)
+        for r in rows:
+            self._laser_from_bank(r, cycle)
+            self._refresh_dba_pin(r)
         self._recompute_next_flip()
         nxt = cycle + self.win - (cycle - self.off) % self.win
         self._next_boundary = int(nxt.min())
@@ -744,6 +732,8 @@ class ArrayCore:
                 else:
                     idx = 4  # even
             self._dba_icnt[r][idx] += cycle - settled
+        if self._occ_settled[r] < cycle:
+            self._settle_occ_row(r, cycle)
         flits = packet.size_flits
         if packet.core_type is CoreType.CPU:
             pool = self._cpu_pool[r]
@@ -783,7 +773,6 @@ class ArrayCore:
         # stats.on_injected, inlined:
         counter.packets_injected += 1
         counter.flits_injected += flits
-        self._slots_dirty = True
         return True
 
     def _reinject(self, r: int, packet, cycle: int) -> bool:
@@ -799,6 +788,8 @@ class ArrayCore:
             else:
                 idx = self._dba_empty_idx[r]
             self._dba_icnt[r][idx] += cycle - settled
+        if self._occ_settled[r] < cycle:
+            self._settle_occ_row(r, cycle)
         flits = packet.size_flits
         if packet.core_type is CoreType.CPU:
             pool = self._cpu_pool[r]
@@ -827,7 +818,6 @@ class ArrayCore:
         else:
             self._f_ps[r] += 1
             self._f_plvl[r][packet.cache_level.table_index] += 1
-        self._slots_dirty = True
         return True
 
     # -- one cycle -------------------------------------------------------------------
@@ -912,15 +902,8 @@ class ArrayCore:
             self._apply_flips(cycle)
         if self._has_faults and self._next_fault <= cycle:
             self._fault_prepass(cycle)
-        #    ... then the per-cycle occupancy observations (an idle
-        #    network adds exact +0.0 everywhere, so they are skipped)...
-        if self._work:
-            if self._slots_dirty:
-                self._refresh_fracs()
-            self.feat_occ += self._occ_frac
-            if self._has_reactive:
-                self.r_sum += self._comb_frac
-        #    ... then the window closes on this cycle's boundary...
+        #    ... then the window closes on this cycle's boundary (this
+        #    cycle's occupancy observation is settled lazily)...
         if cycle == self._next_boundary:
             self._close_boundary(cycle)
         #    ... and finally the transitions that complete during this
@@ -968,6 +951,9 @@ class ArrayCore:
             s_ejc = self._s_ejc
             s_ejg = self._s_ejg
             ej_rows = self._ej_rows
+            occ_settled = self._occ_settled
+            settle_occ = self._settle_occ_row
+            cycle_next = cycle + 1
             pushed = 0
             while in_flight and in_flight[0][0] <= cycle:
                 entry = heappop(in_flight)
@@ -993,6 +979,8 @@ class ArrayCore:
                         f_pr[r] += 1
                         f_plvl[r][packet.cache_level.table_index] += 1
                 # _push_ej, inlined (local delivery skips CRC/features):
+                if occ_settled[r] <= cycle:
+                    settle_occ(r, cycle_next)
                 flits = packet.size_flits
                 if packet.core_type is CPU:
                     pool = ej_cpu[r]
@@ -1000,7 +988,6 @@ class ArrayCore:
                         pool._queue.append(packet)
                         pool._occupied_slots += flits
                         s_ejc[r] += flits
-                        self._slots_dirty = True
                     else:
                         routers[r]._ejection_backlog.append(packet)
                 else:
@@ -1009,7 +996,6 @@ class ArrayCore:
                         pool._queue.append(packet)
                         pool._occupied_slots += flits
                         s_ejg[r] += flits
-                        self._slots_dirty = True
                     else:
                         routers[r]._ejection_backlog.append(packet)
                 pushed += 1
@@ -1073,7 +1059,15 @@ class ArrayCore:
         dba_pin_idx = self._dba_pin_idx
         dba_pin_cf = self._dba_pin_cf
         dba_pin_gf = self._dba_pin_gf
+        occ_settled = self._occ_settled
+        occ_sums = self._occ_sums
+        s_ejc = self._s_ejc
+        s_ejg = self._s_ejg
         for r in rows:
+            # Slots this row's occupancy observation saw at ``cycle``:
+            # credited below if the row pops.
+            sc = s_cpu[r]
+            sg = s_gpu[r]
             # The branch also labels the decision for the DBA split
             # tally (idx indexes _DBA_LABELS) so the instrumented path
             # never re-runs these comparisons.
@@ -1082,8 +1076,8 @@ class ArrayCore:
                 gf = dba_pin_gf[r]
                 idx = dba_pin_idx[r]
             elif dba_dyn[r]:
-                co = s_cpu[r] / cap_cpu[r]
-                go = s_gpu[r] / cap_gpu[r]
+                co = sc / cap_cpu[r]
+                go = sg / cap_gpu[r]
                 if go == 0.0 and co > 0.0:
                     cf = 1.0
                     gf = 0.0
@@ -1174,8 +1168,18 @@ class ArrayCore:
                         (cycle + serialize + overhead, sequence, head, r),
                     )
             if popped:
+                # _settle_occ_row(r, cycle + 1) on the pre-pop slots
+                # (the ejection pools do not change in this phase):
+                settled = occ_settled[r]
+                if settled < cycle_next:
+                    d = cycle_next - settled
+                    occ_settled[r] = cycle_next
+                    sums = occ_sums[r]
+                    sums[0] += sc * d
+                    sums[1] += s_ejc[r] * d
+                    sums[2] += sg * d
+                    sums[3] += s_ejg[r] * d
                 self._work -= popped
-                self._slots_dirty = True
                 if backlogs[r]:
                     bl_ready.add(r)
                 queue = q_cpu[r]
@@ -1252,8 +1256,12 @@ class ArrayCore:
         f_core = self._f_core
         active = self._ej_rows
         rows = tuple(active) if len(active) == 1 else sorted(active)
+        occ_settled = self._occ_settled
+        settle_occ = self._settle_occ_row
         done = []
         for r in rows:
+            if occ_settled[r] <= cycle:
+                settle_occ(r, cycle + 1)
             router = routers[r]
             backlog = router._ejection_backlog
             if backlog:
@@ -1266,7 +1274,6 @@ class ArrayCore:
                             pool._queue.append(packet)
                             pool._occupied_slots += flits
                             s_ejc[r] += flits
-                            self._slots_dirty = True
                         else:
                             remaining.append(packet)
                     else:
@@ -1275,7 +1282,6 @@ class ArrayCore:
                             pool._queue.append(packet)
                             pool._occupied_slots += flits
                             s_ejg[r] += flits
-                            self._slots_dirty = True
                         else:
                             remaining.append(packet)
                 router._ejection_backlog = remaining
@@ -1311,7 +1317,6 @@ class ArrayCore:
                     drained += 1
             if drained:
                 self._work -= drained
-                self._slots_dirty = True
             if not q_ejc[r] and not q_ejg[r] and not router._ejection_backlog:
                 done.append(r)
         for r in done:
@@ -1418,20 +1423,26 @@ class ArrayCore:
                 if self.at_power[r, i]
             }
             bank.stall_cycles = int(self.stall[r])
+            self._settle_occ_row(r, cycle)
             fc = router.features
-            sums = fc._occupancy_sums
-            sums["cpu_core"] = float(self.feat_occ[0, r])
-            sums["cpu_other"] = float(self.feat_occ[1, r])
-            sums["gpu_core"] = float(self.feat_occ[2, r])
-            sums["gpu_other"] = float(self.feat_occ[3, r])
-            fc._occupancy_samples = cycle - int(self.occ_base[r]) - 1
+            fc._occupancy_slot_cycles = list(self._occ_sums[r])
+            fc._occupancy_samples = cycle - self._occ_base[r] - 1
             fc._link_busy_cycles = self._feat_link_busy[r]
-            fc._link_samples = cycle - int(self.link_base[r])
-            self._counters_to_object(r)
-            reactive = router.reactive
-            if reactive is not None:
-                reactive._occupancy_sum = float(self.r_sum[r])
-                reactive._samples = cycle - int(self.r_base[r]) - 1
+            fc._link_samples = cycle - self._link_base[r]
+            fc._sent_to_core = self._f_core[r]
+            fc._incoming_other = self._f_other[r]
+            fc._incoming_cores = self._f_cores[r]
+            fc._network_injected = self._f_netinj[r]
+            fc._requests_sent = self._f_qs[r]
+            fc._responses_sent = self._f_ps[r]
+            fc._requests_received = self._f_qr[r]
+            fc._responses_received = self._f_pr[r]
+            fc._requests_by_level = dict(
+                zip(CACHE_LEVEL_ORDER, self._f_qlvl[r])
+            )
+            fc._responses_by_level = dict(
+                zip(CACHE_LEVEL_ORDER, self._f_plvl[r])
+            )
 
     # -- run ------------------------------------------------------------------------
 

@@ -414,11 +414,10 @@ class PearlNetwork:
                     routers[packet.source], packet, cycle
                 ):
                     backlog.append(packet)
-        # 4. Control planes (DBA sampling, window boundaries, laser power).
-        #    Routers on their window boundary defer the close so all
-        #    same-cycle closers share one batched ML inference; their
-        #    laser tick stays *after* the close, exactly as in
-        #    ``tick_control``.
+        # 4. Control planes (occupancy sampling, window boundaries, laser
+        #    power).  Routers on their window boundary defer the close so
+        #    all same-cycle closers share one ML inference; their laser
+        #    tick stays *after* the close, exactly as in ``tick_control``.
         closers: Optional[List[PearlRouter]] = None
         for router in routers:
             if router.tick_pre_close(cycle):
@@ -426,7 +425,9 @@ class PearlNetwork:
                     closers = []
                 closers.append(router)
         if closers is not None:
-            self._close_windows(closers, cycle)
+            self._close_windows(
+                closers, [router.freeze_window() for router in closers], cycle
+            )
             for router in closers:
                 router.laser.tick()
         # 5. Transmissions.
@@ -461,40 +462,38 @@ class PearlNetwork:
         for router in routers:
             router.drain_ejection(cycle, on_delivered)
 
-    def _close_windows(self, closers: List[PearlRouter], cycle: int) -> None:
+    def _close_windows(
+        self,
+        closers: List[PearlRouter],
+        frozen: List[Tuple[float, np.ndarray, float]],
+        cycle: int,
+    ) -> None:
         """Close every router window that falls on ``cycle``.
 
-        Non-ML policies (and a lone ML closer) take the unchanged
-        scalar path.  When several ML routers close on the same cycle
-        (an unstaggered configuration), their feature snapshots are
-        stacked into one ``(k, n_features)`` matrix and predicted with
-        a *single* matmul (or one batched saturating-MAC sweep on the
-        quantized path) — the defining semantics every engine shares,
-        so batch-sensitive BLAS kernels can never split the engines.
-        Per-router ordering (snapshot, dataset hook, label recording,
-        then decision) is exactly that of sequential ``close_window``
-        calls.
+        The one close path of both engines: ``frozen`` holds each
+        closer's ``(label, row, Buf_w mean)``, frozen by
+        :meth:`PearlRouter.freeze_window` on the reference engine and
+        from the array core's own counters on the array engine.  Under
+        the ML policy the rows of the group are predicted together —
+        one ``(k, n_features)`` matmul, or one saturating-MAC sweep on
+        the quantized path, for every k — which is the defining
+        inference semantics, so batch-sensitive BLAS kernels can never
+        split the engines.  Each router then closes in group order.
         """
-        if len(closers) == 1 or self.power_policy is not PowerPolicyKind.ML:
-            for router in closers:
-                router.close_window(cycle)
-            if self._retrain_enabled:
-                self._maybe_retrain(cycle)
-            return
-        pre = [router.begin_window_close(cycle) for router in closers]
-        matrix = np.stack([snapshot for _, snapshot, _ in pre])
-        scaler = closers[0].ml_scaler
-        assert scaler is not None
-        predictions = scaler.predict_window_batch(matrix)
-        for router, (label, snapshot, before), predicted in zip(
-            closers, pre, predictions
+        predictions: List[Optional[float]] = [None] * len(closers)
+        if self.power_policy is PowerPolicyKind.ML:
+            scaler = closers[0].ml_scaler
+            assert scaler is not None
+            predictions = scaler.predict_window_batch(
+                np.stack([row for _, row, _ in frozen])
+            ).tolist()
+        for router, (label, row, buf_mean), predicted in zip(
+            closers, frozen, predictions
         ):
-            router.finish_window_close(
-                cycle, label, snapshot, before, float(predicted)
-            )
+            router.close_window(cycle, label, row, buf_mean, predicted)
         if self._retrain_enabled:
-            # Deferred until after *all* same-cycle closers decided, so
-            # scalar and batched close groups see the same model.
+            # After *all* closers of the group decided, so every row of
+            # a group is predicted by the same model.
             self._maybe_retrain(cycle)
 
     def _maybe_retrain(self, cycle: int) -> None:
@@ -715,7 +714,7 @@ class PearlNetwork:
         """The array engine under the same profiling spans.
 
         The array core is a first-class instrumented path: window
-        boundaries funnel through the shared ``_close_windows`` flow
+        boundaries funnel through the shared ``_close_windows`` path
         (and so through each router's ``_record_window_telemetry``),
         and the core's lazy DBA settlement replays the scalar per-cycle
         split tallies exactly — the simulated result stays bit-identical

@@ -140,7 +140,15 @@ class PearlRouter:
             initial_state=static_state,
         )
         self.policy_kind = policy_kind
-        self.features = FeatureCollector(is_l3_router=self.is_l3)
+        self.features = FeatureCollector(
+            is_l3_router=self.is_l3,
+            capacities=(
+                config.dba.cpu_buffer_slots,
+                EJECTION_SLOTS,
+                config.dba.gpu_buffer_slots,
+                EJECTION_SLOTS,
+            ),
+        )
         self._rng = rng or np.random.default_rng(router_id + 7)
 
         self.reactive: Optional[ReactivePowerScaler] = None
@@ -401,29 +409,59 @@ class PearlRouter:
         """
         return (cycle - self._boundary_offset) % self._boundary_window == 0
 
-    def close_window(self, cycle: int) -> None:
-        """Reservation-window boundary: pick the next wavelength state."""
-        label, snapshot, state_before = self.begin_window_close(cycle)
+    def freeze_window(self) -> Tuple[float, np.ndarray, float]:
+        """Freeze the open window: ``(label, row, Buf_w mean)``.
 
+        The label is the window's link-bound injection count, the row
+        its Table III vector (feature 30 is the active state) and the
+        mean the combined input-buffer occupancy the reactive rules
+        read.  The collector restarts for the next window.  The array
+        core freezes its rows from its own counters instead, through
+        the same :func:`~repro.ml.features.window_row`.
+        """
+        features = self.features
+        label = float(features.network_injected_this_window)
+        buf_mean = features.buffer_mean()
+        row = features.snapshot(self.laser.state)
+        return label, row, buf_mean
+
+    def close_window(
+        self,
+        cycle: int,
+        label: float,
+        row: np.ndarray,
+        buf_mean: float,
+        predicted: Optional[float] = None,
+    ) -> None:
+        """Reservation-window boundary: pick the next wavelength state.
+
+        ``label``, ``row`` and ``buf_mean`` are the frozen window (see
+        :meth:`freeze_window`).  ``predicted`` is this router's row of
+        the ML inference the network ran over its close group; an ML
+        router closing alone predicts its row itself.
+        """
+        if self.collection_hook is not None and self._prev_features is not None:
+            self.collection_hook(self._prev_features, label)
+        self._prev_features = row
+        state_before = self.laser.state
         if self.reactive is not None:  # REACTIVE / ADAPTIVE / PROTEUS
-            self._request_laser_state(self.reactive.close_window(), cycle)
+            self._request_laser_state(self.reactive.close_window(buf_mean), cycle)
         elif self.d3noc is not None:
-            # Data-driven reconfiguration: both decisions consume the
-            # telemetry frozen by begin_window_close, so every engine
-            # sees identical inputs.  The split pin holds until the
-            # next close (FCFS ignores it — no reconfigurable split).
+            # Data-driven reconfiguration from the frozen window.  The
+            # split pin holds until the next close (FCFS ignores it —
+            # no reconfigurable split).
             max_state = (
                 self._fault_injector.max_usable_state
                 if self._fault_injector is not None
                 else None
             )
             state, split = self.d3noc.close_window(
-                label, snapshot, max_state=max_state
+                label, row, max_state=max_state
             )
             self._request_laser_state(state, cycle)
             self.dba.pin_split(split)
-        elif self.policy_kind is PowerPolicyKind.ML:
-            assert self.ml_scaler is not None
+        elif self.ml_scaler is not None:
+            self.ml_scaler.record_label(int(label))
             # Under faults the scaler is degradation-aware: it only
             # considers states the surviving hardware can sustain.
             max_state = (
@@ -431,7 +469,9 @@ class PearlRouter:
                 if self._fault_injector is not None
                 else None
             )
-            state = self.ml_scaler.decide(snapshot, max_state=max_state)
+            state = self.ml_scaler.decide(
+                row, max_state=max_state, precomputed=predicted
+            )
             self._request_laser_state(state, cycle)
             self.ml_energy_j += self._inference_energy_j
         elif self.policy_kind is PowerPolicyKind.RANDOM:
@@ -440,56 +480,6 @@ class PearlRouter:
             self._request_laser_state(state, cycle)
         # STATIC: nothing to decide.
 
-        if OBS.enabled:
-            self._record_window_telemetry(cycle, label, state_before)
-
-    def begin_window_close(self, cycle: int) -> Tuple[float, np.ndarray, int]:
-        """First half of a window close: freeze the feature window.
-
-        Returns ``(label, snapshot, state_before)``.  Splitting the
-        close lets the network batch the ML inference of every router
-        closing on the *same* cycle into one matmul (see
-        :meth:`~repro.noc.network.PearlNetwork._close_windows`) without
-        changing any per-router ordering: the label, snapshot, dataset
-        hook and label bookkeeping all happen here exactly as they do
-        at the top of :meth:`close_window`.
-        """
-        label = float(self.features.network_injected_this_window)
-        snapshot = self.features.snapshot(self.laser.state)
-        if self.collection_hook is not None and self._prev_features is not None:
-            self.collection_hook(self._prev_features, label)
-        self._prev_features = snapshot
-        if self.ml_scaler is not None:
-            self.ml_scaler.record_label(int(label))
-        return label, snapshot, self.laser.state
-
-    def finish_window_close(
-        self,
-        cycle: int,
-        label: float,
-        snapshot: np.ndarray,
-        state_before: int,
-        predicted: float,
-    ) -> None:
-        """Second half of a *grouped ML* window close.
-
-        ``predicted`` is this router's row of the batched inference the
-        network ran over all same-cycle closers; everything after the
-        prediction (drift observation, fallback, Eq. 7 selection, the
-        state request, energy accounting, telemetry) is the unchanged
-        scalar path.
-        """
-        assert self.ml_scaler is not None
-        max_state = (
-            self._fault_injector.max_usable_state
-            if self._fault_injector is not None
-            else None
-        )
-        state = self.ml_scaler.decide(
-            snapshot, max_state=max_state, precomputed=predicted
-        )
-        self._request_laser_state(state, cycle)
-        self.ml_energy_j += self._inference_energy_j
         if OBS.enabled:
             self._record_window_telemetry(cycle, label, state_before)
 
@@ -550,9 +540,9 @@ class PearlRouter:
         if series.enabled:
             scaler = self.ml_scaler
             if scaler is not None and scaler.predictions:
-                # decide() for this boundary already ran (close_window /
-                # finish_window_close order), so predictions[-1] is the
-                # forecast paired with the window that just opened.
+                # decide() for this boundary already ran (close_window
+                # order), so predictions[-1] is the forecast paired
+                # with the window that just opened.
                 predicted = scaler.predictions[-1]
                 drift = (
                     scaler.drift_monitor is not None
@@ -587,9 +577,9 @@ class PearlRouter:
             )
 
     def tick_control(self, cycle: int) -> None:
-        """Per-cycle bookkeeping: occupancies, scalers, laser power."""
+        """Per-cycle bookkeeping: occupancies, window close, laser power."""
         if self.tick_pre_close(cycle):
-            self.close_window(cycle)
+            self.close_window(cycle, *self.freeze_window())
             self.laser.tick()
 
     def tick_pre_close(self, cycle: int) -> bool:
@@ -597,9 +587,9 @@ class PearlRouter:
 
         Returns True on this router's window boundary with the close
         (and the trailing laser tick) still owed — the network defers
-        them so same-cycle closers can be grouped for batched ML
-        inference.  On a non-boundary cycle the full control tick has
-        run and False is returned.
+        them so same-cycle closers share one ML inference.  On a
+        non-boundary cycle the full control tick has run and False is
+        returned.
         """
         injector = self._fault_injector
         if injector is not None and injector.advance_to(cycle):
@@ -609,13 +599,11 @@ class PearlRouter:
             # stabilization on clear).
             self._request_laser_state(self._desired_state, cycle)
         buffers = self.buffers
-        if self.reactive is not None:
-            self.reactive.observe(buffers.combined_occupancy)
         self.features.observe_occupancies(
-            cpu_core=buffers.cpu_occupancy,
-            cpu_other=self._ejection_cpu.occupancy,
-            gpu_core=buffers.gpu_occupancy,
-            gpu_other=self._ejection_gpu.occupancy,
+            cpu_core=buffers.cpu.occupied_slots,
+            cpu_other=self._ejection_cpu.occupied_slots,
+            gpu_core=buffers.gpu.occupied_slots,
+            gpu_other=self._ejection_gpu.occupied_slots,
         )
         if (cycle - self._boundary_offset) % self._boundary_window == 0:
             return True

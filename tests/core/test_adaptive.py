@@ -16,12 +16,7 @@ def _scaler(**kwargs):
 
 
 def _run_windows(scaler, occupancy, windows):
-    states = []
-    for _ in range(windows):
-        for _ in range(100):
-            scaler.observe(occupancy)
-        states.append(scaler.close_window())
-    return states
+    return [scaler.close_window(occupancy) for _ in range(windows)]
 
 
 class TestAdaptation:

@@ -132,16 +132,13 @@ class TestReactivePowerScaler:
 
     def test_close_window_uses_mean(self):
         scaler = _scaler()
-        for occ in (0.4, 0.6):
-            scaler.observe(occ)
-        assert scaler.close_window() == 64
+        assert scaler.close_window(0.5) == 64
 
-    def test_close_window_resets_accumulator(self):
+    def test_close_window_carries_no_state(self):
         scaler = _scaler()
-        scaler.observe(1.0)
-        scaler.close_window()
-        # A fresh empty window reads as idle.
-        assert scaler.close_window() == 8
+        scaler.close_window(1.0)
+        # A following idle window reads as idle.
+        assert scaler.close_window(0.0) == 8
 
     def test_window_boundary_cadence(self):
         scaler = _scaler(window=100, router_id=0)
@@ -153,16 +150,14 @@ class TestReactivePowerScaler:
         assert scaler.window_boundary(30)
         assert not scaler.window_boundary(0)
 
-    def test_observe_validates_range(self):
+    def test_close_window_validates_range(self):
         with pytest.raises(ValueError):
-            _scaler().observe(1.5)
+            _scaler().close_window(1.5)
 
     def test_decisions_recorded(self):
         scaler = _scaler()
-        scaler.observe(0.5)
-        scaler.close_window()
-        scaler.observe(0.001)
-        scaler.close_window()
+        scaler.close_window(0.5)
+        scaler.close_window(0.001)
         assert scaler.decisions == [64, 8]
 
     def test_monotone_occupancy_to_state(self):

@@ -141,6 +141,60 @@ class TestCrossProcessStability:
         assert job_key(payload, salt=CODE_VERSION) == here
 
 
+def _set(path, value):
+    """A document mutation setting the field at ``path`` to ``value``."""
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+#: (id, mutation of a valid pair-trace pearl document, expected error).
+MALFORMED_DOCS = [
+    ("unknown-trace-kind", _set(("trace", "kind"), "nope"),
+     "unknown trace kind 'nope'"),
+    ("unknown-benchmark", _set(("trace", "cpu"), "no_such_benchmark"),
+     "unknown benchmark 'no_such_benchmark'"),
+    ("cpu-benchmark-as-gpu", _set(("trace", "gpu"), "blackscholes"),
+     "not a gpu benchmark"),
+    ("uniform-rate-above-one",
+     _set(("trace",), {"kind": "uniform", "cpu": None, "gpu": None,
+                       "rate": 1.5, "seed": 3}),
+     r"rate must be in \[0, 1\]"),
+    ("string-bool", _set(("use_dynamic_bandwidth",), "false"),
+     "use_dynamic_bandwidth must be a boolean"),
+    ("float-seed", _set(("seed",), 1.7), "seed must be an integer"),
+    ("bool-seed", _set(("seed",), True), "seed must be an integer"),
+    ("string-trace-seed", _set(("trace", "seed"), "3"),
+     "seed must be an integer"),
+    ("string-allow-8wl", _set(("allow_8wl",), "no"),
+     "allow_8wl must be a boolean or null"),
+    ("float-static-state", _set(("static_state",), 64.0),
+     "static_state must be an integer"),
+    ("negative-settle-cycles", _set(("settle_cycles",), -5),
+     "cannot be negative"),
+    ("negative-settle-steps", _set(("settle_steps",), -1),
+     "cannot be negative"),
+    ("string-bandwidth-divisor", _set(("bandwidth_divisor",), "x"),
+     "bandwidth_divisor must be an integer"),
+    ("zero-bandwidth-divisor", _set(("bandwidth_divisor",), 0),
+     "bandwidth_divisor must be positive"),
+]
+
+
+def malformed_doc(config, mutate):
+    """A valid pearl spec document with one malformation applied."""
+    pair = experiment_pairs(quick=True)[0]
+    spec = pearl_job(config, pair_spec(pair, 3))
+    doc = json.loads(json.dumps(spec_to_doc(spec)))
+    mutate(doc)
+    return doc
+
+
 class TestSpecCodecPreservesKeys:
     def _variants(self, config):
         pair = experiment_pairs(quick=True)[0]
@@ -228,6 +282,19 @@ class TestSpecCodecPreservesKeys:
         doc[field] = value
         with pytest.raises(ValueError, match=match):
             spec_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "mutate,match",
+        [pytest.param(m, match, id=case) for case, m, match in MALFORMED_DOCS],
+    )
+    def test_malformed_values_rejected_at_decode(
+        self, tiny_sim_config, mutate, match
+    ):
+        """Wrong JSON types and invalid trace parameters never decode:
+        no coercion turns them into a different job, and nothing that
+        would fail in a pool worker gets that far."""
+        with pytest.raises(ValueError, match=match):
+            spec_from_doc(malformed_doc(tiny_sim_config, mutate))
 
     def test_pair_trace_payload_has_no_algorithm_key(self, tiny_sim_config):
         """Pair/uniform payloads must not grow an ``algorithm`` key —

@@ -30,6 +30,8 @@ from repro.experiments.service.client import ServeClient, ServeError
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import spec_to_doc
 
+from .test_canonicalization import MALFORMED_DOCS, malformed_doc
+
 
 @pytest.fixture
 def tiny_sim_config() -> PearlConfig:
@@ -119,6 +121,23 @@ class TestEndpoints:
             assert err.value.status == 400, field
         stats = live.client.stats()
         assert stats["bad_requests"] == 3
+        assert stats["errors"] == 0
+        assert stats["submissions"] == 0
+        assert stats["executions"] == 0
+        assert stats["store"]["entries"] == 0
+
+    def test_mistyped_and_invalid_trace_specs_are_400(
+        self, live, tiny_sim_config
+    ):
+        """Wrong JSON types and unknown trace kinds or benchmarks are
+        400s counted under ``bad_requests``: nothing is submitted,
+        nothing fails in the pool and nothing reaches the store."""
+        for case, mutate, _ in MALFORMED_DOCS:
+            with pytest.raises(ServeError) as err:
+                live.client.submit(malformed_doc(tiny_sim_config, mutate))
+            assert err.value.status == 400, case
+        stats = live.client.stats()
+        assert stats["bad_requests"] == len(MALFORMED_DOCS)
         assert stats["errors"] == 0
         assert stats["submissions"] == 0
         assert stats["executions"] == 0

@@ -51,12 +51,31 @@ class TestCollector:
         assert FeatureCollector().snapshot(48)[29] == 48.0
 
     def test_occupancy_averaging(self):
-        collector = FeatureCollector()
-        collector.observe_occupancies(0.2, 0.0, 0.4, 0.0)
-        collector.observe_occupancies(0.4, 0.0, 0.8, 0.0)
+        collector = FeatureCollector(capacities=(10, 10, 10, 10))
+        collector.observe_occupancies(2, 0, 4, 0)
+        collector.observe_occupancies(4, 0, 8, 0)
         vec = collector.snapshot(64)
         assert vec[1] == pytest.approx(0.3)  # CPU core buffer util
         assert vec[3] == pytest.approx(0.6)  # GPU core buffer util
+
+    def test_buffer_mean_pools_the_input_buffers(self):
+        """Buf_w divides the two input pools' slot-cycles by their
+        pooled capacity, then by the samples; ejection is left out."""
+        collector = FeatureCollector(capacities=(48, 64, 40, 64))
+        collector.observe_occupancies(12, 64, 10, 0)
+        collector.observe_occupancies(12, 64, 10, 0)
+        assert collector.buffer_mean() == 0.25
+        vec = collector.snapshot(64)
+        assert vec[1] == 0.25  # 24 slot-cycles / 48 slots / 2 samples
+        assert vec[2] == 1.0
+        assert vec[3] == 0.25
+        assert collector.buffer_mean() == 0.0  # the window restarted
+
+    def test_rejects_bad_capacities(self):
+        with pytest.raises(ValueError):
+            FeatureCollector(capacities=(64, 64, 0, 64))
+        with pytest.raises(ValueError):
+            FeatureCollector(capacities=(64, 64))
 
     def test_link_utilization(self):
         collector = FeatureCollector()
@@ -125,7 +144,7 @@ class TestCollector:
         collector.on_injected(
             make_request(0, 16, CoreType.CPU, CacheLevel.CPU_L2_DOWN)
         )
-        collector.observe_occupancies(1.0, 1.0, 1.0, 1.0)
+        collector.observe_occupancies(64, 64, 64, 64)
         collector.snapshot(64)
         fresh = collector.snapshot(64)
         assert np.all(fresh[1:29] == 0.0)

@@ -2,9 +2,10 @@
 
 The array engine (``PearlNetwork.run(trace, engine="array")``) keeps
 router state in numpy arrays and Python-list shadows and replaces the
-per-router scalar calls with one vectorized step; ML inference becomes
-a single batched matmul per window.  None of that may change a single
-bit of the result.  These tests run the same workloads through the
+per-router scalar calls with one vectorized step, and freezes each
+closing window straight from its own counters and occupancy integrals
+into the close path both engines share.  None of that may change a
+single bit of the result.  These tests run the same workloads through the
 array engine and the reference (cycle-by-cycle) oracle across every
 power policy, both bandwidth allocators, both L3 link-bank widths,
 several seeds, a full fault schedule and the Qm.n quantized inference
@@ -225,7 +226,7 @@ class TestArrayEngineEquivalence:
 
     @pytest.mark.parametrize("quantization", ["q4.12", "q2.14"])
     def test_quantized_inference(self, quantization, toy_model):
-        """Fixed-point batched inference matches the scalar Qm.n path."""
+        """Fixed-point close-group inference agrees across engines."""
         config = _config()
         config = config.replace(ml=replace(config.ml, quantization=quantization))
         out = _run_engines(
@@ -248,8 +249,8 @@ class TestArrayEngineEquivalence:
 
     def test_batched_boundaries_stagger_zero(self, toy_model):
         """Unstaggered windows: all 17 rows close on the same cycle, so
-        the array engine's inference is one (17 x 30) @ (30,) matmul —
-        which must group identically to the scalar engines' batch."""
+        each close group's inference is one (17 x 30) @ (30,) matmul,
+        grouped identically on both engines."""
         config = _config(stagger=0)
         out = _run_engines(
             config, _pair_trace(config), PowerPolicyKind.ML, toy_model
@@ -320,6 +321,55 @@ class TestCollectionModeIdentity:
         assert streams["array"] == reference
 
 
+class TestNonPowerOfTwoBuffers:
+    """48/40-slot input pools.  At power-of-two capacities every
+    per-cycle ``slots / capacity`` is exact, so a sum of fractions and
+    an integer slot-cycle integral divided once give the same window
+    mean; at 48/40 they do not.  The collected ``(router_id, features,
+    label)`` stream and the ML predictions therefore pin that both
+    engines freeze windows through one definition."""
+
+    def _run(self, engine, policy, model):
+        config = _config()
+        config = config.replace(
+            dba=replace(config.dba, cpu_buffer_slots=48, gpu_buffer_slots=40)
+        )
+        network = PearlNetwork(
+            config=config,
+            power_policy=policy,
+            ml_model=model if policy is PowerPolicyKind.ML else None,
+            seed=5,
+        )
+        rows = []
+        network.enable_collection(
+            lambda rid, feats, label: rows.append(
+                (rid, feats.dtype.str, feats.tobytes(), label)
+            )
+        )
+        result = network.run(_pair_trace(config, seed=5), engine=engine)
+        return rows, _canonical(network, result)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PowerPolicyKind.REACTIVE,
+            PowerPolicyKind.ADAPTIVE,
+            PowerPolicyKind.PROTEUS,
+            PowerPolicyKind.D3NOC,
+            PowerPolicyKind.ML,
+            PowerPolicyKind.RANDOM,
+        ],
+    )
+    def test_engines_agree(self, policy, toy_model):
+        reference, array = (
+            self._run(engine, policy, toy_model) for engine in ALL_ENGINES
+        )
+        rows, out = reference
+        assert len(rows) == 119
+        assert array[0] == rows
+        assert array[1] == out
+
+
 class TestCollectiveWorkloads:
     """Phase-structured collective schedules through both engines.
 
@@ -386,7 +436,7 @@ class TestCollectiveWorkloads:
         assert out["array"]["crc_errors"] > 0
 
     def test_quantized_collective(self, toy_model):
-        """q4.12 batched inference driven by collective traffic."""
+        """q4.12 close-group inference driven by collective traffic."""
         config, trace = self._collective("nrz", "parameter_server")
         config = config.replace(
             ml=replace(config.ml, quantization="q4.12")
@@ -617,7 +667,7 @@ def _mid_state(net):
                 "ej_backlog": [
                     _packet_key(p) for p in router._ejection_backlog
                 ],
-                "feat_sums": dict(fc._occupancy_sums),
+                "feat_sums": list(fc._occupancy_slot_cycles),
                 "feat_samples": fc._occupancy_samples,
                 "feat_link": (fc._link_busy_cycles, fc._link_samples),
                 "feat_counts": (
@@ -657,10 +707,7 @@ def _mid_state(net):
                     else None
                 ),
                 "reactive": (
-                    (
-                        router.reactive._occupancy_sum,
-                        router.reactive._samples,
-                    )
+                    list(router.reactive.decisions)
                     if router.reactive is not None
                     else None
                 ),
