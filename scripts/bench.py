@@ -5,13 +5,16 @@ Runs a small workload matrix under the reference cycle-by-cycle engine
 (the test oracle) and the struct-of-arrays array engine (the default
 every production path runs), verifies the two are bit-identical, and
 writes ``BENCH_<label>.json`` with per-engine wall time, simulated
-cycles/second and the array-over-reference speedup.  The matrix has
-two parts: three synthetic traces (idle-heavy, mixed, saturated) under
+cycles/second, the array-over-reference speedup and ``trace_s``, the
+best-of-N wall time of building the row's trace.  The matrix has two
+parts: three synthetic traces (idle-heavy, mixed, saturated) under
 static and reactive scaling at the default 500-cycle window, and rows
 at the PEARL benchmark's production job shapes (``perfbench/``: window
-100, PARSEC jobs of 200+1,000 cycles, collective jobs of 100+1,200)
-under the ML, PROTEUS and D3NOC window closes, built from the same
-``pearl_job``/``pair_spec``/``collective_spec`` helpers.
+100, PARSEC jobs of 200+1,000 cycles, collective jobs of 100+1,200):
+one Table IV pair under all five adaptation policies, the same pair
+under reactive scaling with ``examples/faults.yaml`` for 500+2,000
+cycles, and the ML collective row with online retraining, built from
+the same ``pearl_job``/``pair_spec``/``collective_spec`` helpers.
 
 Usage::
 
@@ -57,6 +60,7 @@ from repro.experiments.parallel import (  # noqa: E402
     pearl_job,
     pearl_network,
 )
+from repro.faults.schedule import load_fault_schedule  # noqa: E402
 from repro.ml import pipeline  # noqa: E402
 from repro.ml.ridge import RidgeRegression  # noqa: E402
 from repro.noc.network import PearlNetwork  # noqa: E402
@@ -81,7 +85,7 @@ POLICIES = {
 
 
 def _workloads(quick: bool):
-    """(name, config, trace) triples of the benchmark matrix.
+    """(name, config, trace builder) triples of the benchmark matrix.
 
     * ``idle_heavy`` — traffic only in the first ~5% of the run, the
       array core's idle skipping at its best (long quiescent spans);
@@ -105,7 +109,8 @@ def _workloads(quick: bool):
         (
             "idle_heavy",
             idle_cfg,
-            uniform_random_trace(
+            functools.partial(
+                uniform_random_trace,
                 CoreType.CPU,
                 rate=0.02,
                 architecture=idle_cfg.architecture,
@@ -116,7 +121,8 @@ def _workloads(quick: bool):
         (
             "mixed",
             mixed_cfg,
-            generate_pair_trace(
+            functools.partial(
+                generate_pair_trace,
                 CPU_BENCHMARKS["fluidanimate"],
                 GPU_BENCHMARKS["dct"],
                 mixed_cfg.architecture,
@@ -127,7 +133,8 @@ def _workloads(quick: bool):
         (
             "saturated",
             sat_cfg,
-            uniform_random_trace(
+            functools.partial(
+                uniform_random_trace,
                 CoreType.GPU,
                 rate=0.40,
                 architecture=sat_cfg.architecture,
@@ -142,6 +149,10 @@ def _workloads(quick: bool):
 WINDOW = 100
 PARSEC_CYCLES = (200, 1_000)
 COLLECTIVE_CYCLES = (100, 1_200)
+#: The faulted row runs past the start of examples/faults.yaml's bit
+#: errors (cycle 1,000) and chip-wide wavelength loss (cycle 2,000).
+FAULTED_CYCLES = (500, 2_000)
+FAULTS_FILE = Path(__file__).resolve().parent.parent / "examples" / "faults.yaml"
 #: ``collective_study``'s tight drift settings, which make the ML
 #: collective row drift, refit and hot-swap its model mid-run.
 RETRAIN_ML = dict(
@@ -174,13 +185,15 @@ def _production_config(cycles, signaling="nrz", retrain=False) -> PearlConfig:
 def _production_specs(model_path: str):
     """(workload, policy, spec) rows at the benchmark's job shapes.
 
-    One Table IV pair under each window-close policy the synthetic
-    rows do not cover, and the ML collective row with online
-    retraining.
+    One Table IV pair under each adaptation policy, the same pair under
+    reactive scaling with the example fault schedule, and the ML
+    collective row with online retraining.
     """
     pair = test_pairs()[0]
     parsec = _production_config(PARSEC_CYCLES)
     for policy in (
+        PowerPolicyKind.STATIC,
+        PowerPolicyKind.REACTIVE,
         PowerPolicyKind.ML,
         PowerPolicyKind.PROTEUS,
         PowerPolicyKind.D3NOC,
@@ -194,6 +207,13 @@ def _production_specs(model_path: str):
                 model_path if policy is PowerPolicyKind.ML else None
             ),
         )
+    yield "parsec_pair_faulted", "reactive", pearl_job(
+        _production_config(FAULTED_CYCLES),
+        pair_spec(pair, 3),
+        seed=3,
+        power_policy=PowerPolicyKind.REACTIVE,
+        faults=load_fault_schedule(FAULTS_FILE),
+    )
     yield "allreduce_ring_pam4", "ml_retrain", pearl_job(
         _production_config(COLLECTIVE_CYCLES, "pam4", retrain=True),
         collective_spec("allreduce_ring", 3),
@@ -204,13 +224,13 @@ def _production_specs(model_path: str):
 
 
 def _rows(quick: bool, model_dir: str):
-    """(workload, policy, network factory, trace, cycles) per row."""
-    for workload, config, trace in _workloads(quick):
+    """(workload, policy, network factory, trace builder, cycles) per row."""
+    for workload, config, build in _workloads(quick):
         for policy_name, policy in POLICIES.items():
             make = functools.partial(
                 PearlNetwork, config=config, power_policy=policy, seed=3
             )
-            yield workload, policy_name, make, trace, (
+            yield workload, policy_name, make, build, (
                 config.simulation.total_cycles
             )
     model_path = str(Path(model_dir) / "deployment.npz")
@@ -222,7 +242,8 @@ def _rows(quick: bool, model_dir: str):
         make = functools.partial(
             pearl_network, spec, model if spec.ml_model_path else None
         )
-        yield workload, policy_name, make, spec.trace.build(spec.config), (
+        build = functools.partial(spec.trace.build, spec.config)
+        yield workload, policy_name, make, build, (
             spec.config.simulation.total_cycles
         )
 
@@ -263,7 +284,12 @@ def run_matrix(quick: bool, repeats: int) -> dict:
     return entries
 
 
-def _time_row(entries, workload, policy_name, make, trace, cycles, repeats):
+def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
+    trace_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        trace = build()
+        trace_s = min(trace_s, time.perf_counter() - start)
     # Interleave the engines inside each repeat (best-of-N) so
     # machine-load drift hits both variants equally.
     walls = {engine: float("inf") for engine in ENGINES}
@@ -283,6 +309,7 @@ def _time_row(entries, workload, policy_name, make, trace, cycles, repeats):
         "cycles": cycles,
         "identical": identical,
         "array_speedup": walls["reference"] / walls["array"],
+        "trace_s": trace_s,
         **{
             engine: {
                 "wall_s": walls[engine],
@@ -293,6 +320,7 @@ def _time_row(entries, workload, policy_name, make, trace, cycles, repeats):
     }
     print(
         f"{workload:19s} {policy_name:10s} "
+        f"trace={trace_s * 1e3:.1f}ms "
         f"ref={walls['reference']:.3f}s "
         f"array={walls['array']:.3f}s "
         f"x{entry['array_speedup']:.2f} "

@@ -118,12 +118,14 @@ class TraceSpec:
             cpu = uniform_random_trace(
                 CoreType.CPU,
                 rate=self.rate,
+                architecture=config.architecture,
                 duration=duration,
                 seed=self.seed,
             )
             gpu = uniform_random_trace(
                 CoreType.GPU,
                 rate=self.rate,
+                architecture=config.architecture,
                 duration=duration,
                 seed=self.seed + 1,
             )

@@ -888,8 +888,7 @@ class ArrayCore:
             self._work += 1
         # 3. New trace events.
         if cursor is not None:
-            for event in cursor.pop_ready(cycle):
-                packet = event.to_packet()
+            for packet in cursor.pop_packets(cycle):
                 r = packet.source
                 backlog = backlogs[r]
                 if backlog or not inject(r, packet, cycle):

@@ -287,8 +287,8 @@ class CMeshNetwork:
             _, _, _, packet = heapq.heappop(self._responses)
             self._inject_packet(packet, cycle)
         if cursor is not None:
-            for event in cursor.pop_ready(cycle):
-                self._inject_packet(event.to_packet(), cycle)
+            for packet in cursor.pop_packets(cycle):
+                self._inject_packet(packet, cycle)
         # 2. Local (intra-cluster) deliveries.
         while self._local_deliveries and self._local_deliveries[0][0] <= cycle:
             _, _, packet = heapq.heappop(self._local_deliveries)
@@ -438,6 +438,8 @@ class CMeshNetwork:
 
     def run(self, trace: Trace) -> NetworkStats:
         """Simulate warm-up plus measurement over a trace."""
+        # PEARL traces address the mesh routers plus the L3 alias.
+        trace.check_routers(self.l3_alias + 1)
         sim = self.simulation
         cursor = TraceCursor(trace)
         for cycle in range(sim.warmup_cycles):

@@ -172,8 +172,7 @@ class MwsrNetwork:
             if self._backlog[source] or not self._try_inject(packet, cycle):
                 self._backlog[source].append(packet)
         if cursor is not None:
-            for event in cursor.pop_ready(cycle):
-                packet = event.to_packet()
+            for packet in cursor.pop_packets(cycle):
                 if self._backlog[packet.source] or not self._try_inject(
                     packet, cycle
                 ):
@@ -230,6 +229,7 @@ class MwsrNetwork:
 
     def run(self, trace: Trace) -> NetworkStats:
         """Simulate warm-up plus measurement over a trace."""
+        trace.check_routers(len(self.buffers))
         sim = self.config.simulation
         cursor = TraceCursor(trace)
         for cycle in range(sim.warmup_cycles):

@@ -407,8 +407,7 @@ class PearlNetwork:
                 backlog.append(packet)
         # 3. New trace events.
         if cursor is not None:
-            for event in cursor.pop_ready(cycle):
-                packet = event.to_packet()
+            for packet in cursor.pop_packets(cycle):
                 backlog = backlogs[packet.source]
                 if backlog or not try_inject(
                     routers[packet.source], packet, cycle
@@ -649,6 +648,7 @@ class PearlNetwork:
         """
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
+        trace.check_routers(len(self.routers))
         self.last_engine_requested = engine
         self.last_engine_used = engine
         if OBS.enabled:

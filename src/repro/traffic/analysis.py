@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..noc.packet import CoreType
-from .trace import Trace
+from .trace import CODE, Trace
 
 
 def windowed_counts(
@@ -31,20 +31,16 @@ def windowed_counts(
     """Injection counts per fixed window, optionally filtered."""
     if window <= 0:
         raise ValueError("window must be positive")
-    events = [
-        e
-        for e in trace
-        if (core_type is None or e.core_type is core_type)
-        and (source is None or e.source == source)
-    ]
-    if not events:
+    cycles, sources, _, cores, *_ = trace.columns
+    keep = np.ones(cycles.size, dtype=bool)
+    if core_type is not None:
+        keep &= cores == CODE[core_type]
+    if source is not None:
+        keep &= sources == source
+    cycles = cycles[keep]
+    if cycles.size == 0:
         return np.zeros(0, dtype=int)
-    horizon = max(e.cycle for e in events) + 1
-    bins = -(-horizon // window)
-    counts = np.zeros(bins, dtype=int)
-    for event in events:
-        counts[event.cycle // window] += 1
-    return counts
+    return np.bincount(cycles // window)
 
 
 def index_of_dispersion(counts: np.ndarray) -> float:
@@ -102,10 +98,10 @@ def load_imbalance(trace: Trace, num_sources: int = 16) -> float:
     """Max-over-mean per-source injection counts (1 = perfectly even)."""
     if num_sources <= 0:
         raise ValueError("num_sources must be positive")
-    counts = np.zeros(num_sources, dtype=float)
-    for event in trace:
-        if event.source < num_sources:
-            counts[event.source] += 1
+    sources = trace.columns[1]
+    counts = np.bincount(
+        sources[sources < num_sources], minlength=num_sources
+    ).astype(float)
     if counts.sum() == 0:
         return 0.0
     return float(counts.max() / counts.mean())

@@ -12,8 +12,9 @@ strictly before step ``k+1`` opens (``start >= previous end +
 drain_slack``), and phases (reduce-scatter vs. all-gather, push vs.
 pull) are additionally separated by a compute gap that models the
 gradient computation between communication rounds.  Steps compile down
-to the same :class:`~repro.traffic.trace.InjectionEvent` substrate as
-the PARSEC traces, so both cycle engines replay them bit-identically.
+to the same integer trace columns as the PARSEC traces (one vector
+draw places every packet in its step window), so both cycle engines
+replay them bit-identically.
 
 Roles respect the heterogeneous clusters: accelerator workers inject
 GPU-class requests (``GPU_L2_DOWN``), while the parameter-server host
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..config import ArchitectureConfig
 from ..noc.packet import CacheLevel, CoreType, PacketClass
-from .trace import InjectionEvent, Trace
+from .trace import CODE, Trace
 
 #: Largest packet one collective transfer is chunked into.
 MAX_PACKET_FLITS = 4
@@ -391,24 +392,35 @@ def generate_collective_trace(
         drain_slack=drain_slack,
         compute_gap=compute_gap,
     )
-    rng = np.random.default_rng(_collective_seed(algorithm, seed))
-    events: List[InjectionEvent] = []
+    # Per-transfer columns in step -> transfer order.
+    starts: List[int] = []
+    widths: List[int] = []
+    transfers: List[Transfer] = []
     for step in steps:
-        width = step.end_cycle - step.start_cycle
-        for transfer in step.transfers:
-            remaining = transfer.flits
-            while remaining > 0:
-                size = min(MAX_PACKET_FLITS, remaining)
-                remaining -= size
-                events.append(
-                    InjectionEvent(
-                        cycle=step.start_cycle + int(rng.integers(0, width)),
-                        source=transfer.source,
-                        destination=transfer.destination,
-                        core_type=transfer.core_type,
-                        packet_class=PacketClass.REQUEST,
-                        cache_level=transfer.cache_level,
-                        size_flits=size,
-                    )
-                )
-    return Trace(events, name=f"collective:{algorithm}")
+        count = len(step.transfers)
+        starts.extend([step.start_cycle] * count)
+        widths.extend([step.end_cycle - step.start_cycle] * count)
+        transfers.extend(step.transfers)
+    flits = np.array([t.flits for t in transfers], dtype=np.int64)
+    # Chunk each transfer: full packets, the remainder in its last one.
+    chunks = -(-flits // MAX_PACKET_FLITS)
+    size = np.full(int(chunks.sum()), MAX_PACKET_FLITS, dtype=np.int64)
+    size[np.cumsum(chunks) - 1] = flits - MAX_PACKET_FLITS * (chunks - 1)
+
+    def per_packet(values: List[int]) -> np.ndarray:
+        """Repeat a per-transfer column once per packet of the transfer."""
+        return np.repeat(np.array(values, dtype=np.int64), chunks)
+
+    # One draw per packet, in step -> transfer -> chunk order.
+    rng = np.random.default_rng(_collective_seed(algorithm, seed))
+    offsets = rng.integers(0, per_packet(widths))
+    return Trace.from_columns(
+        cycle=per_packet(starts) + offsets,
+        source=per_packet([t.source for t in transfers]),
+        destination=per_packet([t.destination for t in transfers]),
+        core_type=per_packet([CODE[t.core_type] for t in transfers]),
+        packet_class=CODE[PacketClass.REQUEST],
+        cache_level=per_packet([CODE[t.cache_level] for t in transfers]),
+        size_flits=size,
+        name=f"collective:{algorithm}",
+    )

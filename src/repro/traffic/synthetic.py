@@ -12,7 +12,9 @@ Turns a :class:`~repro.traffic.benchmarks.BenchmarkProfile` into a
   uniformly random peer cluster otherwise.
 
 Everything is seeded from the benchmark name so the same (benchmark,
-seed, duration) triple always produces the same trace.
+seed, duration) triple always produces the same trace.  Each generator
+fills the trace's columns with numpy, one vector draw per router and
+quantity, in router order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from ..config import ArchitectureConfig
 from ..noc.packet import CacheLevel, CoreType, PacketClass
 from .benchmarks import BenchmarkProfile
-from .trace import InjectionEvent, Trace
+from .trace import CODE, Trace
 
 #: Request size in flits (header only).
 REQUEST_FLITS = 1
@@ -73,6 +75,11 @@ def _burst_mask(
     return mask
 
 
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    """Concatenate per-router column parts (empty when none injected)."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
 def generate_trace(
     profile: BenchmarkProfile,
     architecture: Optional[ArchitectureConfig] = None,
@@ -91,10 +98,20 @@ def generate_trace(
     rng = np.random.default_rng(_profile_seed(profile, seed))
 
     multipliers = _phase_multipliers(profile, duration)
-    events: List[InjectionEvent] = []
     num_clusters = architecture.num_clusters
     l3_router = architecture.l3_router_id
+    if profile.core_type is CoreType.CPU:
+        down_level = CODE[CacheLevel.CPU_L2_DOWN]
+        instr_level = CODE[CacheLevel.CPU_L1_INSTR]
+        data_level = CODE[CacheLevel.CPU_L1_DATA]
+    else:
+        down_level = CODE[CacheLevel.GPU_L2_DOWN]
+        instr_level = data_level = CODE[CacheLevel.GPU_L1]
 
+    cycles: List[np.ndarray] = []
+    sources: List[np.ndarray] = []
+    destinations: List[np.ndarray] = []
+    levels: List[np.ndarray] = []
     for router in range(num_clusters):
         burst = _burst_mask(profile, duration, rng)
         burst_fraction = burst.mean() if profile.is_bursty else 0.0
@@ -124,37 +141,30 @@ def generate_trace(
         peer = np.where(peer >= router, peer + 1, peer)
         is_instr = rng.random(n) < CPU_L1I_SHARE
 
-        for i in range(n):
-            cycle = int(inject_cycles[i])
-            if is_local[i]:
-                destination = router
-                if profile.core_type is CoreType.CPU:
-                    level = (
-                        CacheLevel.CPU_L1_INSTR
-                        if is_instr[i]
-                        else CacheLevel.CPU_L1_DATA
-                    )
-                else:
-                    level = CacheLevel.GPU_L1
-            else:
-                destination = l3_router if to_l3[i] else int(peer[i])
-                level = (
-                    CacheLevel.CPU_L2_DOWN
-                    if profile.core_type is CoreType.CPU
-                    else CacheLevel.GPU_L2_DOWN
-                )
-            events.append(
-                InjectionEvent(
-                    cycle=cycle,
-                    source=router,
-                    destination=destination,
-                    core_type=profile.core_type,
-                    packet_class=PacketClass.REQUEST,
-                    cache_level=level,
-                    size_flits=REQUEST_FLITS,
-                )
+        cycles.append(inject_cycles)
+        sources.append(np.full(n, router))
+        # Local requests stay in the cluster (L1 <-> L2); network ones
+        # go down to the L3 router or a peer cluster.
+        destinations.append(
+            np.where(is_local, router, np.where(to_l3, l3_router, peer))
+        )
+        levels.append(
+            np.where(
+                is_local,
+                np.where(is_instr, instr_level, data_level),
+                down_level,
             )
-    return Trace(events, name=profile.name)
+        )
+    return Trace.from_columns(
+        cycle=_concat(cycles),
+        source=_concat(sources),
+        destination=_concat(destinations),
+        core_type=CODE[profile.core_type],
+        packet_class=CODE[PacketClass.REQUEST],
+        cache_level=_concat(levels),
+        size_flits=REQUEST_FLITS,
+        name=profile.name,
+    )
 
 
 def generate_pair_trace(
@@ -189,31 +199,33 @@ def uniform_random_trace(
         raise ValueError("rate must be in [0, 1]")
     architecture = architecture or ArchitectureConfig()
     rng = np.random.default_rng(seed)
-    events: List[InjectionEvent] = []
+    cycles: List[np.ndarray] = []
+    sources: List[np.ndarray] = []
+    destinations: List[np.ndarray] = []
+    for router in range(architecture.num_clusters):
+        inject_cycles = np.flatnonzero(rng.random(duration) < rate)
+        destination = rng.integers(
+            0, architecture.num_routers, size=inject_cycles.size
+        )
+        destination[destination == router] = architecture.l3_router_id
+        cycles.append(inject_cycles)
+        sources.append(np.full(inject_cycles.size, router))
+        destinations.append(destination)
     level = (
         CacheLevel.CPU_L2_DOWN
         if core_type is CoreType.CPU
         else CacheLevel.GPU_L2_DOWN
     )
-    for router in range(architecture.num_clusters):
-        inject_cycles = np.flatnonzero(rng.random(duration) < rate)
-        for cycle in inject_cycles:
-            destination = int(
-                rng.integers(0, architecture.num_routers)
-            )
-            if destination == router:
-                destination = architecture.l3_router_id
-            events.append(
-                InjectionEvent(
-                    cycle=int(cycle),
-                    source=router,
-                    destination=destination,
-                    core_type=core_type,
-                    packet_class=PacketClass.REQUEST,
-                    cache_level=level,
-                )
-            )
-    return Trace(events, name=f"uniform-{core_type.value}-{rate}")
+    return Trace.from_columns(
+        cycle=_concat(cycles),
+        source=_concat(sources),
+        destination=_concat(destinations),
+        core_type=CODE[core_type],
+        packet_class=CODE[PacketClass.REQUEST],
+        cache_level=CODE[level],
+        size_flits=REQUEST_FLITS,
+        name=f"uniform-{core_type.value}-{rate}",
+    )
 
 
 def hotspot_trace(
@@ -229,26 +241,27 @@ def hotspot_trace(
     if not 0 <= hotspot_router < architecture.num_routers:
         raise ValueError("hotspot_router outside the network")
     rng = np.random.default_rng(seed)
-    events: List[InjectionEvent] = []
+    cycles: List[np.ndarray] = []
+    sources: List[np.ndarray] = []
+    destinations: List[np.ndarray] = []
     for router in range(architecture.num_clusters):
         if router == hotspot_router:
             continue
         inject_cycles = np.flatnonzero(rng.random(duration) < rate)
-        for cycle in inject_cycles:
-            if rng.random() < hotspot_fraction:
-                destination = hotspot_router
-            else:
-                destination = architecture.l3_router_id
-                if destination == router:
-                    destination = (router + 1) % architecture.num_clusters
-            events.append(
-                InjectionEvent(
-                    cycle=int(cycle),
-                    source=router,
-                    destination=destination,
-                    core_type=CoreType.GPU,
-                    packet_class=PacketClass.REQUEST,
-                    cache_level=CacheLevel.GPU_L2_DOWN,
-                )
-            )
-    return Trace(events, name=f"hotspot-{hotspot_router}")
+        to_hotspot = rng.random(inject_cycles.size) < hotspot_fraction
+        fallback = architecture.l3_router_id
+        if fallback == router:
+            fallback = (router + 1) % architecture.num_clusters
+        cycles.append(inject_cycles)
+        sources.append(np.full(inject_cycles.size, router))
+        destinations.append(np.where(to_hotspot, hotspot_router, fallback))
+    return Trace.from_columns(
+        cycle=_concat(cycles),
+        source=_concat(sources),
+        destination=_concat(destinations),
+        core_type=CODE[CoreType.GPU],
+        packet_class=CODE[PacketClass.REQUEST],
+        cache_level=CODE[CacheLevel.GPU_L2_DOWN],
+        size_flits=REQUEST_FLITS,
+        name=f"hotspot-{hotspot_router}",
+    )

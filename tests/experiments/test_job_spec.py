@@ -11,17 +11,29 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.config import PearlConfig, PhotonicConfig
+from repro.config import (
+    ArchitectureConfig,
+    PearlConfig,
+    PhotonicConfig,
+    SimulationConfig,
+)
 from repro.experiments.parallel import (
     JobSpec,
+    collective_spec,
+    execute_job,
     pair_spec,
     pearl_job,
     thermal_job,
+    uniform_spec,
 )
 from repro.experiments.runner import experiment_pairs
+from repro.noc.packet import CoreType
 from repro.noc.router import PowerPolicyKind
+from repro.traffic.synthetic import uniform_random_trace
+from repro.traffic.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +100,55 @@ class TestStaticState:
             ValueError, match="unknown static wavelength state 48"
         ):
             pearl_job(config, trace_spec, static_state=48)
+
+
+class TestArchitecture:
+    """Every trace kind is built for the job's own chip."""
+
+    @pytest.fixture(scope="class")
+    def four_clusters(self):
+        return PearlConfig(
+            architecture=ArchitectureConfig(num_clusters=4),
+            simulation=SimulationConfig(warmup_cycles=50, measure_cycles=250),
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pair_spec(experiment_pairs(quick=True)[0], 3),
+            uniform_spec(0.3, 3),
+            collective_spec("allreduce_ring", 3),
+        ],
+        ids=["pair", "uniform", "collective"],
+    )
+    def test_specs_run_on_a_four_cluster_chip(self, spec, four_clusters):
+        trace = spec.build(four_clusters)
+        assert len(trace) > 0
+        assert trace.columns[1:3].max() <= four_clusters.architecture.l3_router_id
+        result = execute_job(pearl_job(four_clusters, spec, seed=3))
+        assert result.stats.packets_delivered > 0
+
+    def test_default_uniform_trace_unchanged(self):
+        """The default chip's uniform trace is the one it always was."""
+        config = PearlConfig(
+            simulation=SimulationConfig(warmup_cycles=100, measure_cycles=400)
+        )
+        spec = uniform_spec(0.2, 5)
+        expected = Trace.merge(
+            [
+                uniform_random_trace(
+                    CoreType.CPU, rate=0.2, duration=500, seed=5
+                ),
+                uniform_random_trace(
+                    CoreType.GPU, rate=0.2, duration=500, seed=6
+                ),
+            ]
+        )
+        assert np.array_equal(spec.build(config).columns, expected.columns)
+        assert spec.payload() == {
+            "kind": "uniform",
+            "cpu": None,
+            "gpu": None,
+            "rate": 0.2,
+            "seed": 5,
+        }

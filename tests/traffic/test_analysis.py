@@ -47,6 +47,30 @@ class TestWindowedCounts:
             windowed_counts(Trace([]), window=0)
 
 
+    @pytest.mark.parametrize("window", [1, 7, 500])
+    @pytest.mark.parametrize("core_type", [None, CoreType.CPU, CoreType.GPU])
+    @pytest.mark.parametrize("source", [None, 0, 15])
+    def test_columns_match_an_event_loop(self, window, core_type, source):
+        """The column counts equal a plain loop over the events."""
+        trace = generate_pair_trace(
+            CPU_BENCHMARKS["fluidanimate"],
+            GPU_BENCHMARKS["dct"],
+            duration=1_500,
+            seed=2,
+        )
+        cycles = [
+            e.cycle
+            for e in trace
+            if (core_type is None or e.core_type is core_type)
+            and (source is None or e.source == source)
+        ]
+        expected = np.zeros(max(cycles) // window + 1, dtype=int)
+        for cycle in cycles:
+            expected[cycle // window] += 1
+        counts = windowed_counts(trace, window, core_type, source)
+        assert counts.tolist() == expected.tolist()
+
+
 class TestMetrics:
     def test_idc_poisson_near_one(self):
         rng = np.random.default_rng(0)
@@ -77,6 +101,22 @@ class TestMetrics:
             CPU_BENCHMARKS["fluidanimate"], duration=10_000, seed=1
         )
         assert load_imbalance(trace) == pytest.approx(1.0, abs=0.3)
+
+    def test_load_imbalance_matches_an_event_loop(self):
+        trace = generate_pair_trace(
+            CPU_BENCHMARKS["fluidanimate"],
+            GPU_BENCHMARKS["dct"],
+            duration=1_500,
+            seed=2,
+        )
+        for num_sources in (4, 16, 17):
+            counts = np.zeros(num_sources)
+            for event in trace:
+                if event.source < num_sources:
+                    counts[event.source] += 1
+            assert load_imbalance(trace, num_sources) == float(
+                counts.max() / counts.mean()
+            )
 
     def test_load_imbalance_empty(self):
         assert load_imbalance(Trace([])) == 0.0
