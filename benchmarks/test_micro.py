@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.config import DBAConfig, PearlConfig, SimulationConfig
 from repro.core.dba import DynamicBandwidthAllocator, OccupancySample
-from repro.cache.cache import LineState, SetAssociativeCache
 from repro.ml.features import FeatureCollector, NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
 from repro.noc.network import PearlNetwork
@@ -20,18 +19,6 @@ def test_dba_allocate(benchmark):
     dba = DynamicBandwidthAllocator(DBAConfig())
     sample = OccupancySample(cpu=0.2, gpu=0.08)
     benchmark(dba.allocate, sample)
-
-
-def test_cache_access(benchmark):
-    cache = SetAssociativeCache(64 * 1024, 4, 64)
-    addresses = np.random.default_rng(0).integers(0, 1 << 20, 2_000)
-
-    def run():
-        for address in addresses:
-            if not cache.lookup(int(address)):
-                cache.fill(int(address), LineState.SHARED)
-
-    benchmark(run)
 
 
 def test_ridge_fit(benchmark):

@@ -32,10 +32,8 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from .config import PearlConfig, SimulationConfig
-from .noc.network import PearlNetwork
 from .noc.router import PowerPolicyKind
-from .traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS, get_benchmark
-from .traffic.synthetic import generate_pair_trace
+from .traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 
 
 def _workload(text: str) -> str:
@@ -584,72 +582,51 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> PearlConfig:
+    """The configuration ``simulate`` and ``sweep`` jobs run under.
+
+    The run's seed travels on the job spec, as in a sweep, so the
+    config is the same for every ``--seed``.
+    """
     import dataclasses
 
     config = PearlConfig(
         simulation=SimulationConfig(
-            warmup_cycles=args.warmup,
-            measure_cycles=args.cycles,
-            seed=args.seed,
+            warmup_cycles=args.warmup, measure_cycles=args.cycles
         )
     ).with_reservation_window(args.window)
-    if args.quantization:
-        config = config.replace(
-            ml=dataclasses.replace(config.ml, quantization=args.quantization)
-        )
-    if args.drift_action:
-        config = config.replace(
-            ml=dataclasses.replace(config.ml, drift_action=args.drift_action)
-        )
     if args.signaling != "nrz":
         config = config.replace(
             photonic=dataclasses.replace(
                 config.photonic, signaling=args.signaling
             )
         )
-    if args.workload.startswith("collective:"):
-        from .traffic.collectives import generate_collective_trace
+    return config
 
-        workload_name = args.workload
-        trace = generate_collective_trace(
-            args.workload.split(":", 1)[1],
-            config.architecture,
-            duration=config.simulation.total_cycles,
-            seed=args.seed,
-        )
-    else:
-        workload_name = f"{args.cpu}+{args.gpu}"
-        trace = generate_pair_trace(
-            get_benchmark(args.cpu),
-            get_benchmark(args.gpu),
-            config.architecture,
-            config.simulation.total_cycles,
-            args.seed,
-        )
-    policy = {
-        "static": PowerPolicyKind.STATIC,
-        "reactive": PowerPolicyKind.REACTIVE,
-        "adaptive": PowerPolicyKind.ADAPTIVE,
-        "ml": PowerPolicyKind.ML,
-        "proteus": PowerPolicyKind.PROTEUS,
-        "d3noc": PowerPolicyKind.D3NOC,
-    }[args.policy]
-    ml_model = None
-    if policy is PowerPolicyKind.ML:
-        if args.model:
-            from .ml.lifecycle import default_registry
 
-            try:
-                ml_model = default_registry().get(args.model)
-            except KeyError as exc:
-                raise SystemExit(f"--model {args.model}: {exc}")
-            print(f"deploying registry model {args.model!r}")
-        else:
-            from .ml.pipeline import train_default_model
+def _ml_model_path(args: argparse.Namespace) -> str:
+    """The ``.npz`` an ml job deploys: ``--model REF`` or the default model."""
+    if args.model:
+        from .ml.lifecycle import default_registry
 
-            print("training ML model (quick mode)...")
-            ml_model = train_default_model(args.window, quick=True).model
+        registry = default_registry()
+        try:
+            record = registry.record(args.model)
+        except KeyError as exc:
+            raise SystemExit(f"--model {args.model}: {exc}")
+        return str(registry.model_path(record.model_id))
+    from .ml.pipeline import ensure_model_file
+
+    print("preparing default ML model...", file=sys.stderr)
+    return str(ensure_model_file(args.window, quick=True))
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .experiments.parallel import TraceSpec, pearl_job, pearl_network
+    from .ml.ridge import RidgeRegression
+
     faults = None
     if args.faults:
         from .faults import load_fault_schedule
@@ -658,16 +635,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             faults = load_fault_schedule(args.faults)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--faults {args.faults}: {exc}")
-    network = PearlNetwork(
-        config,
-        power_policy=policy,
-        use_dynamic_bandwidth=not args.fcfs,
-        static_state=args.static_state if policy is PowerPolicyKind.STATIC else None,
-        ml_model=ml_model,
-        seed=args.seed,
-        faults=faults,
+    policy = PowerPolicyKind(args.policy)
+    if args.workload.startswith("collective:"):
+        workload_name = args.workload
+        trace = TraceSpec(
+            kind="collective",
+            algorithm=args.workload.split(":", 1)[1],
+            seed=args.seed,
+        )
+    else:
+        workload_name = f"{args.cpu}+{args.gpu}"
+        trace = TraceSpec(
+            kind="pair", cpu=args.cpu, gpu=args.gpu, seed=args.seed
+        )
+    try:
+        config = _run_config(args)
+        ml = config.ml
+        if args.quantization:
+            ml = dataclasses.replace(ml, quantization=args.quantization)
+        if args.drift_action:
+            ml = dataclasses.replace(ml, drift_action=args.drift_action)
+        config = config.replace(ml=ml)
+        spec = pearl_job(
+            config,
+            trace,
+            seed=args.seed,
+            power_policy=policy,
+            use_dynamic_bandwidth=not args.fcfs,
+            static_state=(
+                args.static_state if policy is PowerPolicyKind.STATIC else None
+            ),
+            faults=faults,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    ml_model = None
+    if policy is PowerPolicyKind.ML:
+        spec = dataclasses.replace(spec, ml_model_path=_ml_model_path(args))
+        ml_model = RidgeRegression.load(spec.ml_model_path)
+    network = pearl_network(spec, ml_model)
+    result = network.run(
+        spec.trace.build(spec.config), engine=args.sim_engine
     )
-    result = network.run(trace, engine=args.sim_engine)
     # Provenance for --trace: which engine was asked for and which ran
     # (always equal — run() has no silent downgrade).
     args._engine_requested = network.last_engine_requested
@@ -715,38 +724,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sweep_specs(args: argparse.Namespace):
     """The sweep's JobSpecs: policies × workloads × seeds, in stable order."""
-    import dataclasses
-
     from .experiments.parallel import collective_spec, pair_spec, pearl_job
     from .experiments.runner import experiment_pairs
 
-    config = PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=args.warmup, measure_cycles=args.cycles
-        )
-    ).with_reservation_window(args.window)
-    if args.signaling != "nrz":
-        config = config.replace(
-            photonic=dataclasses.replace(
-                config.photonic, signaling=args.signaling
-            )
-        )
-    model_path = None
-    if "ml" in args.policies:
-        if args.model:
-            from .ml.lifecycle import default_registry
-
-            registry = default_registry()
-            try:
-                record = registry.record(args.model)
-            except KeyError as exc:
-                raise SystemExit(f"--model {args.model}: {exc}")
-            model_path = str(registry.model_path(record.model_id))
-        else:
-            from .ml.pipeline import ensure_model_file
-
-            print("preparing default ML model...", file=sys.stderr)
-            model_path = str(ensure_model_file(args.window, quick=True))
+    config = _run_config(args)
+    model_path = _ml_model_path(args) if "ml" in args.policies else None
     if args.workload.startswith("collective:"):
         algorithm = args.workload.split(":", 1)[1]
         traces = [collective_spec(algorithm, seed) for seed in args.seeds]

@@ -179,16 +179,11 @@ class PhotonicConfig:
     """
 
     data_rate_gbps_per_wl: float = 16.0
-    max_wavelengths: int = 64
     flit_bits: int = 128
     wavelength_states: Tuple[int, ...] = (64, 48, 32, 16, 8)
     laser_power_w: Tuple[float, ...] = (1.16, 0.871, 0.581, 0.29, 0.145)
     serialization_cycles: Tuple[int, ...] = (2, 4, 4, 8, 16)
     laser_turn_on_ns: float = 2.0
-    reservation_latency_cycles: int = 1
-    propagation_latency_cycles: int = 1
-    eo_oe_latency_cycles: int = 1
-    rings_per_router: int = 64 * 2  # modulator bank + receiver bank
     signaling: str = "nrz"
     pam4_power_penalty_db: float = 4.8
 
@@ -358,8 +353,6 @@ class MLConfig:
     lambda_grid: Tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
     num_features: int = 30
     reintroduce_8wl: bool = True
-    collection_phases: int = 2
-    random_state_seed: int = 2018
     standardize_features: bool = True
     quantization: Optional[str] = None
     drift_detection: bool = True
@@ -418,9 +411,6 @@ class CMeshConfig:
     virtual_channels: int = 4
     buffers_per_vc: int = 4
     flit_bits: int = 128
-    link_latency_cycles: int = 1
-    router_pipeline_stages: int = 3
-    link_width_bits: int = 128
 
     @property
     def num_routers(self) -> int:
@@ -481,7 +471,6 @@ class SimulationConfig:
     warmup_cycles: int = 1_000
     measure_cycles: int = 20_000
     seed: int = 1
-    stats_interval: int = 0
 
     @property
     def total_cycles(self) -> int:

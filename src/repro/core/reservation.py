@@ -1,4 +1,4 @@
-"""Reservation-assisted SWMR (R-SWMR) channel model.
+"""Reservation-assisted SWMR (R-SWMR) reservation-packet sizing.
 
 Before sending data, a PEARL router broadcasts a reservation packet on
 the dedicated reservation waveguide naming the destination and the
@@ -7,17 +7,16 @@ tunes its receiving microrings onto the sender's data waveguide, which
 is what lets SWMR avoid both token arbitration and per-receiver laser
 splitting losses.
 
-This module provides the reservation-packet sizing arithmetic of the
-paper and a small broadcast-channel model used by the router pipeline.
+This module holds the paper's Sec. III-B arithmetic: how many bits a
+reservation packet needs and how many wavelengths carry it in one
+cycle.  The simulated routers do not model the broadcast itself; they
+charge it, with E/O conversion and propagation, as the fixed
+``PIPELINE_OVERHEAD_CYCLES`` of :mod:`repro.noc.router`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
-
-from ..obs import OBS
 
 
 def reservation_packet_bits(
@@ -63,64 +62,7 @@ def reservation_wavelengths(
     """
     if packet_bits <= 0:
         raise ValueError("packet_bits must be positive")
-    bits_per_cycle = data_rate_gbps / network_frequency_ghz
-    if bits_per_cycle <= 0:
+    if data_rate_gbps <= 0 or network_frequency_ghz <= 0:
         raise ValueError("data rate and frequency must be positive")
+    bits_per_cycle = data_rate_gbps / network_frequency_ghz
     return int(math.ceil(packet_bits / bits_per_cycle))
-
-
-@dataclass(frozen=True)
-class Reservation:
-    """One reservation broadcast: who will receive the next data packet."""
-
-    source: int
-    destination: int
-    cpu_fraction: float
-    gpu_fraction: float
-    issue_cycle: int
-
-    def __post_init__(self) -> None:
-        if self.source == self.destination:
-            raise ValueError("reservation source and destination must differ")
-        if self.issue_cycle < 0:
-            raise ValueError("issue_cycle cannot be negative")
-
-
-class ReservationChannel:
-    """The broadcast reservation waveguide shared by all routers.
-
-    Each router owns a time slot on its reservation wavelength group, so
-    reservations from different sources never collide; the model applies
-    a fixed broadcast latency after which every router has decoded the
-    reservation and the destination has tuned its rings.
-    """
-
-    def __init__(self, latency_cycles: int = 1) -> None:
-        if latency_cycles < 0:
-            raise ValueError("latency cannot be negative")
-        self.latency_cycles = latency_cycles
-        self._in_flight: Dict[int, Reservation] = {}
-        self.broadcast_count = 0
-
-    def broadcast(self, reservation: Reservation) -> None:
-        """Send a reservation; it is visible after the channel latency."""
-        self._in_flight[reservation.source] = reservation
-        self.broadcast_count += 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "reservation/broadcasts",
-                help="reservation packets sent on the broadcast waveguide",
-            ).inc()
-
-    def ready(self, source: int, cycle: int) -> Optional[Reservation]:
-        """The reservation from ``source`` once its broadcast completed."""
-        reservation = self._in_flight.get(source)
-        if reservation is None:
-            return None
-        if cycle - reservation.issue_cycle >= self.latency_cycles:
-            return reservation
-        return None
-
-    def consume(self, source: int) -> None:
-        """Remove a completed reservation (data transfer has started)."""
-        self._in_flight.pop(source, None)

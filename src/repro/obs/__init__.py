@@ -2,8 +2,8 @@
 
 The simulator is instrumented at its decision points (DBA splits,
 wavelength-state transitions, reservation windows, ML predictions,
-cache-coherence actions, experiment jobs), all gated behind one
-process-wide :class:`ObsSession`.  Telemetry is strictly observational:
+experiment jobs), all gated behind one process-wide
+:class:`ObsSession`.  Telemetry is strictly observational:
 no instrument touches an RNG or alters control flow, so results with
 telemetry on are bit-identical to results with it off — on every cycle
 engine, including the struct-of-arrays core.

@@ -5,9 +5,9 @@ PARSEC 2.1 / SPLASH2 CPU benchmarks and 12 OpenCL SDK GPU benchmarks.
 We have no Multi2Sim, so each benchmark becomes a
 :class:`BenchmarkProfile` — a deterministic parameterisation of the
 injection process (rate, burstiness, phase structure, L3 affinity,
-local L1<->L2 share, memory intensity) chosen to reproduce the traits
-the paper relies on: CPU traffic is steadier and latency-sensitive,
-GPU traffic is bursty and floods the network during kernels.
+local L1<->L2 share) chosen to reproduce the traits the paper relies
+on: CPU traffic is steadier and latency-sensitive, GPU traffic is
+bursty and floods the network during kernels.
 
 The train/validation/test split matches the paper: 6+6 training
 benchmarks (36 pairs), 2+2 validation (4 pairs), and the Table IV test
@@ -54,24 +54,16 @@ class BenchmarkProfile:
     injection_rate: float
     local_fraction: float
     l3_fraction: float
-    l3_miss_rate: float
-    read_fraction: float
     burst_intensity: float = 1.0
     burst_gap_cycles: float = 2_000.0
     burst_length_cycles: float = 500.0
     idle_level: float = 1.0
     phases: Tuple[Phase, ...] = (Phase(1.0, 1.0),)
-    working_set_kb: int = 256
 
     def __post_init__(self) -> None:
         if self.injection_rate < 0:
             raise ValueError("injection rate cannot be negative")
-        for frac in (
-            self.local_fraction,
-            self.l3_fraction,
-            self.l3_miss_rate,
-            self.read_fraction,
-        ):
+        for frac in (self.local_fraction, self.l3_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("fractions must be in [0, 1]")
         if abs(sum(p.fraction for p in self.phases) - 1.0) > 1e-9:
@@ -93,10 +85,7 @@ def _cpu(
     rate: float,
     local: float,
     l3: float,
-    miss: float,
-    read: float,
     phases: Tuple[Phase, ...] = (Phase(1.0, 1.0),),
-    ws: int = 256,
 ) -> BenchmarkProfile:
     return BenchmarkProfile(
         name=name,
@@ -105,10 +94,7 @@ def _cpu(
         injection_rate=rate,
         local_fraction=local,
         l3_fraction=l3,
-        l3_miss_rate=miss,
-        read_fraction=read,
         phases=phases,
-        working_set_kb=ws,
     )
 
 
@@ -118,12 +104,9 @@ def _gpu(
     rate: float,
     local: float,
     l3: float,
-    miss: float,
-    read: float,
     intensity: float,
     gap: float,
     length: float,
-    ws: int = 512,
 ) -> BenchmarkProfile:
     return BenchmarkProfile(
         name=name,
@@ -132,15 +115,12 @@ def _gpu(
         injection_rate=rate,
         local_fraction=local,
         l3_fraction=l3,
-        l3_miss_rate=miss,
-        read_fraction=read,
         burst_intensity=intensity,
         burst_gap_cycles=gap,
         burst_length_cycles=length,
         # GPU kernels are launch-driven: between kernels the CUs are
         # nearly silent (only stragglers and writebacks trickle out).
         idle_level=0.15,
-        working_set_kb=ws,
     )
 
 
@@ -153,20 +133,20 @@ CPU_BENCHMARKS: Dict[str, BenchmarkProfile] = {
     p.name: p
     for p in [
         # -- training (6) --
-        _cpu("blackscholes", "BS", 0.030, 0.55, 0.85, 0.10, 0.80),
-        _cpu("bodytrack", "BT", 0.050, 0.50, 0.80, 0.20, 0.70, _TWO_PHASE),
-        _cpu("canneal", "CA", 0.085, 0.40, 0.75, 0.45, 0.65, ws=2048),
-        _cpu("streamcluster", "SC", 0.075, 0.45, 0.80, 0.35, 0.85, _RAMP, ws=1024),
-        _cpu("barnes", "BA", 0.045, 0.55, 0.70, 0.15, 0.75, _TWO_PHASE),
-        _cpu("ocean", "OC", 0.090, 0.35, 0.80, 0.40, 0.70, _RAMP, ws=4096),
+        _cpu("blackscholes", "BS", 0.030, 0.55, 0.85),
+        _cpu("bodytrack", "BT", 0.050, 0.50, 0.80, _TWO_PHASE),
+        _cpu("canneal", "CA", 0.085, 0.40, 0.75),
+        _cpu("streamcluster", "SC", 0.075, 0.45, 0.80, _RAMP),
+        _cpu("barnes", "BA", 0.045, 0.55, 0.70, _TWO_PHASE),
+        _cpu("ocean", "OC", 0.090, 0.35, 0.80, _RAMP),
         # -- validation (2) --
-        _cpu("raytrace", "RT", 0.040, 0.60, 0.75, 0.20, 0.90),
-        _cpu("water", "WA", 0.035, 0.55, 0.70, 0.10, 0.75, _TWO_PHASE),
+        _cpu("raytrace", "RT", 0.040, 0.60, 0.75),
+        _cpu("water", "WA", 0.035, 0.55, 0.70, _TWO_PHASE),
         # -- test (4), Table IV --
-        _cpu("fluidanimate", "FA", 0.065, 0.45, 0.80, 0.25, 0.70, _RAMP, ws=1024),
-        _cpu("fmm", "fmm", 0.050, 0.50, 0.75, 0.20, 0.75, _TWO_PHASE),
-        _cpu("radiosity", "Rad", 0.060, 0.50, 0.70, 0.30, 0.80, _SPIKE, ws=512),
-        _cpu("x264", "x264", 0.070, 0.40, 0.85, 0.35, 0.60, _SPIKE, ws=1024),
+        _cpu("fluidanimate", "FA", 0.065, 0.45, 0.80, _RAMP),
+        _cpu("fmm", "fmm", 0.050, 0.50, 0.75, _TWO_PHASE),
+        _cpu("radiosity", "Rad", 0.060, 0.50, 0.70, _SPIKE),
+        _cpu("x264", "x264", 0.070, 0.40, 0.85, _SPIKE),
     ]
 }
 
@@ -175,20 +155,20 @@ GPU_BENCHMARKS: Dict[str, BenchmarkProfile] = {
     p.name: p
     for p in [
         # -- training (6) --
-        _gpu("binary_search", "BSe", 0.020, 0.45, 0.90, 0.15, 0.95, 5.0, 3000, 300),
-        _gpu("bitonic_sort", "BSo", 0.035, 0.40, 0.85, 0.25, 0.55, 4.0, 2000, 500),
-        _gpu("fast_walsh", "FWT", 0.040, 0.35, 0.90, 0.30, 0.60, 3.5, 1500, 600),
-        _gpu("floyd_warshall", "FW", 0.050, 0.30, 0.85, 0.40, 0.65, 3.0, 1200, 800, ws=2048),
-        _gpu("histogram", "His", 0.030, 0.45, 0.90, 0.20, 0.75, 4.5, 2500, 400),
-        _gpu("matrix_mult", "MM", 0.055, 0.35, 0.85, 0.35, 0.70, 3.0, 1000, 900, ws=4096),
+        _gpu("binary_search", "BSe", 0.020, 0.45, 0.90, 5.0, 3000, 300),
+        _gpu("bitonic_sort", "BSo", 0.035, 0.40, 0.85, 4.0, 2000, 500),
+        _gpu("fast_walsh", "FWT", 0.040, 0.35, 0.90, 3.5, 1500, 600),
+        _gpu("floyd_warshall", "FW", 0.050, 0.30, 0.85, 3.0, 1200, 800),
+        _gpu("histogram", "His", 0.030, 0.45, 0.90, 4.5, 2500, 400),
+        _gpu("matrix_mult", "MM", 0.055, 0.35, 0.85, 3.0, 1000, 900),
         # -- validation (2) --
-        _gpu("matrix_transpose", "MT", 0.045, 0.30, 0.90, 0.30, 0.50, 3.5, 1800, 500),
-        _gpu("prefix_sum", "PS", 0.025, 0.40, 0.85, 0.20, 0.70, 5.0, 2800, 350),
+        _gpu("matrix_transpose", "MT", 0.045, 0.30, 0.90, 3.5, 1800, 500),
+        _gpu("prefix_sum", "PS", 0.025, 0.40, 0.85, 5.0, 2800, 350),
         # -- test (4), Table IV --
-        _gpu("dct", "DCT", 0.045, 0.35, 0.90, 0.30, 0.65, 3.5, 1500, 600, ws=1024),
-        _gpu("dwt_haar", "Dwt", 0.035, 0.40, 0.85, 0.25, 0.70, 4.0, 2000, 450),
-        _gpu("quasi_random", "QRS", 0.025, 0.45, 0.90, 0.15, 0.60, 5.5, 3000, 300),
-        _gpu("reduction", "Reduc", 0.050, 0.30, 0.85, 0.35, 0.80, 3.0, 1200, 700, ws=2048),
+        _gpu("dct", "DCT", 0.045, 0.35, 0.90, 3.5, 1500, 600),
+        _gpu("dwt_haar", "Dwt", 0.035, 0.40, 0.85, 4.0, 2000, 450),
+        _gpu("quasi_random", "QRS", 0.025, 0.45, 0.90, 5.5, 3000, 300),
+        _gpu("reduction", "Reduc", 0.050, 0.30, 0.85, 3.0, 1200, 700),
     ]
 }
 

@@ -5,8 +5,6 @@ import math
 import pytest
 
 from repro.core.reservation import (
-    Reservation,
-    ReservationChannel,
     reservation_packet_bits,
     reservation_wavelengths,
 )
@@ -35,6 +33,36 @@ class TestReservationPacketBits:
         with pytest.raises(ValueError):
             reservation_packet_bits(16, cpu_packet_types=0)
 
+    # With the paper's other factors fixed the formula is
+    # ceil(log2(40 * N)); each row is worked by hand.
+    @pytest.mark.parametrize(
+        "routers,bits",
+        [(1, 6), (4, 8), (8, 9), (16, 10), (17, 10), (32, 11), (64, 12)],
+    )
+    def test_paper_formula_by_router_count(self, routers, bits):
+        assert reservation_packet_bits(routers) == bits
+
+    @pytest.mark.parametrize(
+        "args,bits",
+        [((4, 1, 1, 1, 1), 3), ((2, 2, 2, 2, 2), 6), ((1, 1, 1, 1, 1), 1)],
+        ids=["8-combinations", "64-combinations", "2-combinations"],
+    )
+    def test_exact_powers_of_two_take_no_extra_bit(self, args, bits):
+        assert reservation_packet_bits(*args) == bits
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_l3_routers": 0},
+            {"gpu_packet_types": 0},
+            {"allocation_levels": 0},
+        ],
+        ids=["l3-routers", "gpu-types", "allocation-levels"],
+    )
+    def test_rejects_each_nonpositive_factor(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive"):
+            reservation_packet_bits(16, **kwargs)
+
 
 class TestReservationWavelengths:
     def test_single_cycle_broadcast(self):
@@ -46,46 +74,36 @@ class TestReservationWavelengths:
         with pytest.raises(ValueError):
             reservation_wavelengths(0)
 
+    @pytest.mark.parametrize(
+        "bits,rate,frequency,wavelengths",
+        [
+            (1, 16.0, 2.0, 1),
+            (9, 16.0, 2.0, 2),
+            (16, 16.0, 2.0, 2),
+            (17, 16.0, 2.0, 3),
+            (10, 32.0, 2.0, 1),
+            (10, 16.0, 4.0, 3),
+            (12, 10.0, 2.0, 3),
+        ],
+    )
+    def test_wavelengths_cover_the_packet_in_one_cycle(
+        self, bits, rate, frequency, wavelengths
+    ):
+        assert reservation_wavelengths(bits, rate, frequency) == wavelengths
+        # One wavelength fewer could not carry the packet in a cycle.
+        assert (wavelengths - 1) * rate / frequency < bits
 
-class TestReservationChannel:
-    def test_visible_after_latency(self):
-        channel = ReservationChannel(latency_cycles=2)
-        res = Reservation(0, 5, 0.75, 0.25, issue_cycle=10)
-        channel.broadcast(res)
-        assert channel.ready(0, 11) is None
-        assert channel.ready(0, 12) is res
-
-    def test_zero_latency_immediate(self):
-        channel = ReservationChannel(latency_cycles=0)
-        res = Reservation(0, 5, 0.5, 0.5, issue_cycle=0)
-        channel.broadcast(res)
-        assert channel.ready(0, 0) is res
-
-    def test_consume_removes(self):
-        channel = ReservationChannel()
-        channel.broadcast(Reservation(0, 5, 0.5, 0.5, issue_cycle=0))
-        channel.consume(0)
-        assert channel.ready(0, 100) is None
-
-    def test_sources_independent(self):
-        channel = ReservationChannel()
-        channel.broadcast(Reservation(0, 5, 0.5, 0.5, issue_cycle=0))
-        channel.broadcast(Reservation(1, 6, 0.5, 0.5, issue_cycle=0))
-        assert channel.ready(0, 5).destination == 5
-        assert channel.ready(1, 5).destination == 6
-
-    def test_broadcast_count(self):
-        channel = ReservationChannel()
-        for i in range(3):
-            channel.broadcast(Reservation(i, i + 1, 0.5, 0.5, issue_cycle=0))
-        assert channel.broadcast_count == 3
-
-    def test_reservation_validation(self):
-        with pytest.raises(ValueError):
-            Reservation(3, 3, 0.5, 0.5, issue_cycle=0)
-        with pytest.raises(ValueError):
-            Reservation(0, 1, 0.5, 0.5, issue_cycle=-1)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            ReservationChannel(latency_cycles=-1)
+    @pytest.mark.parametrize(
+        "rate,frequency",
+        [(0.0, 2.0), (-16.0, 2.0), (16.0, 0.0), (16.0, -2.0), (-16.0, -2.0)],
+        ids=[
+            "zero-rate",
+            "negative-rate",
+            "zero-frequency",
+            "negative-frequency",
+            "both-negative",
+        ],
+    )
+    def test_rejects_nonpositive_rate_or_frequency(self, rate, frequency):
+        with pytest.raises(ValueError, match="must be positive"):
+            reservation_wavelengths(10, rate, frequency)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
+from repro.config_io import config_to_dict
 from repro.experiments.cache import (
     CODE_VERSION,
     ResultCache,
@@ -43,6 +44,7 @@ from repro.experiments.service.client import ServeClient
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import spec_from_doc, spec_to_doc
 from repro.experiments.service.sweeper import SweepRunner
+from repro.experiments.sweep import apply_override
 from repro.faults import FaultSchedule, WavelengthFault
 from repro.noc.router import PowerPolicyKind
 
@@ -302,6 +304,109 @@ class TestSpecCodecPreservesKeys:
         pair = experiment_pairs(quick=True)[0]
         spec = pearl_job(tiny_sim_config, pair_spec(pair, 3), seed=3)
         assert "algorithm" not in spec.trace.payload()
+
+
+#: A valid non-default value for every leaf of a PearlConfig.
+LEAF_OVERRIDES = {
+    "architecture.num_clusters": 8,
+    "architecture.cpus_per_cluster": 4,
+    "architecture.gpus_per_cluster": 2,
+    "architecture.threads_per_cpu": 2,
+    "architecture.cpu_frequency_ghz": 3.0,
+    "architecture.gpu_frequency_ghz": 1.5,
+    "architecture.network_frequency_ghz": 2.5,
+    "architecture.cpu_l1i_kb": 16,
+    "architecture.cpu_l1d_kb": 32,
+    "architecture.cpu_l2_kb": 512,
+    "architecture.gpu_l1_kb": 32,
+    "architecture.gpu_l2_kb": 1024,
+    "architecture.l3_mb": 16,
+    "architecture.main_memory_gb": 32,
+    "architecture.cache_line_bytes": 128,
+    "architecture.memory_controllers": 4,
+    "photonic.data_rate_gbps_per_wl": 32.0,
+    "photonic.flit_bits": 256,
+    "photonic.wavelength_states": (64, 32, 16, 8, 4),
+    "photonic.laser_power_w": (1.2, 0.9, 0.6, 0.3, 0.15),
+    "photonic.serialization_cycles": (1, 2, 2, 4, 8),
+    "photonic.laser_turn_on_ns": 4.0,
+    "photonic.signaling": "pam4",
+    "photonic.pam4_power_penalty_db": 3.0,
+    "optical.modulator_insertion_db": 1.5,
+    "optical.waveguide_db_per_cm": 0.5,
+    "optical.coupler_db": 0.8,
+    "optical.splitter_db": 0.3,
+    "optical.filter_through_db": 2e-3,
+    "optical.filter_drop_db": 1.0,
+    "optical.photodetector_db": 0.2,
+    "optical.receiver_sensitivity_dbm": -20.0,
+    "optical.ring_heating_w": 30e-6,
+    "optical.ring_modulating_w": 400e-6,
+    "optical.laser_wall_plug_efficiency": 0.15,
+    "optical.waveguide_length_cm": 4.0,
+    "optical.rings_passed_through": 32,
+    "dba.cpu_upper_bound": 0.2,
+    "dba.gpu_upper_bound": 0.1,
+    "dba.bandwidth_step": 0.125,
+    "dba.cpu_buffer_slots": 32,
+    "dba.gpu_buffer_slots": 128,
+    "power_scaling.reservation_window": 1000,
+    "power_scaling.threshold_upper": 0.3,
+    "power_scaling.threshold_mid_upper": 0.15,
+    "power_scaling.threshold_mid_lower": 0.04,
+    "power_scaling.threshold_lower": 0.01,
+    "power_scaling.use_8wl": False,
+    "power_scaling.router_stagger_cycles": 0,
+    "ml.reservation_window": 1000,
+    "ml.lambda_grid": (0.1, 1.0),
+    "ml.num_features": 24,
+    "ml.reintroduce_8wl": False,
+    "ml.standardize_features": False,
+    "ml.quantization": "q4.12",
+    "ml.drift_detection": False,
+    "ml.drift_action": "fallback",
+    "ml.drift_ewma_alpha": 0.5,
+    "ml.drift_z_threshold": 3.0,
+    "ml.drift_patience": 5,
+    "ml.drift_calibration_windows": 20,
+    "ml.retrain_min_samples": 30,
+    "ml.retrain_cooldown_windows": 0,
+    "resilience.retry_limit": 0,
+    "resilience.nack_latency_cycles": 4,
+    "resilience.retry_backoff_cycles": 0,
+    "simulation.warmup_cycles": 0,
+    "simulation.measure_cycles": 5_000,
+    "simulation.seed": 7,
+}
+
+
+class TestEveryConfigLeaf:
+    """Every config leaf reaches the wire and the result-cache key.
+
+    A leaf the codec drops or mangles would let two different jobs
+    share a cache entry, or send a served job to a different one than
+    the local sweep computed.
+    """
+
+    def test_table_covers_every_leaf(self):
+        leaves = {
+            f"{section}.{name}"
+            for section, fields in config_to_dict(PearlConfig()).items()
+            for name in fields
+        }
+        assert set(LEAF_OVERRIDES) == leaves
+
+    @pytest.mark.parametrize("path", sorted(LEAF_OVERRIDES))
+    def test_leaf_round_trips_and_moves_the_key(self, path):
+        pair = experiment_pairs(quick=True)[0]
+        base = pearl_job(PearlConfig(), pair_spec(pair, 3), seed=3)
+        config = apply_override(PearlConfig(), path, LEAF_OVERRIDES[path])
+        spec = pearl_job(config, pair_spec(pair, 3), seed=3)
+        doc = json.loads(json.dumps(spec_to_doc(spec)))
+        decoded = spec_from_doc(doc)
+        assert decoded == spec
+        assert job_key(decoded.payload()) == job_key(spec.payload())
+        assert job_key(spec.payload()) != job_key(base.payload())
 
 
 def _result_fingerprint(result):

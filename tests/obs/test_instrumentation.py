@@ -1,10 +1,9 @@
-"""Component instrumentation sites and their determinism guarantee.
+"""Network instrumentation sites and their determinism guarantee.
 
 Telemetry must be strictly observational: a run with the session
 enabled produces byte-identical simulation results to one without.
-These tests drive real components (network, coherence controller,
-reservation channel, ML scaler) and check both the emitted metrics and
-that guarantee.
+These tests drive the real network on both cycle engines and check
+the emitted metrics and that guarantee.
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.coherence import (
-    AccessType,
-    Directory,
-    NmoesiController,
-)
 from repro.config import PearlConfig, SimulationConfig
-from repro.core.reservation import Reservation, ReservationChannel
 from repro.noc.network import PearlNetwork, PearlRunResult
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
@@ -121,42 +113,3 @@ class TestNetworkInstrumentation:
             registry = OBS.registry
         _tiny_run()
         assert registry.names() == []
-
-
-class TestComponentCounters:
-    def test_reservation_broadcasts_counted(self):
-        channel = ReservationChannel()
-        with obs.session():
-            channel.broadcast(
-                Reservation(
-                    source=0,
-                    destination=1,
-                    cpu_fraction=0.5,
-                    gpu_fraction=0.5,
-                    issue_cycle=0,
-                )
-            )
-            assert (
-                OBS.registry.counter("reservation/broadcasts").value == 1
-            )
-
-    def test_coherence_actions_counted(self):
-        def drive():
-            directory = Directory()
-            peers = {}
-            a = NmoesiController(
-                0, SetAssociativeCache(size_bytes=4096, associativity=2), directory, peers
-            )
-            b = NmoesiController(
-                1, SetAssociativeCache(size_bytes=4096, associativity=2), directory, peers
-            )
-            a.access(0x100, AccessType.LOAD)
-            a.access(0x100, AccessType.LOAD)
-            b.access(0x100, AccessType.STORE)
-
-        with obs.session():
-            drive()
-            snap = OBS.registry.snapshot()
-        assert snap["coherence/hit"]["value"] >= 1
-        assert snap["coherence/fetch_from_memory"]["value"] >= 1
-        assert any(name.startswith("coherence/") for name in snap)

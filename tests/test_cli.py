@@ -154,6 +154,14 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--signaling", "qam16"])
 
+    def test_rejects_static_state_off_the_ladder(self):
+        """A spec-validation error exits with its message, no traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--static-state", "40", "--cycles", "200"])
+        message = str(excinfo.value.code)
+        assert "40" in message
+        assert "(64, 48, 32, 16, 8)" in message
+
 
 class TestChart:
     def test_chart_flag_renders(self, capsys):

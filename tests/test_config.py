@@ -1,9 +1,12 @@
 """Tests for repro.config — paper constants and validation."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro.config
 from repro.config import (
     ArchitectureConfig,
     AreaConfig,
@@ -14,6 +17,7 @@ from repro.config import (
     PearlConfig,
     PhotonicConfig,
     PowerScalingConfig,
+    ResilienceConfig,
     SimulationConfig,
 )
 
@@ -255,3 +259,129 @@ class TestPearlConfig:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             PearlConfig().architecture = None
+
+
+#: (id, config class, kwargs breaking one rule, that rule's message):
+#: the ``__post_init__`` checks the class tests above leave unchecked,
+#: each shown to fire on its own and with its own message.
+INVALID_CONFIGS = [
+    ("arch-zero-gpus", ArchitectureConfig, {"gpus_per_cluster": 0},
+     "cores per cluster must be positive"),
+    ("photonic-serialization-count", PhotonicConfig,
+     {"serialization_cycles": (2, 4)}, "one serialization latency per state"),
+    ("photonic-unknown-signaling", PhotonicConfig, {"signaling": "pam8"},
+     "signaling must be one of"),
+    ("photonic-negative-pam4-penalty", PhotonicConfig,
+     {"pam4_power_penalty_db": -0.1}, "pam4_power_penalty_db cannot be"),
+    ("dba-full-gpu-bound", DBAConfig, {"gpu_upper_bound": 1.0},
+     r"gpu_upper_bound must be in \(0, 1\)"),
+    ("dba-zero-cpu-slots", DBAConfig, {"cpu_buffer_slots": 0},
+     "buffer slot counts must be positive"),
+    ("dba-negative-gpu-slots", DBAConfig, {"gpu_buffer_slots": -1},
+     "buffer slot counts must be positive"),
+    ("scaling-negative-threshold", PowerScalingConfig,
+     {"threshold_lower": -0.01}, "thresholds cannot be negative"),
+    ("ml-negative-window", MLConfig, {"reservation_window": -5},
+     "reservation_window must be positive"),
+    ("ml-quantization-spec", MLConfig, {"quantization": "int8"},
+     "quantization must look like 'q4.12'"),
+    ("ml-drift-action", MLConfig, {"drift_action": "ignore"},
+     "drift_action must be"),
+    ("ml-one-retrain-sample", MLConfig, {"retrain_min_samples": 1},
+     "retrain_min_samples must be at least 2"),
+    ("ml-negative-cooldown", MLConfig, {"retrain_cooldown_windows": -1},
+     "retrain_cooldown_windows cannot be negative"),
+    ("ml-zero-ewma-alpha", MLConfig, {"drift_ewma_alpha": 0.0},
+     r"drift_ewma_alpha must be in \(0, 1\]"),
+    ("ml-ewma-alpha-above-one", MLConfig, {"drift_ewma_alpha": 1.5},
+     r"drift_ewma_alpha must be in \(0, 1\]"),
+    ("ml-zero-z-threshold", MLConfig, {"drift_z_threshold": 0.0},
+     "drift_z_threshold must be positive"),
+    ("ml-zero-patience", MLConfig, {"drift_patience": 0},
+     "drift_patience must be at least 1"),
+    ("ml-one-calibration-window", MLConfig, {"drift_calibration_windows": 1},
+     "drift_calibration_windows must be at least 2"),
+    ("cmesh-negative-height", CMeshConfig, {"mesh_height": -1},
+     "mesh dimensions must be positive"),
+    ("cmesh-zero-vcs", CMeshConfig, {"virtual_channels": 0},
+     "VC configuration must be positive"),
+    ("cmesh-zero-vc-depth", CMeshConfig, {"buffers_per_vc": 0},
+     "VC configuration must be positive"),
+    ("resilience-negative-retry-limit", ResilienceConfig, {"retry_limit": -1},
+     "retry_limit cannot be negative"),
+    ("resilience-zero-nack-latency", ResilienceConfig,
+     {"nack_latency_cycles": 0}, "nack_latency_cycles must be at least 1"),
+    ("resilience-negative-backoff", ResilienceConfig,
+     {"retry_backoff_cycles": -1}, "retry_backoff_cycles cannot be negative"),
+    ("simulation-negative-warmup", SimulationConfig, {"warmup_cycles": -1},
+     "cycle counts must be"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs,message",
+    [pytest.param(*row[1:], id=row[0]) for row in INVALID_CONFIGS],
+)
+def test_each_validation_rule_rejects(cls, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**kwargs)
+
+
+#: (id, config class, kwargs on the accepted side of a rule's boundary).
+BOUNDARY_CONFIGS = [
+    ("arch-single-cluster", ArchitectureConfig, {"num_clusters": 1}),
+    ("photonic-instant-turn-on", PhotonicConfig, {"laser_turn_on_ns": 0.0}),
+    ("photonic-pam4", PhotonicConfig, {"signaling": "pam4"}),
+    ("photonic-free-pam4", PhotonicConfig, {"pam4_power_penalty_db": 0.0}),
+    ("scaling-zero-lower-threshold", PowerScalingConfig,
+     {"threshold_lower": 0.0}),
+    ("ml-zero-lambda", MLConfig, {"lambda_grid": (0.0,)}),
+    ("ml-uppercase-quantization", MLConfig, {"quantization": "Q8.8"}),
+    ("ml-ewma-alpha-one", MLConfig, {"drift_ewma_alpha": 1.0}),
+    ("ml-two-retrain-samples", MLConfig, {"retrain_min_samples": 2}),
+    ("ml-no-cooldown", MLConfig, {"retrain_cooldown_windows": 0}),
+    ("ml-patience-one", MLConfig, {"drift_patience": 1}),
+    ("ml-two-calibration-windows", MLConfig, {"drift_calibration_windows": 2}),
+    ("cmesh-single-router", CMeshConfig, {"mesh_width": 1, "mesh_height": 1}),
+    ("resilience-drop-on-first-error", ResilienceConfig, {"retry_limit": 0}),
+    ("resilience-one-cycle-nack", ResilienceConfig,
+     {"nack_latency_cycles": 1}),
+    ("resilience-no-backoff", ResilienceConfig, {"retry_backoff_cycles": 0}),
+    ("simulation-no-warmup", SimulationConfig, {"warmup_cycles": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs",
+    [pytest.param(*row[1:], id=row[0]) for row in BOUNDARY_CONFIGS],
+)
+def test_boundary_values_accepted(cls, kwargs):
+    config = cls(**kwargs)
+    for name, value in kwargs.items():
+        assert getattr(config, name) == value
+
+
+def test_every_config_field_is_read():
+    """Every config field is read somewhere in the package.
+
+    A field no code reads changes nothing but the result-cache key, so
+    it is dead weight.  A read is an attribute load anywhere under
+    ``src/repro`` (``self.<field>`` inside ``config.py`` counts).
+    """
+    reads = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                reads.add(node.attr)
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in vars(repro.config).values()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == repro.config.__name__
+        for field in dataclasses.fields(cls)
+        if field.name not in reads
+    ]
+    assert unread == [], f"config fields no code reads: {unread}"

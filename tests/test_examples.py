@@ -3,6 +3,7 @@ a ``main`` callable (full runs take minutes; CI smoke only compiles)."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,9 @@ class TestExampleScripts:
             sys.modules.pop(name, None)
 
 
-def test_expected_example_count():
-    """The README promises at least seven runnable examples."""
-    assert len(SCRIPTS) >= 7
+@pytest.mark.parametrize("readme", ["README.md", "examples/README.md"])
+def test_readme_tables_list_every_example(readme):
+    """Each README's example table lists exactly the scripts in examples/."""
+    text = (EXAMPLES_DIR.parent / readme).read_text()
+    listed = re.findall(r"^\| `([\w.]+\.py)` \|", text, flags=re.MULTILINE)
+    assert sorted(listed) == [script.name for script in SCRIPTS]

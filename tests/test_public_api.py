@@ -22,7 +22,6 @@ class TestTopLevelApi:
             "repro.config",
             "repro.config_io",
             "repro.core",
-            "repro.cores",
             "repro.experiments",
             "repro.ml",
             "repro.noc",
@@ -40,7 +39,6 @@ class TestTopLevelApi:
         [
             "repro.cache",
             "repro.core",
-            "repro.cores",
             "repro.ml",
             "repro.noc",
             "repro.power",

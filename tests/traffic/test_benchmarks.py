@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ArchitectureConfig
 from repro.noc.packet import CoreType
 from repro.traffic.benchmarks import (
     BenchmarkProfile,
@@ -19,6 +20,7 @@ from repro.traffic.benchmarks import (
 )
 from repro.traffic.benchmarks import test_pairs as paper_test_pairs
 from repro.traffic.benchmarks import training_pairs, validation_pairs
+from repro.traffic.synthetic import generate_trace
 
 
 class TestCatalogue:
@@ -116,8 +118,6 @@ class TestProfileValidation:
                 injection_rate=0.1,
                 local_fraction=0.5,
                 l3_fraction=0.5,
-                l3_miss_rate=0.1,
-                read_fraction=0.5,
                 phases=(Phase(0.5, 1.0),),
             )
 
@@ -130,8 +130,6 @@ class TestProfileValidation:
                 injection_rate=-0.1,
                 local_fraction=0.5,
                 l3_fraction=0.5,
-                l3_miss_rate=0.1,
-                read_fraction=0.5,
             )
 
     def test_burst_intensity_below_one_rejected(self):
@@ -143,8 +141,6 @@ class TestProfileValidation:
                 injection_rate=0.1,
                 local_fraction=0.5,
                 l3_fraction=0.5,
-                l3_miss_rate=0.1,
-                read_fraction=0.5,
                 burst_intensity=0.5,
             )
 
@@ -157,6 +153,26 @@ class TestProfileValidation:
                 injection_rate=0.1,
                 local_fraction=1.5,
                 l3_fraction=0.5,
-                l3_miss_rate=0.1,
-                read_fraction=0.5,
             )
+
+
+ALL_PROFILES = {**CPU_BENCHMARKS, **GPU_BENCHMARKS}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PROFILES))
+def test_generated_trace_honours_profile(name):
+    """Each catalogue row's trace injects at its phase-weighted rate
+    and splits its packets local / L3 / peer as the row declares."""
+    profile = ALL_PROFILES[name]
+    arch = ArchitectureConfig()
+    duration = 20_000
+    trace = generate_trace(profile, arch, duration=duration, seed=1)
+    source, destination = trace.columns[1], trace.columns[2]
+
+    phase_mean = sum(p.fraction * p.rate_multiplier for p in profile.phases)
+    rate = len(trace) / (duration * arch.num_clusters)
+    assert rate == pytest.approx(profile.injection_rate * phase_mean, rel=0.05)
+    local = source == destination
+    assert local.mean() == pytest.approx(profile.local_fraction, abs=0.03)
+    to_l3 = destination[~local] == arch.l3_router_id
+    assert to_l3.mean() == pytest.approx(profile.l3_fraction, abs=0.03)
