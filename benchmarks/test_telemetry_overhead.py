@@ -32,9 +32,7 @@ REPEATS = 7
 
 def _workload():
     config = PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=200, measure_cycles=4_000, seed=5
-        )
+        simulation=SimulationConfig(warmup_cycles=200, measure_cycles=4_000)
     )
     trace = generate_pair_trace(
         CPU_BENCHMARKS["fluidanimate"],

@@ -31,9 +31,15 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .config import PearlConfig, SimulationConfig
+from .config import SIGNALING_MODES, PearlConfig, SimulationConfig
 from .noc.router import PowerPolicyKind
 from .traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
+
+#: ``--policy``/``--policies`` values: every policy but the collection-only
+#: ``random``.
+_POLICY_CHOICES = [
+    kind.value for kind in PowerPolicyKind if kind is not PowerPolicyKind.RANDOM
+]
 
 
 def _workload(text: str) -> str:
@@ -130,29 +136,12 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--cpu", default="fluidanimate", choices=sorted(CPU_BENCHMARKS))
     simp.add_argument("--gpu", default="dct", choices=sorted(GPU_BENCHMARKS))
     simp.add_argument(
-        "--workload",
-        type=_workload,
-        default="pair",
-        metavar="SPEC",
-        help="'pair' (--cpu/--gpu benchmarks, default) or "
-        "'collective:<algorithm>' (docs/workloads.md)",
-    )
-    simp.add_argument(
-        "--signaling",
-        default="nrz",
-        choices=["nrz", "pam4"],
-        help="link modulation format: NRZ (default) or PAM4 "
-        "(2 bits/symbol at a BER-driven laser/receiver penalty)",
-    )
-    simp.add_argument(
         "--policy",
         default="static",
-        choices=["static", "reactive", "adaptive", "ml", "proteus", "d3noc"],
+        choices=_POLICY_CHOICES,
         help="power-scaling policy (docs/policies.md)",
     )
-    simp.add_argument("--window", type=int, default=500)
-    simp.add_argument("--cycles", type=int, default=20_000)
-    simp.add_argument("--warmup", type=int, default=1_000)
+    _add_run_args(simp)
     simp.add_argument("--static-state", type=int, default=64)
     simp.add_argument("--fcfs", action="store_true", help="disable DBA")
     simp.add_argument("--seed", type=int, default=1)
@@ -179,13 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "default: full float64",
     )
     simp.add_argument(
-        "--model",
-        default=None,
-        metavar="REF",
-        help="registry tag/id of the model to deploy (ml policy only); "
-        "default: train/fetch the default model",
-    )
-    simp.add_argument(
         "--drift-action",
         default=None,
         choices=["flag", "fallback", "retrain"],
@@ -202,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policies",
         nargs="+",
         default=["static", "reactive"],
-        choices=["static", "reactive", "adaptive", "ml", "proteus", "d3noc"],
+        choices=_POLICY_CHOICES,
         help="power-scaling policies to cross (default: static reactive)",
     )
     swp.add_argument(
@@ -217,30 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[1],
         help="simulation seeds to cross (default: 1)",
     )
-    swp.add_argument("--window", type=int, default=500)
-    swp.add_argument("--cycles", type=int, default=20_000)
-    swp.add_argument("--warmup", type=int, default=1_000)
-    swp.add_argument(
-        "--workload",
-        type=_workload,
-        default="pair",
-        metavar="SPEC",
-        help="'pair' (sweep the benchmark pairs, default) or "
-        "'collective:<algorithm>' (sweep that collective schedule)",
-    )
-    swp.add_argument(
-        "--signaling",
-        default="nrz",
-        choices=["nrz", "pam4"],
-        help="link modulation format swept under (default nrz)",
-    )
-    swp.add_argument(
-        "--model",
-        default=None,
-        metavar="REF",
-        help="registry tag/id deployed for the ml policy "
-        "(default: train/fetch the default model)",
-    )
+    _add_run_args(swp)
     swp.add_argument(
         "--shard-size",
         type=int,
@@ -401,6 +360,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable output"
     )
     return parser
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The run flags ``simulate`` and ``sweep`` share (see ``_run_config``)."""
+    parser.add_argument(
+        "--workload",
+        type=_workload,
+        default="pair",
+        metavar="SPEC",
+        help="'pair' (CPU+GPU benchmark pairs, default) or "
+        "'collective:<algorithm>' (docs/workloads.md)",
+    )
+    parser.add_argument(
+        "--signaling",
+        default="nrz",
+        choices=SIGNALING_MODES,
+        help="link modulation format: NRZ (default) or PAM4 "
+        "(2 bits/symbol at a BER-driven laser/receiver penalty)",
+    )
+    parser.add_argument("--window", type=int, default=500)
+    parser.add_argument("--cycles", type=int, default=20_000)
+    parser.add_argument("--warmup", type=int, default=1_000)
+    parser.add_argument(
+        "--model",
+        default=None,
+        metavar="REF",
+        help="registry tag/id of the model the ml policy deploys "
+        "(default: train/fetch the default model)",
+    )
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:

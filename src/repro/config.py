@@ -13,7 +13,7 @@ the paper exactly:
 * :class:`MLConfig` — ridge-regression training setup (Sec. III-D, IV-A).
 * :class:`CMeshConfig` — electrical baseline (Sec. IV).
 * :class:`ResilienceConfig` — CRC/NACK retransmission under faults.
-* :class:`SimulationConfig` — run lengths, warm-up, seeds.
+* :class:`SimulationConfig` — run lengths and warm-up.
 """
 
 from __future__ import annotations
@@ -290,6 +290,10 @@ class PowerScalingConfig:
     chose the thresholds to balance throughput and power; here they are
     fractions of total buffer occupancy averaged over the reservation
     window.  ``use_8wl`` reintroduces the low-power 8-wavelength state.
+
+    ``reservation_window`` is the one per-router window of a run (RW500,
+    RW2000): every policy closes on it, and it is the horizon of the ML
+    policy's Eq. 7 pick.
     """
 
     reservation_window: int = 500
@@ -324,10 +328,11 @@ class MLConfig:
     """ML-based proactive power scaling setup (Sec. III-D, IV-A).
 
     The ridge model predicts the number of packets injected into a router
-    over the next reservation window from the 30 features of Table III.
-    λ (``lambda_grid``) is tuned on the validation pairs.  The 8 WL state
-    is excluded during training and reintroduced at inference time
-    (``reintroduce_8wl``), exactly as in Sec. IV-B.
+    over the next reservation window from the 30 features of Table III;
+    the window is the one :class:`PowerScalingConfig` sets for every
+    policy.  λ (``lambda_grid``) is tuned on the validation pairs.  The
+    8 WL state is excluded during training and reintroduced at inference
+    time (``reintroduce_8wl``), exactly as in Sec. IV-B.
 
     Deployment knobs (see ``docs/ml_lifecycle.md``):
 
@@ -349,7 +354,6 @@ class MLConfig:
       windows that must elapse between consecutive retrains.
     """
 
-    reservation_window: int = 500
     lambda_grid: Tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
     num_features: int = 30
     reintroduce_8wl: bool = True
@@ -365,8 +369,6 @@ class MLConfig:
     retrain_cooldown_windows: int = 5
 
     def __post_init__(self) -> None:
-        if self.reservation_window <= 0:
-            raise ValueError("reservation_window must be positive")
         if not self.lambda_grid:
             raise ValueError("lambda_grid cannot be empty")
         if any(lam < 0 for lam in self.lambda_grid):
@@ -470,7 +472,6 @@ class SimulationConfig:
 
     warmup_cycles: int = 1_000
     measure_cycles: int = 20_000
-    seed: int = 1
 
     @property
     def total_cycles(self) -> int:
@@ -500,12 +501,11 @@ class PearlConfig:
         return dataclasses.replace(self, **kwargs)
 
     def with_reservation_window(self, window: int) -> "PearlConfig":
-        """Copy with both scaling controllers set to ``window`` cycles."""
+        """Copy with every policy's reservation window set to ``window``."""
         return self.replace(
             power_scaling=dataclasses.replace(
                 self.power_scaling, reservation_window=window
-            ),
-            ml=dataclasses.replace(self.ml, reservation_window=window),
+            )
         )
 
     def with_turn_on_ns(self, turn_on_ns: float) -> "PearlConfig":

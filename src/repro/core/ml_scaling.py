@@ -10,7 +10,8 @@ whose link capacity covers the predicted demand:
 
 Per Sec. IV-B the 8-wavelength state is excluded while the model is
 trained and reintroduced afterwards purely to save power on near-idle
-windows (``allow_8wl``).
+windows (``MLConfig.reintroduce_8wl``, handed to the selector as
+``allow_8wl``).
 """
 
 from __future__ import annotations
@@ -157,11 +158,12 @@ class MLPowerScaler:
         self.selector = selector
         self.config = config
         self.router_id = router_id
+        # The scaler closes on the window its Eq. 7 selector sizes for.
         self.offset = (router_id * stagger_cycles) % max(
-            config.reservation_window, 1
+            selector.reservation_window, 1
         )
         # Cached for the per-cycle boundary check on the router hot path.
-        self._window = config.reservation_window
+        self._window = selector.reservation_window
         self.predictions: List[float] = []
         self.decisions: List[int] = []
         self.labels: List[float] = []

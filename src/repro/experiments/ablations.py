@@ -48,7 +48,7 @@ def dba_granularity(quick: bool = True, seed: int = 1) -> ExperimentResult:
         specs = [
             pearl_job(
                 PearlConfig(
-                    simulation=simulation_config(quick, seed),
+                    simulation=simulation_config(quick),
                     dba=DBAConfig(bandwidth_step=step),
                 ),
                 pair_spec(pair, seed + i),
@@ -92,7 +92,7 @@ def upper_bounds(quick: bool = True, seed: int = 1) -> ExperimentResult:
         specs = [
             pearl_job(
                 PearlConfig(
-                    simulation=simulation_config(quick, seed),
+                    simulation=simulation_config(quick),
                     dba=DBAConfig(
                         cpu_upper_bound=cpu_bound, gpu_upper_bound=gpu_bound
                     ),
@@ -185,7 +185,7 @@ def adaptive_thresholds(quick: bool = True, seed: int = 1) -> ExperimentResult:
         result = ExperimentResult(name="extension: adaptive thresholds")
         pairs = experiment_pairs(quick)
         config = PearlConfig(
-            simulation=simulation_config(quick, seed)
+            simulation=simulation_config(quick)
         ).with_reservation_window(500)
         policies = (
             (PowerPolicyKind.STATIC, "64WL static"),

@@ -54,7 +54,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         algorithms = QUICK_ALGORITHMS if quick else COLLECTIVE_ALGORITHMS
         base = PearlConfig(
             simulation=SimulationConfig(
-                warmup_cycles=warmup, measure_cycles=cycles, seed=seed
+                warmup_cycles=warmup, measure_cycles=cycles
             )
         ).with_reservation_window(WINDOW)
         model = deployment_fitted_model(seed=seed)

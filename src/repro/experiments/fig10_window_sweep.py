@@ -32,7 +32,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     def compute() -> ExperimentResult:
         result = ExperimentResult(name="fig10: ML window-size sweep")
         pairs = experiment_pairs(quick)
-        base = PearlConfig(simulation=simulation_config(quick, seed))
+        base = PearlConfig(simulation=simulation_config(quick))
         specs = [
             pearl_job(base, pair_spec(pair, seed + i), seed=seed + i)
             for i, pair in enumerate(pairs)

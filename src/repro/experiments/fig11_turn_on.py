@@ -40,7 +40,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         for window in WINDOWS:
             for turn_on in TURN_ON_NS:
                 config = (
-                    PearlConfig(simulation=simulation_config(quick, seed))
+                    PearlConfig(simulation=simulation_config(quick))
                     .with_reservation_window(window)
                     .with_turn_on_ns(turn_on)
                 )

@@ -29,7 +29,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
 
     def compute() -> ExperimentResult:
         result = ExperimentResult(name="fig5: energy per bit")
-        config = PearlConfig(simulation=simulation_config(quick, seed))
+        config = PearlConfig(simulation=simulation_config(quick))
         pairs = experiment_pairs(quick)
         specs = []
         for wavelengths, divisor in WL_CONFIGS:

@@ -8,6 +8,7 @@ the dynamic and ML power-scaling configurations beat CMESH by 34% and
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List
 
 import numpy as np
@@ -29,8 +30,11 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
 
     def compute() -> ExperimentResult:
         config = PearlConfig(
-            simulation=simulation_config(quick, seed)
+            simulation=simulation_config(quick)
         ).with_reservation_window(500)
+        no_8wl = config.replace(
+            ml=dataclasses.replace(config.ml, reintroduce_8wl=False)
+        )
         model_path = ensure_model_file(500, quick=quick)
         pairs = experiment_pairs(quick)
         throughputs: Dict[str, List[float]] = {
@@ -62,11 +66,10 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
             )
             specs.append(
                 pearl_job(
-                    config,
+                    no_8wl,
                     trace,
                     seed=seed + i,
                     power_policy=PowerPolicyKind.ML,
-                    allow_8wl=False,
                     ml_model_path=model_path,
                 )
             )

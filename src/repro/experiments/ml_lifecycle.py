@@ -51,7 +51,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         model = training.model
         config = PearlConfig(
             simulation=SimulationConfig(
-                warmup_cycles=warmup, measure_cycles=cycles, seed=seed
+                warmup_cycles=warmup, measure_cycles=cycles
             )
         ).with_reservation_window(window)
         pair = test_pairs()[0]

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..config import PearlConfig
-from ..config_io import config_to_dict
+from ..config_io import to_doc
 from ..faults import FaultSchedule
 from ..noc.packet import CoreType
 from ..noc.stats import NetworkStats
@@ -139,26 +139,10 @@ class TraceSpec:
             )
         raise ValueError(f"unknown trace kind {self.kind!r}")
 
-    def payload(self) -> Dict[str, object]:
-        """JSON-able form for content hashing.
-
-        ``algorithm`` joins the payload only when set so pair/uniform
-        cache keys predating the collective family are unchanged.
-        """
-        data: Dict[str, object] = {
-            "kind": self.kind,
-            "cpu": self.cpu,
-            "gpu": self.gpu,
-            "rate": self.rate,
-            "seed": self.seed,
-        }
-        if self.algorithm is not None:
-            data["algorithm"] = self.algorithm
-        return data
-
 
 #: Job kinds whose worker regenerates an injection trace.
 _TRACED_KINDS = ("pearl", "cmesh", "mwsr", "trace")
+_JOB_KINDS = _TRACED_KINDS + ("thermal",)
 
 _POLICY_VALUES = frozenset(kind.value for kind in PowerPolicyKind)
 
@@ -181,10 +165,10 @@ class JobSpec:
     power_policy: str = "static"
     use_dynamic_bandwidth: bool = True
     static_state: Optional[int] = None
-    allow_8wl: Optional[bool] = None
     ml_model_path: Optional[str] = None
-    #: Fault schedule applied to pearl jobs (frozen, picklable; ``None``
-    #: means fault-free and hashes identically to pre-fault cache keys).
+    #: Fault schedule applied to pearl jobs (frozen, picklable).  An
+    #: empty schedule runs bit-identically to none, so it is stored as
+    #: ``None`` and both share one cache key.
     faults: Optional[FaultSchedule] = None
     # -- cmesh --
     bandwidth_divisor: Optional[int] = None
@@ -197,6 +181,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         # Reject what would otherwise only fail inside a pool worker, so
         # a malformed served spec is a 400 at decode, never a job error.
+        if self.kind not in _JOB_KINDS:
+            raise ValueError(
+                f"unknown job kind {self.kind!r} (choose from {_JOB_KINDS})"
+            )
         if self.kind in _TRACED_KINDS and self.trace is None:
             raise ValueError(f"{self.kind} job specs need a trace")
         if self.power_policy not in _POLICY_VALUES:
@@ -215,37 +203,21 @@ class JobSpec:
             raise ValueError("bandwidth_divisor must be positive")
         if self.settle_cycles < 0 or self.settle_steps < 0:
             raise ValueError("settle_cycles and settle_steps cannot be negative")
+        if self.faults is not None and self.faults.is_empty:
+            object.__setattr__(self, "faults", None)
 
     def payload(self) -> Dict[str, object]:
         """Content payload the result cache hashes.
 
-        Includes the full serialized config, the trace parameters and —
-        for ML jobs — a digest of the model file's bytes, so a retrained
-        model invalidates its entries even at the same path.
+        Every field in its :func:`~repro.config_io.to_doc` form, except
+        that an ML job's model is keyed by a digest of the model file's
+        bytes instead of its path, so a retrained model invalidates its
+        entries even at the same path.
         """
-        data: Dict[str, object] = {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "trace": self.trace.payload() if self.trace else None,
-            "seed": self.seed,
-            "power_policy": self.power_policy,
-            "use_dynamic_bandwidth": self.use_dynamic_bandwidth,
-            "static_state": self.static_state,
-            "allow_8wl": self.allow_8wl,
-            "ml_model": (
-                file_digest(self.ml_model_path) if self.ml_model_path else None
-            ),
-            "bandwidth_divisor": self.bandwidth_divisor,
-        }
-        if self.faults is not None and not self.faults.is_empty:
-            data["faults"] = self.faults.payload()
-        if self.kind == "thermal":
-            data["thermal"] = {
-                "state": self.wavelength_state,
-                "activity": self.activity,
-                "settle_cycles": self.settle_cycles,
-                "settle_steps": self.settle_steps,
-            }
+        data = to_doc(self, skip=("ml_model_path",))
+        data["ml_model"] = (
+            file_digest(self.ml_model_path) if self.ml_model_path else None
+        )
         return data
 
 
@@ -299,7 +271,6 @@ def pearl_job(
     power_policy: PowerPolicyKind = PowerPolicyKind.STATIC,
     use_dynamic_bandwidth: bool = True,
     static_state: Optional[int] = None,
-    allow_8wl: Optional[bool] = None,
     ml_model_path: Union[str, "os.PathLike[str]", None] = None,
     faults: Optional[FaultSchedule] = None,
 ) -> JobSpec:
@@ -312,7 +283,6 @@ def pearl_job(
         power_policy=power_policy.value,
         use_dynamic_bandwidth=use_dynamic_bandwidth,
         static_state=static_state,
-        allow_8wl=allow_8wl,
         ml_model_path=str(ml_model_path) if ml_model_path else None,
         faults=faults,
     )
@@ -427,7 +397,6 @@ def pearl_network(spec: JobSpec, ml_model=None):
         use_dynamic_bandwidth=spec.use_dynamic_bandwidth,
         static_state=spec.static_state,
         ml_model=ml_model,
-        allow_8wl=spec.allow_8wl,
         seed=spec.seed,
         faults=spec.faults,
     )

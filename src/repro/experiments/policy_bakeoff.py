@@ -79,7 +79,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         result = ExperimentResult(
             name="extension: adaptation-policy bake-off"
         )
-        config = PearlConfig(simulation=simulation_config(quick, seed))
+        config = PearlConfig(simulation=simulation_config(quick))
         pairs = experiment_pairs(quick)
         if quick:
             pairs = pairs[:1]

@@ -9,7 +9,7 @@ wavelength-state residency and prediction quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -67,10 +67,11 @@ SUITE_LABELS = (
 
 
 def parse_suite_label(label: str):
-    """Decode a suite label into (window, policy, allow_8wl).
+    """Decode a suite label into (window, policy, reintroduce_8wl).
 
     ``"64WL"`` is the static baseline; ``"Dyn RWn"`` is reactive
     scaling; ``"ML RWn"`` (optionally suffixed ``no8WL``) is ML scaling.
+    The 8-WL switch is ``None`` where the label leaves the config as is.
     """
     if label == "64WL":
         return 500, PowerPolicyKind.STATIC, None
@@ -84,9 +85,13 @@ def parse_suite_label(label: str):
 
 def _suite_jobs(label: str, pairs: List[Pair], quick: bool, seed: int):
     """The per-pair job specs of one suite configuration."""
-    base = PearlConfig(simulation=simulation_config(quick, seed))
-    window, policy, allow_8wl = parse_suite_label(label)
+    base = PearlConfig(simulation=simulation_config(quick))
+    window, policy, reintroduce_8wl = parse_suite_label(label)
     config = base.with_reservation_window(window)
+    if reintroduce_8wl is not None:
+        config = config.replace(
+            ml=replace(config.ml, reintroduce_8wl=reintroduce_8wl)
+        )
     model_path = None
     if policy is PowerPolicyKind.ML:
         model_path = ensure_model_file(window, quick=quick)
@@ -96,7 +101,6 @@ def _suite_jobs(label: str, pairs: List[Pair], quick: bool, seed: int):
             pair_spec(pair, seed + i),
             seed=seed + i,
             power_policy=policy,
-            allow_8wl=allow_8wl,
             ml_model_path=model_path,
         )
         for i, pair in enumerate(pairs)

@@ -77,7 +77,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
 
     def compute() -> ExperimentResult:
         result = ExperimentResult(name="extension: fault resilience")
-        config = PearlConfig(simulation=simulation_config(quick, seed))
+        config = PearlConfig(simulation=simulation_config(quick))
         pair = experiment_pairs(quick)[0]
         trace = pair_spec(pair, seed)
         specs = []

@@ -10,17 +10,10 @@ sharing the same underlying sweep (e.g. Figs. 6, 7 and 8) simulate once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..config import PearlConfig, SimulationConfig
-from ..ml.ridge import RidgeRegression
-from ..noc.cmesh import CMeshNetwork
-from ..noc.network import PearlNetwork, PearlRunResult
-from ..noc.router import PowerPolicyKind
-from ..noc.stats import NetworkStats
+from ..config import SimulationConfig
 from ..traffic.benchmarks import BenchmarkProfile, pair_name, test_pairs
-from ..traffic.synthetic import generate_pair_trace
-from ..traffic.trace import Trace
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
 
@@ -120,60 +113,10 @@ def experiment_pairs(quick: bool = True) -> List[Pair]:
     return [pairs[i * 4 + i] for i in range(4)]
 
 
-def simulation_config(quick: bool = True, seed: int = 1) -> SimulationConfig:
+def simulation_config(quick: bool = True) -> SimulationConfig:
     """Run-length settings for the mode."""
     warmup, measure = QUICK_CYCLES if quick else FULL_CYCLES
-    return SimulationConfig(
-        warmup_cycles=warmup, measure_cycles=measure, seed=seed
-    )
-
-
-def pair_trace(
-    pair: Pair, config: PearlConfig, seed: int = 1
-) -> Trace:
-    """The injection trace of one benchmark pair for a config."""
-    cpu, gpu = pair
-    return generate_pair_trace(
-        cpu, gpu, config.architecture, config.simulation.total_cycles, seed
-    )
-
-
-def run_pearl(
-    config: PearlConfig,
-    trace: Trace,
-    power_policy: PowerPolicyKind = PowerPolicyKind.STATIC,
-    use_dynamic_bandwidth: bool = True,
-    static_state: Optional[int] = None,
-    ml_model: Optional[RidgeRegression] = None,
-    allow_8wl: Optional[bool] = None,
-    seed: int = 1,
-) -> PearlRunResult:
-    """Build and run one PEARL variant on a trace."""
-    network = PearlNetwork(
-        config,
-        power_policy=power_policy,
-        use_dynamic_bandwidth=use_dynamic_bandwidth,
-        static_state=static_state,
-        ml_model=ml_model,
-        allow_8wl=allow_8wl,
-        seed=seed,
-    )
-    return network.run(trace)
-
-
-def run_cmesh(
-    config: PearlConfig,
-    trace: Trace,
-    bandwidth_divisor: int = 2,
-    seed: int = 1,
-) -> NetworkStats:
-    """Build and run the CMESH baseline on a trace."""
-    network = CMeshNetwork(
-        simulation=config.simulation,
-        bandwidth_divisor=bandwidth_divisor,
-        seed=seed,
-    )
-    return network.run(trace)
+    return SimulationConfig(warmup_cycles=warmup, measure_cycles=measure)
 
 
 _RESULT_CACHE: Dict[object, object] = {}

@@ -22,7 +22,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
 
     def compute() -> ExperimentResult:
         result = ExperimentResult(name="extension: saturation sweep")
-        config = PearlConfig(simulation=simulation_config(quick, seed))
+        config = PearlConfig(simulation=simulation_config(quick))
         specs = []
         for rate in LOADS:
             trace = uniform_spec(rate, seed)

@@ -117,13 +117,20 @@ class SweepServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Close the socket, then wait until every pool worker has exited.
+
+        Queued executions are cancelled; the wait runs off the event
+        loop so other tasks keep running while the workers exit.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            pool, self._pool = self._pool, None
+            await asyncio.to_thread(
+                pool.shutdown, wait=True, cancel_futures=True
+            )
 
     # -- HTTP plumbing --------------------------------------------------------
 
@@ -267,7 +274,7 @@ class SweepServer:
         try:
             doc = json.loads(body.decode("utf-8"))
             spec = spec_from_doc(doc)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise _HttpError(400, "Bad Request", f"bad spec document: {exc}")
         key = self.cache.key_for(spec)
         self.counters["submissions"] += 1

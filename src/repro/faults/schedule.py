@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..config_io import from_doc, to_doc
+
 
 def _check_span(start: int, end: Optional[int]) -> None:
     if start < 0:
@@ -166,77 +168,17 @@ class FaultSchedule:
 
     def payload(self) -> Dict[str, Any]:
         """JSON-able form (the result cache hashes this)."""
-
-        def span(f) -> Dict[str, Any]:
-            return {"router": f.router, "start": f.start, "end": f.end}
-
-        return {
-            "seed": self.seed,
-            "wavelength_faults": [
-                {
-                    "wavelengths": f.wavelengths,
-                    "indices": list(f.indices),
-                    **span(f),
-                }
-                for f in self.wavelength_faults
-            ],
-            "droop_faults": [
-                {"max_state": f.max_state, **span(f)}
-                for f in self.droop_faults
-            ],
-            "bit_error_faults": [
-                {"rate": f.rate, **span(f)} for f in self.bit_error_faults
-            ],
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`payload` output (strictly)."""
-        known = {
-            "seed",
-            "wavelength_faults",
-            "droop_faults",
-            "bit_error_faults",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault-schedule keys: {sorted(unknown)}"
-            )
+        """Rebuild a schedule from :meth:`payload` output (strictly).
 
-        def build(cls_, entries, fields):
-            faults = []
-            for entry in entries or ():
-                extra = set(entry) - fields
-                if extra:
-                    raise ValueError(
-                        f"unknown {cls_.__name__} keys: {sorted(extra)}"
-                    )
-                kwargs = dict(entry)
-                if "indices" in kwargs:
-                    kwargs["indices"] = tuple(kwargs["indices"])
-                faults.append(cls_(**kwargs))
-            return tuple(faults)
-
-        span_fields = {"router", "start", "end"}
-        return cls(
-            wavelength_faults=build(
-                WavelengthFault,
-                data.get("wavelength_faults"),
-                {"wavelengths", "indices"} | span_fields,
-            ),
-            droop_faults=build(
-                LaserDroopFault,
-                data.get("droop_faults"),
-                {"max_state"} | span_fields,
-            ),
-            bit_error_faults=build(
-                BitErrorFault,
-                data.get("bit_error_faults"),
-                {"rate"} | span_fields,
-            ),
-            seed=int(data.get("seed", 0xF001)),
-        )
+        Unknown keys and values of the wrong JSON type raise
+        :class:`ValueError`, as in every run description
+        (:mod:`repro.config_io`).
+        """
+        return from_doc(cls, data, "faults")
 
 
 def uniform_wavelength_fault(

@@ -191,13 +191,12 @@ class ModelRegistry:
         tags = self._read_tags()
         if ref in tags:
             return tags[ref]
-        if (self._objects_dir / ref / "meta.json").exists():
+        # Match against the stored ids, never a path built from ``ref``:
+        # served documents carry references from clients.
+        ids = [entry.name for entry in self._iter_object_dirs()]
+        if ref in ids:
             return ref
-        matches = [
-            entry.name
-            for entry in self._iter_object_dirs()
-            if entry.name.startswith(ref)
-        ]
+        matches = [model_id for model_id in ids if model_id.startswith(ref)]
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:

@@ -20,7 +20,7 @@ tests while exercising every stage.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,10 +82,9 @@ def collect_pair_dataset(
         )
     else:
         network = PearlNetwork(
-            config,
+            config.replace(ml=replace(config.ml, reintroduce_8wl=False)),
             power_policy=PowerPolicyKind.ML,
             ml_model=driving_model,
-            allow_8wl=False,
             seed=seed,
         )
     dataset = FeatureDataset(name=f"{cpu.abbreviation}+{gpu.abbreviation}")
@@ -114,13 +113,11 @@ def collect_datasets(
 
 def _quick_config(config: PearlConfig) -> PearlConfig:
     """Shrink run length for test-speed training."""
-    window = config.ml.reservation_window
+    window = config.power_scaling.reservation_window
     cycles = max(10 * window, 4_000)
     return config.replace(
         simulation=SimulationConfig(
-            warmup_cycles=min(500, window),
-            measure_cycles=cycles,
-            seed=config.simulation.seed,
+            warmup_cycles=min(500, window), measure_cycles=cycles
         )
     )
 

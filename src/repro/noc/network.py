@@ -101,7 +101,6 @@ class PearlNetwork:
         use_dynamic_bandwidth: bool = True,
         static_state: Optional[int] = None,
         ml_model: Optional[RidgeRegression] = None,
-        allow_8wl: Optional[bool] = None,
         responder: Optional[ResponderConfig] = None,
         l3_parallel_links: int = 8,
         seed: int = 1,
@@ -153,12 +152,10 @@ class PearlNetwork:
                 assert ml_model is not None
                 selector = StateSelector(
                     self.config.photonic,
-                    reservation_window=self.config.ml.reservation_window,
-                    allow_8wl=(
-                        self.config.ml.reintroduce_8wl
-                        if allow_8wl is None
-                        else allow_8wl
+                    reservation_window=(
+                        self.config.power_scaling.reservation_window
                     ),
+                    allow_8wl=self.config.ml.reintroduce_8wl,
                     capacity_multiplier=(
                         float(l3_parallel_links) if is_l3 else 1.0
                     ),
@@ -516,7 +513,7 @@ class PearlNetwork:
             else:
                 return
         ml = self.config.ml
-        window = ml.reservation_window
+        window = self.config.power_scaling.reservation_window
         if (
             self._last_retrain_cycle is not None
             and cycle - self._last_retrain_cycle

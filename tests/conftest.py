@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PowerScalingConfig,
     SimulationConfig,
@@ -67,7 +66,6 @@ def tiny_config() -> PearlConfig:
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_500),
         power_scaling=PowerScalingConfig(reservation_window=200),
-        ml=MLConfig(reservation_window=200),
     )
 
 
@@ -94,7 +92,6 @@ def tiny_trained_model():
     config = PearlConfig(
         simulation=SimulationConfig(warmup_cycles=100, measure_cycles=2_000),
         power_scaling=PowerScalingConfig(reservation_window=200),
-        ml=MLConfig(reservation_window=200),
     )
     train = [
         (CPU_BENCHMARKS["blackscholes"], GPU_BENCHMARKS["binary_search"]),

@@ -90,7 +90,7 @@ class TestMLPowerScaler:
         return MLPowerScaler(
             model=_fitted_model(),
             selector=_selector(),
-            config=MLConfig(reservation_window=500),
+            config=MLConfig(),
             router_id=router_id,
         )
 

@@ -10,12 +10,15 @@ must return bit-identical results for the same specs.
 from __future__ import annotations
 
 import asyncio
+import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,8 @@ from repro.experiments.cache import (
     job_key,
 )
 from repro.experiments.parallel import (
+    JobSpec,
+    TraceSpec,
     cmesh_job,
     collective_spec,
     execute_job,
@@ -45,7 +50,15 @@ from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import spec_from_doc, spec_to_doc
 from repro.experiments.service.sweeper import SweepRunner
 from repro.experiments.sweep import apply_override
-from repro.faults import FaultSchedule, WavelengthFault
+from repro.faults import (
+    BitErrorFault,
+    FaultSchedule,
+    LaserDroopFault,
+    WavelengthFault,
+)
+from repro.ml.features import NUM_FEATURES
+from repro.ml.lifecycle import default_registry
+from repro.ml.ridge import RidgeRegression
 from repro.noc.router import PowerPolicyKind
 
 # JSON-able payloads: nested dicts/lists of JSON scalars.  NaN/inf are
@@ -155,6 +168,18 @@ def _set(path, value):
     return mutate
 
 
+def _drop(path):
+    """A document mutation deleting the field at ``path``."""
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return mutate
+
+
 #: (id, mutation of a valid pair-trace pearl document, expected error).
 MALFORMED_DOCS = [
     ("unknown-trace-kind", _set(("trace", "kind"), "nope"),
@@ -173,8 +198,8 @@ MALFORMED_DOCS = [
     ("bool-seed", _set(("seed",), True), "seed must be an integer"),
     ("string-trace-seed", _set(("trace", "seed"), "3"),
      "seed must be an integer"),
-    ("string-allow-8wl", _set(("allow_8wl",), "no"),
-     "allow_8wl must be a boolean or null"),
+    ("retired-allow-8wl", _set(("allow_8wl",), False),
+     r"unknown JobSpec fields: \['allow_8wl'\]"),
     ("float-static-state", _set(("static_state",), 64.0),
      "static_state must be an integer"),
     ("negative-settle-cycles", _set(("settle_cycles",), -5),
@@ -185,6 +210,29 @@ MALFORMED_DOCS = [
      "bandwidth_divisor must be an integer"),
     ("zero-bandwidth-divisor", _set(("bandwidth_divisor",), 0),
      "bandwidth_divisor must be positive"),
+    ("config-not-an-object", _set(("config",), 5),
+     "config must be an object, got 5"),
+    ("missing-config", _drop(("config",)),
+     r"JobSpec needs the fields \['config'\]"),
+    ("unknown-model-tag", _set(("ml_model",), "no-such-model"),
+     "ml_model: unknown model reference 'no-such-model'"),
+    ("string-use-8wl", _set(("config", "power_scaling", "use_8wl"), "false"),
+     "config.power_scaling.use_8wl must be a boolean, got 'false'"),
+    ("float-window",
+     _set(("config", "power_scaling", "reservation_window"), 500.0),
+     "config.power_scaling.reservation_window must be an integer"),
+    ("bool-window",
+     _set(("config", "power_scaling", "reservation_window"), True),
+     "config.power_scaling.reservation_window must be an integer"),
+    ("bool-warmup", _set(("config", "simulation", "warmup_cycles"), False),
+     "config.simulation.warmup_cycles must be an integer"),
+    ("string-measure-cycles",
+     _set(("config", "simulation", "measure_cycles"), "100"),
+     "config.simulation.measure_cycles must be an integer"),
+    ("int-quantization", _set(("config", "ml", "quantization"), 4),
+     "config.ml.quantization must be a string or null"),
+    ("nested-lambda-grid", _set(("config", "ml", "lambda_grid"), [[1.0]]),
+     r"config.ml.lambda_grid\[0\] must be a number"),
 ]
 
 
@@ -211,7 +259,6 @@ class TestSpecCodecPreservesKeys:
                 seed=5,
                 power_policy=PowerPolicyKind.REACTIVE,
                 use_dynamic_bandwidth=False,
-                allow_8wl=True,
             ),
             pearl_job(config, pair_spec(pair, 3), seed=3, faults=faults),
             pearl_job(config, pair_spec(pair, 3), seed=3, static_state=16),
@@ -298,12 +345,6 @@ class TestSpecCodecPreservesKeys:
         with pytest.raises(ValueError, match=match):
             spec_from_doc(malformed_doc(tiny_sim_config, mutate))
 
-    def test_pair_trace_payload_has_no_algorithm_key(self, tiny_sim_config):
-        """Pair/uniform payloads must not grow an ``algorithm`` key —
-        that would shift every existing cache entry's content hash."""
-        pair = experiment_pairs(quick=True)[0]
-        spec = pearl_job(tiny_sim_config, pair_spec(pair, 3), seed=3)
-        assert "algorithm" not in spec.trace.payload()
 
 
 #: A valid non-default value for every leaf of a PearlConfig.
@@ -357,7 +398,6 @@ LEAF_OVERRIDES = {
     "power_scaling.threshold_lower": 0.01,
     "power_scaling.use_8wl": False,
     "power_scaling.router_stagger_cycles": 0,
-    "ml.reservation_window": 1000,
     "ml.lambda_grid": (0.1, 1.0),
     "ml.num_features": 24,
     "ml.reintroduce_8wl": False,
@@ -376,7 +416,6 @@ LEAF_OVERRIDES = {
     "resilience.retry_backoff_cycles": 0,
     "simulation.warmup_cycles": 0,
     "simulation.measure_cycles": 5_000,
-    "simulation.seed": 7,
 }
 
 
@@ -407,6 +446,212 @@ class TestEveryConfigLeaf:
         assert decoded == spec
         assert job_key(decoded.payload()) == job_key(spec.payload())
         assert job_key(spec.payload()) != job_key(base.payload())
+
+
+#: Registry tag of the model the spec documents below deploy.
+SERVED_TAG = "served"
+
+
+@pytest.fixture(scope="module")
+def served_model(tmp_path_factory):
+    """(tag, model file) of a model in a registry the decoder resolves."""
+    root = tmp_path_factory.mktemp("spec-registry")
+    model = RidgeRegression(lam=1.0).fit(
+        np.eye(NUM_FEATURES), np.arange(NUM_FEATURES, dtype=float)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PEARL_REGISTRY_DIR", str(root))
+        registry = default_registry()
+        record = registry.put(model, training={"key": {"spec": "codec"}})
+        registry.promote(record.model_id, SERVED_TAG)
+        yield SERVED_TAG, str(registry.model_path(record.model_id))
+
+
+#: A valid non-default value for every JobSpec field; the model path is
+#: the served model's file, sent as its registry tag.
+JOB_FIELD_OVERRIDES = {
+    "kind": "cmesh",
+    "config": PearlConfig().with_reservation_window(1000),
+    "trace": uniform_spec(0.4, 3),
+    "seed": 9,
+    "power_policy": "reactive",
+    "use_dynamic_bandwidth": False,
+    "static_state": 16,
+    "ml_model_path": SERVED_TAG,
+    "faults": FaultSchedule(
+        wavelength_faults=(WavelengthFault(wavelengths=2, start=50),)
+    ),
+    "bandwidth_divisor": 2,
+    "wavelength_state": 32,
+    "activity": 0.5,
+    "settle_cycles": 100,
+    "settle_steps": 3,
+}
+
+#: A valid non-default value for every TraceSpec field of a pair trace.
+TRACE_FIELD_OVERRIDES = {
+    "kind": "uniform",
+    "cpu": "canneal",
+    "gpu": "histogram",
+    "rate": 0.25,
+    "seed": 4,
+    "algorithm": "allreduce_ring",
+}
+
+
+class TestEverySpecField:
+    """Every JobSpec and TraceSpec field reaches the wire and the key,
+    as every config leaf does (``TestEveryConfigLeaf``)."""
+
+    def test_tables_cover_every_field(self):
+        assert set(JOB_FIELD_OVERRIDES) == {
+            f.name for f in dataclasses.fields(JobSpec)
+        }
+        assert set(TRACE_FIELD_OVERRIDES) == {
+            f.name for f in dataclasses.fields(TraceSpec)
+        }
+
+    @staticmethod
+    def _base():
+        pair = experiment_pairs(quick=True)[0]
+        return pearl_job(PearlConfig(), pair_spec(pair, 3), seed=3)
+
+    @staticmethod
+    def _check(base, spec, ml_model=None):
+        doc = json.loads(json.dumps(spec_to_doc(spec, ml_model=ml_model)))
+        decoded = spec_from_doc(doc)
+        assert decoded == spec
+        assert job_key(decoded.payload()) == job_key(spec.payload())
+        assert job_key(spec.payload()) != job_key(base.payload())
+
+    @pytest.mark.parametrize("name", sorted(JOB_FIELD_OVERRIDES))
+    def test_job_field_round_trips_and_moves_the_key(self, name, served_model):
+        base = self._base()
+        value, ml_model = JOB_FIELD_OVERRIDES[name], None
+        if name == "ml_model_path":
+            ml_model, value = served_model
+        self._check(base, dataclasses.replace(base, **{name: value}), ml_model)
+
+    @pytest.mark.parametrize("name", sorted(TRACE_FIELD_OVERRIDES))
+    def test_trace_field_round_trips_and_moves_the_key(self, name):
+        base = self._base()
+        trace = dataclasses.replace(
+            base.trace, **{name: TRACE_FIELD_OVERRIDES[name]}
+        )
+        self._check(base, dataclasses.replace(base, trace=trace))
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a JSON document."""
+    items = (
+        value.items()
+        if isinstance(value, dict)
+        else enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _paths(item, prefix + (key,))
+
+
+#: Values a mutation writes: arbitrary JSON, plus values that are valid
+#: somewhere in a spec document, so that mutations also get past the
+#: JSON types to the dataclass validators.
+_PLAUSIBLE = st.sampled_from([
+    0, 1, -1, 2, 16, 64, 500, 0.5, 1.0, 2.5, "", "pair", "uniform",
+    "collective", "thermal", "cmesh", "reactive", "ml", "pam4",
+    "allreduce_ring", "blackscholes", "dct", "q4.12", "retrain",
+    SERVED_TAG, [64, 32], [1.0],
+])
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | _PLAUSIBLE,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_docs(served_model):
+    """Wire documents of every job kind, faults and a served model."""
+    config = PearlConfig(
+        simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_000),
+        power_scaling=PowerScalingConfig(reservation_window=200),
+    )
+    pair = experiment_pairs(quick=True)[0]
+    faults = FaultSchedule(
+        wavelength_faults=(WavelengthFault(indices=(3, 4), router=2),),
+        droop_faults=(LaserDroopFault(max_state=32, start=10, end=90),),
+        bit_error_faults=(BitErrorFault(rate=1e-3),),
+    )
+    tag, model_path = served_model
+    ml_config = config.replace(
+        ml=dataclasses.replace(config.ml, quantization="q4.12")
+    )
+    specs = [
+        (pearl_job(config, pair_spec(pair, 3), seed=3), None),
+        (
+            pearl_job(
+                config,
+                collective_spec("allreduce_ring", 7),
+                seed=7,
+                power_policy=PowerPolicyKind.REACTIVE,
+                faults=faults,
+            ),
+            None,
+        ),
+        (cmesh_job(config, uniform_spec(0.2, 5), bandwidth_divisor=2), None),
+        (thermal_job(config, 16, 0.5, 100, 2), None),
+        (
+            pearl_job(
+                ml_config,
+                pair_spec(pair, 4),
+                seed=4,
+                power_policy=PowerPolicyKind.ML,
+                ml_model_path=model_path,
+            ),
+            tag,
+        ),
+    ]
+    return [
+        json.loads(json.dumps(spec_to_doc(spec, ml_model=ml)))
+        for spec, ml in specs
+    ]
+
+
+class TestSpecDocumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_decode_or_raise_value_error(
+        self, data, valid_docs
+    ):
+        """Drop any key, or replace any leaf or subtree with any JSON
+        value: the decoder either returns a spec whose wire round trip
+        keeps its cache key, or raises ValueError, never another error
+        (the server answers a ValueError with a 400)."""
+        doc = copy.deepcopy(data.draw(st.sampled_from(valid_docs)))
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if data.draw(st.booleans(), label="drop"):
+            del target[path[-1]]
+        else:
+            target[path[-1]] = json.loads(json.dumps(data.draw(_JSON)))
+        try:
+            spec = spec_from_doc(doc)
+        except ValueError:
+            return
+        ml_model = doc["ml_model"] if spec.ml_model_path else None
+        again = spec_from_doc(
+            json.loads(json.dumps(spec_to_doc(spec, ml_model=ml_model)))
+        )
+        assert again == spec
+        assert job_key(again.payload()) == job_key(spec.payload())
 
 
 def _result_fingerprint(result):

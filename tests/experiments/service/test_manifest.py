@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import JobSpec, pair_spec, trace_job
+from repro.experiments.parallel import pair_spec, pearl_job, trace_job
 from repro.experiments.runner import experiment_pairs
 from repro.experiments.service.manifest import (
     MANIFEST_FORMAT,
@@ -186,11 +186,11 @@ class TestSweepRunner:
     ):
         """One poison job fails its shard; other shards run; resume heals."""
         pair = experiment_pairs(quick=True)[0]
-        poison = JobSpec(
-            kind="does-not-exist",
-            config=tiny_sim_config,
-            trace=pair_spec(pair, 99),
-            seed=99,
+        # A valid spec whose model file is corrupt: it fails in the worker.
+        model = tmp_path / "corrupt-model.npz"
+        model.write_bytes(b"not a model")
+        poison = pearl_job(
+            tiny_sim_config, pair_spec(pair, 99), seed=99, ml_model_path=model
         )
         mixed = specs[:3] + [poison] + specs[3:6]
         runner = SweepRunner(cache, jobs=1, shard_size=3)

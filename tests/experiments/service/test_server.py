@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -201,6 +202,31 @@ class TestEndpoints:
         assert stats["bad_requests"] == 1
         assert stats["errors"] == 0
         assert stats["submissions"] == 0
+
+
+class TestShutdown:
+    def test_stop_returns_after_every_pool_worker_exited(
+        self, tmp_path, tiny_sim_config
+    ):
+        """A stopped server leaves no worker (nor its semaphores)
+        behind: stop() waits for the spawn pool to shut down."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        cache = ResultCache(directory=tmp_path / "cache")
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            pair = experiment_pairs(quick=True)[0]
+            spec = trace_job(tiny_sim_config, pair_spec(pair, 1), seed=1)
+            live.client.submit_result(spec_to_doc(spec))
+            assert live.client.stats()["executions"] == 1
+            workers = [
+                child
+                for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            assert workers
+            asyncio.run_coroutine_threadsafe(
+                live.server.stop(), live.loop
+            ).result(timeout=60)
+            assert [w.pid for w in workers if w.is_alive()] == []
 
 
 class TestCoalescing:

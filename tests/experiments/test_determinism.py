@@ -39,7 +39,6 @@ def _result_fingerprint(result):
 def ml_model_file(tmp_path_factory):
     """A tiny fitted ridge model persisted the way real sweeps ship it."""
     from repro.config import (
-        MLConfig,
         PearlConfig,
         PowerScalingConfig,
         SimulationConfig,
@@ -50,7 +49,6 @@ def ml_model_file(tmp_path_factory):
     config = PearlConfig(
         simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_500),
         power_scaling=PowerScalingConfig(reservation_window=200),
-        ml=MLConfig(reservation_window=200),
     )
     trainer = PowerModelTrainer(
         config=config,
@@ -153,8 +151,11 @@ class TestFaultedJobDeterminism:
         pair = experiment_pairs(quick=True)[0]
         clean = pearl_job(config, pair_spec(pair, 1), seed=1)
         assert clean.payload() != faulted_specs[0].payload()
-        assert "faults" not in clean.payload()
-        assert "faults" in faulted_specs[0].payload()
+        assert clean.payload()["faults"] is None
+        assert (
+            faulted_specs[0].payload()["faults"]
+            == faulted_specs[0].faults.payload()
+        )
 
     def test_faulted_jobs2_identical_to_jobs1(self, faulted_specs):
         serial = ExperimentEngine(jobs=1).run(faulted_specs)

@@ -20,6 +20,8 @@ from repro.config import (
     PhotonicConfig,
     SimulationConfig,
 )
+from repro.config_io import to_doc
+from repro.faults import FaultSchedule
 from repro.experiments.parallel import (
     JobSpec,
     collective_spec,
@@ -56,6 +58,20 @@ class TestTraceRequired:
             settle_steps=2,
         )
         assert spec.trace is None
+
+
+class TestKindAndFaults:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown job kind 'warp'"):
+            JobSpec(kind="warp", config=PearlConfig())
+
+    def test_empty_fault_schedule_is_stored_as_none(self, trace_spec):
+        """An empty schedule runs like none, so it shares none's key."""
+        empty = pearl_job(
+            PearlConfig(), trace_spec, faults=FaultSchedule(seed=7)
+        )
+        assert empty.faults is None
+        assert empty.payload() == pearl_job(PearlConfig(), trace_spec).payload()
 
 
 class TestPowerPolicy:
@@ -145,10 +161,11 @@ class TestArchitecture:
             ]
         )
         assert np.array_equal(spec.build(config).columns, expected.columns)
-        assert spec.payload() == {
+        assert to_doc(spec) == {
             "kind": "uniform",
             "cpu": None,
             "gpu": None,
             "rate": 0.2,
             "seed": 5,
+            "algorithm": None,
         }

@@ -48,9 +48,7 @@ RETRAIN_CASE = "ml_retrain_dynamic"
 def golden_config() -> PearlConfig:
     """The (short) run configuration every golden case uses."""
     return PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=200, measure_cycles=1500, seed=GOLDEN_SEED
-        )
+        simulation=SimulationConfig(warmup_cycles=200, measure_cycles=1500)
     )
 
 

@@ -42,9 +42,7 @@ def model():
 
 def _drift_config(action: str) -> PearlConfig:
     config = PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=500, measure_cycles=8_000, seed=SEED
-        )
+        simulation=SimulationConfig(warmup_cycles=500, measure_cycles=8_000)
     ).with_reservation_window(200)
     return config.replace(
         ml=dataclasses.replace(

@@ -195,7 +195,7 @@ def _scaler(drift_action="fallback", monitor=None, window=500):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(80, D))
     model = RidgeRegression(lam=1.0).fit(X, X @ rng.normal(size=D) + 50.0)
-    config = MLConfig(reservation_window=window, drift_action=drift_action)
+    config = MLConfig(drift_action=drift_action)
     selector = StateSelector(PhotonicConfig(), reservation_window=window)
     return MLPowerScaler(
         model,

@@ -143,6 +143,19 @@ class TestTags:
         with pytest.raises(KeyError):
             registry.resolve("nonexistent")
 
+    @pytest.mark.parametrize("kind", ["outside-dir", "overlong"])
+    def test_ref_is_never_a_path(self, registry, tmp_path, kind):
+        """Served documents carry references from clients: a reference
+        naming a model directory outside the registry, or one too long
+        for a file name, is an unknown reference, not a path."""
+        registry.put(_fitted_model())
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "meta.json").write_text("{}")
+        ref = str(outside) if kind == "outside-dir" else "a" * 300
+        with pytest.raises(KeyError, match="unknown model reference"):
+            registry.resolve(ref)
+
     def test_ambiguous_prefix_raises(self, registry):
         a = registry.put(_fitted_model(seed=0))
         b = registry.put(_fitted_model(seed=1))

@@ -8,7 +8,7 @@ fixture amortises most of the cost.
 import numpy as np
 import pytest
 
-from repro.config import MLConfig, PearlConfig, PowerScalingConfig, SimulationConfig
+from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 
 # Every test here drives the real simulator through collection or
 # training — the definition of the slow tier.
@@ -25,7 +25,6 @@ def _small_config():
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_200),
         power_scaling=PowerScalingConfig(reservation_window=200),
-        ml=MLConfig(reservation_window=200),
     )
 
 

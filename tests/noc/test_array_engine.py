@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.config import (
     ArchitectureConfig,
-    MLConfig,
     PearlConfig,
     PhotonicConfig,
     PowerScalingConfig,
@@ -67,7 +66,6 @@ def _config(measure=1_500, warmup=100, window=200, stagger=None):
             warmup_cycles=warmup, measure_cycles=measure
         ),
         power_scaling=scaling,
-        ml=MLConfig(reservation_window=window),
     )
 
 
@@ -288,11 +286,14 @@ class TestCollectionModeIdentity:
 
     def _stream(self, engine, policy, model=None):
         config = _config()
+        if policy is PowerPolicyKind.ML:
+            config = config.replace(
+                ml=replace(config.ml, reintroduce_8wl=False)
+            )
         network = PearlNetwork(
             config=config,
             power_policy=policy,
             ml_model=model,
-            allow_8wl=False if policy is PowerPolicyKind.ML else None,
             seed=5,
         )
         rows = []
@@ -514,7 +515,6 @@ class TestTurnOnSkippedAtRunBoundary:
             power_scaling=PowerScalingConfig(
                 reservation_window=w, router_stagger_cycles=0
             ),
-            ml=MLConfig(reservation_window=w),
         ).with_turn_on_ns(turn_on_ns)
         if cause == "window-close":
             return config, PowerPolicyKind.RANDOM, None

@@ -22,7 +22,6 @@ import pytest
 
 from repro import obs
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PowerScalingConfig,
     SimulationConfig,
@@ -52,7 +51,6 @@ def _config(window=200):
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_500),
         power_scaling=PowerScalingConfig(reservation_window=window),
-        ml=MLConfig(reservation_window=window),
     )
 
 

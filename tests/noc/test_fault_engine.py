@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PhotonicConfig,
     PowerScalingConfig,
@@ -49,7 +48,6 @@ def _config(measure=1_500, warmup=100, window=200, retry_limit=4):
             warmup_cycles=warmup, measure_cycles=measure
         ),
         power_scaling=PowerScalingConfig(reservation_window=window),
-        ml=MLConfig(reservation_window=window),
         resilience=ResilienceConfig(retry_limit=retry_limit),
     )
 

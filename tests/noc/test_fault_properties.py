@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PowerScalingConfig,
     ResilienceConfig,
@@ -44,7 +43,6 @@ def _config(retry_limit: int = 4) -> PearlConfig:
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=0, measure_cycles=CYCLES),
         power_scaling=PowerScalingConfig(reservation_window=100),
-        ml=MLConfig(reservation_window=100),
         resilience=ResilienceConfig(
             retry_limit=retry_limit,
             nack_latency_cycles=2,

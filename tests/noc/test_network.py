@@ -1,5 +1,7 @@
 """Tests for repro.noc.network — the closed-loop PEARL simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import PearlConfig, SimulationConfig
@@ -135,11 +137,13 @@ class TestMlPolicy:
     def test_no_8wl_when_disabled(
         self, tiny_config, tiny_trace, tiny_trained_model
     ):
+        config = tiny_config.replace(
+            ml=replace(tiny_config.ml, reintroduce_8wl=False)
+        )
         result = PearlNetwork(
-            tiny_config,
+            config,
             power_policy=PowerPolicyKind.ML,
             ml_model=tiny_trained_model.model,
-            allow_8wl=False,
         ).run(tiny_trace)
         assert result.state_residency[8] == 0.0
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PowerScalingConfig,
     SimulationConfig,
@@ -19,7 +18,6 @@ def _config(cycles):
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=0, measure_cycles=cycles),
         power_scaling=PowerScalingConfig(reservation_window=100),
-        ml=MLConfig(reservation_window=100),
     )
 
 

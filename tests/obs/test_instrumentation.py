@@ -30,9 +30,7 @@ def _telemetry_off():
 
 def _tiny_run(seed=7, engine="array"):
     config = PearlConfig().replace(
-        simulation=SimulationConfig(
-            warmup_cycles=500, measure_cycles=3_000, seed=seed
-        )
+        simulation=SimulationConfig(warmup_cycles=500, measure_cycles=3_000)
     )
     cpu, gpu = training_pairs()[0]
     trace = generate_pair_trace(

@@ -19,7 +19,7 @@ class TestConfigDigest:
     def test_changes_with_config(self):
         base = PearlConfig()
         changed = base.with_reservation_window(
-            base.ml.reservation_window * 2
+            base.power_scaling.reservation_window * 2
         )
         assert config_digest(base) != config_digest(changed)
 

@@ -163,6 +163,58 @@ class TestSimulate:
         assert "(64, 48, 32, 16, 8)" in message
 
 
+class TestSharedRunFlags:
+    """``simulate`` and ``sweep`` define the run flags in one place."""
+
+    SHARED = [
+        "--window", "200",
+        "--cycles", "3000",
+        "--warmup", "300",
+        "--workload", "collective:allreduce_ring",
+        "--signaling", "pam4",
+        "--model", "production",
+    ]
+
+    def _parse(self, *argv):
+        from repro.cli import _build_parser
+
+        return _build_parser().parse_args(list(argv))
+
+    def test_both_subcommands_parse_to_the_same_run_config(self):
+        from repro.cli import _run_config
+
+        simulate = self._parse("simulate", *self.SHARED)
+        sweep = self._parse("sweep", *self.SHARED)
+        for name in ("window", "cycles", "warmup", "workload", "signaling",
+                     "model"):
+            assert getattr(simulate, name) == getattr(sweep, name), name
+        assert _run_config(simulate) == _run_config(sweep)
+        config = _run_config(sweep)
+        assert config.power_scaling.reservation_window == 200
+        assert config.simulation.total_cycles == 3300
+        assert config.photonic.signaling == "pam4"
+
+    def test_defaults_agree(self):
+        from repro.cli import _run_config
+
+        assert _run_config(self._parse("simulate")) == _run_config(
+            self._parse("sweep")
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "--policy"), ("sweep", "--policies")]
+    )
+    def test_policy_choices_are_every_policy_but_random(self, argv, capsys):
+        from repro.noc.router import PowerPolicyKind
+
+        for kind in PowerPolicyKind:
+            if kind is PowerPolicyKind.RANDOM:
+                with pytest.raises(SystemExit):
+                    self._parse(*argv, kind.value)
+            else:
+                self._parse(*argv, kind.value)
+
+
 class TestChart:
     def test_chart_flag_renders(self, capsys):
         # fig4 is trace-only, so this stays fast.

@@ -235,10 +235,10 @@ class TestSimulationConfig:
 
 
 class TestPearlConfig:
-    def test_with_reservation_window_updates_both_controllers(self):
+    def test_with_reservation_window_sets_the_one_window(self):
         config = PearlConfig().with_reservation_window(1234)
         assert config.power_scaling.reservation_window == 1234
-        assert config.ml.reservation_window == 1234
+        assert config.ml == PearlConfig().ml
 
     def test_with_turn_on_ns(self):
         config = PearlConfig().with_turn_on_ns(16.0)
@@ -281,8 +281,8 @@ INVALID_CONFIGS = [
      "buffer slot counts must be positive"),
     ("scaling-negative-threshold", PowerScalingConfig,
      {"threshold_lower": -0.01}, "thresholds cannot be negative"),
-    ("ml-negative-window", MLConfig, {"reservation_window": -5},
-     "reservation_window must be positive"),
+    ("scaling-negative-window", PowerScalingConfig,
+     {"reservation_window": -5}, "reservation_window must be positive"),
     ("ml-quantization-spec", MLConfig, {"quantization": "int8"},
      "quantization must look like 'q4.12'"),
     ("ml-drift-action", MLConfig, {"drift_action": "ignore"},

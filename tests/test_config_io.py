@@ -32,7 +32,7 @@ class TestRoundTrip:
         path = save_config(config, tmp_path / "config.json")
         loaded = load_config(path)
         assert loaded == config
-        assert loaded.ml.reservation_window == 777
+        assert loaded.power_scaling.reservation_window == 777
         assert loaded.photonic.laser_turn_on_ns == 16.0
 
     def test_tuples_restored(self, tmp_path):

@@ -96,9 +96,7 @@ def _run(
     faults: FaultSchedule | None = None,
 ):
     config = PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=100, measure_cycles=1_000, seed=seed
-        )
+        simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_000)
     )
     if quantization is not None:
         config = config.replace(
@@ -228,9 +226,7 @@ def _collective_run(
     faults: FaultSchedule | None = None,
 ):
     config = PearlConfig(
-        simulation=SimulationConfig(
-            warmup_cycles=100, measure_cycles=1_000, seed=COLLECTIVE_SEED
-        )
+        simulation=SimulationConfig(warmup_cycles=100, measure_cycles=1_000)
     )
     if signaling != "nrz":
         config = config.replace(

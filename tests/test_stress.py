@@ -10,7 +10,6 @@ recover.
 import pytest
 
 from repro.config import (
-    MLConfig,
     PearlConfig,
     PhotonicConfig,
     PowerScalingConfig,
@@ -27,7 +26,6 @@ def _config(measure=2_000, warmup=0, window=200, turn_on_ns=2.0):
     return PearlConfig(
         photonic=PhotonicConfig(laser_turn_on_ns=turn_on_ns),
         power_scaling=PowerScalingConfig(reservation_window=window),
-        ml=MLConfig(reservation_window=window),
         simulation=SimulationConfig(
             warmup_cycles=warmup, measure_cycles=measure
         ),
