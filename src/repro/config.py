@@ -179,7 +179,6 @@ class PhotonicConfig:
     """
 
     data_rate_gbps_per_wl: float = 16.0
-    flit_bits: int = 128
     wavelength_states: Tuple[int, ...] = (64, 48, 32, 16, 8)
     laser_power_w: Tuple[float, ...] = (1.16, 0.871, 0.581, 0.29, 0.145)
     serialization_cycles: Tuple[int, ...] = (2, 4, 4, 8, 16)
@@ -373,12 +372,20 @@ class MLConfig:
             raise ValueError("lambda_grid cannot be empty")
         if any(lam < 0 for lam in self.lambda_grid):
             raise ValueError("ridge λ values cannot be negative")
-        if self.quantization is not None and not re.match(
-            r"^q\d+\.\d+$", self.quantization, re.IGNORECASE
-        ):
-            raise ValueError(
-                f"quantization must look like 'q4.12', not "
-                f"{self.quantization!r}"
+        if self.quantization is not None:
+            match = re.fullmatch(
+                r"q(\d+)\.(\d+)", self.quantization.strip(), re.IGNORECASE
+            )
+            if match is None:
+                raise ValueError(
+                    f"quantization must look like 'q4.12', not "
+                    f"{self.quantization!r}"
+                )
+            # One spelling per format, so equal runs share a cache key.
+            object.__setattr__(
+                self,
+                "quantization",
+                f"q{int(match.group(1))}.{int(match.group(2))}",
             )
         if self.drift_action not in ("flag", "fallback", "retrain"):
             raise ValueError(
@@ -412,7 +419,6 @@ class CMeshConfig:
     mesh_height: int = 4
     virtual_channels: int = 4
     buffers_per_vc: int = 4
-    flit_bits: int = 128
 
     @property
     def num_routers(self) -> int:

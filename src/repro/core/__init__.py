@@ -3,7 +3,12 @@
 from .adaptive import AdaptiveReactiveScaler
 from .dba import DynamicBandwidthAllocator, FCFSAllocator, OccupancySample
 from .ml_scaling import MLPowerScaler, StateSelector
-from .power_scaling import LaserBank, ReactivePowerScaler, StaticPowerPolicy
+from .power_scaling import (
+    ClosedWindow,
+    LaserBank,
+    RandomStatePolicy,
+    ReactivePowerScaler,
+)
 from .reservation import reservation_packet_bits, reservation_wavelengths
 from .wavelength import (
     BandwidthAllocation,
@@ -16,14 +21,15 @@ from .wavelength import (
 __all__ = [
     "AdaptiveReactiveScaler",
     "BandwidthAllocation",
+    "ClosedWindow",
     "DynamicBandwidthAllocator",
     "FCFSAllocator",
     "LaserBank",
     "MLPowerScaler",
     "OccupancySample",
+    "RandomStatePolicy",
     "ReactivePowerScaler",
     "StateSelector",
-    "StaticPowerPolicy",
     "WavelengthLadder",
     "mean_power_w",
     "reservation_packet_bits",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..config import PowerScalingConfig
-from .power_scaling import ReactivePowerScaler
+from .power_scaling import ClosedWindow, ReactivePowerScaler
 from .wavelength import WavelengthLadder
 
 
@@ -29,12 +29,11 @@ class AdaptiveReactiveScaler(ReactivePowerScaler):
         self,
         config: PowerScalingConfig,
         ladder: WavelengthLadder,
-        router_id: int = 0,
         target_band: Tuple[float, float] = (0.02, 0.15),
         adjust_factor: float = 1.25,
         scale_bounds: Tuple[float, float] = (0.125, 8.0),
     ) -> None:
-        super().__init__(config, ladder, router_id=router_id)
+        super().__init__(config, ladder)
         lo, hi = target_band
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError("target band must satisfy 0 <= lo < hi <= 1")
@@ -56,7 +55,10 @@ class AdaptiveReactiveScaler(ReactivePowerScaler):
         return self._scale
 
     def current_thresholds(self) -> Tuple[float, float, float, float]:
-        """The four thresholds after adaptation, still descending."""
+        """The four thresholds after adaptation, still descending.
+
+        The inherited band rule compares against these.
+        """
         return tuple(t * self._scale for t in self._base_thresholds)
 
     def _adapt(self, mean_occupancy: float) -> None:
@@ -70,23 +72,7 @@ class AdaptiveReactiveScaler(ReactivePowerScaler):
             self._scale = min(self._scale * self.adjust_factor, max_scale)
         self.scale_history.append(self._scale)
 
-    def select_state(self, mean_occupancy: float) -> int:
-        """Threshold comparison against the *adapted* thresholds."""
-        upper, mid_upper, mid_lower, lower = self.current_thresholds()
-        states = self.ladder.states
-        if mean_occupancy > upper:
-            state = states[0]
-        elif mean_occupancy > mid_upper:
-            state = states[1]
-        elif mean_occupancy > mid_lower:
-            state = states[2]
-        elif mean_occupancy > lower:
-            state = states[3]
-        else:
-            state = states[4] if self.config.use_8wl else states[3]
-        return state
-
-    def close_window(self, mean_occupancy: float) -> int:
+    def close_window(self, window: ClosedWindow) -> int:
         """Adapt on the window mean, then select as usual."""
-        self._adapt(mean_occupancy)
-        return super().close_window(mean_occupancy)
+        self._adapt(window.buf_mean)
+        return super().close_window(window)

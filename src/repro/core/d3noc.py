@@ -29,12 +29,12 @@ frozen by the one close path,
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Union
 
 from ..config import DBAConfig
+from .dba import DynamicBandwidthAllocator, FCFSAllocator
 from .ml_scaling import StateSelector
+from .power_scaling import ClosedWindow
 
 #: EWMA weight on the newest window's injected count.  1/2 keeps the
 #: smoothing arithmetic on exact binary fractions.
@@ -46,21 +46,30 @@ GPU_UTIL_FEATURE = 3
 
 
 class D3nocReconfigurer:
-    """Per-router window-scale wavelength + bandwidth reconfiguration."""
+    """Per-router window-scale wavelength + bandwidth reconfiguration.
+
+    ``allocator`` is the router's allocator the chosen split is pinned
+    on (None: decide and record only).
+    """
 
     def __init__(
         self,
         selector: StateSelector,
         dba_config: DBAConfig,
-        router_id: int = 0,
         ewma_alpha: float = DEFAULT_EWMA_ALPHA,
+        allocator: Optional[
+            Union[DynamicBandwidthAllocator, FCFSAllocator]
+        ] = None,
     ) -> None:
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         self.selector = selector
-        self.dba_config = dba_config
-        self.router_id = router_id
         self.ewma_alpha = ewma_alpha
+        self.allocator = allocator
+        # Algorithm 1's split rule, fed epoch telemetry instead of the
+        # instantaneous occupancy (the router's own allocator may be
+        # the FCFS baseline, which has no rule to reuse).
+        self._rule = DynamicBandwidthAllocator(dba_config)
         self._ewma: Optional[float] = None
         #: Wavelength states chosen at each close (post fault clamp cap).
         self.decisions: List[int] = []
@@ -73,45 +82,32 @@ class D3nocReconfigurer:
         return self._ewma
 
     def split_for_window(self, cpu_util: float, gpu_util: float) -> str:
-        """Algorithm 1's decision structure over window-mean utilizations.
+        """Algorithm 1's split over window-mean utilizations (its label)."""
+        rule = self._rule
+        return rule.split_labels[rule.decide(cpu_util, gpu_util)]
 
-        Same branch order as
-        :meth:`~repro.core.dba.DynamicBandwidthAllocator._decide`, fed
-        with epoch telemetry instead of instantaneous occupancy.
-        """
-        if gpu_util == 0.0 and cpu_util > 0.0:
-            return "all_cpu"
-        if cpu_util == 0.0 and gpu_util > 0.0:
-            return "all_gpu"
-        if gpu_util < self.dba_config.gpu_upper_bound:
-            return "cpu_major"
-        if cpu_util < self.dba_config.cpu_upper_bound:
-            return "gpu_major"
-        return "even"
+    def close_window(self, window: ClosedWindow) -> int:
+        """Consume one window's telemetry; return the next state.
 
-    def close_window(
-        self,
-        label: float,
-        snapshot: np.ndarray,
-        max_state: Optional[int] = None,
-    ) -> Tuple[int, str]:
-        """Consume one window's telemetry; return (state, split label).
-
-        ``label`` is the realized injected-packet count of the window
-        that just closed; ``snapshot`` the frozen Table III vector.
-        ``max_state`` restricts the ladder to what degraded hardware can
-        sustain (wavelength faults), mirroring the ML policy.
+        The window's label (its realized injected-packet count) feeds
+        the demand EWMA and Eq. 7 pick under the fault cap; its frozen
+        Table III row picks the split pinned for the next window (FCFS
+        ignores the pin — no reconfigurable split).
         """
         alpha = self.ewma_alpha
         if self._ewma is None:
-            self._ewma = float(label)
+            self._ewma = float(window.label)
         else:
-            self._ewma = alpha * float(label) + (1.0 - alpha) * self._ewma
-        state = self.selector.state_for_packets(self._ewma, max_state)
+            self._ewma = (
+                alpha * float(window.label) + (1.0 - alpha) * self._ewma
+            )
+        state = self.selector.state_for_packets(self._ewma, window.max_state)
+        row = window.row
         split = self.split_for_window(
-            float(snapshot[CPU_UTIL_FEATURE]),
-            float(snapshot[GPU_UTIL_FEATURE]),
+            float(row[CPU_UTIL_FEATURE]), float(row[GPU_UTIL_FEATURE])
         )
         self.decisions.append(state)
         self.split_history.append(split)
-        return state, split
+        if self.allocator is not None:
+            self.allocator.pin_split(split)
+        return state

@@ -147,9 +147,10 @@ class DynamicBandwidthAllocator:
         """Algorithm 1 step 3: map occupancies to a bandwidth split."""
         if self._pinned is not None:
             return self._pinned
-        return self._decide(occupancy.cpu, occupancy.gpu)
+        return self.decide(occupancy.cpu, occupancy.gpu)
 
-    def _decide(self, cpu: float, gpu: float) -> BandwidthAllocation:
+    def decide(self, cpu: float, gpu: float) -> BandwidthAllocation:
+        """Algorithm 1 step 3 on two occupancy fractions, ignoring pins."""
         if gpu == 0.0 and cpu > 0.0:
             return self._all_cpu
         if cpu == 0.0 and gpu > 0.0:
@@ -166,7 +167,7 @@ class DynamicBandwidthAllocator:
         """Sample and allocate in one call (what a router does per cycle)."""
         if self._pinned is not None:
             return self._pinned
-        return self._decide(buffers.cpu_occupancy, buffers.gpu_occupancy)
+        return self.decide(buffers.cpu_occupancy, buffers.gpu_occupancy)
 
 
 class FCFSAllocator:

@@ -26,7 +26,11 @@ from ..ml.lifecycle.drift import DriftMonitor
 from ..ml.lifecycle.quantized import QuantizedRidge
 from ..ml.ridge import RidgeRegression
 from ..obs import OBS
+from .power_scaling import ClosedWindow, threshold_state
 from .wavelength import WavelengthLadder
+
+#: Energy of one ML inference (Sec. IV-B, Synopsys estimate).
+ML_INFERENCE_ENERGY_J = 44.6e-12
 
 
 class StateSelector:
@@ -134,19 +138,11 @@ class MLPowerScaler:
         model: RidgeRegression,
         selector: StateSelector,
         config: MLConfig,
-        router_id: int = 0,
-        stagger_cycles: int = 10,
-        quantized: Optional[QuantizedRidge] = None,
         drift_monitor: Optional[DriftMonitor] = None,
         fallback_thresholds: Optional[Tuple[float, float, float, float]] = None,
     ) -> None:
-        if not model.is_fitted:
-            raise ValueError("the ridge model must be fitted before use")
-        self.model = model
-        #: Fixed-point deployment form; when set, every prediction runs
-        #: through the saturating-MAC path (the float model is kept for
-        #: reference/NRMSE comparisons only).
-        self.quantized = quantized
+        self.config = config
+        self._deploy(model)
         #: Online residual/feature-shift watchdog (None = unmonitored).
         self.drift_monitor = drift_monitor
         self.drift_action = config.drift_action
@@ -156,14 +152,20 @@ class MLPowerScaler:
         #: fallback (read by the window-series recorder at each close).
         self.last_window_fallback = False
         self.selector = selector
-        self.config = config
-        self.router_id = router_id
-        # The scaler closes on the window its Eq. 7 selector sizes for.
-        self.offset = (router_id * stagger_cycles) % max(
-            selector.reservation_window, 1
-        )
-        # Cached for the per-cycle boundary check on the router hot path.
-        self._window = selector.reservation_window
+        #: Energy of one inference.  The paper's 44.6 pJ assumes the
+        #: 16-bit MAC unit, so a quantized model re-costs it via
+        #: MLHardwareModel.for_bit_width (16-bit formats like q4.12 land
+        #: exactly back on 44.6 pJ).
+        self.inference_energy_j = ML_INFERENCE_ENERGY_J
+        if self.quantized is not None:
+            from ..power.ml_overhead import MLHardwareModel
+
+            self.inference_energy_j = (
+                MLHardwareModel()
+                .for_bit_width(self.quantized.weight_format.total_bits)
+                .inference_energy_pj()
+                * 1e-12
+            )
         self.predictions: List[float] = []
         self.decisions: List[int] = []
         self.labels: List[float] = []
@@ -179,9 +181,28 @@ class MLPowerScaler:
         #: How many times this scaler's deployed model was hot-swapped.
         self.models_adopted = 0
 
-    def window_boundary(self, cycle: int) -> bool:
-        """True on this router's staggered window boundaries."""
-        return (cycle - self.offset) % self._window == 0
+    def _deploy(self, model: RidgeRegression) -> None:
+        """Install ``model`` and, under a Qm.n spec, its fixed-point form.
+
+        When ``quantized`` is set every prediction runs through the
+        saturating-MAC path (the float model is kept for
+        reference/NRMSE comparisons only).
+        """
+        if not model.is_fitted:
+            raise ValueError("the ridge model must be fitted before use")
+        self.model = model
+        self.quantized: Optional[QuantizedRidge] = (
+            QuantizedRidge.from_spec(model, self.config.quantization)
+            if self.config.quantization
+            else None
+        )
+
+    def close_window(self, window: ClosedWindow) -> int:
+        """Label the window that ended, then decide the next one."""
+        self.record_label(int(window.label))
+        return self.decide(
+            window.row, window.max_state, window.predicted, window.cycle
+        )
 
     def predict_window_batch(self, matrix: np.ndarray) -> np.ndarray:
         """One inference over the feature rows of a close group.
@@ -210,6 +231,7 @@ class MLPowerScaler:
         features: np.ndarray,
         max_state: Optional[int] = None,
         precomputed: Optional[float] = None,
+        cycle: Optional[int] = None,
     ) -> int:
         """Predict next-window injections and pick the wavelength state.
 
@@ -222,6 +244,9 @@ class MLPowerScaler:
         :meth:`predict_window_batch` inference over its close group
         (what the network's close path always passes); without it the
         row is predicted alone, which equals a group of one.
+
+        ``cycle`` is the close cycle a drift trace instant is stamped
+        with (None: a decision outside a run, traced without one).
         """
         features = np.asarray(features, dtype=float).ravel()
         if features.shape[0] != NUM_FEATURES:
@@ -235,7 +260,7 @@ class MLPowerScaler:
                 self.quantized if self.quantized is not None else self.model
             )
             predicted = float(predictor.predict(features))
-        self._observe_drift(features, predicted)
+        self._observe_drift(features, predicted, cycle)
         if (
             self.drift_action == "fallback"
             and self.drift_monitor is not None
@@ -266,7 +291,9 @@ class MLPowerScaler:
             OBS.registry.counter(f"ml/decisions/{state}wl").inc()
         return state
 
-    def _observe_drift(self, features: np.ndarray, predicted: float) -> None:
+    def _observe_drift(
+        self, features: np.ndarray, predicted: float, cycle: Optional[int]
+    ) -> None:
         """Feed the drift monitor with this window's evidence.
 
         Residuals need an aligned (prediction, label) pair; labels lag
@@ -287,15 +314,17 @@ class MLPowerScaler:
         fired = monitor.observe(features, pair_predicted, pair_actual)
         if fired and self.drift_action == "retrain":
             self.retrain_pending = True
-        if fired and OBS.enabled:
-            OBS.registry.counter(
-                "ml/drift_events",
-                help="drift excursions that crossed the patience threshold",
-            ).inc()
+        if not (fired and OBS.enabled):
+            return
+        OBS.registry.counter(
+            "ml/drift_events",
+            help="drift excursions that crossed the patience threshold",
+        ).inc()
+        if cycle is not None:
             OBS.tracer.instant(
                 "ml_drift",
                 "ml",
-                self.offset + monitor.state.windows * self._window,
+                cycle,
                 router=monitor.router_id,
                 signal=monitor.trips[-1][1] if monitor.trips else "unknown",
                 z=round(max(monitor.state.residual_z, monitor.state.feature_z), 3),
@@ -306,26 +335,18 @@ class MLPowerScaler:
     ) -> int:
         """Reactive-policy decision from the window's measured occupancies.
 
-        Mirrors :class:`~repro.core.power_scaling.ReactivePowerScaler
-        .select_state` with the window-mean CPU/GPU input-buffer
-        utilizations (Table III features 2 and 4) standing in for the
+        The band rule of :class:`~repro.core.power_scaling
+        .ReactivePowerScaler` on the window-mean CPU/GPU input-buffer
+        utilizations (Table III features 2 and 4), standing in for the
         per-cycle Buf_w accumulation.
         """
         assert self.fallback_thresholds is not None
         occ = 0.5 * (float(features[1]) + float(features[3]))
         occ = min(max(occ, 0.0), 1.0)
-        upper, mid_upper, mid_lower, lower = self.fallback_thresholds
         states = self.selector.ladder.states
-        if occ > upper:
-            state = states[0]
-        elif occ > mid_upper:
-            state = states[1]
-        elif occ > mid_lower:
-            state = states[2]
-        elif occ > lower:
-            state = states[3]
-        else:
-            state = states[4] if self.selector.allow_8wl else states[3]
+        state = threshold_state(
+            occ, self.fallback_thresholds, states, self.selector.allow_8wl
+        )
         if max_state is not None and state > max_state:
             allowed = [s for s in states if s <= max_state]
             if allowed:
@@ -387,34 +408,22 @@ class MLPowerScaler:
 
         Re-derives the fixed-point form when a quantization spec is
         deployed and rebuilds the drift monitor against the *new*
-        model's feature statistics (monitors are not resettable — a
-        fresh calibration phase is the correct post-swap behaviour).
+        model's feature statistics, keeping the old monitor's router
+        and signal settings (monitors are not resettable — a fresh
+        calibration phase is the correct post-swap behaviour).
         Prediction/label/feature histories are kept: they are run
         artefacts, and the label alignment is index-based.
         """
         if not model.is_fitted:
             raise ValueError("cannot adopt an unfitted model")
-        self.model = model
-        if self.config.quantization:
-            from ..ml.lifecycle.quantized import QuantizedRidge
-
-            self.quantized = QuantizedRidge.from_spec(
-                model, self.config.quantization
-            )
-        if self.drift_monitor is not None:
-            from ..ml.lifecycle.drift import DriftConfig, DriftMonitor
-
-            scaler = getattr(model, "_scaler", None)
-            self.drift_monitor = DriftMonitor(
-                DriftConfig(
-                    ewma_alpha=self.config.drift_ewma_alpha,
-                    z_threshold=self.config.drift_z_threshold,
-                    patience=self.config.drift_patience,
-                    calibration_windows=self.config.drift_calibration_windows,
-                ),
-                feature_mean=scaler.mean if scaler is not None else None,
-                feature_scale=scaler.scale if scaler is not None else None,
-                router_id=self.router_id,
+        self._deploy(model)
+        old = self.drift_monitor
+        if old is not None:
+            self.drift_monitor = DriftMonitor.for_model(
+                model,
+                self.config,
+                router_id=old.router_id,
+                monitor_features=old.monitor_features,
             )
         self.retrain_pending = False
         self.models_adopted += 1

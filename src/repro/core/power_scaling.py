@@ -11,7 +11,9 @@ turn-on (stabilization) delay during which no data is transmitted
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import PhotonicConfig, PowerScalingConfig
 from .wavelength import WavelengthLadder
@@ -178,6 +180,49 @@ class LaserBank:
             ).inc(self.transitions)
 
 
+class ClosedWindow(NamedTuple):
+    """What a window policy decides from when a reservation window closes.
+
+    ``label`` is the window's link-bound injection count, ``row`` its
+    Table III vector and ``buf_mean`` its Buf_w mean (see
+    :meth:`repro.noc.router.PearlRouter.freeze_window`).  ``max_state``
+    caps the ladder at what faulted hardware sustains (None: healthy),
+    and ``predicted`` is the router's row of the ML inference its close
+    group shares (None: an ML policy predicts the row alone).
+    """
+
+    cycle: int
+    label: float
+    row: Optional[np.ndarray]
+    buf_mean: float
+    max_state: Optional[int] = None
+    predicted: Optional[float] = None
+
+
+def threshold_state(
+    occupancy: float,
+    thresholds: Tuple[float, float, float, float],
+    states: Sequence[int],
+    use_8wl: bool,
+) -> int:
+    """Step 8: the five-band rule from a mean occupancy to a state.
+
+    ``thresholds`` descend (upper, mid-upper, mid-lower, lower) and
+    ``states`` is the ladder, highest first; the lowest band selects
+    the 8 WL rung only when ``use_8wl`` is on.
+    """
+    upper, mid_upper, mid_lower, lower = thresholds
+    if occupancy > upper:
+        return states[0]  # 64 WL
+    if occupancy > mid_upper:
+        return states[1]  # 48 WL
+    if occupancy > mid_lower:
+        return states[2]  # 32 WL
+    if occupancy > lower:
+        return states[3]  # 16 WL
+    return states[4] if use_8wl else states[3]
+
+
 class ReactivePowerScaler:
     """Buffer-occupancy-driven wavelength-state selector (steps 6-8).
 
@@ -189,67 +234,49 @@ class ReactivePowerScaler:
     """
 
     def __init__(
-        self,
-        config: PowerScalingConfig,
-        ladder: WavelengthLadder,
-        router_id: int = 0,
+        self, config: PowerScalingConfig, ladder: WavelengthLadder
     ) -> None:
         self.config = config
         self.ladder = ladder
-        # Stagger window boundaries so routers do not all switch at once
-        # (Sec. IV-A: collection offset by 10 cycles per router).
-        self.offset = (router_id * config.router_stagger_cycles) % max(
-            config.reservation_window, 1
-        )
-        self._window = config.reservation_window
         self.decisions: List[int] = []
 
-    def window_boundary(self, cycle: int) -> bool:
-        """Step 6: does this cycle close the router's staggered window?"""
-        return (cycle - self.offset) % self._window == 0
+    def current_thresholds(self) -> Tuple[float, float, float, float]:
+        """The four thresholds the band rule compares against."""
+        return self.config.thresholds()
 
     def select_state(self, mean_occupancy: float) -> int:
         """Step 8: map a window-mean occupancy to a wavelength state."""
-        upper, mid_upper, mid_lower, lower = self.config.thresholds()
-        states = self.ladder.states
-        if mean_occupancy > upper:
-            state = states[0]  # 64 WL
-        elif mean_occupancy > mid_upper:
-            state = states[1]  # 48 WL
-        elif mean_occupancy > mid_lower:
-            state = states[2]  # 32 WL
-        elif mean_occupancy > lower:
-            state = states[3]  # 16 WL
-        else:
-            state = states[4] if self.config.use_8wl else states[3]
-        return state
+        return threshold_state(
+            mean_occupancy,
+            self.current_thresholds(),
+            self.ladder.states,
+            self.config.use_8wl,
+        )
 
-    def close_window(self, mean_occupancy: float) -> int:
-        """Step 8 on the closed window's mean Buf_w: the next state."""
-        if not 0.0 <= mean_occupancy <= 1.0:
+    def close_window(self, window: ClosedWindow) -> int:
+        """Step 8 on the closed window's mean Buf_w: the next state.
+
+        A fault cap is left to the router's clamp.
+        """
+        if not 0.0 <= window.buf_mean <= 1.0:
             raise ValueError("occupancy must be a fraction in [0, 1]")
-        state = self.select_state(mean_occupancy)
+        state = self.select_state(window.buf_mean)
         self.decisions.append(state)
         return state
 
 
-class StaticPowerPolicy:
-    """No power scaling: the laser stays at one fixed state.
+class RandomStatePolicy:
+    """Dataset-collection policy: a uniformly random state per window.
 
-    Used for the PEARL-Dyn / PEARL-FCFS 64-wavelength baselines and the
-    static 32/16-wavelength configurations of Fig. 5.
+    The 8 WL rung is excluded, as in the paper's phase-1 collection.
     """
 
-    def __init__(self, state: int, ladder: WavelengthLadder) -> None:
-        if state not in ladder.states:
-            raise ValueError(f"unknown wavelength state {state}")
-        self.state = state
-        self.ladder = ladder
+    def __init__(
+        self, ladder: WavelengthLadder, rng: np.random.Generator
+    ) -> None:
+        self._states = ladder.states_without_lowest()
+        self._rng = rng
 
-    def window_boundary(self, cycle: int) -> bool:
-        """A static policy never reconfigures."""
-        return False
-
-    def close_window(self) -> int:
-        """Return the fixed state (never called by the router loop)."""
-        return self.state
+    def close_window(self, window: ClosedWindow) -> int:
+        """Draw the next window's state."""
+        return int(self._rng.choice(self._states))

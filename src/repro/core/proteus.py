@@ -20,9 +20,9 @@ This module implements that co-management on top of the PEARL ladder:
   proposes a state, and the deployed state is the minimum of proposal
   and cap.
 
-Drop-in replacement for :class:`ReactivePowerScaler` in the router's
-``reactive`` slot: it decides from the same window-mean occupancy the
-engines pass to every reactive scaler.
+Drop-in replacement for :class:`ReactivePowerScaler` as a router's
+policy: it decides from the same window-mean occupancy the engines
+pass to every reactive scaler.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class ProteusPowerScaler(ReactivePowerScaler):
         config: PowerScalingConfig,
         ladder: WavelengthLadder,
         link_budget: LinkBudget,
-        router_id: int = 0,
         laser_budget_mw: Optional[float] = None,
     ) -> None:
-        super().__init__(config, ladder, router_id=router_id)
+        super().__init__(config, ladder)
         if laser_budget_mw is None:
             laser_budget_mw = DEFAULT_LASER_BUDGET_MW
         self.link_budget = link_budget

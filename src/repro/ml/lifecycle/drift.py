@@ -36,6 +36,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ...config import MLConfig
+
 
 @dataclass(frozen=True)
 class DriftConfig:
@@ -133,6 +135,33 @@ class DriftMonitor:
         self.state = DriftState()
         #: Cycle-stamped trip log: (window_index, signal, z).
         self.trips: List[tuple] = []
+
+    @classmethod
+    def for_model(
+        cls,
+        model,
+        ml: MLConfig,
+        router_id: int = 0,
+        monitor_features: bool = True,
+    ) -> "DriftMonitor":
+        """The monitor of one router running ``model`` under ``ml``.
+
+        Feature shift is baselined on the model's training scaler when
+        it has one (the calibration windows otherwise).
+        """
+        scaler = getattr(model, "_scaler", None)
+        return cls(
+            DriftConfig(
+                ewma_alpha=ml.drift_ewma_alpha,
+                z_threshold=ml.drift_z_threshold,
+                patience=ml.drift_patience,
+                calibration_windows=ml.drift_calibration_windows,
+            ),
+            feature_mean=scaler.mean if scaler is not None else None,
+            feature_scale=scaler.scale if scaler is not None else None,
+            router_id=router_id,
+            monitor_features=monitor_features,
+        )
 
     # -- observations --------------------------------------------------------
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..ridge import RidgeRegression
 
-_QFORMAT_RE = re.compile(r"^q(\d+)\.(\d+)$", re.IGNORECASE)
+_QFORMAT_RE = re.compile(r"q(\d+)\.(\d+)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class QFormat:
     @classmethod
     def parse(cls, spec: str) -> "QFormat":
         """Parse ``"q4.12"``-style specs (case-insensitive)."""
-        match = _QFORMAT_RE.match(spec.strip())
+        match = _QFORMAT_RE.fullmatch(spec.strip())
         if not match:
             raise ValueError(
                 f"invalid Q format {spec!r} (expected e.g. 'q4.12')"

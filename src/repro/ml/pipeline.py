@@ -19,7 +19,6 @@ tests while exercising every stage.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,12 +38,6 @@ from .metrics import nrmse
 from .ridge import RidgeRegression, select_lambda
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
-
-
-@contextmanager
-def _null_span(*args, **kwargs):
-    """No-op stand-in for the tracer's wall_span when telemetry is off."""
-    yield
 
 
 @dataclass
@@ -153,11 +146,7 @@ class PowerModelTrainer:
 
         history: List[str] = []
         ml: MLConfig = self.config.ml
-        obs_span = (
-            OBS.tracer.wall_span if OBS.enabled else _null_span
-        )
-
-        with obs_span("ml/phase1_collect", "training"):
+        with OBS.wall_span("ml/phase1_collect", "training"):
             phase1 = collect_datasets(
                 self.train_pairs, self.config, seed=self.seed
             )
@@ -169,13 +158,13 @@ class PowerModelTrainer:
         )
         X1, y1 = phase1.arrays()
         Xv, yv = val_set.arrays()
-        with obs_span("ml/phase1_fit", "training"):
+        with OBS.wall_span("ml/phase1_fit", "training"):
             model1, lam1 = select_lambda(
                 X1, y1, Xv, yv, ml.lambda_grid, standardize=ml.standardize_features
             )
         history.append(f"phase1 model: lambda={lam1}")
 
-        with obs_span("ml/phase2_collect", "training"):
+        with OBS.wall_span("ml/phase2_collect", "training"):
             phase2 = collect_datasets(
                 self.train_pairs,
                 self.config,
@@ -191,7 +180,7 @@ class PowerModelTrainer:
         history.append(f"phase2: {len(phase2)} train / {len(val2)} validation samples")
         X2, y2 = phase2.arrays()
         Xv2, yv2 = val2.arrays()
-        with obs_span("ml/phase2_fit", "training"):
+        with OBS.wall_span("ml/phase2_fit", "training"):
             model2, lam2 = select_lambda(
                 X2, y2, Xv2, yv2, ml.lambda_grid, standardize=ml.standardize_features
             )

@@ -79,7 +79,7 @@ import numpy as np
 
 from ..ml.features import CACHE_LEVEL_ORDER, input_buffer_mean, window_row
 from ..obs import OBS
-from ..traffic.trace import Trace, TraceCursor
+from ..traffic.trace import TraceCursor
 from .packet import CoreType, PacketClass
 from .router import (
     EJECTION_DRAIN_PER_CYCLE,
@@ -91,7 +91,7 @@ from .router import (
 #: Sentinel "never" cycle for event minima (far beyond any horizon).
 _FAR = 1 << 62
 
-# DBA split labels in _decide branch order; telemetry tallies credit a
+# DBA split labels in decide() branch order; telemetry tallies credit a
 # small-int index on the hot path and resolve the string only when the
 # per-row counts are flushed into the router's split dict.
 _DBA_LABELS = ("all_cpu", "all_gpu", "cpu_major", "gpu_major", "even")
@@ -316,12 +316,8 @@ class ArrayCore:
         self._recompute_next_flip()
 
         # -- window cadence --------------------------------------------------
-        self.win = np.array(
-            [r._boundary_window for r in routers], dtype=np.int64
-        )
-        self.off = np.array(
-            [r._boundary_offset for r in routers], dtype=np.int64
-        )
+        self.win = np.array([r._window for r in routers], dtype=np.int64)
+        self.off = np.array([r._offset for r in routers], dtype=np.int64)
         rem = (start_cycle - self.off) % self.win
         nxt = np.where(rem == 0, start_cycle, start_cycle + self.win - rem)
         self._next_boundary = int(nxt.min())
@@ -371,7 +367,7 @@ class ArrayCore:
         # into the router's split dict at boundaries and syncs.
         self._dba_icnt = [[0] * len(_DBA_LABELS) for _ in range(n)]
         # Label an idle router settles to (co == go == 0.0 through the
-        # _decide branch order) — the common case when the first packet
+        # decide() branch order) — the common case when the first packet
         # after a quiet span lands, precomputed to skip the divisions.
         self._dba_empty_idx = [
             (
@@ -1012,7 +1008,7 @@ class ArrayCore:
         is pure, and the link-busy sample they would have recorded is
         reconstructed lazily from the engine-busy maxima.  The DBA
         decision is inlined (same branch order as
-        :meth:`DynamicBandwidthAllocator._decide` on the same int/int
+        :meth:`DynamicBandwidthAllocator.decide` on the same int/int
         occupancy divisions, so the fractions are bit-identical).
         """
         net = self.net
@@ -1445,36 +1441,22 @@ class ArrayCore:
 
     # -- run ------------------------------------------------------------------------
 
-    def run(self, trace: Trace):
-        """Simulate warm-up plus measurement (mirrors ``_run_bare``)."""
-        net = self.net
-        sim = net.config.simulation
-        cursor = TraceCursor(trace)
-        self._advance(0, sim.warmup_cycles, cursor)
-        self._begin_measurement(sim.warmup_cycles)
-        self._advance(sim.warmup_cycles, sim.total_cycles, cursor)
-        self._finish(sim.total_cycles)
-        return net._result()
-
     def _begin_measurement(self, warmup: int) -> None:
         """Warm-up boundary: settle, reset integrals, re-anchor bases."""
         net = self.net
         self._settle_links_all(warmup)
         self._apply_flips(warmup)  # flips skipped before the boundary
         self._settle_lasers_all(warmup)
-        net.stats.begin_measurement(warmup)
-        for router in self.routers:
-            router.reset_power_stats()
-        net.memory.stats.busy_cycles = 0
-        # ``begin_measurement``/``reset_power_stats`` zeroed the object
-        # counters; zero the array ledgers to match (state/pending and
-        # the open feature windows carry across, as in the scalar run).
+        net._begin_measurement(warmup)
+        # The network zeroed the object counters; zero the array
+        # ledgers to match (state/pending and the open feature windows
+        # carry across, as in the scalar run).
         self.in_state[:] = 0
         self.at_power[:] = 0
         self.stall[:] = 0
         self._stats_link_base = warmup
 
     def _finish(self, total: int) -> None:
+        """End of the run: settle into the objects, then finish there."""
         self.sync_to_objects(total)
-        self.net.stats.finish(total)
-        self.net._integrate_energy()
+        self.net._finish(total)

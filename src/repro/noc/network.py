@@ -26,11 +26,8 @@ import numpy as np
 
 from ..cache.memory import MemoryController
 from ..config import PearlConfig
-from ..core.ml_scaling import MLPowerScaler, StateSelector
 from ..faults import FaultSchedule, NetworkFaultContext, RouterFaultInjector
 from ..obs import OBS
-from ..ml.lifecycle.drift import DriftConfig, DriftMonitor
-from ..ml.lifecycle.quantized import QuantizedRidge
 from ..ml.ridge import RidgeRegression
 from .packet import CacheLevel, CoreType, Packet, PacketClass
 from .photonic import PhotonicLinkModel
@@ -113,92 +110,8 @@ class PearlNetwork:
         self._rng = np.random.default_rng(seed)
         arch = self.config.architecture
 
-        # ML-lifecycle deployment artefacts, shared by every router:
-        # the fixed-point form is quantized once from the float model,
-        # while drift monitors are per-router (each sees its own
-        # feature stream).
-        quantized_model: Optional[QuantizedRidge] = None
-        if power_policy is PowerPolicyKind.ML:
-            if ml_model is None:
-                raise ValueError("ML policy requires a fitted model")
-            if self.config.ml.quantization:
-                quantized_model = QuantizedRidge.from_spec(
-                    ml_model, self.config.ml.quantization
-                )
-
-        # PROTEUS: every router's loss cap derives from one shared
-        # floorplan (the same geometry the power model integrates over).
-        floorplan = None
-        if power_policy is PowerPolicyKind.PROTEUS:
-            from .topology import ChipFloorplan
-
-            floorplan = ChipFloorplan(arch)
-
         self.routers: List[PearlRouter] = []
         for router_id in range(arch.num_routers):
-            is_l3 = router_id == arch.l3_router_id
-            link_budget = None
-            if floorplan is not None:
-                from .topology import per_router_link_budget
-
-                link_budget = per_router_link_budget(
-                    floorplan,
-                    self.config.optical,
-                    source=router_id,
-                    photonic=self.config.photonic,
-                )
-            ml_scaler = None
-            if power_policy is PowerPolicyKind.ML:
-                assert ml_model is not None
-                selector = StateSelector(
-                    self.config.photonic,
-                    reservation_window=(
-                        self.config.power_scaling.reservation_window
-                    ),
-                    allow_8wl=self.config.ml.reintroduce_8wl,
-                    capacity_multiplier=(
-                        float(l3_parallel_links) if is_l3 else 1.0
-                    ),
-                    # L3 injects 5-flit cache-line responses; clusters
-                    # mostly 1-flit requests plus peer data forwards.
-                    avg_packet_flits=5.0 if is_l3 else 2.0,
-                )
-                drift_monitor = None
-                if self.config.ml.drift_detection:
-                    scaler = getattr(ml_model, "_scaler", None)
-                    drift_monitor = DriftMonitor(
-                        DriftConfig(
-                            ewma_alpha=self.config.ml.drift_ewma_alpha,
-                            z_threshold=self.config.ml.drift_z_threshold,
-                            patience=self.config.ml.drift_patience,
-                            calibration_windows=(
-                                self.config.ml.drift_calibration_windows
-                            ),
-                        ),
-                        feature_mean=(
-                            scaler.mean if scaler is not None else None
-                        ),
-                        feature_scale=(
-                            scaler.scale if scaler is not None else None
-                        ),
-                        router_id=router_id,
-                        # The training scaler describes cluster-router
-                        # feature statistics; the L3 router's stream is
-                        # structurally different (5-flit responses,
-                        # parallel links), so its monitor watches the
-                        # self-calibrated residual signal alone.
-                        monitor_features=(router_id != arch.l3_router_id),
-                    )
-                ml_scaler = MLPowerScaler(
-                    model=ml_model,
-                    selector=selector,
-                    config=self.config.ml,
-                    router_id=router_id,
-                    stagger_cycles=self.config.power_scaling.router_stagger_cycles,
-                    quantized=quantized_model,
-                    drift_monitor=drift_monitor,
-                    fallback_thresholds=self.config.power_scaling.thresholds(),
-                )
             self.routers.append(
                 PearlRouter(
                     router_id=router_id,
@@ -206,10 +119,13 @@ class PearlNetwork:
                     policy_kind=power_policy,
                     use_dynamic_bandwidth=use_dynamic_bandwidth,
                     static_state=static_state,
-                    ml_scaler=ml_scaler,
-                    parallel_links=l3_parallel_links if is_l3 else 1,
+                    ml_model=ml_model,
+                    parallel_links=(
+                        l3_parallel_links
+                        if router_id == arch.l3_router_id
+                        else 1
+                    ),
                     rng=np.random.default_rng(seed * 1000 + router_id),
-                    link_budget=link_budget,
                 )
             )
         # Online retraining (drift_action="retrain"): the coordinator
@@ -478,9 +394,7 @@ class PearlNetwork:
         """
         predictions: List[Optional[float]] = [None] * len(closers)
         if self.power_policy is PowerPolicyKind.ML:
-            scaler = closers[0].ml_scaler
-            assert scaler is not None
-            predictions = scaler.predict_window_batch(
+            predictions = closers[0].policy.predict_window_batch(
                 np.stack([row for _, row, _ in frozen])
             ).tolist()
         for router, (label, row, buf_mean), predicted in zip(
@@ -504,14 +418,11 @@ class PearlNetwork:
         rows pooled in router order at a fixed cycle), so both engines
         retrain identically.
         """
+        scalers = [router.policy for router in self.routers]
         if not self._retrain_latched:
-            for router in self.routers:
-                scaler = router.ml_scaler
-                if scaler is not None and scaler.retrain_pending:
-                    self._retrain_latched = True
-                    break
-            else:
+            if not any(scaler.retrain_pending for scaler in scalers):
                 return
+            self._retrain_latched = True
         ml = self.config.ml
         window = self.config.power_scaling.reservation_window
         if (
@@ -521,10 +432,7 @@ class PearlNetwork:
         ):
             return
         xs, ys = [], []
-        for router in self.routers:
-            scaler = router.ml_scaler
-            if scaler is None:
-                continue
+        for scaler in scalers:
             x, y = scaler.training_pairs()
             if len(y):
                 xs.append(x)
@@ -532,8 +440,7 @@ class PearlNetwork:
         samples = sum(len(y) for y in ys)
         if samples < ml.retrain_min_samples:
             return  # stay latched; retry at the next close group
-        old = self.routers[0].ml_scaler
-        assert old is not None
+        old = scalers[0]
         new_model = RidgeRegression(
             lam=old.model.lam,
             standardize=getattr(old.model, "_scaler", None) is not None,
@@ -560,14 +467,10 @@ class PearlNetwork:
             provenance={"trigger": "drift", "cycle": int(cycle)},
         )
         registry.promote(record.model_id)
-        for router in self.routers:
-            scaler = router.ml_scaler
-            if scaler is not None:
-                if scaler.drift_monitor is not None:
-                    self._drift_events_retired += (
-                        scaler.drift_monitor.state.events
-                    )
-                scaler.adopt_model(new_model)
+        for scaler in scalers:
+            if scaler.drift_monitor is not None:
+                self._drift_events_retired += scaler.drift_monitor.state.events
+            scaler.adopt_model(new_model)
         self._retrain_latched = False
         self._last_retrain_cycle = cycle
         self.retrain_events += 1
@@ -650,85 +553,48 @@ class PearlNetwork:
         self.last_engine_used = engine
         if OBS.enabled:
             OBS.note_engine(engine)
+        # Both engines expose the same three steps: advance a cycle
+        # span, open the measurement at the warm-up boundary, finish.
         if engine == "array":
             from .array_core import ArrayCore
 
-            core = ArrayCore(self)
-            if OBS.enabled:
-                return self._run_instrumented_array(core, trace)
-            return core.run(trace)
+            steps = ArrayCore(self)
+        else:
+            steps = self
+        # Under telemetry the phases run inside wall-clock spans, which
+        # are strictly observational: results stay bit-identical.
+        sim = self.config.simulation
+        cursor = TraceCursor(trace)
+        with OBS.wall_span("sim/warmup", "sim", trace=trace.name):
+            steps._advance(0, sim.warmup_cycles, cursor)
+        steps._begin_measurement(sim.warmup_cycles)
+        with OBS.wall_span("sim/measure", "sim", trace=trace.name):
+            steps._advance(sim.warmup_cycles, sim.total_cycles, cursor)
+        with OBS.wall_span("sim/integrate_energy", "sim"):
+            steps._finish(sim.total_cycles)
         if OBS.enabled:
-            return self._run_instrumented(trace)
-        return self._run_bare(trace)
+            self._record_run_telemetry()
+        return self._result()
 
-    def _advance_cycles(
+    def _advance(
         self, start: int, end: int, cursor: Optional[TraceCursor]
     ) -> None:
+        """Step cycles [start, end) one by one."""
         step = self.step
         for cycle in range(start, end):
             step(cycle, cursor)
 
-    def _run_bare(self, trace: Trace) -> PearlRunResult:
-        sim = self.config.simulation
-        cursor = TraceCursor(trace)
-        self._advance_cycles(0, sim.warmup_cycles, cursor)
-        self.stats.begin_measurement(sim.warmup_cycles)
+    def _begin_measurement(self, warmup: int) -> None:
+        """Warm-up boundary: zero the run's statistics and power integrals."""
+        self.stats.begin_measurement(warmup)
         for router in self.routers:
             router.reset_power_stats()
         self.memory.stats.busy_cycles = 0
-        self._advance_cycles(sim.warmup_cycles, sim.total_cycles, cursor)
-        self.stats.finish(sim.total_cycles)
+
+    def _finish(self, total: int) -> None:
+        """End of the run: close the statistics and integrate energy."""
+        self.stats.finish(total)
         self._integrate_energy()
-        return self._result()
-
-    def _run_instrumented(self, trace: Trace) -> PearlRunResult:
-        """The same phases as :meth:`_run_bare` under profiling spans.
-
-        Instrumentation is strictly observational (wall-clock timers
-        and post-hoc metric flushes), so the simulated result is
-        bit-identical to an uninstrumented run.
-        """
-        sim = self.config.simulation
-        cursor = TraceCursor(trace)
-        tracer = OBS.tracer
-        with tracer.wall_span("sim/warmup", "sim", trace=trace.name):
-            self._advance_cycles(0, sim.warmup_cycles, cursor)
-        self.stats.begin_measurement(sim.warmup_cycles)
-        for router in self.routers:
-            router.reset_power_stats()
-        self.memory.stats.busy_cycles = 0
-        with tracer.wall_span("sim/measure", "sim", trace=trace.name):
-            self._advance_cycles(
-                sim.warmup_cycles, sim.total_cycles, cursor
-            )
-        self.stats.finish(sim.total_cycles)
-        with tracer.wall_span("sim/integrate_energy", "sim"):
-            self._integrate_energy()
-        self._record_run_telemetry()
-        return self._result()
-
-    def _run_instrumented_array(self, core, trace: Trace) -> PearlRunResult:
-        """The array engine under the same profiling spans.
-
-        The array core is a first-class instrumented path: window
-        boundaries funnel through the shared ``_close_windows`` path
-        (and so through each router's ``_record_window_telemetry``),
-        and the core's lazy DBA settlement replays the scalar per-cycle
-        split tallies exactly — the simulated result stays bit-identical
-        to an uninstrumented array run.
-        """
-        sim = self.config.simulation
-        cursor = TraceCursor(trace)
-        tracer = OBS.tracer
-        with tracer.wall_span("sim/warmup", "sim", trace=trace.name):
-            core._advance(0, sim.warmup_cycles, cursor)
-        core._begin_measurement(sim.warmup_cycles)
-        with tracer.wall_span("sim/measure", "sim", trace=trace.name):
-            core._advance(sim.warmup_cycles, sim.total_cycles, cursor)
-        with tracer.wall_span("sim/integrate_energy", "sim"):
-            core._finish(sim.total_cycles)
-        self._record_run_telemetry()
-        return self._result()
 
     # -- accounting -----------------------------------------------------------------
 
@@ -840,15 +706,15 @@ class PearlNetwork:
         fallback_windows = 0
         if self.power_policy is PowerPolicyKind.ML:
             for router in self.routers:
-                if router.ml_scaler is not None:
-                    targets, preds = router.ml_scaler.aligned_history()
-                    labels.extend(targets.tolist())
-                    predictions.extend(preds.tolist())
-                    fallback_windows += router.ml_scaler.fallback_windows
-                    monitor = router.ml_scaler.drift_monitor
-                    if monitor is not None:
-                        drift_events += monitor.state.events
-                        retrain = retrain or monitor.state.retraining_recommended
+                scaler = router.policy
+                targets, preds = scaler.aligned_history()
+                labels.extend(targets.tolist())
+                predictions.extend(preds.tolist())
+                fallback_windows += scaler.fallback_windows
+                monitor = scaler.drift_monitor
+                if monitor is not None:
+                    drift_events += monitor.state.events
+                    retrain = retrain or monitor.state.retraining_recommended
         return PearlRunResult(
             stats=self.stats,
             state_residency=residency,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,14 +35,21 @@ from ..core.d3noc import D3nocReconfigurer
 from ..core.dba import DynamicBandwidthAllocator, FCFSAllocator, remap_wavelengths
 from ..faults.injector import RouterFaultInjector
 from ..core.ml_scaling import MLPowerScaler, StateSelector
-from ..core.power_scaling import LaserBank, ReactivePowerScaler, StaticPowerPolicy
+from ..core.power_scaling import (
+    ClosedWindow,
+    LaserBank,
+    RandomStatePolicy,
+    ReactivePowerScaler,
+)
 from ..core.proteus import ProteusPowerScaler
 from ..core.wavelength import WavelengthLadder
 from ..ml.features import FeatureCollector
+from ..ml.lifecycle.drift import DriftMonitor
+from ..ml.ridge import RidgeRegression
 from ..obs import OBS
 from .buffer import InputBuffer, PartitionedBuffer
 from .packet import CoreType, Packet
-from .photonic import LinkBudget
+from .topology import ChipFloorplan, per_router_link_budget
 
 #: Pipeline overhead outside serialization: reservation broadcast, E/O,
 #: waveguide propagation and O/E + buffer write (Sec. III-A3).
@@ -50,9 +57,6 @@ PIPELINE_OVERHEAD_CYCLES = 4
 
 #: Latency of the local (intra-cluster) crossbar path.
 LOCAL_CROSSBAR_CYCLES = 2
-
-#: Energy of one ML inference (Sec. IV-B, Synopsys estimate).
-ML_INFERENCE_ENERGY_J = 44.6e-12
 
 #: Packets the cores can drain from an ejection buffer per cycle.
 EJECTION_DRAIN_PER_CYCLE = 2
@@ -72,6 +76,82 @@ class PowerPolicyKind(Enum):
     RANDOM = "random"
     PROTEUS = "proteus"
     D3NOC = "d3noc"
+
+
+#: A router's window policy: one ``close_window(ClosedWindow)`` call
+#: per reservation window returns the next wavelength state.
+WindowPolicy = Union[
+    ReactivePowerScaler, RandomStatePolicy, MLPowerScaler, D3nocReconfigurer
+]
+
+
+def make_policy(
+    kind: PowerPolicyKind,
+    config: PearlConfig,
+    router_id: int,
+    ladder: WavelengthLadder,
+    dba: Union[DynamicBandwidthAllocator, FCFSAllocator],
+    parallel_links: int,
+    rng: np.random.Generator,
+    ml_model: Optional[RidgeRegression] = None,
+) -> Optional[WindowPolicy]:
+    """The window policy of one router (None for ``static``).
+
+    ``dba`` is the router's allocator (D3NOC pins its split there),
+    ``rng`` the random policy's draw stream and ``ml_model`` the fitted
+    predictor every ML router deploys.
+    """
+    power = config.power_scaling
+    if kind is PowerPolicyKind.STATIC:
+        return None
+    if kind is PowerPolicyKind.REACTIVE:
+        return ReactivePowerScaler(power, ladder)
+    if kind is PowerPolicyKind.ADAPTIVE:
+        return AdaptiveReactiveScaler(power, ladder)
+    if kind is PowerPolicyKind.RANDOM:
+        return RandomStatePolicy(ladder, rng)
+    if kind is PowerPolicyKind.PROTEUS:
+        # The loss cap of this router's waveguide on the chip floorplan
+        # (the geometry the power model integrates over).
+        budget = per_router_link_budget(
+            ChipFloorplan(config.architecture),
+            config.optical,
+            source=router_id,
+            photonic=config.photonic,
+        )
+        return ProteusPowerScaler(power, ladder, budget)
+    is_l3 = router_id == config.architecture.l3_router_id
+    d3noc = kind is PowerPolicyKind.D3NOC
+    selector = StateSelector(
+        config.photonic,
+        reservation_window=power.reservation_window,
+        allow_8wl=power.use_8wl if d3noc else config.ml.reintroduce_8wl,
+        capacity_multiplier=float(parallel_links),
+        # L3 injects 5-flit cache-line responses; clusters mostly
+        # 1-flit requests plus peer data forwards.
+        avg_packet_flits=5.0 if is_l3 else 2.0,
+    )
+    if d3noc:
+        return D3nocReconfigurer(selector, config.dba, allocator=dba)
+    if ml_model is None:
+        raise ValueError("ML policy requires a fitted model")
+    ml = config.ml
+    monitor = None
+    if ml.drift_detection:
+        # The training scaler describes cluster-router feature
+        # statistics; the L3 router's stream is structurally different
+        # (5-flit responses, parallel links), so its monitor watches
+        # the self-calibrated residual signal alone.
+        monitor = DriftMonitor.for_model(
+            ml_model, ml, router_id=router_id, monitor_features=not is_l3
+        )
+    return MLPowerScaler(
+        ml_model,
+        selector,
+        ml,
+        drift_monitor=monitor,
+        fallback_thresholds=power.thresholds(),
+    )
 
 
 @dataclass(slots=True)
@@ -105,10 +185,9 @@ class PearlRouter:
         policy_kind: PowerPolicyKind,
         use_dynamic_bandwidth: bool = True,
         static_state: Optional[int] = None,
-        ml_scaler: Optional[MLPowerScaler] = None,
+        ml_model: Optional[RidgeRegression] = None,
         parallel_links: int = 1,
         rng: Optional[np.random.Generator] = None,
-        link_budget: Optional[LinkBudget] = None,
     ) -> None:
         if parallel_links <= 0:
             raise ValueError("parallel_links must be positive")
@@ -139,7 +218,6 @@ class PearlRouter:
             network_frequency_ghz=config.architecture.network_frequency_ghz,
             initial_state=static_state,
         )
-        self.policy_kind = policy_kind
         self.features = FeatureCollector(
             is_l3_router=self.is_l3,
             capacities=(
@@ -149,67 +227,28 @@ class PearlRouter:
                 EJECTION_SLOTS,
             ),
         )
-        self._rng = rng or np.random.default_rng(router_id + 7)
-
-        self.reactive: Optional[ReactivePowerScaler] = None
-        self.ml_scaler: Optional[MLPowerScaler] = None
-        self.static_policy: Optional[StaticPowerPolicy] = None
-        self.d3noc: Optional[D3nocReconfigurer] = None
-        if policy_kind is PowerPolicyKind.REACTIVE:
-            self.reactive = ReactivePowerScaler(
-                config.power_scaling, self.ladder, router_id=router_id
-            )
-        elif policy_kind is PowerPolicyKind.ADAPTIVE:
-            self.reactive = AdaptiveReactiveScaler(
-                config.power_scaling, self.ladder, router_id=router_id
-            )
-        elif policy_kind is PowerPolicyKind.PROTEUS:
-            if link_budget is None:
-                # Standalone construction: derive this router's own
-                # worst-case budget from the default floorplan (the
-                # network passes budgets from one shared floorplan).
-                from .topology import ChipFloorplan, per_router_link_budget
-
-                link_budget = per_router_link_budget(
-                    ChipFloorplan(config.architecture),
-                    config.optical,
-                    source=router_id,
-                    photonic=config.photonic,
-                )
-            self.reactive = ProteusPowerScaler(
-                config.power_scaling,
-                self.ladder,
-                link_budget,
-                router_id=router_id,
-            )
-        elif policy_kind is PowerPolicyKind.D3NOC:
-            self.d3noc = D3nocReconfigurer(
-                StateSelector(
-                    config.photonic,
-                    reservation_window=config.power_scaling.reservation_window,
-                    allow_8wl=config.power_scaling.use_8wl,
-                    capacity_multiplier=float(parallel_links),
-                    # Same asymmetry as the network's ML selectors: the
-                    # L3 injects 5-flit cache-line responses, clusters
-                    # mostly 1-flit requests plus peer data forwards.
-                    avg_packet_flits=5.0 if self.is_l3 else 2.0,
-                ),
-                config.dba,
-                router_id=router_id,
-            )
-        elif policy_kind is PowerPolicyKind.ML:
-            if ml_scaler is None:
-                raise ValueError("ML policy requires a fitted MLPowerScaler")
-            self.ml_scaler = ml_scaler
-        elif policy_kind is PowerPolicyKind.STATIC:
-            self.static_policy = StaticPowerPolicy(
-                static_state or self.ladder.max_state, self.ladder
-            )
-        # RANDOM policy uses the window cadence of the reactive config.
-        self._window = config.power_scaling.reservation_window
-        self._offset = (
-            router_id * config.power_scaling.router_stagger_cycles
-        ) % max(self._window, 1)
+        #: The window policy (None: static routers keep their state).
+        self.policy = make_policy(
+            policy_kind,
+            config,
+            router_id,
+            self.ladder,
+            self.dba,
+            parallel_links,
+            rng or np.random.default_rng(router_id + 7),
+            ml_model,
+        )
+        # Only the ML policy spends energy on its close (an inference).
+        self._inference_energy_j = getattr(
+            self.policy, "inference_energy_j", 0.0
+        )
+        # Every policy closes on the run's reservation window, staggered
+        # per router so routers do not all switch at once (Sec. IV-A:
+        # collection offset by 10 cycles per router).  The array core
+        # reads the same pair for its cadence arrays.
+        power = config.power_scaling
+        self._window = power.reservation_window
+        self._offset = (router_id * power.router_stagger_cycles) % self._window
 
         # Transmit engines: per link slice, one per core type.
         self._engines = {
@@ -225,36 +264,7 @@ class PearlRouter:
             self._engines[CoreType.CPU] + self._engines[CoreType.GPU]
         )
         self._link_busy_this_cycle = False
-        # Every policy closes windows on a fixed periodic cadence; the
-        # (window, offset) pair is resolved once so both the per-cycle
-        # boundary check and the array core's cadence arrays avoid
-        # policy dispatch.
-        if self.ml_scaler is not None:
-            self._boundary_window = self.ml_scaler._window
-            self._boundary_offset = self.ml_scaler.offset
-        elif self.reactive is not None:
-            self._boundary_window = self.reactive._window
-            self._boundary_offset = self.reactive.offset
-        else:
-            self._boundary_window = self._window
-            self._boundary_offset = self._offset
         self.ml_energy_j = 0.0
-        # Per-inference energy follows the deployed datapath width: the
-        # paper's 44.6 pJ assumes the 16-bit MAC unit, so a quantized
-        # model re-costs it via MLHardwareModel.for_bit_width (16-bit
-        # formats like q4.12 land exactly back on 44.6 pJ).
-        self._inference_energy_j = ML_INFERENCE_ENERGY_J
-        if self.ml_scaler is not None and self.ml_scaler.quantized is not None:
-            from ..power.ml_overhead import MLHardwareModel
-
-            self._inference_energy_j = (
-                MLHardwareModel()
-                .for_bit_width(
-                    self.ml_scaler.quantized.weight_format.total_bits
-                )
-                .inference_energy_pj()
-                * 1e-12
-            )
         self.reservations_sent = 0
         # Hook set by the network: called with (features, label) pairs
         # when running in dataset-collection mode.
@@ -403,11 +413,9 @@ class PearlRouter:
         """True on this router's staggered reservation-window boundary.
 
         All policies close windows on the same fixed cadence (static
-        routers still close windows for feature collection), so the
-        check reduces to the (window, offset) pair resolved at
-        construction.
+        routers still close windows for feature collection).
         """
-        return (cycle - self._boundary_offset) % self._boundary_window == 0
+        return (cycle - self._offset) % self._window == 0
 
     def freeze_window(self) -> Tuple[float, np.ndarray, float]:
         """Freeze the open window: ``(label, row, Buf_w mean)``.
@@ -444,41 +452,21 @@ class PearlRouter:
             self.collection_hook(self._prev_features, label)
         self._prev_features = row
         state_before = self.laser.state
-        if self.reactive is not None:  # REACTIVE / ADAPTIVE / PROTEUS
-            self._request_laser_state(self.reactive.close_window(buf_mean), cycle)
-        elif self.d3noc is not None:
-            # Data-driven reconfiguration from the frozen window.  The
-            # split pin holds until the next close (FCFS ignores it —
-            # no reconfigurable split).
-            max_state = (
-                self._fault_injector.max_usable_state
-                if self._fault_injector is not None
-                else None
+        policy = self.policy
+        if policy is not None:
+            # Under faults the policy sees the states the surviving
+            # hardware can sustain (the ML and D3NOC picks honour it).
+            injector = self._fault_injector
+            window = ClosedWindow(
+                cycle,
+                label,
+                row,
+                buf_mean,
+                None if injector is None else injector.max_usable_state,
+                predicted,
             )
-            state, split = self.d3noc.close_window(
-                label, row, max_state=max_state
-            )
-            self._request_laser_state(state, cycle)
-            self.dba.pin_split(split)
-        elif self.ml_scaler is not None:
-            self.ml_scaler.record_label(int(label))
-            # Under faults the scaler is degradation-aware: it only
-            # considers states the surviving hardware can sustain.
-            max_state = (
-                self._fault_injector.max_usable_state
-                if self._fault_injector is not None
-                else None
-            )
-            state = self.ml_scaler.decide(
-                row, max_state=max_state, precomputed=predicted
-            )
-            self._request_laser_state(state, cycle)
+            self._request_laser_state(policy.close_window(window), cycle)
             self.ml_energy_j += self._inference_energy_j
-        elif self.policy_kind is PowerPolicyKind.RANDOM:
-            states = self.ladder.states_without_lowest()
-            state = int(self._rng.choice(states))
-            self._request_laser_state(state, cycle)
-        # STATIC: nothing to decide.
 
         if OBS.enabled:
             self._record_window_telemetry(cycle, label, state_before)
@@ -538,8 +526,8 @@ class PearlRouter:
             )
         series = OBS.series
         if series.enabled:
-            scaler = self.ml_scaler
-            if scaler is not None and scaler.predictions:
+            scaler = self.policy
+            if isinstance(scaler, MLPowerScaler) and scaler.predictions:
                 # decide() for this boundary already ran (close_window
                 # order), so predictions[-1] is the forecast paired
                 # with the window that just opened.
@@ -605,7 +593,7 @@ class PearlRouter:
             gpu_core=buffers.gpu.occupied_slots,
             gpu_other=self._ejection_gpu.occupied_slots,
         )
-        if (cycle - self._boundary_offset) % self._boundary_window == 0:
+        if self.window_boundary(cycle):
             return True
         self.laser.tick()
         return False

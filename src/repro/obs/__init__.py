@@ -28,7 +28,7 @@ engines actually executed (:attr:`ObsSession.engines`).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator, Optional
 
 from .export import (
@@ -86,6 +86,12 @@ class ObsSession:
         self.tracer = EventTracer()
         self.series = WindowSeriesRecorder()
         self.engines: Dict[str, int] = {}
+
+    def wall_span(self, name: str, category: str, **args: object):
+        """The tracer's wall-clock span while enabled, else a no-op."""
+        if self.enabled:
+            return self.tracer.wall_span(name, category, **args)
+        return nullcontext()
 
     def note_engine(self, engine: str) -> None:
         """Count one network run executed on ``engine``."""

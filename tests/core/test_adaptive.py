@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import PhotonicConfig, PowerScalingConfig
 from repro.core.adaptive import AdaptiveReactiveScaler
+from repro.core.power_scaling import ClosedWindow
 from repro.core.wavelength import WavelengthLadder
 
 
@@ -16,7 +17,8 @@ def _scaler(**kwargs):
 
 
 def _run_windows(scaler, occupancy, windows):
-    return [scaler.close_window(occupancy) for _ in range(windows)]
+    window = ClosedWindow(0, 0.0, None, occupancy)
+    return [scaler.close_window(window) for _ in range(windows)]
 
 
 class TestAdaptation:

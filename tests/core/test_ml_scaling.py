@@ -86,12 +86,9 @@ class TestStateSelector:
 
 
 class TestMLPowerScaler:
-    def _scaler(self, router_id=0):
+    def _scaler(self):
         return MLPowerScaler(
-            model=_fitted_model(),
-            selector=_selector(),
-            config=MLConfig(),
-            router_id=router_id,
+            model=_fitted_model(), selector=_selector(), config=MLConfig()
         )
 
     def test_requires_fitted_model(self):
@@ -129,7 +126,3 @@ class TestMLPowerScaler:
         targets, predictions = scaler.aligned_history()
         assert targets.shape == predictions.shape
 
-    def test_window_boundary_stagger(self):
-        scaler = self._scaler(router_id=2)
-        assert scaler.window_boundary(20)
-        assert not scaler.window_boundary(0)

@@ -24,6 +24,7 @@ from repro.config import DBAConfig, PhotonicConfig, PowerScalingConfig
 from repro.core.d3noc import D3nocReconfigurer
 from repro.core.dba import DynamicBandwidthAllocator, remap_wavelengths
 from repro.core.ml_scaling import StateSelector
+from repro.core.power_scaling import ClosedWindow
 from repro.core.proteus import ProteusPowerScaler, loss_capped_state
 from repro.core.wavelength import WavelengthLadder, wavelengths_for_share
 from repro.ml.features import NUM_FEATURES
@@ -121,10 +122,11 @@ class TestProteusMonotonicity:
         assert state <= scaler.max_state
 
 
-def _reconfigurer(window=200):
+def _reconfigurer(window=200, allocator=None):
     return D3nocReconfigurer(
         StateSelector(PhotonicConfig(), reservation_window=window),
         DBAConfig(),
+        allocator=allocator,
     )
 
 
@@ -133,6 +135,11 @@ def _snapshot(cpu_util: float, gpu_util: float) -> np.ndarray:
     snap[1] = cpu_util
     snap[3] = gpu_util
     return snap
+
+
+def _close(recon, label, cpu_util, gpu_util, max_state=None) -> int:
+    row = _snapshot(cpu_util, gpu_util)
+    return recon.close_window(ClosedWindow(0, label, row, 0.0, max_state))
 
 
 @st.composite
@@ -159,15 +166,12 @@ class TestD3nocConservation:
         a real allocator, and remap over the surviving rings: the CPU and
         GPU shares are disjoint, within the pool, and never touch a ring
         the fault layer took down."""
-        recon = _reconfigurer()
         allocator = DynamicBandwidthAllocator(DBAConfig())
+        recon = _reconfigurer(allocator=allocator)
         surviving = tuple(sorted(set(range(64)) - down))
         for label, cpu_util, gpu_util in history:
-            state, split = recon.close_window(
-                label, _snapshot(cpu_util, gpu_util)
-            )
-            allocator.pin_split(split)
-            assert allocator.pinned_label == split
+            _close(recon, label, cpu_util, gpu_util)
+            assert allocator.pinned_label == recon.split_history[-1]
             allocation = allocator.allocate_from_buffers(None)
             assigned = remap_wavelengths(allocation, surviving)
             cpu = set(assigned[CoreType.CPU])
@@ -180,13 +184,10 @@ class TestD3nocConservation:
     @given(history=window_histories())
     @settings(max_examples=150, deadline=None)
     def test_share_wavelengths_never_exceed_the_state(self, history):
-        recon = _reconfigurer()
         allocator = DynamicBandwidthAllocator(DBAConfig())
+        recon = _reconfigurer(allocator=allocator)
         for label, cpu_util, gpu_util in history:
-            state, split = recon.close_window(
-                label, _snapshot(cpu_util, gpu_util)
-            )
-            allocator.pin_split(split)
+            state = _close(recon, label, cpu_util, gpu_util)
             allocation = allocator.allocate_from_buffers(None)
             total = wavelengths_for_share(
                 state, allocation.cpu_fraction
@@ -203,9 +204,7 @@ class TestD3nocConservation:
         (the cap is how link-down rings shrink the usable ladder)."""
         recon = _reconfigurer()
         for label, cpu_util, gpu_util in history:
-            state, _ = recon.close_window(
-                label, _snapshot(cpu_util, gpu_util), max_state=max_state
-            )
+            state = _close(recon, label, cpu_util, gpu_util, max_state)
             assert state <= max_state
 
     @given(history=window_histories())
@@ -215,7 +214,7 @@ class TestD3nocConservation:
         labels = []
         for label, cpu_util, gpu_util in history:
             labels.append(label)
-            recon.close_window(label, _snapshot(cpu_util, gpu_util))
+            _close(recon, label, cpu_util, gpu_util)
             assert (
                 min(labels) - 1e-9
                 <= recon.demand_ewma

@@ -4,9 +4,9 @@ import pytest
 
 from repro.config import PhotonicConfig, PowerScalingConfig
 from repro.core.power_scaling import (
+    ClosedWindow,
     LaserBank,
     ReactivePowerScaler,
-    StaticPowerPolicy,
 )
 from repro.core.wavelength import WavelengthLadder
 
@@ -110,11 +110,13 @@ class TestLaserBank:
         assert long.stall_cycles > short.stall_cycles
 
 
-def _scaler(window=100, use_8wl=True, router_id=0):
+def _scaler(window=100, use_8wl=True):
     config = PowerScalingConfig(reservation_window=window, use_8wl=use_8wl)
-    return ReactivePowerScaler(
-        config, WavelengthLadder(PhotonicConfig()), router_id=router_id
-    )
+    return ReactivePowerScaler(config, WavelengthLadder(PhotonicConfig()))
+
+
+def _close(scaler, buf_mean):
+    return scaler.close_window(ClosedWindow(0, 0.0, None, buf_mean))
 
 
 class TestReactivePowerScaler:
@@ -132,32 +134,22 @@ class TestReactivePowerScaler:
 
     def test_close_window_uses_mean(self):
         scaler = _scaler()
-        assert scaler.close_window(0.5) == 64
+        assert _close(scaler, 0.5) == 64
 
     def test_close_window_carries_no_state(self):
         scaler = _scaler()
-        scaler.close_window(1.0)
+        _close(scaler, 1.0)
         # A following idle window reads as idle.
-        assert scaler.close_window(0.0) == 8
-
-    def test_window_boundary_cadence(self):
-        scaler = _scaler(window=100, router_id=0)
-        boundaries = [c for c in range(500) if scaler.window_boundary(c)]
-        assert boundaries == [0, 100, 200, 300, 400]
-
-    def test_stagger_offsets_boundaries(self):
-        scaler = _scaler(window=100, router_id=3)
-        assert scaler.window_boundary(30)
-        assert not scaler.window_boundary(0)
+        assert _close(scaler, 0.0) == 8
 
     def test_close_window_validates_range(self):
         with pytest.raises(ValueError):
-            _scaler().close_window(1.5)
+            _close(_scaler(), 1.5)
 
     def test_decisions_recorded(self):
         scaler = _scaler()
-        scaler.close_window(0.5)
-        scaler.close_window(0.001)
+        _close(scaler, 0.5)
+        _close(scaler, 0.001)
         assert scaler.decisions == [64, 8]
 
     def test_monotone_occupancy_to_state(self):
@@ -166,15 +158,3 @@ class TestReactivePowerScaler:
         occupancies = [i / 100 for i in range(101)]
         states = [scaler.select_state(o) for o in occupancies]
         assert states == sorted(states)
-
-
-class TestStaticPowerPolicy:
-    def test_never_reconfigures(self):
-        ladder = WavelengthLadder(PhotonicConfig())
-        policy = StaticPowerPolicy(64, ladder)
-        assert not any(policy.window_boundary(c) for c in range(1000))
-        assert policy.close_window() == 64
-
-    def test_rejects_unknown_state(self):
-        with pytest.raises(ValueError):
-            StaticPowerPolicy(7, WavelengthLadder(PhotonicConfig()))

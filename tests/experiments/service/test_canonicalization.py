@@ -299,6 +299,33 @@ class TestSpecCodecPreservesKeys:
         shuffled = _reorder(doc, random.Random(7))
         assert cache.key_for(spec_from_doc(shuffled)) == cache.key_for(spec)
 
+    def test_quantization_spellings_are_one_job(self, tiny_sim_config):
+        """Every spelling of one Qm.n format hashes to one key, and a
+        served document carrying any of them decodes to one spec."""
+        pair = experiment_pairs(quick=True)[0]
+        spellings = ("q4.12", "Q4.12", "q4.12\n", "q04.12")
+        specs = [
+            pearl_job(
+                tiny_sim_config.replace(
+                    ml=dataclasses.replace(
+                        tiny_sim_config.ml, quantization=spelling
+                    )
+                ),
+                pair_spec(pair, 3),
+                seed=3,
+                power_policy=PowerPolicyKind.REACTIVE,
+            )
+            for spelling in spellings
+        ]
+        assert len({job_key(spec.payload()) for spec in specs}) == 1
+        assert specs[0].config.ml.quantization == "q4.12"
+        doc = json.loads(json.dumps(spec_to_doc(specs[0])))
+        decoded = []
+        for spelling in spellings:
+            doc["config"]["ml"]["quantization"] = spelling
+            decoded.append(spec_from_doc(doc))
+        assert all(spec == specs[0] for spec in decoded)
+
     def test_unknown_collective_algorithm_rejected_at_decode(
         self, tiny_sim_config
     ):
@@ -366,7 +393,6 @@ LEAF_OVERRIDES = {
     "architecture.cache_line_bytes": 128,
     "architecture.memory_controllers": 4,
     "photonic.data_rate_gbps_per_wl": 32.0,
-    "photonic.flit_bits": 256,
     "photonic.wavelength_states": (64, 32, 16, 8, 4),
     "photonic.laser_power_w": (1.2, 0.9, 0.6, 0.3, 0.15),
     "photonic.serialization_cycles": (1, 2, 2, 4, 8),

@@ -101,9 +101,9 @@ def test_collective_trips_cluster_monitors(model, algorithm):
     tripped = {
         router.router_id
         for router in network.routers
-        if router.ml_scaler is not None
-        and router.ml_scaler.drift_monitor is not None
-        and router.ml_scaler.drift_monitor.trips
+        if router.policy is not None
+        and router.policy.drift_monitor is not None
+        and router.policy.drift_monitor.trips
     }
     # The signal comes from the cluster routers; the L3 monitor is
     # residual-only (its feature stream is structurally unlike the
@@ -121,7 +121,7 @@ def test_parameter_server_trips_the_host(model):
     assert result.drift_events >= 1
     from repro.traffic.collectives import PARAMETER_HOST
 
-    host_monitor = network.routers[PARAMETER_HOST].ml_scaler.drift_monitor
+    host_monitor = network.routers[PARAMETER_HOST].policy.drift_monitor
     assert host_monitor is not None and host_monitor.trips
 
 

@@ -37,6 +37,8 @@ from repro.obs import OBS
 from repro.traffic.benchmarks import get_benchmark
 from repro.traffic.synthetic import generate_pair_trace
 
+from ..golden import golden_cases as golden
+
 
 def _drifting_model() -> RidgeRegression:
     """Literal weights plus a far-off training scaler.
@@ -122,7 +124,7 @@ class TestAdoptModel:
             power_policy=PowerPolicyKind.ML,
             ml_model=_drifting_model(),
         )
-        return network.routers[0].ml_scaler
+        return network.routers[0].policy
 
     def test_unfitted_model_rejected(self):
         scaler = self._network_scaler()
@@ -193,7 +195,7 @@ class TestRetrainLifecycle:
         assert swap.args["samples"] >= config.ml.retrain_min_samples
         # Every scaler now runs the retrained model, not the original.
         for router in network.routers:
-            scaler = router.ml_scaler
+            scaler = router.policy
             assert scaler.models_adopted == 1
             assert scaler.model.weights.shape == (NUM_FEATURES,)
             assert not np.array_equal(
@@ -238,3 +240,64 @@ class TestRetrainLifecycle:
             }
         assert out["array"] == out["reference"]
         assert out["reference"]["retrain_events"] == 1
+
+
+class TestSwapKeepsMonitorSettings:
+    """A hot swap rebuilds every drift monitor through the same
+    construction as the deployment, so per-router settings survive."""
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_l3_monitor_stays_residual_only(self, engine, tmp_path):
+        config = golden.retrain_config()
+        network = PearlNetwork(
+            config,
+            power_policy=PowerPolicyKind.ML,
+            ml_model=golden.drifting_model(),
+            seed=golden.GOLDEN_SEED,
+            registry=ModelRegistry(tmp_path / "registry"),
+        )
+        trace = golden._collective_trace(config, "allreduce_ring")
+        result = network.run(trace, engine=engine)
+        assert result.retrain_events == 1
+        l3 = network.routers[config.architecture.l3_router_id]
+        assert l3.policy.drift_monitor.monitor_features is False
+        assert all(
+            router.policy.drift_monitor.monitor_features
+            for router in network.routers
+            if router is not l3
+        )
+        assert result.drift_events == 15
+
+
+class TestDriftInstantCycles:
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_drift_instants_carry_the_close_cycle(self, engine, tmp_path):
+        """``ml_drift`` is stamped with the close that tripped it: router
+        0 trips at the same close that retrains, and the rebuilt
+        monitors of routers 1-16 trip after a fresh calibration."""
+        config = golden.retrain_config()
+        trace = generate_pair_trace(
+            get_benchmark("fluidanimate"),
+            get_benchmark("dct"),
+            config.architecture,
+            config.simulation.total_cycles,
+            golden.GOLDEN_SEED,
+        )
+        network = PearlNetwork(
+            config,
+            power_policy=PowerPolicyKind.ML,
+            ml_model=golden.drifting_model(),
+            seed=golden.GOLDEN_SEED,
+            registry=ModelRegistry(tmp_path / "registry"),
+        )
+        with obs.session():
+            network.run(trace, engine=engine)
+            events = OBS.tracer.events(include_wall=False)
+        (retrain,) = [e for e in events if e.name == "ml_retrain"]
+        drifts = {}
+        for event in events:
+            if event.name == "ml_drift":
+                drifts.setdefault(event.args["router"], event.ts)
+        assert drifts[0] == retrain.ts == 600
+        later = [drifts[router] for router in range(1, 17)]
+        assert min(later) == 1210 and max(later) == 1360

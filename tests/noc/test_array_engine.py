@@ -45,6 +45,9 @@ from repro.ml.ridge import RidgeRegression
 from repro.noc.array_core import ArrayCore
 from repro.noc.network import PearlNetwork
 from repro.noc.packet import CacheLevel, CoreType, Packet, PacketClass
+from repro.core.d3noc import D3nocReconfigurer
+from repro.core.ml_scaling import MLPowerScaler
+from repro.core.power_scaling import ReactivePowerScaler
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 from repro.traffic.synthetic import generate_pair_trace, uniform_random_trace
@@ -538,7 +541,7 @@ class TestTurnOnSkippedAtRunBoundary:
         "cause", ["window-close", "wavelength-clear", "droop-clear"]
     )
     def test_turn_on_completing_in_skipped_span(
-        self, cause, boundary, turn_on_ns
+        self, cause, boundary, turn_on_ns, monkeypatch
     ):
         config, policy, faults = self._case(cause, boundary, turn_on_ns)
         trace = Trace([], name="empty")
@@ -549,19 +552,23 @@ class TestTurnOnSkippedAtRunBoundary:
             )
 
         array_net = network()
-        core = ArrayCore(array_net)
         due = {}
 
         def probe(name, settle):
-            def wrapped(cycle):
+            def wrapped(core, cycle):
                 due[name] = core._next_flip <= cycle
-                settle(cycle)
+                settle(core, cycle)
 
             return wrapped
 
-        core._begin_measurement = probe("warm-up", core._begin_measurement)
-        core._finish = probe("end-of-run", core._finish)
-        array_out = _canonical(array_net, core.run(trace))
+        for name, step in (
+            ("warm-up", "_begin_measurement"),
+            ("end-of-run", "_finish"),
+        ):
+            monkeypatch.setattr(
+                ArrayCore, step, probe(name, getattr(ArrayCore, step))
+            )
+        array_out = _canonical(array_net, array_net.run(trace, engine="array"))
         # The scenario really leaves a landed-but-unapplied turn-on at
         # the boundary under test (and only there).
         assert due == {
@@ -697,34 +704,31 @@ def _mid_state(net):
                 ),
                 "reservations": router.reservations_sent,
                 "dba_pin": router.dba.pinned_label,
-                "d3noc": (
-                    (
-                        router.d3noc.demand_ewma,
-                        list(router.d3noc.decisions),
-                        list(router.d3noc.split_history),
-                    )
-                    if router.d3noc is not None
-                    else None
-                ),
-                "reactive": (
-                    list(router.reactive.decisions)
-                    if router.reactive is not None
-                    else None
-                ),
-                "scaler": (
-                    (
-                        list(router.ml_scaler.predictions),
-                        list(router.ml_scaler.decisions),
-                        list(router.ml_scaler.labels),
-                        router.ml_scaler._pending_label,
-                    )
-                    if router.ml_scaler is not None
-                    else None
-                ),
+                "policy": _policy_state(router.policy),
             }
         )
     state["routers"] = rows
     return state
+
+
+def _policy_state(policy):
+    """The decision history a router's window policy has accumulated."""
+    if isinstance(policy, D3nocReconfigurer):
+        return (
+            policy.demand_ewma,
+            list(policy.decisions),
+            list(policy.split_history),
+        )
+    if isinstance(policy, ReactivePowerScaler):
+        return list(policy.decisions)
+    if isinstance(policy, MLPowerScaler):
+        return (
+            list(policy.predictions),
+            list(policy.decisions),
+            list(policy.labels),
+            policy._pending_label,
+        )
+    return None
 
 
 def _twin_networks(policy, seed, model=None):

@@ -190,13 +190,13 @@ class TestNoSilentDowngrade:
         self, toy_model, monkeypatch
     ):
         """The old behaviour downgraded array->scalar under telemetry;
-        prove the scalar instrumented path is not reachable anymore."""
+        prove an instrumented array run never steps the scalar engine."""
         config, policy, model, faults = _scenario("reactive", toy_model)
 
-        def boom(self, trace):  # pragma: no cover - must not run
+        def boom(self, cycle, cursor=None):  # pragma: no cover - must not run
             raise AssertionError("array run fell back to the scalar path")
 
-        monkeypatch.setattr(PearlNetwork, "_run_instrumented", boom)
+        monkeypatch.setattr(PearlNetwork, "step", boom)
         result, _, _, _ = _run(config, "array", policy, model, faults)
         assert result["stats"]["local_packets_delivered"] > 0
 

@@ -208,9 +208,9 @@ class TestAdaptivePolicy:
         )
         network.run(tiny_trace)
         scalers = [
-            r.reactive
+            r.policy
             for r in network.routers
-            if isinstance(r.reactive, AdaptiveReactiveScaler)
+            if isinstance(r.policy, AdaptiveReactiveScaler)
         ]
         assert len(scalers) == 17
         assert any(s.scale_history for s in scalers)

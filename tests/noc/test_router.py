@@ -1,8 +1,11 @@
 """Tests for repro.noc.router — the PEARL router microarchitecture."""
 
+import numpy as np
 import pytest
 
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
+from repro.ml.features import NUM_FEATURES
+from repro.ml.ridge import RidgeRegression
 from repro.noc.packet import CacheLevel, CoreType, make_request, make_response
 from repro.noc.router import (
     LOCAL_CROSSBAR_CYCLES,
@@ -18,6 +21,7 @@ def _router(
     static_state=None,
     dynamic=True,
     window=100,
+    ml_model=None,
 ):
     config = PearlConfig(
         power_scaling=PowerScalingConfig(reservation_window=window)
@@ -28,6 +32,7 @@ def _router(
         policy_kind=policy,
         use_dynamic_bandwidth=dynamic,
         static_state=static_state,
+        ml_model=ml_model,
     )
 
 
@@ -171,6 +176,17 @@ class TestWindowing:
         assert router.window_boundary(0)
         assert router.window_boundary(50)
         assert not router.window_boundary(25)
+
+    @pytest.mark.parametrize("policy", list(PowerPolicyKind))
+    def test_every_policy_closes_on_the_staggered_cadence(self, policy):
+        """The router owns the close cadence: the reservation window,
+        offset by the per-router stagger (10 cycles by default)."""
+        rng = np.random.default_rng(0)
+        X = rng.random((50, NUM_FEATURES))
+        model = RidgeRegression(lam=0.01).fit(X, X[:, 0])
+        router = _router(router_id=3, policy=policy, ml_model=model)
+        boundaries = [c for c in range(500) if router.window_boundary(c)]
+        assert boundaries == [30, 130, 230, 330, 430]
 
     def test_reactive_scaler_changes_state(self):
         router = _router(policy=PowerPolicyKind.REACTIVE, window=50)

@@ -217,7 +217,6 @@ class TestCMeshConfig:
         assert cmesh.num_routers == 16
         assert cmesh.virtual_channels == 4
         assert cmesh.buffers_per_vc == 4
-        assert cmesh.flit_bits == 128
 
     def test_rejects_degenerate_mesh(self):
         with pytest.raises(ValueError):
@@ -336,7 +335,6 @@ BOUNDARY_CONFIGS = [
     ("scaling-zero-lower-threshold", PowerScalingConfig,
      {"threshold_lower": 0.0}),
     ("ml-zero-lambda", MLConfig, {"lambda_grid": (0.0,)}),
-    ("ml-uppercase-quantization", MLConfig, {"quantization": "Q8.8"}),
     ("ml-ewma-alpha-one", MLConfig, {"drift_ewma_alpha": 1.0}),
     ("ml-two-retrain-samples", MLConfig, {"retrain_min_samples": 2}),
     ("ml-no-cooldown", MLConfig, {"retrain_cooldown_windows": 0}),
@@ -361,27 +359,149 @@ def test_boundary_values_accepted(cls, kwargs):
         assert getattr(config, name) == value
 
 
+@pytest.mark.parametrize("spelling", ["q8.8", "Q8.8", "q08.8", " q8.8\n"])
+def test_quantization_is_stored_in_one_spelling(spelling):
+    assert MLConfig(quantization=spelling).quantization == "q8.8"
+
+
+#: Config dataclass name -> class, and PearlConfig section -> class name.
+CONFIG_CLASSES = {
+    cls.__name__: cls
+    for cls in vars(repro.config).values()
+    if isinstance(cls, type)
+    and dataclasses.is_dataclass(cls)
+    and cls.__module__ == repro.config.__name__
+}
+SECTIONS = {
+    field.name: field.type
+    for field in dataclasses.fields(PearlConfig)
+    if field.type in CONFIG_CLASSES
+}
+
+
+def _named_class(annotation):
+    """The config class an annotation names, if any."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name) and node.id in CONFIG_CLASSES:
+            return node.id
+        if isinstance(node, ast.Attribute) and node.attr in CONFIG_CLASSES:
+            return node.attr
+        if isinstance(node, ast.Constant) and node.value in CONFIG_CLASSES:
+            return node.value
+    return None
+
+
+def _value_class(node):
+    """Class of a section attribute, a constructor call or ``x or Cls()``."""
+    if isinstance(node, ast.Attribute) and node.attr in SECTIONS:
+        return SECTIONS[node.attr]
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in CONFIG_CLASSES:
+            return name
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+        for value in node.values:
+            owner = _value_class(value)
+            if owner is not None:
+                return owner
+    return None
+
+
+def _bindings(scope):
+    """Names a function (or module) binds to config classes."""
+    env = {}
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = scope.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.annotation is not None and _named_class(arg.annotation):
+                env[arg.arg] = _named_class(arg.annotation)
+    for node in ast.walk(scope):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        owner = node.value is not None and _value_class(node.value)
+        if not owner:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                env[target.id] = owner
+    return env
+
+
+def _self_bindings(cls_node):
+    """``self.`` attributes a class assigns from config values."""
+    attrs = {}
+    for node in ast.walk(cls_node):
+        owner = isinstance(node, ast.Assign) and _value_class(node.value)
+        if not owner:
+            continue
+        for target in node.targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                attrs[target.attr] = owner
+    return attrs
+
+
+def _config_reads(tree):
+    """(class name, field) pairs loaded off a base of that class."""
+    reads = set()
+
+    def base_class(node, env, cls):
+        if isinstance(node, ast.Attribute):
+            if node.attr in SECTIONS:
+                return SECTIONS[node.attr]
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                return cls[1].get(node.attr)
+            return None
+        if isinstance(node, ast.Name):
+            if node.id == "self" and cls[0] in CONFIG_CLASSES:
+                return cls[0]
+            return env.get(node.id)
+        return None
+
+    def visit(node, env, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, env, (child.name, _self_bindings(child)))
+                continue
+            child_env = env
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                child_env = {**env, **_bindings(child)}
+            elif isinstance(child, ast.Attribute) and isinstance(
+                child.ctx, ast.Load
+            ):
+                owner = base_class(child.value, env, cls)
+                if owner is not None:
+                    reads.add((owner, child.attr))
+            visit(child, child_env, cls)
+
+    visit(tree, _bindings(tree), (None, {}))
+    return reads
+
+
 def test_every_config_field_is_read():
     """Every config field is read somewhere in the package.
 
     A field no code reads changes nothing but the result-cache key, so
-    it is dead weight.  A read is an attribute load anywhere under
-    ``src/repro`` (``self.<field>`` inside ``config.py`` counts).
+    it is dead weight.  A read is an attribute load under ``src/repro``
+    whose base resolves to the field's class: a section attribute
+    (``….photonic.F``); a local name or ``self.`` attribute assigned
+    from a section attribute or the class constructor (``x or Cls()``
+    included); a parameter annotated with the class; or ``self``
+    inside the class itself.  A same-named field of another class
+    (``ElectricalParams.flit_bits``) does not count.
     """
     reads = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                reads.add(node.attr)
+        reads |= _config_reads(ast.parse(path.read_text()))
     unread = [
-        f"{cls.__name__}.{field.name}"
-        for cls in vars(repro.config).values()
-        if isinstance(cls, type)
-        and dataclasses.is_dataclass(cls)
-        and cls.__module__ == repro.config.__name__
+        f"{name}.{field.name}"
+        for name, cls in CONFIG_CLASSES.items()
         for field in dataclasses.fields(cls)
-        if field.name not in reads
+        if (name, field.name) not in reads
     ]
     assert unread == [], f"config fields no code reads: {unread}"

@@ -1,6 +1,9 @@
 """Public-API contract tests: everything advertised imports and works."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -86,3 +89,40 @@ class TestTopLevelApi:
             assert fig in REGISTRY
         for table in ("table1", "table2", "table5"):
             assert table in REGISTRY
+
+    def test_job_engine_import_loads_no_experiment(self):
+        """Workers and servers import the job engine alone; the
+        experiment modules load only when the registry is used."""
+        from repro.experiments import REGISTRY, _ENTRIES
+
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        program = (
+            "import sys, repro.experiments.parallel; "
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        loaded = set(
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout.split()
+        )
+        experiments = {
+            f"repro.experiments.{module}" for module, _ in _ENTRIES.values()
+        }
+        assert "repro.experiments.parallel" in loaded
+        assert not loaded & experiments
+        listed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "list"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout.split()
+        assert listed == list(REGISTRY)
