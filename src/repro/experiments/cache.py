@@ -8,10 +8,13 @@ knob and a code-version salt — so any change to the inputs (or a salt
 bump after a simulator change) misses cleanly instead of returning
 stale numbers.
 
-Each entry is a ``meta`` JSON document plus a binary ``blob``:
+Each entry is a small ``meta`` JSON document plus a ``blob``:
 
-* ``blob`` — the ``.npz`` array payloads (latency samples, ML history);
-* ``meta`` — every scalar field plus provenance *and the blob's
+* ``blob`` — the job's result document
+  (:func:`~repro.experiments.service.spec_codec.result_to_bytes`):
+  compact JSON with the arrays packed, byte for byte what
+  ``pearl-sim serve`` streams for the job;
+* ``meta`` — the entry format, the job's spec payload *and the blob's
   SHA-256*; committed last, so it doubles as the commit record and a
   mixed meta/blob pair (two crashed writers interleaving) is detected
   by digest instead of silently decoded.
@@ -19,7 +22,8 @@ Each entry is a ``meta`` JSON document plus a binary ``blob``:
 Where the bytes live is pluggable
 (:mod:`repro.experiments.service.stores`): the default
 :class:`~repro.experiments.service.stores.LocalDirStore` keeps the
-historical ``<key>.json`` + ``<key>.npz`` directory layout, and
+historical ``<key>.json`` + ``<key>.npz`` directory layout (the blob
+file kept its old name), and
 :class:`~repro.experiments.service.stores.SqliteStore` packs a shared
 cache into one WAL-journalled file.  Both are safe under concurrent
 writers — racing same-key writers carry identical content (results are
@@ -34,25 +38,23 @@ recomputed rather than crashed on.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
-import numpy as np
-
-from ..noc.stats import NetworkStats
 from ..obs import OBS
+from .service.spec_codec import result_from_bytes, result_to_bytes
 from .service.stores import CacheStore, LocalDirStore, StoreStats, open_store
 
 #: Bump when a simulator change invalidates previously cached results.
 CODE_VERSION = "pearl-experiments-1"
 
 #: On-disk schema version of one cache entry.  Format 2 added the
-#: ``blob_sha256`` commit digest; format-1 entries self-heal on read.
-ENTRY_FORMAT = 2
+#: ``blob_sha256`` commit digest; format 3 made the blob the result
+#: document.  A hit serves the blob without parsing it, so any change to
+#: the document's shape bumps this too.  Older entries self-heal on read.
+ENTRY_FORMAT = 3
 
 
 def canonical_json(payload: Any) -> str:
@@ -100,30 +102,13 @@ def default_store() -> CacheStore:
     return LocalDirStore(default_cache_dir())
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see partials."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class ResultCache:
     """Store-backed memoisation of :class:`~.parallel.JobResult` objects.
 
     ``get``/``put`` take the job spec itself; keys are derived from its
-    content payload.  All floats round-trip through JSON ``repr`` and
-    all arrays through binary ``.npz``, so a cache hit is bit-identical
-    to the original computation.
+    content payload.  Entries hold the result document, whose floats
+    round-trip exactly, so a cache hit is bit-identical to the original
+    computation.
     """
 
     def __init__(
@@ -158,41 +143,37 @@ class ResultCache:
 
     def get(self, spec):
         """The cached :class:`JobResult` for ``spec``, or ``None``."""
-        return self.get_by_key(self.key_for(spec))
+        return self.get_by_key(self.key_for(spec), decode=result_from_bytes)
 
-    def get_by_key(self, key: str):
-        """Decode the entry stored under ``key``, or ``None``.
+    def get_by_key(
+        self,
+        key: str,
+        decode: Optional[Callable[[bytes], Any]] = None,
+    ):
+        """The verified result document stored under ``key``, or ``None``.
 
-        Any unreadable entry (bad JSON, truncated npz, schema drift, a
-        meta/blob digest mismatch from a torn pair) counts as a miss:
-        the stale entry is deleted (self-heal) and the caller
-        recomputes.
+        The bytes are checked, not parsed: the meta document must name
+        this :data:`ENTRY_FORMAT` and the blob's SHA-256.  With
+        ``decode``, its value for the bytes is returned instead.  Any
+        unreadable entry (bad meta JSON, an older format, a meta/blob
+        digest mismatch from a torn pair, bytes ``decode`` rejects with
+        :class:`ValueError`) counts as a miss: the stale entry is
+        deleted (self-heal) and the caller recomputes.
         """
         entry = self.store.get(key)
         if entry is None:
             self.misses += 1
             self._count("misses")
             return None
-        meta, blob = entry
+        meta, document = entry
         try:
-            doc = json.loads(meta.decode("utf-8"))
-            if doc.get("format") != ENTRY_FORMAT:
-                raise ValueError(
-                    f"unknown cache entry format: {doc.get('format')!r}"
-                )
-            expected = doc.get("blob_sha256")
-            actual = hashlib.sha256(blob).hexdigest()
-            if expected != actual:
-                raise ValueError(
-                    f"blob digest mismatch: meta names {expected}, "
-                    f"stored blob is {actual} (torn entry)"
-                )
-            arrays: Dict[str, np.ndarray] = {}
-            with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
-                for name in archive.files:
-                    arrays[name] = archive[name]
-            result = _decode_result(doc, arrays)
-        except Exception:
+            doc = json.loads(meta)
+            if type(doc) is not dict or doc.get("format") != ENTRY_FORMAT:
+                raise ValueError("unknown cache entry format")
+            if doc.get("blob_sha256") != hashlib.sha256(document).hexdigest():
+                raise ValueError("blob digest mismatch (torn entry)")
+            value = document if decode is None else decode(document)
+        except ValueError:
             self.errors += 1
             self.misses += 1
             self._count("errors")
@@ -202,33 +183,37 @@ class ResultCache:
             return None
         self.hits += 1
         self._count("hits")
-        return result
+        return value
 
-    def put(self, spec, result) -> None:
-        """Persist one completed job result."""
-        self.put_by_key(self.key_for(spec), result, spec_payload=spec.payload())
+    def put(self, spec, result) -> bytes:
+        """Persist one completed job result; return the stored document."""
+        return self.put_by_key(
+            self.key_for(spec), result, spec_payload=spec.payload()
+        )
 
     def put_by_key(
         self,
         key: str,
         result,
         spec_payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Persist a result under a precomputed key."""
-        doc, arrays = _encode_result(result)
-        doc["format"] = ENTRY_FORMAT
+    ) -> bytes:
+        """Persist a result under a precomputed key; return its document."""
+        document = result_to_bytes(result)
+        meta: Dict[str, Any] = {
+            "format": ENTRY_FORMAT,
+            # Binds this meta document to exactly this blob, so a reader
+            # can reject any meta/blob interleaving from crashed or
+            # racing writers.
+            "blob_sha256": hashlib.sha256(document).hexdigest(),
+        }
         if spec_payload is not None:
-            doc["spec"] = spec_payload
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        blob = buffer.getvalue()
-        # The digest binds this meta document to exactly this blob, so
-        # a reader can reject any meta/blob interleaving from crashed
-        # or racing writers.
-        doc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-        meta = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        self.store.put(key, meta, blob)
+            meta["spec"] = spec_payload
+        self.store.put(
+            key, (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"),
+            document,
+        )
         self._count("writes")
+        return document
 
     # -- management -----------------------------------------------------------
 
@@ -291,58 +276,3 @@ class ResultCache:
                 f"engine/cache_{event}",
                 help="result-cache lookups by outcome",
             ).inc(amount)
-
-
-def _encode_result(result) -> "tuple[Dict[str, Any], Dict[str, np.ndarray]]":
-    """Split a JobResult into a JSON document and binary arrays."""
-    doc: Dict[str, Any] = {
-        "kind": result.kind,
-        "state_residency": {
-            str(state): fraction
-            for state, fraction in result.state_residency.items()
-        },
-        "mean_laser_power_w": result.mean_laser_power_w,
-        "laser_stall_cycles": result.laser_stall_cycles,
-        "extras": result.extras,
-        "telemetry": result.telemetry,
-        "stats": (
-            result.stats.to_dict(include_latencies=False)
-            if result.stats is not None
-            else None
-        ),
-    }
-    arrays = {
-        "latencies": np.asarray(
-            result.stats._latencies if result.stats is not None else [],
-            dtype=np.int64,
-        ),
-        "ml_predictions": np.asarray(result.ml_predictions, dtype=np.float64),
-        "ml_labels": np.asarray(result.ml_labels, dtype=np.float64),
-    }
-    return doc, arrays
-
-
-def _decode_result(doc: Dict[str, Any], arrays: Dict[str, np.ndarray]):
-    """Rebuild a JobResult from :func:`_encode_result` output."""
-    from .parallel import JobResult
-
-    stats: Optional[NetworkStats] = None
-    if doc["stats"] is not None:
-        stats = NetworkStats.from_dict(
-            doc["stats"], latencies=arrays["latencies"].tolist()
-        )
-    return JobResult(
-        kind=doc["kind"],
-        stats=stats,
-        state_residency={
-            int(state): float(fraction)
-            for state, fraction in doc["state_residency"].items()
-        },
-        mean_laser_power_w=float(doc["mean_laser_power_w"]),
-        laser_stall_cycles=int(doc["laser_stall_cycles"]),
-        ml_predictions=[float(v) for v in arrays["ml_predictions"]],
-        ml_labels=[float(v) for v in arrays["ml_labels"]],
-        extras=dict(doc["extras"]),
-        # Entries written before telemetry existed have no key: None.
-        telemetry=doc.get("telemetry"),
-    )

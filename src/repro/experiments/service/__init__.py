@@ -17,8 +17,8 @@ production-shaped infrastructure (see ``docs/sweep_service.md``):
   plus its stdlib client.
 
 Attributes resolve lazily (PEP 562): ``repro.experiments.cache`` builds
-on :mod:`.stores`, so eager submodule imports here would cycle back
-into a half-initialised ``cache`` module.
+on :mod:`.stores` and :mod:`.spec_codec`, so eager submodule imports
+here would cycle back into a half-initialised ``cache`` module.
 """
 
 from __future__ import annotations

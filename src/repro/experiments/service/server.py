@@ -17,7 +17,13 @@ of identical submissions (the "millions of users" story):
 * **backpressure** — at most ``max_pending`` *distinct* keys may be in
   flight; beyond that, new work is refused with ``503`` +
   ``Retry-After`` (coalescing joins are always accepted — they cost
-  nothing).  Executions fan out over a bounded process pool.
+  nothing).  Executions fan out over a bounded process pool, started
+  on the first miss, so a server that only answers hits never starts
+  one.
+
+A result event carries the cache entry's stored result document
+(:func:`~.spec_codec.result_to_bytes`) spliced in byte for byte: a hit
+is streamed without being decoded or re-encoded.
 
 Endpoints::
 
@@ -43,7 +49,10 @@ from ...obs import OBS
 from ..cache import ResultCache
 from ..parallel import _init_worker_obs, execute_job
 from .manifest import worker_identity
-from .spec_codec import result_to_doc, spec_from_doc
+
+# result_to_doc is not called here (results are spliced in as stored),
+# but perfbench's span wrappers look the name up in this module.
+from .spec_codec import result_to_doc, spec_from_doc  # noqa: F401
 
 _MAX_BODY_BYTES = 8 << 20  # an 8 MiB spec document is a client bug
 
@@ -94,17 +103,7 @@ class SweepServer:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and spin up the worker pool."""
-        # "spawn", not fork: the serving process is inherently
-        # multithreaded (event loop + cache I/O threads), and forking a
-        # multithreaded process can deadlock the child on inherited
-        # locks.  Spawned workers import the worker function fresh.
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker_obs,
-            initargs=(OBS.config(),),
-        )
+        """Bind the socket (the worker pool starts on the first miss)."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -115,6 +114,23 @@ class SweepServer:
         assert self._server is not None, "call start() first"
         async with self._server:
             await self._server.serve_forever()
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The execution pool, created on first use."""
+        if self._pool is None:
+            if self._server is None:  # stopped: start no pool to leak
+                raise RuntimeError("server is not running")
+            # "spawn", not fork: the serving process is inherently
+            # multithreaded (event loop + cache I/O threads), and forking
+            # a multithreaded process can deadlock the child on inherited
+            # locks.  Spawned workers import the worker function fresh.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_worker_obs,
+                initargs=(OBS.config(),),
+            )
+        return self._pool
 
     async def stop(self) -> None:
         """Close the socket, then wait until every pool worker has exited.
@@ -167,6 +183,7 @@ class SweepServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> "tuple[str, str, bytes]":
+        """Parse one request; every framing fault is a 400 naming it."""
         try:
             request_line = await reader.readline()
         except (ValueError, OSError):
@@ -177,17 +194,40 @@ class SweepServer:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # the stream's line limit (64 KiB)
+                raise _HttpError(
+                    400, "Bad Request", "header line exceeds the 64 KiB limit"
+                )
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
+        text = headers.get("content-length", "0")
+        if not (text.isascii() and text.isdigit()):
+            raise _HttpError(
+                400,
+                "Bad Request",
+                "Content-Length must be a non-negative integer, "
+                f"got {text[:32]!r}",
+            )
+        # Length first: int() refuses over 4,300 digits, and no body
+        # this server accepts needs ten.
+        if len(text) > 9 or int(text) > _MAX_BODY_BYTES:
             raise _HttpError(
                 413, "Payload Too Large", f"body exceeds {_MAX_BODY_BYTES} bytes"
             )
-        body = await reader.readexactly(length) if length else b""
+        length = int(text)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(
+                400,
+                "Bad Request",
+                f"body ended after {len(exc.partial)} of the "
+                f"{length} bytes Content-Length announced",
+            )
         return method, target, body
 
     async def _route(
@@ -312,23 +352,27 @@ class SweepServer:
         try:
             # shield(): a disconnecting waiter must not cancel the one
             # shared execution the other coalesced requests await.
-            cached, result = await asyncio.shield(future)
+            cached, document = await asyncio.shield(future)
         except Exception as exc:  # noqa: BLE001 - reported to the client
             await self._stream_event(
                 writer, {"event": "error", "key": key, "error": repr(exc)}
             )
             self.counters["errors"] += 1
             return
-        await self._stream_event(
-            writer,
+        head = json.dumps(
             {
                 "event": "result",
                 "key": key,
                 "cached": cached,
                 "worker": self.worker,
-                "result": result_to_doc(result),
             },
+            sort_keys=True,
         )
+        # The stored document becomes the last member, unparsed.
+        writer.write(
+            head[:-1].encode("utf-8") + b', "result": ' + document + b"}\n"
+        )
+        await writer.drain()
 
     async def _stream_event(
         self, writer: asyncio.StreamWriter, doc: dict
@@ -336,25 +380,32 @@ class SweepServer:
         writer.write((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
         await writer.drain()
 
-    async def _execute(self, key: str, spec) -> "tuple[bool, object]":
-        """The single execution all coalesced waiters share."""
+    async def _execute(self, key: str, spec) -> "tuple[bool, bytes]":
+        """The single execution all coalesced waiters share.
+
+        Returns ``(cached, document)``: the result document as the
+        cache stores it, read on a hit and written on a miss.
+        """
         loop = asyncio.get_running_loop()
         # Cache probe off-loop: store reads touch disk/sqlite.
-        hit = await loop.run_in_executor(None, self.cache.get_by_key, key)
-        if hit is not None:
+        document = await loop.run_in_executor(
+            None, self.cache.get_by_key, key
+        )
+        if document is not None:
             self.counters["cache_hits"] += 1
             self._count("cache_hits")
-            return True, hit
-        assert self._pool is not None, "server not started"
-        result = await loop.run_in_executor(self._pool, execute_job, spec)
+            return True, document
+        result = await loop.run_in_executor(
+            self._worker_pool(), execute_job, spec
+        )
         self.counters["executions"] += 1
         self._count("executions")
         if OBS.enabled and result.telemetry is not None:
             obs.merge_capture(result.telemetry, stream=f"serve/{key[:12]}")
-        await loop.run_in_executor(
+        document = await loop.run_in_executor(
             None, self.cache.put_by_key, key, result, spec.payload()
         )
-        return False, result
+        return False, document
 
     # -- stats ----------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Pluggable content-addressed cache store backends.
 
 A store holds the byte-level form of one cache entry per key: a small
-``meta`` JSON document and a binary ``blob`` (the ``.npz`` arrays).
+``meta`` JSON document and a ``blob`` (the job's result document).
 :class:`~repro.experiments.cache.ResultCache` handles all encoding and
 integrity checking above this layer; a store only promises
 
@@ -111,6 +111,10 @@ class CacheStore:
 
 class LocalDirStore(CacheStore):
     """The historical directory layout: ``<key>.json`` + ``<key>.npz``.
+
+    The blob file keeps the ``.npz`` name it had when blobs were npz
+    archives, so entries of every format share one layout and older
+    ones heal through the format check one layer up.
 
     The meta file is written *last*, so it doubles as the commit
     record: a reader only trusts an entry whose meta file exists, and

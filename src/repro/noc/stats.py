@@ -278,7 +278,11 @@ class NetworkStats:
     def from_dict(
         cls, data: Dict[str, object], latencies: Sequence[int] = ()
     ) -> "NetworkStats":
-        """Rebuild an instance written by :meth:`to_dict`."""
+        """Rebuild an instance written by :meth:`to_dict`.
+
+        ``latencies`` must already hold Python ints (``ndarray.tolist()``
+        output, say): it is copied without per-element conversion.
+        """
         stats = cls()
         for core_name, values in data["counters"].items():
             counter = stats.counters[CoreType[core_name]]
@@ -298,8 +302,10 @@ class NetworkStats:
         for name in cls._FAULT_FIELDS:
             # .get: dumps written before the fault layer carry no counters.
             setattr(stats, name, int(data.get(name, 0)))
-        stored = data.get("latencies", latencies)
-        stats._latencies = [int(v) for v in stored]
+        stored = data.get("latencies")
+        stats._latencies = (
+            list(latencies) if stored is None else [int(v) for v in stored]
+        )
         return stats
 
     @classmethod

@@ -9,17 +9,20 @@ uses.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import http.client
+import io
 import json
 import multiprocessing
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ENTRY_FORMAT, ResultCache
 from repro.experiments.parallel import (
     execute_job,
     pair_spec,
@@ -29,7 +32,10 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import experiment_pairs
 from repro.experiments.service.client import ServeClient, ServeError
 from repro.experiments.service.server import SweepServer
-from repro.experiments.service.spec_codec import spec_to_doc
+from repro.experiments.service.spec_codec import (
+    result_from_bytes,
+    spec_to_doc,
+)
 
 from .test_canonicalization import MALFORMED_DOCS, malformed_doc
 
@@ -165,19 +171,44 @@ class TestEndpoints:
             conn.close()
 
     @pytest.mark.parametrize(
-        "request_bytes,status",
+        "request_bytes,status,problem",
         [
-            (b"NONSENSE\r\n\r\n", 400),
-            (b"GET /nope HTTP/1.1\r\n\r\n", 404),
+            (b"NONSENSE\r\n\r\n", 400, "malformed request line"),
+            (b"GET /nope HTTP/1.1\r\n\r\n", 404, "no route for GET /nope"),
             (
                 b"POST /simulate HTTP/1.1\r\nContent-Length: 9\r\n\r\n"
                 b"{not json",
                 400,
+                "bad spec document",
             ),
             (
                 b"POST /simulate HTTP/1.1\r\n"
                 b"Content-Length: 999999999\r\n\r\n",
                 413,
+                "body exceeds",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: twelve\r\n\r\n",
+                400,
+                "Content-Length must be a non-negative integer",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                400,
+                "Content-Length must be a non-negative integer",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                b'{"format":',
+                400,
+                "body ended after 10 of the 100 bytes",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Padding: "
+                + b"a" * (70 << 10)
+                + b"\r\n\r\n",
+                400,
+                "header line exceeds the 64 KiB limit",
             ),
         ],
         ids=[
@@ -185,23 +216,35 @@ class TestEndpoints:
             "unknown-route",
             "unparseable-body",
             "oversized-body",
+            "non-integer-length",
+            "negative-length",
+            "short-body",
+            "oversized-header-line",
         ],
     )
     def test_client_errors_count_as_bad_requests(
-        self, live, request_bytes, status
+        self, live, caplog, request_bytes, status, problem
     ):
-        """Every 4xx is the client's fault: it is counted under
-        ``bad_requests``, never under the server's ``errors``."""
+        """Every 4xx is the client's fault: it names the fault and is
+        counted under ``bad_requests``, never under the server's
+        ``errors``; nothing escapes into the event loop's log, and the
+        next request is served."""
         with socket.create_connection(
             (live.server.host, live.server.port), timeout=30
         ) as sock:
             sock.sendall(request_bytes)
-            status_line = sock.makefile("rb").readline().decode("latin-1")
-        assert status_line.split()[1] == str(status)
+            sock.shutdown(socket.SHUT_WR)  # where the short body ends
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert problem in json.loads(body)["error"]
         stats = live.client.stats()
         assert stats["bad_requests"] == 1
         assert stats["errors"] == 0
         assert stats["submissions"] == 0
+        assert live.client.healthz()
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert logged == []
 
 
 class TestShutdown:
@@ -227,6 +270,143 @@ class TestShutdown:
                 live.server.stop(), live.loop
             ).result(timeout=60)
             assert [w.pid for w in workers if w.is_alive()] == []
+
+
+class TestLazyPool:
+    """The worker pool starts on the first miss; hits never need it."""
+
+    def _warm(self, tmp_path, tiny_sim_config, seed):
+        pair = experiment_pairs(quick=True)[0]
+        spec = trace_job(tiny_sim_config, pair_spec(pair, seed), seed=seed)
+        cache = ResultCache(directory=tmp_path / "cache")
+        cache.put(spec, execute_job(spec))
+        return cache, spec
+
+    def test_hit_only_session_never_starts_the_pool(
+        self, tmp_path, tiny_sim_config
+    ):
+        cache, spec = self._warm(tmp_path, tiny_sim_config, seed=1)
+        server = SweepServer(cache=cache, port=0, jobs=1)
+        with _LiveServer(server) as live:
+            for _ in range(3):
+                events = live.client.submit(spec_to_doc(spec))
+                assert events[-1]["cached"] is True
+            assert server._pool is None
+        assert server._pool is None  # stop() had nothing to shut down
+
+    def test_first_miss_starts_the_pool_and_executes_once(
+        self, tmp_path, tiny_sim_config
+    ):
+        cache, hit_spec = self._warm(tmp_path, tiny_sim_config, seed=1)
+        pair = experiment_pairs(quick=True)[0]
+        miss_spec = trace_job(tiny_sim_config, pair_spec(pair, 2), seed=2)
+        server = SweepServer(cache=cache, port=0, jobs=1)
+        with _LiveServer(server) as live:
+            live.client.submit(spec_to_doc(hit_spec))
+            assert server._pool is None
+            first = live.client.submit(spec_to_doc(miss_spec))
+            assert first[-1]["cached"] is False
+            pool = server._pool
+            assert pool is not None
+            again = live.client.submit(spec_to_doc(miss_spec))
+            assert again[-1]["cached"] is True
+            assert server._pool is pool
+            stats = live.client.stats()
+            assert stats["executions"] == 1
+            assert stats["cache_hits"] == 2
+        assert server._pool is None
+
+
+def _store_url(tmp_path, backend: str) -> str:
+    if backend == "dir":
+        return f"dir:{tmp_path / 'cache'}"
+    return f"sqlite:{tmp_path / 'cache.db'}"
+
+
+def _put_format2_entry(store, key, result, spec_payload) -> None:
+    """Write ``result`` in the entry-format-2 layout: every scalar in the
+    meta document, the three arrays in a compressed npz blob."""
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer,
+        latencies=np.asarray(result.stats._latencies, dtype=np.int64),
+        ml_predictions=np.asarray(result.ml_predictions, dtype=np.float64),
+        ml_labels=np.asarray(result.ml_labels, dtype=np.float64),
+    )
+    blob = buffer.getvalue()
+    meta = {
+        "format": 2,
+        "kind": result.kind,
+        "state_residency": {
+            str(state): fraction
+            for state, fraction in result.state_residency.items()
+        },
+        "mean_laser_power_w": result.mean_laser_power_w,
+        "laser_stall_cycles": result.laser_stall_cycles,
+        "extras": result.extras,
+        "telemetry": result.telemetry,
+        "stats": result.stats.to_dict(include_latencies=False),
+        "spec": spec_payload,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    store.put(key, (json.dumps(meta, sort_keys=True) + "\n").encode(), blob)
+
+
+@pytest.mark.parametrize("backend", ["dir", "sqlite"])
+class TestStoredDocument:
+    """A served result is the stored entry's blob, byte for byte."""
+
+    def test_served_hit_streams_the_stored_blob(
+        self, tmp_path, tiny_sim_config, backend
+    ):
+        pair = experiment_pairs(quick=True)[0]
+        spec = pearl_job(tiny_sim_config, pair_spec(pair, 3), seed=3)
+        cache = ResultCache(store=_store_url(tmp_path, backend))
+        stored = cache.put(spec, execute_job(spec))
+        assert cache.store.get(cache.key_for(spec))[1] == stored
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            conn = http.client.HTTPConnection(
+                live.server.host, live.server.port, timeout=30
+            )
+            try:
+                conn.request(
+                    "POST", "/simulate", body=json.dumps(spec_to_doc(spec))
+                )
+                lines = conn.getresponse().read().splitlines()
+            finally:
+                conn.close()
+        assert json.loads(lines[-1])["cached"] is True
+        assert lines[-1].endswith(b'"result": ' + stored + b"}")
+
+    def test_format2_entry_heals_as_a_miss(
+        self, tmp_path, tiny_sim_config, backend
+    ):
+        """An entry of the npz layout is evicted on read, in process
+        and when served, and recomputed under the same job key."""
+        pair = experiment_pairs(quick=True)[0]
+        spec = pearl_job(tiny_sim_config, pair_spec(pair, 3), seed=3)
+        direct = execute_job(spec)
+        cache = ResultCache(store=_store_url(tmp_path, backend))
+        key = cache.key_for(spec)
+
+        _put_format2_entry(cache.store, key, direct, spec.payload())
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
+        assert cache.store.get(key) is None
+
+        _put_format2_entry(cache.store, key, direct, spec.payload())
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            healed = live.client.submit(spec_to_doc(spec))
+            assert healed[-1]["key"] == key
+            assert healed[-1]["cached"] is False
+            served = live.client.submit_result(spec_to_doc(spec))
+            stats = live.client.stats()
+            assert stats["executions"] == 1
+            assert stats["cache_hits"] == 1
+        meta, blob = cache.store.get(key)
+        assert json.loads(meta)["format"] == ENTRY_FORMAT
+        assert _fingerprint(result_from_bytes(blob)) == _fingerprint(direct)
+        assert _fingerprint(served) == _fingerprint(direct)
 
 
 class TestCoalescing:

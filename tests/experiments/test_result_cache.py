@@ -12,6 +12,8 @@ Covers the three behaviours the cache promises:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import time
 
 import pytest
@@ -162,9 +164,22 @@ class TestCorruption:
         assert cache.get(spec) is None
         assert cache.errors == 1
 
+    def test_undecodable_document_recomputed(self, tmp_path, spec):
+        """Digest-true bytes that are no result document: one miss,
+        counted once, and the entry is evicted."""
+        cache, json_path, npz_path = self._primed(tmp_path, spec)
+        blob = b'{"format": "not a result document"}'
+        npz_path.write_bytes(blob)
+        meta = json.loads(json_path.read_text())
+        meta["blob_sha256"] = hashlib.sha256(blob).hexdigest()
+        json_path.write_text(json.dumps(meta))
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
+        assert not json_path.exists()
+
 
 class TestTornPairDetection:
-    """Format-2 entries bind meta to blob by digest (torn pairs heal)."""
+    """Entries bind meta to blob by digest (torn pairs heal)."""
 
     def test_mismatched_blob_is_evicted_not_decoded(
         self, tmp_path, tiny_sim_config
