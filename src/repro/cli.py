@@ -786,9 +786,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .experiments.cache import ResultCache
-    from .experiments.service.server import SweepServer, run_server
+    from .experiments.service.server import SweepServer
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
@@ -805,6 +806,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _serve() -> None:
+        # SIGINT and SIGTERM both end the serve through stop(), which
+        # waits for the pool workers.  Installing the handlers also
+        # replaces a SIGINT disposition inherited as ignored, as in a
+        # background job of a non-interactive shell.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         await server.start()
         print(
             f"pearl-sim serve on http://{server.host}:{server.port} "
@@ -813,14 +822,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         try:
-            await server.serve_forever()
+            await stopping.wait()
+            print("shutting down", file=sys.stderr, flush=True)
         finally:
             await server.stop()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
+    asyncio.run(_serve())
     return 0
 
 

@@ -56,6 +56,10 @@ from .spec_codec import result_to_doc, spec_from_doc  # noqa: F401
 
 _MAX_BODY_BYTES = 8 << 20  # an 8 MiB spec document is a client bug
 
+#: Seconds a client has to send its whole request (request line,
+#: headers and body); a stalled one gets a 408 and its socket back.
+_READ_DEADLINE_S = 30.0
+
 
 class _HttpError(Exception):
     def __init__(self, status: int, reason: str, message: str) -> None:
@@ -110,11 +114,6 @@ class SweepServer:
         # Port 0 means "pick one"; publish what the OS chose.
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     def _worker_pool(self) -> ProcessPoolExecutor:
         """The execution pool, created on first use."""
         if self._pool is None:
@@ -155,7 +154,20 @@ class SweepServer:
     ) -> None:
         try:
             try:
-                method, target, body = await self._read_request(reader)
+                method, target, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                await self._write_error(
+                    writer,
+                    _HttpError(
+                        408,
+                        "Request Timeout",
+                        "request not received within the "
+                        f"{_READ_DEADLINE_S:g} s read deadline",
+                    ),
+                )
+                return
             except _HttpError as exc:
                 await self._write_error(writer, exc)
                 return
@@ -426,12 +438,3 @@ class SweepServer:
                 f"service/serve_{event}",
                 help="serve endpoint submissions by outcome",
             ).inc(amount)
-
-
-async def run_server(server: SweepServer) -> None:
-    """Start and serve until cancelled (the CLI entry point)."""
-    await server.start()
-    try:
-        await server.serve_forever()
-    finally:
-        await server.stop()

@@ -58,8 +58,11 @@ Three ideas make the vector step cheap *and* exact:
   reference engine — one ``(k, n_features)`` ML inference per close
   group, then each router's policy.  Only the closing rows' laser
   views round-trip through their bank objects (the policies request
-  states there); the feature collectors are written back once, at
-  :meth:`ArrayCore.sync_to_objects`.
+  states there); the routers' feature collectors stay untouched.
+
+The core runs one whole warm-up-plus-measurement run of a fresh
+network, so its state starts from cycle-0 constants, and the end of
+the run writes back only the laser ledgers (see :class:`ArrayCore`).
 
 What stays scalar: packet movement (FIFO pushes/pops, heap events,
 responder/fault RNG draws) and the policy decisions at window cadence.
@@ -77,7 +80,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..ml.features import CACHE_LEVEL_ORDER, input_buffer_mean, window_row
+from ..ml.features import input_buffer_mean, window_row
 from ..obs import OBS
 from ..traffic.trace import TraceCursor
 from .packet import CoreType, PacketClass
@@ -85,7 +88,6 @@ from .router import (
     EJECTION_DRAIN_PER_CYCLE,
     LOCAL_CROSSBAR_CYCLES,
     PIPELINE_OVERHEAD_CYCLES,
-    Transmission,
 )
 
 #: Sentinel "never" cycle for event minima (far beyond any horizon).
@@ -103,24 +105,25 @@ _DBA_EVEN = 4
 
 
 class ArrayCore:
-    """Struct-of-arrays engine over an existing :class:`PearlNetwork`.
+    """Struct-of-arrays engine over a fresh :class:`PearlNetwork`.
 
-    Construction *exports* the cycle-path state of every router into
-    arrays (identity for a network of any cluster count — all arrays
-    are sized from ``len(network.routers)``); :meth:`sync_to_objects`
-    settles it back, and the export/import pair is the identity for
-    arbitrary mid-window states (property-tested).  ``start_cycle`` is
-    the cycle about to execute, so a core may be constructed around a
-    half-run network.
+    A core is built at cycle 0 of a network that has not run yet
+    (:meth:`PearlNetwork.run` is single-use), so every counter,
+    integral, ledger and queue flag starts at its cycle-0 constant:
+    only each router's initial laser state and each fault injector's
+    first event are read from the objects.  All arrays are sized from
+    ``len(network.routers)``, so any cluster count works.  Pools,
+    engines, statistics, reservation counts and policy histories are
+    updated in place as the run goes; :meth:`_finish` writes the laser
+    ledgers into the bank objects.
     """
 
-    def __init__(self, network, start_cycle: int = 0) -> None:
+    def __init__(self, network) -> None:
         self.net = network
         routers = network.routers
         self.routers = routers
         n = len(routers)
         self.n = n
-        self._cycle = start_cycle
 
         # -- shared lookups ------------------------------------------------
         ladder = routers[0].ladder
@@ -172,21 +175,20 @@ class ArrayCore:
         self._dba_cub = [d.config.cpu_upper_bound for d in dbas]
         self._dbas = dbas
         # D3NOC window pins (per row: fractions + label index, -1 =
-        # unpinned).  Pins only change inside _close_windows, so the
-        # mirrors refresh at construction and after each boundary.
+        # unpinned).  Nothing is pinned before the first close, and pins
+        # only change inside _close_windows, so the mirrors refresh
+        # after each boundary.
         self._dba_pin_cf = [0.0] * n
         self._dba_pin_gf = [0.0] * n
         self._dba_pin_idx = [-1] * n
-        for r in range(n):
-            self._refresh_dba_pin(r)
 
-        # -- slot accounting ------------------------------------------------
+        # -- slot accounting (every pool starts empty) ----------------------
         self._cap_cpu = [p.capacity_slots for p in self._cpu_pool]
         self._cap_gpu = [p.capacity_slots for p in self._gpu_pool]
-        self._s_cpu = [p._occupied_slots for p in self._cpu_pool]
-        self._s_gpu = [p._occupied_slots for p in self._gpu_pool]
-        self._s_ejc = [p._occupied_slots for p in self._ej_cpu]
-        self._s_ejg = [p._occupied_slots for p in self._ej_gpu]
+        self._s_cpu = [0] * n
+        self._s_gpu = [0] * n
+        self._s_ejc = [0] * n
+        self._s_ejg = [0] * n
 
         # -- queue-head flags and work counter ------------------------------
         self._cpu_has = [False] * n
@@ -194,59 +196,45 @@ class ArrayCore:
         self._cpu_hl = [False] * n
         self._gpu_hl = [False] * n
         self._ej_rows: set = set()
-        work = 0
-        for r in range(n):
-            q = self._q_cpu[r]
-            if q:
-                self._cpu_has[r] = True
-                h = q[0]
-                self._cpu_hl[r] = h.source == h.destination
-            q = self._q_gpu[r]
-            if q:
-                self._gpu_has[r] = True
-                h = q[0]
-                self._gpu_hl[r] = h.source == h.destination
-            ej = (
-                len(self._q_ejc[r])
-                + len(self._q_ejg[r])
-                + len(routers[r]._ejection_backlog)
-            )
-            if ej:
-                self._ej_rows.add(r)
-            work += len(self._q_cpu[r]) + len(self._q_gpu[r]) + ej
-        for backlog in network._injection_backlog:
-            work += len(backlog)
-        for backlog in network._retransmit_backlog:
-            work += len(backlog)
         #: Packets that could move next cycle (pools + backlogs); the
         #: O(1) quiescence probe of the idle skipper (:meth:`_advance`).
-        self._work = work
+        self._work = 0
         self._backlogs = network._injection_backlog
         #: Rows whose injection backlog is worth retrying.  A blocked
         #: head can only start fitting again after a transmit pop frees
         #: slots in its pool (nothing else shrinks an input pool), so
         #: rows enter this set there and leave it once re-blocked —
         #: turning the scalar engine's every-cycle all-router retry
-        #: sweep into a usually-empty set check.  Seeded conservatively
-        #: with every backlogged row (a spurious retry is a no-op).
-        self._bl_ready = {
-            r for r, b in enumerate(network._injection_backlog) if b
-        }
+        #: sweep into a usually-empty set check.
+        self._bl_ready: set = set()
 
         # -- window accumulators (lazy sample counters) ---------------------
-        self._is_l3 = [r.features.is_l3_router for r in routers]
-        #: Per row: the four feature capacities (cpu, ej-cpu, gpu,
-        #: ej-gpu) and the pooled input capacity Buf_w divides by.
-        self._feat_caps = [r.features.capacities for r in routers]
-        self._in_caps = [caps[0] + caps[2] for caps in self._feat_caps]
+        self._is_l3 = [r.is_l3 for r in routers]
+        #: Per row: the four pool capacities features 2-5 divide by
+        #: (cpu, ej-cpu, gpu, ej-gpu) and the pooled input capacity
+        #: Buf_w divides by.
+        self._feat_caps = [
+            (
+                self._cap_cpu[r],
+                self._ej_cpu[r].capacity_slots,
+                self._cap_gpu[r],
+                self._ej_gpu[r].capacity_slots,
+            )
+            for r in range(n)
+        ]
+        self._in_caps = [self._cap_cpu[r] + self._cap_gpu[r] for r in range(n)]
         self._occ_sums: List[List[int]] = [[0] * 4 for _ in range(n)]
         #: Occupancy is observed after injection (phases 0-3) and before
         #: transmit, so every pool push or pop first credits the slots
         #: it is about to change: through ``cycle - 1`` for a mutation
         #: in phases 0-3, through ``cycle`` for one in phases 5-7.
-        self._occ_settled = [start_cycle] * n
+        self._occ_settled = [0] * n
         self._feat_link_busy = [0] * n
-        self._occ_base = [0] * n
+        # Lazy counters: ``samples = cycle - base``.  Occupancy is
+        # observed *before* a close on the boundary cycle (so that cycle
+        # counts into the closing window) while the link is sampled
+        # after it — hence the off-by-one between the two.
+        self._occ_base = [-1] * n
         self._link_base = [0] * n
         self._f_core = [0] * n
         self._f_other = [0] * n
@@ -258,89 +246,47 @@ class ArrayCore:
         self._f_pr = [0] * n
         self._f_qlvl: List[List[int]] = [[0] * 8 for _ in range(n)]
         self._f_plvl: List[List[int]] = [[0] * 8 for _ in range(n)]
-        for r, router in enumerate(routers):
-            fc = router.features
-            self._occ_sums[r] = list(fc._occupancy_slot_cycles)
-            self._feat_link_busy[r] = fc._link_busy_cycles
-            # Lazy counters: ``samples = cycle - base``.  Occupancy is
-            # observed *before* a close on the boundary cycle (so that
-            # cycle counts into the closing window) while the link is
-            # sampled after it — hence the off-by-one between the two.
-            self._occ_base[r] = start_cycle - fc._occupancy_samples - 1
-            self._link_base[r] = start_cycle - fc._link_samples
-            self._f_core[r] = fc._sent_to_core
-            self._f_other[r] = fc._incoming_other
-            self._f_cores[r] = fc._incoming_cores
-            self._f_netinj[r] = fc._network_injected
-            self._f_qs[r] = fc._requests_sent
-            self._f_ps[r] = fc._responses_sent
-            self._f_qr[r] = fc._requests_received
-            self._f_pr[r] = fc._responses_received
-            self._f_qlvl[r] = [
-                fc._requests_by_level[lvl] for lvl in CACHE_LEVEL_ORDER
-            ]
-            self._f_plvl[r] = [
-                fc._responses_by_level[lvl] for lvl in CACHE_LEVEL_ORDER
-            ]
 
         # -- transmit engines / link-busy integral --------------------------
         self._cpu_free = [0] * n
         self._gpu_free = [0] * n
         self._loc_busy = [0] * n
         self._emax = [0] * n
-        for r in range(n):
-            self._refresh_engines(r)
-            self._loc_busy[r] = self._local_eng[r].busy_until
-        self._link_settled = [start_cycle] * n
-        self._stats_link_base = start_cycle
+        self._link_settled = [0] * n
+        self._stats_link_base = 0
 
         # -- laser ledgers (segment-settled) --------------------------------
-        self.state_idx = np.zeros(n, dtype=np.int64)
+        self.state_idx = np.array(
+            [self._sidx[r.laser.state] for r in routers], dtype=np.int64
+        )
         self.pending_idx = np.full(n, -1, dtype=np.int64)
         self.stab_end = np.zeros(n, dtype=np.int64)
-        self.seg_start = np.full(n, start_cycle, dtype=np.int64)
+        self.seg_start = np.zeros(n, dtype=np.int64)
         self.in_state = np.zeros((n, n_states), dtype=np.int64)
         self.at_power = np.zeros((n, n_states), dtype=np.int64)
         self.stall = np.zeros(n, dtype=np.int64)
-        for r, router in enumerate(routers):
-            bank = router.laser
-            self.state_idx[r] = self._sidx[bank._state]
-            if bank._pending_state is not None:
-                self.pending_idx[r] = self._sidx[bank._pending_state]
-                self.stab_end[r] = start_cycle + bank._stabilize_remaining
-            for state, cycles in bank.cycles_in_state.items():
-                self.in_state[r, self._sidx[state]] = cycles
-            for state, cycles in bank._cycles_at_power.items():
-                self.at_power[r, self._sidx[state]] = cycles
-            self.stall[r] = bank.stall_cycles
-        self._recompute_next_flip()
+        self._next_flip = _FAR
 
         # -- window cadence --------------------------------------------------
         self.win = np.array([r._window for r in routers], dtype=np.int64)
         self.off = np.array([r._offset for r in routers], dtype=np.int64)
-        rem = (start_cycle - self.off) % self.win
-        nxt = np.where(rem == 0, start_cycle, start_cycle + self.win - rem)
-        self._next_boundary = int(nxt.min())
+        self._next_boundary = int(((-self.off) % self.win).min())
 
         # -- fault schedule ---------------------------------------------------
+        # No fault starts before cycle 0, so every link starts up.
         self._has_faults = network._fault_context is not None
         self._fault_next = np.full(n, _FAR, dtype=np.int64)
         self._link_down = [False] * n
         if self._has_faults:
             for r, router in enumerate(routers):
                 injector = router._fault_injector
-                if injector is None:
-                    continue
-                event = injector.next_event()
-                self._fault_next[r] = _FAR if event is None else event
-                self._link_down[r] = injector.link_down
+                if injector is not None:
+                    event = injector.next_event()
+                    self._fault_next[r] = _FAR if event is None else event
         self._next_fault = int(self._fault_next.min()) if n else _FAR
 
         # -- hot-path mirrors of the laser/fault view -------------------------
-        self._tx_ok = [
-            int(self.stab_end[r]) == 0 and not self._link_down[r]
-            for r in range(n)
-        ]
+        self._tx_ok = [True] * n
         self._ser_now = [
             self._ser_by_idx[int(self.state_idx[r])] for r in range(n)
         ]
@@ -350,13 +296,13 @@ class ArrayCore:
         # The DBA decision is a pure function of the input-pool slot
         # counts, which are piecewise constant between pool mutations —
         # so under instrumentation the tally is settled in closed form
-        # right *before* each mutation (and at boundaries/sync), which
+        # right *before* each mutation (and at boundaries), which
         # replays the per-cycle tallies exactly without per-cycle work.
         self._obs_tally = OBS.enabled
         # ``_FAR`` sentinel when telemetry is off: the injection path
         # guards on ``settled < cycle`` alone, so a bare run skips the
         # tally with the same single compare and no extra branch.
-        self._dba_settled = [start_cycle if self._obs_tally else _FAR] * n
+        self._dba_settled = [0 if self._obs_tally else _FAR] * n
         # Tally dicts by row: _record_window_telemetry flushes them
         # with dict.clear(), so the identity is stable for the run.
         self._dba_counts = [
@@ -364,7 +310,7 @@ class ArrayCore:
         ]
         # Hot-path tallies go into per-row int lists indexed by label
         # (no string hashing per credit); _flush_dba_row folds them
-        # into the router's split dict at boundaries and syncs.
+        # into the router's split dict at boundaries.
         self._dba_icnt = [[0] * len(_DBA_LABELS) for _ in range(n)]
         # Label an idle router settles to (co == go == 0.0 through the
         # decide() branch order) — the common case when the first packet
@@ -442,28 +388,6 @@ class ArrayCore:
                 label = _DBA_LABELS[i]
                 counts[label] = counts.get(label, 0) + n
                 icnt[i] = 0
-
-    def _refresh_engines(self, r: int) -> None:
-        """Recompute the per-pool free/max busy cache for one router."""
-        cpu = self._cpu_eng[r]
-        gpu = self._gpu_eng[r]
-        lo = hi = cpu[0].busy_until
-        for engine in cpu[1:]:
-            b = engine.busy_until
-            if b < lo:
-                lo = b
-            elif b > hi:
-                hi = b
-        self._cpu_free[r] = lo
-        lo_g = hi_g = gpu[0].busy_until
-        for engine in gpu[1:]:
-            b = engine.busy_until
-            if b < lo_g:
-                lo_g = b
-            elif b > hi_g:
-                hi_g = b
-        self._gpu_free[r] = lo_g
-        self._emax[r] = hi if hi > hi_g else hi_g
 
     # -- occupancy integrals -------------------------------------------------
 
@@ -951,13 +875,7 @@ class ArrayCore:
             cycle_next = cycle + 1
             pushed = 0
             while in_flight and in_flight[0][0] <= cycle:
-                entry = heappop(in_flight)
-                if len(entry) == 4:
-                    _, _, packet, src = entry
-                else:
-                    transmission = entry[2]
-                    packet = transmission.packet
-                    src = transmission.source_router
+                _, _, packet, src = heappop(in_flight)
                 r = packet.destination
                 if packet.source != r:
                     if fault_context is not None and fault_context.corrupts(
@@ -1200,7 +1118,7 @@ class ArrayCore:
                     feat_link_busy[r] += count
                     stats.link_busy_cycles += count
                 link_settled[r] = cycle
-                # _refresh_engines, inlined (single-engine fast path):
+                # Per-pool free/max busy caches (single-engine fast path):
                 pool_engines = cpu_engs[r]
                 lo = hic = pool_engines[0].busy_until
                 if len(pool_engines) > 1:
@@ -1367,77 +1285,6 @@ class ArrayCore:
                 horizon = self._skip_horizon(cycle, end, cursor)
                 if horizon > cycle:
                     cycle = horizon
-        self._cycle = end
-
-    # -- full-state import back into the router objects ---------------------------
-
-    def sync_to_objects(self, cycle: Optional[int] = None) -> None:
-        """Settle every array back into the router objects.
-
-        After this call the network objects are exactly what the
-        reference engine would have produced at the same point —
-        ``ArrayCore(net, c).sync_to_objects(c)`` is the identity for
-        any reachable (and any hypothesis-randomized) state.  In-flight
-        heap entries are rebuilt in :class:`Transmission` form in place
-        (their ``(arrival, sequence)`` keys are unchanged and sequences
-        are unique, so the heap invariant is preserved without a
-        re-heapify).
-        """
-        if cycle is None:
-            cycle = self._cycle
-        self._settle_links_all(cycle)
-        # A flip inside a skipped idle tail has no later executed cycle
-        # to land it, so split the ledgers at it before settling.
-        self._apply_flips(cycle)
-        self._settle_lasers_all(cycle)
-        in_flight = self.net._in_flight
-        for i, entry in enumerate(in_flight):
-            if len(entry) == 4:
-                arrival, seq, packet, src = entry
-                in_flight[i] = (
-                    arrival,
-                    seq,
-                    Transmission(
-                        packet=packet,
-                        arrival_cycle=arrival,
-                        source_router=src,
-                    ),
-                )
-        for r, router in enumerate(self.routers):
-            if self._obs_tally:
-                self._settle_dba_row(r, cycle)
-                self._flush_dba_row(r)
-            self._laser_to_bank(r, cycle)
-            bank = router.laser
-            bank.cycles_in_state = {
-                s: int(self.in_state[r, i]) for i, s in enumerate(self._states)
-            }
-            bank._cycles_at_power = {
-                s: int(self.at_power[r, i])
-                for i, s in enumerate(self._states)
-                if self.at_power[r, i]
-            }
-            bank.stall_cycles = int(self.stall[r])
-            self._settle_occ_row(r, cycle)
-            fc = router.features
-            fc._occupancy_slot_cycles = list(self._occ_sums[r])
-            fc._occupancy_samples = cycle - self._occ_base[r] - 1
-            fc._link_busy_cycles = self._feat_link_busy[r]
-            fc._link_samples = cycle - self._link_base[r]
-            fc._sent_to_core = self._f_core[r]
-            fc._incoming_other = self._f_other[r]
-            fc._incoming_cores = self._f_cores[r]
-            fc._network_injected = self._f_netinj[r]
-            fc._requests_sent = self._f_qs[r]
-            fc._responses_sent = self._f_ps[r]
-            fc._requests_received = self._f_qr[r]
-            fc._responses_received = self._f_pr[r]
-            fc._requests_by_level = dict(
-                zip(CACHE_LEVEL_ORDER, self._f_qlvl[r])
-            )
-            fc._responses_by_level = dict(
-                zip(CACHE_LEVEL_ORDER, self._f_plvl[r])
-            )
 
     # -- run ------------------------------------------------------------------------
 
@@ -1457,6 +1304,27 @@ class ArrayCore:
         self._stats_link_base = warmup
 
     def _finish(self, total: int) -> None:
-        """End of the run: settle into the objects, then finish there."""
-        self.sync_to_objects(total)
+        """End of the run: write the laser ledgers, then finish there.
+
+        Pools, engines, statistics, reservation counts and policy
+        histories were updated in place as the run went, so only the
+        laser banks lag behind their arrays.
+        """
+        self._settle_links_all(total)
+        # A flip inside a skipped idle tail has no later executed cycle
+        # to land it, so split the ledgers at it before settling.
+        self._apply_flips(total)
+        self._settle_lasers_all(total)
+        for r, router in enumerate(self.routers):
+            self._laser_to_bank(r, total)
+            bank = router.laser
+            bank.cycles_in_state = {
+                s: int(self.in_state[r, i]) for i, s in enumerate(self._states)
+            }
+            bank._cycles_at_power = {
+                s: int(self.at_power[r, i])
+                for i, s in enumerate(self._states)
+                if self.at_power[r, i]
+            }
+            bank.stall_cycles = int(self.stall[r])
         self.net._finish(total)

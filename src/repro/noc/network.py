@@ -31,7 +31,7 @@ from ..obs import OBS
 from ..ml.ridge import RidgeRegression
 from .packet import CacheLevel, CoreType, Packet, PacketClass
 from .photonic import PhotonicLinkModel
-from .router import PearlRouter, PowerPolicyKind, Transmission
+from .router import PearlRouter, PowerPolicyKind
 from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
 
@@ -148,17 +148,22 @@ class PearlNetwork:
         self.stats = NetworkStats()
         for router in self.routers:
             router._net_stats = self.stats
-        # Which engine the last run() call was asked for / executed on
-        # (always equal — there is no silent downgrade); recorded into
-        # trace provenance by the CLI.
+        # Which engine run() was asked for / executed on (always equal —
+        # there is no silent downgrade); recorded into trace provenance
+        # by the CLI.
         self.last_engine_requested: Optional[str] = None
         self.last_engine_used: Optional[str] = None
+        # run() is single-use: a second call would start from the first
+        # run's leftovers (queues, heaps, policy histories, RNG state).
+        self._has_run = False
         self.memory = MemoryController(
             num_controllers=arch.memory_controllers,
             line_bytes=arch.cache_line_bytes,
         )
-        # (arrival_cycle, sequence, transmission) min-heap of packets in flight.
-        self._in_flight: List[Tuple[int, int, Transmission]] = []
+        # Min-heap of packets in flight: (arrival_cycle, sequence,
+        # transmission) on the reference engine, (arrival_cycle,
+        # sequence, packet, source_router) on the array engine.
+        self._in_flight: List[Tuple] = []
         # (inject_cycle, sequence, router_id, packet) pending responses.
         self._responses: List[Tuple[int, int, int, Packet]] = []
         self._sequence = 0
@@ -545,10 +550,19 @@ class PearlNetwork:
         :mod:`repro.noc.array_core`, the default) or ``"reference"``
         (plain cycle-by-cycle :meth:`step`, the oracle the array core
         is tested against); both produce bit-identical results.
+
+        A network runs once: a second call raises :class:`RuntimeError`,
+        so every run starts from the freshly built state at cycle 0.
         """
+        if self._has_run:
+            raise RuntimeError(
+                "PearlNetwork.run is single-use: a network runs once, "
+                "so build a new PearlNetwork for each run"
+            )
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         trace.check_routers(len(self.routers))
+        self._has_run = True
         self.last_engine_requested = engine
         self.last_engine_used = engine
         if OBS.enabled:

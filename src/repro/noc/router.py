@@ -171,9 +171,6 @@ class _TransmitEngine:
     def __init__(self) -> None:
         self.busy_until = 0
 
-    def is_free(self, cycle: int) -> bool:
-        return cycle >= self.busy_until
-
 
 class PearlRouter:
     """One PEARL router plus its share of the photonic crossbar."""
@@ -678,11 +675,6 @@ class PearlRouter:
         self.features.observe_link(link_busy)
         self._link_busy_this_cycle = link_busy
         return started
-
-    @property
-    def link_busy(self) -> bool:
-        """Whether any transmit engine was busy last cycle."""
-        return self._link_busy_this_cycle
 
     def reset_power_stats(self) -> None:
         """Clear laser/ML energy integrals (warm-up boundary)."""

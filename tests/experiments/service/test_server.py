@@ -14,13 +14,21 @@ import http.client
 import io
 import json
 import multiprocessing
+import os
+import select
+import shlex
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 from repro.experiments.cache import ENTRY_FORMAT, ResultCache
 from repro.experiments.parallel import (
@@ -30,6 +38,7 @@ from repro.experiments.parallel import (
     trace_job,
 )
 from repro.experiments.runner import experiment_pairs
+from repro.experiments.service import server as server_module
 from repro.experiments.service.client import ServeClient, ServeError
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import (
@@ -246,6 +255,36 @@ class TestEndpoints:
         logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
         assert logged == []
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /simulate HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            b'{"format":',
+            b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n",
+        ],
+        ids=["partial-body", "unfinished-headers"],
+    )
+    def test_stalled_request_gets_408_at_the_read_deadline(
+        self, live, monkeypatch, request_bytes
+    ):
+        """A client that stops sending mid-request, with its socket
+        still open, is answered 408 once the read deadline passes and
+        disconnected; it counts as a bad request and the next request
+        is served."""
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.5)
+        with socket.create_connection(
+            (live.server.host, live.server.port), timeout=30
+        ) as sock:
+            sock.sendall(request_bytes)
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert "0.5 s read deadline" in json.loads(body)["error"]
+        stats = live.client.stats()
+        assert stats["bad_requests"] == 1
+        assert stats["errors"] == 0
+        assert live.client.healthz()
+
 
 class TestShutdown:
     def test_stop_returns_after_every_pool_worker_exited(
@@ -270,6 +309,60 @@ class TestShutdown:
                 live.server.stop(), live.loop
             ).result(timeout=60)
             assert [w.pid for w in workers if w.is_alive()] == []
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_cli_serve_stops_cleanly_on_signal(
+        self, tmp_path, tiny_sim_config, signum
+    ):
+        """``pearl-sim serve`` started with SIGINT ignored, as in a
+        background job of a non-interactive shell, still stops through
+        ``stop()`` on SIGINT and on SIGTERM once a miss has started its
+        pool: exit 0, ``shutting down``, no traceback and no leak."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+            PEARL_RESULT_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        env.pop("PEARL_RESULT_CACHE_BACKEND", None)
+        serve = shlex.join(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--jobs", "1"]
+        )
+        # Its own process group, so a server that does not stop can be
+        # killed together with the pool workers that hold its pipes.
+        process = subprocess.Popen(
+            ["/bin/sh", "-c", f"trap '' INT; exec {serve}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            start_new_session=True,
+        )
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 60)
+            assert ready, "serve did not announce its port"
+            address = process.stdout.readline().split("http://", 1)[1]
+            port = int(address.split()[0].rsplit(":", 1)[1])
+            pair = experiment_pairs(quick=True)[0]
+            spec = trace_job(tiny_sim_config, pair_spec(pair, 1), seed=1)
+            events = ServeClient(port=port).submit(spec_to_doc(spec))
+            assert events[-1]["cached"] is False
+            process.send_signal(signum)
+            _, stderr = process.communicate(timeout=10)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the server and its pool have all exited
+            if process.returncode is None:
+                process.communicate()
+        assert process.returncode == 0, stderr
+        assert "shutting down" in stderr
+        assert "Traceback" not in stderr
+        assert "leaked" not in stderr
 
 
 class TestLazyPool:

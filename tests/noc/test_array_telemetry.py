@@ -209,14 +209,19 @@ class TestNoSilentDowngrade:
             config.simulation.total_cycles,
             11,
         )
-        network = PearlNetwork(config=config, power_policy=policy, seed=3)
+        # One network per engine: a network runs once.
+        networks = {
+            engine: PearlNetwork(config=config, power_policy=policy, seed=3)
+            for engine in ("array", "reference")
+        }
         with obs.session():
-            network.run(trace, engine="array")
-            network.run(trace, engine="reference")
+            for engine, network in networks.items():
+                network.run(trace, engine=engine)
             engines = dict(obs.OBS.engines)
         assert engines == {"array": 1, "reference": 1}
-        assert network.last_engine_requested == "reference"
-        assert network.last_engine_used == "reference"
+        for engine, network in networks.items():
+            assert network.last_engine_requested == engine
+            assert network.last_engine_used == engine
 
     def test_requested_equals_used_for_array(self, toy_model):
         config, policy, model, faults = _scenario("reactive", toy_model)

@@ -38,6 +38,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown engine"):
             network.run(Trace([], name="empty"), engine="warp")
 
+    @pytest.mark.parametrize("engine", PearlNetwork.ENGINES)
+    def test_run_is_single_use(self, tiny_config, tiny_trace, engine):
+        """A second run() would start from the first run's queues,
+        heaps, RNG and policy state, so it is refused."""
+        network = PearlNetwork(
+            tiny_config, power_policy=PowerPolicyKind.REACTIVE, seed=3
+        )
+        assert network.run(tiny_trace, engine=engine).stats.packets_delivered
+        with pytest.raises(RuntimeError, match="single-use"):
+            network.run(tiny_trace, engine=engine)
+
 
 class TestClosedLoop:
     def test_requests_produce_responses(self, tiny_config, tiny_trace):
