@@ -2,10 +2,11 @@
 """Regenerate the golden-run snapshots under tests/golden/snapshots/.
 
 Run after an *intentional* simulator behaviour change and commit the
-resulting diff together with the code change.  Each case is simulated
-on both cycle engines; the reference engine's result is the snapshot,
-and the script refuses to write one the array engine disagrees with —
-a divergence means a bug, not a new golden.
+resulting diff together with the code change.  Each PEARL case is
+simulated on both cycle engines; the reference engine's result is the
+snapshot, and the script refuses to write one the array engine
+disagrees with — a divergence means a bug, not a new golden.  The
+CMESH and MWSR baselines have one engine each and are written as run.
 
 Usage: python scripts/update_golden.py
 """
@@ -22,16 +23,27 @@ sys.path.insert(0, str(ROOT))
 
 from tests.golden.golden_cases import (  # noqa: E402
     ALLOCATORS,
+    CMESH_DIVISORS,
     COLLECTIVE_PAM4_CASE,
     COLLECTIVE_RETRAIN_CASE,
     ENGINES,
+    MWSR_CASE,
     POLICIES,
     RETRAIN_CASE,
+    cmesh_case,
     run_case,
+    run_cmesh_case,
     run_collective_pam4_case,
     run_collective_retrain_case,
+    run_mwsr_case,
     run_retrain_case,
 )
+
+
+def _write(outdir: Path, stem: str, doc: dict) -> None:
+    path = outdir / f"{stem}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path.relative_to(ROOT)}")
 
 
 def _write_checked(outdir: Path, stem: str, results: dict) -> bool:
@@ -50,9 +62,7 @@ def _write_checked(outdir: Path, stem: str, results: dict) -> bool:
             file=sys.stderr,
         )
         return False
-    path = outdir / f"{stem}.json"
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+    _write(outdir, stem, baseline)
     return True
 
 
@@ -94,6 +104,9 @@ def main() -> int:
     }
     if not _write_checked(outdir, COLLECTIVE_PAM4_CASE, collective_pam4):
         return 1
+    for divisor in CMESH_DIVISORS:
+        _write(outdir, cmesh_case(divisor), run_cmesh_case(divisor))
+    _write(outdir, MWSR_CASE, run_mwsr_case())
     return 0
 
 

@@ -179,6 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser(
         "sweep",
         help="run a sharded, resumable sweep (docs/sweep_service.md)",
+        description="Run a sharded, resumable sweep.  Every job's result "
+        "goes through the shared result cache, the channel between "
+        "shards, so a sweep cannot run without it.",
     )
     swp.add_argument(
         "--policies",
@@ -221,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    _add_engine_args(swp)
+    _add_pool_args(swp)
     _add_trace_args(swp)
 
     srv = sub.add_parser(
@@ -391,7 +394,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+def _add_pool_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
@@ -400,16 +403,20 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the simulation fan-out (default 1)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the on-disk result cache (.pearl_result_cache/)",
-    )
-    parser.add_argument(
         "--cache-backend",
         default=None,
         metavar="URL",
         help="result store backend: dir:PATH or sqlite:PATH "
         "(default: the local .pearl_result_cache directory)",
+    )
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    _add_pool_args(parser)
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="skip the on-disk result cache (.pearl_result_cache/)",
     )
 
 
@@ -750,11 +757,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.shard_size < 1:
         raise SystemExit("--shard-size must be at least 1")
     specs = _sweep_specs(args)
-    if args.no_cache:
-        raise SystemExit(
-            "sweep requires the shared result cache (it is the results "
-            "channel between shards); drop --no-cache"
-        )
     cache = ResultCache(store=args.cache_backend) if args.cache_backend \
         else ResultCache()
     runner = SweepRunner(cache, jobs=args.jobs, shard_size=args.shard_size)

@@ -108,8 +108,8 @@ class DynamicBandwidthAllocator:
         }
         # D3NOC window-scale reconfiguration: when pinned, the per-cycle
         # combinational decision is bypassed until the next window close
-        # re-pins.  Always one of the five canonical instances, so the
-        # id()-keyed telemetry tally keeps working.
+        # re-pins.  Always one of the five canonical instances, so a
+        # pinned split carries its telemetry label.
         self._pinned: Optional[BandwidthAllocation] = None
 
     def sample(self, buffers: PartitionedBuffer) -> OccupancySample:
@@ -181,8 +181,7 @@ class FCFSAllocator:
 
     def __init__(self, config: DBAConfig) -> None:
         self.config = config
-        # One canonical instance (this runs every cycle on every router,
-        # and telemetry tallies outcomes by object identity).
+        # One canonical instance (this runs every cycle on every router).
         self._even = BandwidthAllocation.even_split()
         self.split_labels = {self._even: "even"}
 

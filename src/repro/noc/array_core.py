@@ -93,16 +93,6 @@ from .router import (
 #: Sentinel "never" cycle for event minima (far beyond any horizon).
 _FAR = 1 << 62
 
-# DBA split labels in decide() branch order; telemetry tallies credit a
-# small-int index on the hot path and resolve the string only when the
-# per-row counts are flushed into the router's split dict.
-_DBA_LABELS = ("all_cpu", "all_gpu", "cpu_major", "gpu_major", "even")
-_DBA_ALL_CPU = 0
-_DBA_ALL_GPU = 1
-_DBA_CPU_MAJOR = 2
-_DBA_GPU_MAJOR = 3
-_DBA_EVEN = 4
-
 
 class ArrayCore:
     """Struct-of-arrays engine over a fresh :class:`PearlNetwork`.
@@ -174,13 +164,13 @@ class ArrayCore:
         self._dba_gub = [d.config.gpu_upper_bound for d in dbas]
         self._dba_cub = [d.config.cpu_upper_bound for d in dbas]
         self._dbas = dbas
-        # D3NOC window pins (per row: fractions + label index, -1 =
+        # D3NOC window pins (per row: fractions + split label, None =
         # unpinned).  Nothing is pinned before the first close, and pins
         # only change inside _close_windows, so the mirrors refresh
         # after each boundary.
         self._dba_pin_cf = [0.0] * n
         self._dba_pin_gf = [0.0] * n
-        self._dba_pin_idx = [-1] * n
+        self._dba_pin_label: List[Optional[str]] = [None] * n
 
         # -- slot accounting (every pool starts empty) ----------------------
         self._cap_cpu = [p.capacity_slots for p in self._cpu_pool]
@@ -291,113 +281,34 @@ class ArrayCore:
             self._ser_by_idx[int(self.state_idx[r])] for r in range(n)
         ]
 
-        # -- DBA split tallies (lazy, telemetry only) -----------------------
-        # The reference engine tallies one split label per router per cycle.
-        # The DBA decision is a pure function of the input-pool slot
-        # counts, which are piecewise constant between pool mutations —
-        # so under instrumentation the tally is settled in closed form
-        # right *before* each mutation (and at boundaries), which
-        # replays the per-cycle tallies exactly without per-cycle work.
-        self._obs_tally = OBS.enabled
-        # ``_FAR`` sentinel when telemetry is off: the injection path
-        # guards on ``settled < cycle`` alone, so a bare run skips the
-        # tally with the same single compare and no extra branch.
-        self._dba_settled = [0 if self._obs_tally else _FAR] * n
-        # Tally dicts by row: _record_window_telemetry flushes them
-        # with dict.clear(), so the identity is stable for the run.
-        self._dba_counts = [
-            router._dba_split_counts for router in self.routers
-        ]
-        # Hot-path tallies go into per-row int lists indexed by label
-        # (no string hashing per credit); _flush_dba_row folds them
-        # into the router's split dict at boundaries.
-        self._dba_icnt = [[0] * len(_DBA_LABELS) for _ in range(n)]
-        # Label an idle router settles to (co == go == 0.0 through the
-        # decide() branch order) — the common case when the first packet
-        # after a quiet span lands, precomputed to skip the divisions.
-        self._dba_empty_idx = [
-            (
-                _DBA_CPU_MAJOR
-                if 0.0 < self._dba_gub[r]
-                else (
-                    _DBA_GPU_MAJOR if 0.0 < self._dba_cub[r] else _DBA_EVEN
-                )
-            )
-            if self._dba_dyn[r]
-            else _DBA_EVEN
-            for r in range(n)
-        ]
+        # -- DBA split counts (telemetry only) --------------------------------
+        # Under a telemetry session each photonic dispatch is counted in
+        # its router's split dict under the label of the decision that
+        # sent it.  The warm-up boundary clears the dicts in place, so
+        # these references stay valid for the whole run.
+        self._obs = OBS.enabled
+        self._dba_counts = [router._dba_split_counts for router in routers]
 
     # -- engine caches ------------------------------------------------------
 
     def _refresh_dba_pin(self, r: int) -> None:
         """Mirror row ``r``'s allocator pin into the hot-path lists."""
-        pinned = self._dbas[r].pinned
-        if pinned is None:
-            self._dba_pin_idx[r] = -1
-            return
-        self._dba_pin_cf[r] = pinned.cpu_fraction
-        self._dba_pin_gf[r] = pinned.gpu_fraction
-        self._dba_pin_idx[r] = _DBA_LABELS.index(
-            self._dbas[r].split_labels[pinned]
-        )
-
-    def _settle_dba_row(self, r: int, to: int) -> None:
-        """Credit the current DBA split with cycles [settled, to).
-
-        ``to`` is the first cycle whose tally is *not* yet decided —
-        callers settle to ``cycle`` before mutating a pool (the mutation
-        affects cycle ``cycle`` onward) and to ``cycle + 1`` at transmit
-        time (the scalar engine tallies cycle ``cycle`` with the
-        post-injection, pre-pop occupancy this row sees there).
-        """
-        settled = self._dba_settled[r]
-        if to <= settled:
-            return
-        self._dba_settled[r] = to
-        self._dba_icnt[r][self._dba_label_idx(r)] += to - settled
-
-    def _dba_label_idx(self, r: int) -> int:
-        """Split-label index for row ``r``'s *current* pool occupancy."""
-        pin = self._dba_pin_idx[r]
-        if pin >= 0:
-            return pin
-        if not self._dba_dyn[r]:
-            return _DBA_EVEN
-        if not (self._s_cpu[r] or self._s_gpu[r]):
-            return self._dba_empty_idx[r]
-        co = self._s_cpu[r] / self._cap_cpu[r]
-        go = self._s_gpu[r] / self._cap_gpu[r]
-        if go == 0.0 and co > 0.0:
-            return _DBA_ALL_CPU
-        if co == 0.0 and go > 0.0:
-            return _DBA_ALL_GPU
-        if go < self._dba_gub[r]:
-            return _DBA_CPU_MAJOR
-        if co < self._dba_cub[r]:
-            return _DBA_GPU_MAJOR
-        return _DBA_EVEN
-
-    def _flush_dba_row(self, r: int) -> None:
-        """Fold the int tallies into the router's split dict (the form
-        :meth:`PearlRouter._record_window_telemetry` flushes)."""
-        icnt = self._dba_icnt[r]
-        counts = self._dba_counts[r]
-        for i, n in enumerate(icnt):
-            if n:
-                label = _DBA_LABELS[i]
-                counts[label] = counts.get(label, 0) + n
-                icnt[i] = 0
+        dba = self._dbas[r]
+        pinned = dba.pinned
+        self._dba_pin_label[r] = dba.pinned_label
+        if pinned is not None:
+            self._dba_pin_cf[r] = pinned.cpu_fraction
+            self._dba_pin_gf[r] = pinned.gpu_fraction
 
     # -- occupancy integrals -------------------------------------------------
 
     def _settle_occ_row(self, r: int, to: int) -> None:
         """Credit row ``r``'s current pool slots to cycles [settled, to).
 
-        The same rule as :meth:`_settle_dba_row`: callers settle to
-        ``cycle`` before a pool mutation in phases 0-3 (it changes what
-        cycle ``cycle`` observes), to ``cycle + 1`` before one in phases
-        5-7 and at a close (cycle ``cycle`` was observed before them).
+        Callers settle to ``cycle`` before a pool mutation in phases 0-3
+        (it changes what cycle ``cycle`` observes), to ``cycle + 1``
+        before one in phases 5-7 and at a close (cycle ``cycle`` was
+        observed before them).
         """
         settled = self._occ_settled[r]
         if to <= settled:
@@ -550,12 +461,6 @@ class ArrayCore:
         closers: List = []
         frozen: List = []
         for r in rows:
-            if self._obs_tally:
-                # The close flushes the split dict; the scalar engine
-                # tallies cycle ``cycle`` *after* its close (transmit
-                # phase), so credit only up to ``cycle`` here.
-                self._settle_dba_row(r, cycle)
-                self._flush_dba_row(r)
             self._settle_laser_row(r, cycle)
             self._laser_to_bank(r, cycle)
             self._settle_link_row(r, cycle)
@@ -619,39 +524,6 @@ class ArrayCore:
 
     def _inject(self, r: int, packet, cycle: int) -> bool:
         """Inlined router.inject + stats.on_injected (bit-identical)."""
-        # Settle the DBA tally before the pool mutation: the split
-        # for cycle ``cycle`` is decided by the *post*-injection
-        # occupancy (transmit-phase view), so credit stops here.
-        # Fully inlined _settle_dba_row/_dba_label_idx for the
-        # injection hot path; the empty-pool case (first packet
-        # after a quiet span) skips the label divisions entirely,
-        # and a bare run never passes the guard (_FAR sentinel).
-        settled = self._dba_settled[r]
-        if settled < cycle:
-            self._dba_settled[r] = cycle
-            sc = self._s_cpu[r]
-            sg = self._s_gpu[r]
-            pin = self._dba_pin_idx[r]
-            if pin >= 0:
-                idx = pin
-            elif not (sc or sg):
-                idx = self._dba_empty_idx[r]
-            elif not self._dba_dyn[r]:
-                idx = 4  # even
-            else:
-                co = sc / self._cap_cpu[r]
-                go = sg / self._cap_gpu[r]
-                if go == 0.0 and co > 0.0:
-                    idx = 0  # all_cpu
-                elif co == 0.0 and go > 0.0:
-                    idx = 1  # all_gpu
-                elif go < self._dba_gub[r]:
-                    idx = 2  # cpu_major
-                elif co < self._dba_cub[r]:
-                    idx = 3  # gpu_major
-                else:
-                    idx = 4  # even
-            self._dba_icnt[r][idx] += cycle - settled
         if self._occ_settled[r] < cycle:
             self._settle_occ_row(r, cycle)
         flits = packet.size_flits
@@ -697,17 +569,6 @@ class ArrayCore:
 
     def _reinject(self, r: int, packet, cycle: int) -> bool:
         """Inlined router.reinject: head-of-line retry, no run stats."""
-        # Same settle-before-mutate as _inject (_FAR sentinel when off).
-        settled = self._dba_settled[r]
-        if settled < cycle:
-            self._dba_settled[r] = cycle
-            if self._dba_pin_idx[r] >= 0:
-                idx = self._dba_pin_idx[r]
-            elif self._s_cpu[r] or self._s_gpu[r]:
-                idx = self._dba_label_idx(r)
-            else:
-                idx = self._dba_empty_idx[r]
-            self._dba_icnt[r][idx] += cycle - settled
         if self._occ_settled[r] < cycle:
             self._settle_occ_row(r, cycle)
         flits = packet.size_flits
@@ -965,11 +826,10 @@ class ArrayCore:
         gpu_engs = self._gpu_eng
         cpu_free = self._cpu_free
         gpu_free = self._gpu_free
-        obs_tally = self._obs_tally
-        dba_settled = self._dba_settled
-        dba_icnt = self._dba_icnt
+        obs = self._obs
+        dba_counts = self._dba_counts
         cycle_next = cycle + 1
-        dba_pin_idx = self._dba_pin_idx
+        dba_pin_label = self._dba_pin_label
         dba_pin_cf = self._dba_pin_cf
         dba_pin_gf = self._dba_pin_gf
         occ_settled = self._occ_settled
@@ -981,48 +841,38 @@ class ArrayCore:
             # credited below if the row pops.
             sc = s_cpu[r]
             sg = s_gpu[r]
-            # The branch also labels the decision for the DBA split
-            # tally (idx indexes _DBA_LABELS) so the instrumented path
-            # never re-runs these comparisons.
-            if dba_pin_idx[r] >= 0:  # D3NOC window pin
+            # The branch also labels the decision, the key a photonic
+            # dispatch is counted under when telemetry is on.
+            label = dba_pin_label[r]
+            if label is not None:  # D3NOC window pin
                 cf = dba_pin_cf[r]
                 gf = dba_pin_gf[r]
-                idx = dba_pin_idx[r]
             elif dba_dyn[r]:
                 co = sc / cap_cpu[r]
                 go = sg / cap_gpu[r]
                 if go == 0.0 and co > 0.0:
                     cf = 1.0
                     gf = 0.0
-                    idx = 0  # all_cpu
+                    label = "all_cpu"
                 elif co == 0.0 and go > 0.0:
                     cf = 0.0
                     gf = 1.0
-                    idx = 1  # all_gpu
+                    label = "all_gpu"
                 elif go < dba_gub[r]:
                     cf = dba_major[r]
                     gf = dba_minor[r]
-                    idx = 2  # cpu_major
+                    label = "cpu_major"
                 elif co < dba_cub[r]:
                     cf = dba_minor[r]
                     gf = dba_major[r]
-                    idx = 3  # gpu_major
+                    label = "gpu_major"
                 else:
                     cf = 0.5
                     gf = 0.5
-                    idx = 4  # even
+                    label = "even"
             else:
                 cf = gf = 0.5
-                idx = 4  # even
-            if obs_tally:
-                # Transmit is where the scalar engine tallies cycle
-                # ``cycle`` (post-injection, pre-pop occupancy — the
-                # very co/go this row just computed), so credit
-                # through ``cycle`` inclusive before any pops.
-                settled = dba_settled[r]
-                if settled < cycle_next:
-                    dba_settled[r] = cycle_next
-                    dba_icnt[r][idx] += cycle_next - settled
+                label = "even"
             can_transmit = tx_ok[r]
             serialization = ser_now[r]
             local_engine = local_engs[r]
@@ -1075,6 +925,9 @@ class ArrayCore:
                     serialize = int(ceil(serialization * flits / fraction))
                     engine.busy_until = cycle + serialize
                     router.reservations_sent += 1
+                    if obs:
+                        counts = dba_counts[r]
+                        counts[label] = counts.get(label, 0) + 1
                     sequence += 1
                     heappush(
                         in_flight,

@@ -643,6 +643,11 @@ class PearlNetwork:
         ).set(self.injection_backlog_size)
         for router in self.routers:
             router.laser.record_telemetry(registry)
+            for split, count in router._dba_split_counts.items():
+                registry.counter(
+                    f"dba/split/{split}",
+                    help="photonic dispatches under this CPU/GPU split",
+                ).inc(count)
 
     def _integrate_energy(self) -> None:
         model = PhotonicLinkModel(self.config.optical, self.config.photonic)

@@ -267,17 +267,10 @@ class PearlRouter:
         # when running in dataset-collection mode.
         self.collection_hook: Optional[Callable[[np.ndarray, float], None]] = None
         self._prev_features: Optional[np.ndarray] = None
-        # Telemetry: per-outcome DBA decision tallies, accumulated on
-        # the cycle path as plain dict increments and flushed into the
-        # metrics registry at window boundaries.  Allocators return
-        # canonical allocation instances, so the cycle path can label
-        # them by ``id()`` (an int hash) instead of hashing the frozen
-        # dataclass every cycle.
-        self._dba_split_counts: dict = {}
-        self._split_label_by_id = {
-            id(allocation): label
-            for allocation, label in self.dba.split_labels.items()
-        }
+        # Telemetry: photonic dispatches per DBA split label, counted at
+        # the dispatch under a session, cleared at the warm-up boundary
+        # and flushed into the registry once per run by the network.
+        self._dba_split_counts: Dict[str, int] = {}
         # Network-level fault counters (attached by PearlNetwork) read
         # by the window-series recorder; None for a standalone router.
         self._net_stats = None
@@ -473,9 +466,8 @@ class PearlRouter:
     ) -> None:
         """Window-cadence telemetry flush (never on the cycle path).
 
-        Purely observational: reads buffer occupancies and the DBA
-        tallies accumulated since the last boundary, touching no RNG
-        and no control state.
+        Purely observational: reads buffer occupancies and the laser
+        state, touching no RNG and no control state.
         """
         registry = OBS.registry
         registry.counter(
@@ -489,12 +481,6 @@ class PearlRouter:
             "noc/buffer_occupancy/gpu",
             help="GPU input-buffer occupancy sampled at window boundaries",
         ).observe(self.buffers.gpu_occupancy)
-        for split, count in self._dba_split_counts.items():
-            registry.counter(
-                f"dba/split/{split}",
-                help="cycles the DBA chose this CPU/GPU bandwidth split",
-            ).inc(count)
-        self._dba_split_counts.clear()
         state_target = (
             self.laser._pending_state
             if self.laser._pending_state is not None
@@ -600,13 +586,6 @@ class PearlRouter:
         started: List[Transmission] = []
         buffers = self.buffers
         allocation = self.dba.allocate_from_buffers(buffers)
-        if OBS.enabled:
-            label = self._split_label_by_id.get(id(allocation))
-            if label is None:  # non-canonical instance: hash by value
-                label = self.dba.split_labels.get(allocation, "other")
-            self._dba_split_counts[label] = (
-                self._dba_split_counts.get(label, 0) + 1
-            )
         laser = self.laser
         local_engine = self._local_engine
         router_id = self.router_id
@@ -657,6 +636,10 @@ class PearlRouter:
                 )
                 engine.busy_until = cycle + serialize
                 self.reservations_sent += 1
+                if OBS.enabled:
+                    counts = self._dba_split_counts
+                    label = self.dba.split_labels[allocation]
+                    counts[label] = counts.get(label, 0) + 1
                 started.append(
                     Transmission(
                         packet=head,
@@ -677,7 +660,9 @@ class PearlRouter:
         return started
 
     def reset_power_stats(self) -> None:
-        """Clear laser/ML energy integrals (warm-up boundary)."""
+        """Clear laser/ML energy integrals and the DBA split counts
+        (warm-up boundary)."""
         self.laser.reset_stats()
         self.ml_energy_j = 0.0
         self.fault_clamp_events = 0
+        self._dba_split_counts.clear()

@@ -6,6 +6,9 @@ combination, and the canonical form of each run is pinned as a JSON
 snapshot under ``tests/golden/snapshots/``.  Both cycle engines are
 checked against the *same* snapshot, so the harness simultaneously
 catches unintended behavioural drift and array/reference divergence.
+The same workload also pins the two baseline networks, the electrical
+CMESH (at bandwidth divisors 1, 2 and 4) and the token MWSR crossbar;
+each has one engine and no oracle, so its snapshot is its guard.
 
 Regenerate snapshots with ``python scripts/update_golden.py`` after an
 *intentional* behaviour change (see ``docs/resilience.md``).
@@ -21,8 +24,11 @@ import numpy as np
 from repro.config import PearlConfig, SimulationConfig
 from repro.ml.features import NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
+from repro.noc.cmesh import CMeshNetwork
+from repro.noc.mwsr import MwsrNetwork
 from repro.noc.network import PearlNetwork, PearlRunResult
 from repro.noc.router import PowerPolicyKind
+from repro.noc.stats import NetworkStats
 from repro.traffic.benchmarks import get_benchmark
 from repro.traffic.synthetic import generate_pair_trace
 
@@ -43,6 +49,16 @@ ENGINES = ("reference", "array")
 
 #: Snapshot stem of the drift->retrain->promote->swap mid-run case.
 RETRAIN_CASE = "ml_retrain_dynamic"
+
+#: CMESH link-width divisors pinned (Fig. 5 compares 1, 2 and 4).
+CMESH_DIVISORS = (1, 2, 4)
+#: Snapshot stem of the token-MWSR crossbar case.
+MWSR_CASE = "mwsr"
+
+
+def cmesh_case(divisor: int) -> str:
+    """Snapshot stem of the CMESH case at one bandwidth divisor."""
+    return f"cmesh_div{divisor}"
 
 
 def golden_config() -> PearlConfig:
@@ -75,38 +91,47 @@ def case_names() -> List[str]:
     return [f"{policy}_{alloc}" for policy in POLICIES for alloc in ALLOCATORS]
 
 
-def canonical(result: PearlRunResult) -> Dict[str, object]:
-    """The JSON-able canonical form of one run, compared exactly.
+def canonical_stats(stats: NetworkStats) -> Dict[str, object]:
+    """The JSON-able canonical form of a run's statistics.
 
     Per-packet latencies are folded into a digest so snapshots stay
     small while still pinning every individual latency sample.
     """
-    stats = result.stats
     latency_digest = hashlib.sha256(
         ",".join(str(value) for value in stats._latencies).encode()
     ).hexdigest()
     return {
         "stats": stats.to_dict(include_latencies=False),
         "latencies_sha256": latency_digest,
-        "state_residency": {
-            str(state): fraction
-            for state, fraction in sorted(result.state_residency.items())
-        },
-        "mean_laser_power_w": result.mean_laser_power_w,
-        "laser_stall_cycles": result.laser_stall_cycles,
     }
 
 
-def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
-    """Simulate one golden case and return its canonical form."""
-    config = golden_config()
-    trace = generate_pair_trace(
+def canonical(result: PearlRunResult) -> Dict[str, object]:
+    """The JSON-able canonical form of one PEARL run, compared exactly."""
+    out = canonical_stats(result.stats)
+    out["state_residency"] = {
+        str(state): fraction
+        for state, fraction in sorted(result.state_residency.items())
+    }
+    out["mean_laser_power_w"] = result.mean_laser_power_w
+    out["laser_stall_cycles"] = result.laser_stall_cycles
+    return out
+
+
+def _golden_trace(config: PearlConfig):
+    return generate_pair_trace(
         get_benchmark("fluidanimate"),
         get_benchmark("dct"),
         config.architecture,
         config.simulation.total_cycles,
         GOLDEN_SEED,
     )
+
+
+def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
+    """Simulate one golden case and return its canonical form."""
+    config = golden_config()
+    trace = _golden_trace(config)
     network = PearlNetwork(
         config,
         power_policy=PowerPolicyKind(policy),
@@ -160,13 +185,7 @@ def run_retrain_case(engine: str) -> Dict[str, object]:
     from repro.ml.lifecycle.registry import ModelRegistry
 
     config = retrain_config()
-    trace = generate_pair_trace(
-        get_benchmark("fluidanimate"),
-        get_benchmark("dct"),
-        config.architecture,
-        config.simulation.total_cycles,
-        GOLDEN_SEED,
-    )
+    trace = _golden_trace(config)
     with tempfile.TemporaryDirectory() as tmp:
         network = PearlNetwork(
             config,
@@ -246,3 +265,23 @@ def run_collective_pam4_case(engine: str) -> Dict[str, object]:
         config, power_policy=PowerPolicyKind.REACTIVE, seed=GOLDEN_SEED
     )
     return canonical(network.run(trace, engine=engine))
+
+
+def run_cmesh_case(divisor: int) -> Dict[str, object]:
+    """The golden workload on the electrical CMESH baseline."""
+    config = golden_config()
+    network = CMeshNetwork(
+        simulation=config.simulation,
+        bandwidth_divisor=divisor,
+        seed=GOLDEN_SEED,
+    )
+    return canonical_stats(network.run(_golden_trace(config)))
+
+
+def run_mwsr_case() -> Dict[str, object]:
+    """The golden workload on the token-arbitrated MWSR crossbar."""
+    config = golden_config()
+    network = MwsrNetwork(config, seed=GOLDEN_SEED)
+    out = canonical_stats(network.run(_golden_trace(config)))
+    out["token_wait_events"] = int(network.total_token_waits())
+    return out

@@ -15,14 +15,19 @@ import pytest
 
 from .golden_cases import (
     ALLOCATORS,
+    CMESH_DIVISORS,
     COLLECTIVE_PAM4_CASE,
     COLLECTIVE_RETRAIN_CASE,
     ENGINES,
+    MWSR_CASE,
     POLICIES,
     RETRAIN_CASE,
+    cmesh_case,
     run_case,
+    run_cmesh_case,
     run_collective_pam4_case,
     run_collective_retrain_case,
+    run_mwsr_case,
     run_retrain_case,
 )
 
@@ -51,25 +56,32 @@ def _diff(expected: dict, actual: dict, prefix: str = "") -> list:
     return lines
 
 
+def _check_snapshot(stem: str, actual: dict, where: str) -> None:
+    """Fail with a leaf-level diff unless ``actual`` equals the snapshot."""
+    path = SNAPSHOT_DIR / f"{stem}.json"
+    assert path.exists(), (
+        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    )
+    expected = json.loads(path.read_text())
+    if actual != expected:
+        differences = "\n".join(_diff(expected, actual))
+        pytest.fail(
+            f"golden mismatch for {stem} {where}:\n{differences}\n"
+            "If this change is intentional, regenerate with "
+            "scripts/update_golden.py."
+        )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "policy,allocator", CASES, ids=[f"{p}-{a}" for p, a in CASES]
 )
 def test_golden_run(policy: str, allocator: str, engine: str) -> None:
-    path = SNAPSHOT_DIR / f"{policy}_{allocator}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    _check_snapshot(
+        f"{policy}_{allocator}",
+        run_case(policy, allocator, engine),
+        f"on the {engine} engine",
     )
-    expected = json.loads(path.read_text())
-    actual = run_case(policy, allocator, engine)
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {policy}/{allocator} on the {engine} "
-            f"engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -80,57 +92,37 @@ def test_golden_retrain_mid_run(engine: str) -> None:
     ids (content digests of the refit weights + training key), so the
     online retraining arithmetic itself is under snapshot control.
     """
-    path = SNAPSHOT_DIR / f"{RETRAIN_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
-    )
-    expected = json.loads(path.read_text())
     actual = run_retrain_case(engine)
     assert actual["retrain_events"] >= 1, "the golden case must retrain"
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {RETRAIN_CASE} on the {engine} "
-            f"engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+    _check_snapshot(RETRAIN_CASE, actual, f"on the {engine} engine")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_collective_retrain(engine: str) -> None:
     """The collective-driven drift->retrain->promote case, per engine."""
-    path = SNAPSHOT_DIR / f"{COLLECTIVE_RETRAIN_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
-    )
-    expected = json.loads(path.read_text())
     actual = run_collective_retrain_case(engine)
     assert actual["retrain_events"] >= 1, "the golden case must retrain"
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {COLLECTIVE_RETRAIN_CASE} on the "
-            f"{engine} engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+    _check_snapshot(COLLECTIVE_RETRAIN_CASE, actual, f"on the {engine} engine")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_collective_pam4(engine: str) -> None:
     """The PAM4 all-to-all case: multilevel signaling under snapshot."""
-    path = SNAPSHOT_DIR / f"{COLLECTIVE_PAM4_CASE}.json"
-    assert path.exists(), (
-        f"missing snapshot {path.name}; run scripts/update_golden.py"
+    _check_snapshot(
+        COLLECTIVE_PAM4_CASE,
+        run_collective_pam4_case(engine),
+        f"on the {engine} engine",
     )
-    expected = json.loads(path.read_text())
-    actual = run_collective_pam4_case(engine)
-    if actual != expected:
-        differences = "\n".join(_diff(expected, actual))
-        pytest.fail(
-            f"golden mismatch for {COLLECTIVE_PAM4_CASE} on the "
-            f"{engine} engine:\n{differences}\n"
-            "If this change is intentional, regenerate with "
-            "scripts/update_golden.py."
-        )
+
+
+@pytest.mark.parametrize("divisor", CMESH_DIVISORS)
+def test_golden_cmesh(divisor: int) -> None:
+    """The electrical CMESH baseline at one link-width divisor."""
+    _check_snapshot(
+        cmesh_case(divisor), run_cmesh_case(divisor), "on the CMESH"
+    )
+
+
+def test_golden_mwsr() -> None:
+    """The token-arbitrated MWSR crossbar baseline."""
+    _check_snapshot(MWSR_CASE, run_mwsr_case(), "on the MWSR crossbar")

@@ -9,8 +9,8 @@ silent downgrade to the scalar path) and must satisfy two identities:
 * **Telemetry identity**: the metrics registry, the window series and
   the deterministic (non-wall) trace events of an array run equal
   those of a reference-engine run — the window-close flow is shared, and
-  the array core's lazy DBA settlement replays the scalar per-cycle
-  split tallies exactly.
+  both engines count the DBA split of each photonic dispatch where it
+  is sent.
 """
 
 from __future__ import annotations

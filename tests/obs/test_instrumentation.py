@@ -9,16 +9,22 @@ the emitted metrics and that guarantee.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.config import PearlConfig, SimulationConfig
+from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
+from repro.faults import load_fault_schedule
 from repro.noc.network import PearlNetwork, PearlRunResult
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
-from repro.traffic.benchmarks import training_pairs
+from repro.traffic.benchmarks import get_benchmark, training_pairs
 from repro.traffic.synthetic import generate_pair_trace
+
+from ..golden import golden_cases as golden
+
+FAULTS_YAML = Path(__file__).resolve().parents[2] / "examples" / "faults.yaml"
 
 
 @pytest.fixture(autouse=True)
@@ -91,10 +97,11 @@ class TestNetworkInstrumentation:
     def test_array_engine_reports_same_sim_metrics(self):
         """An instrumented array-engine run matches the reference run.
 
-        Lazily settled spans fold into the existing counters (DBA split
-        tallies, link samples, laser state cycles) — no new metric
-        names, no diverging values.  Wall-clock trace spans are
-        excluded: only the simulated quantities must agree.
+        The array core's lazily settled spans (link samples, laser
+        state cycles) and its per-dispatch DBA split counts land in the
+        same metrics as the reference engine's — no new metric names,
+        no diverging values.  Wall-clock trace spans are excluded: only
+        the simulated quantities must agree.
         """
         with obs.session():
             reference = _canonical(_tiny_run(engine="reference"))
@@ -111,3 +118,70 @@ class TestNetworkInstrumentation:
             registry = OBS.registry
         _tiny_run()
         assert registry.names() == []
+
+
+class TestDbaSplitConservation:
+    """``dba/split/*`` counts the photonic dispatches of the measured phase.
+
+    Every photonic dispatch is counted once, under the split that sent
+    it, so on every policy, allocator and fault schedule the counters
+    sum to the reservations sent after the warm-up boundary, and the
+    two engines report the same counters.
+    """
+
+    @pytest.mark.parametrize("warmup", [0, 300])
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize("allocator", golden.ALLOCATORS)
+    @pytest.mark.parametrize("policy", golden.POLICIES)
+    def test_splits_sum_to_measured_dispatches(
+        self, policy, allocator, faults, warmup, monkeypatch
+    ):
+        config = PearlConfig(
+            simulation=SimulationConfig(
+                warmup_cycles=warmup, measure_cycles=1_200
+            ),
+            power_scaling=PowerScalingConfig(reservation_window=200),
+        )
+        schedule = load_fault_schedule(FAULTS_YAML) if faults else None
+        trace = generate_pair_trace(
+            get_benchmark("fluidanimate"),
+            get_benchmark("dct"),
+            config.architecture,
+            config.simulation.total_cycles,
+            3,
+        )
+        sent_at_warmup = []
+        begin = PearlNetwork._begin_measurement
+
+        def spy(network, cycle):
+            sent_at_warmup.append(
+                sum(router.reservations_sent for router in network.routers)
+            )
+            begin(network, cycle)
+
+        monkeypatch.setattr(PearlNetwork, "_begin_measurement", spy)
+        splits = {}
+        for engine in ("reference", "array"):
+            network = PearlNetwork(
+                config,
+                power_policy=PowerPolicyKind(policy),
+                use_dynamic_bandwidth=(allocator == "dynamic"),
+                ml_model=golden.golden_model() if policy == "ml" else None,
+                seed=3,
+                faults=schedule,
+            )
+            with obs.session():
+                network.run(trace, engine=engine)
+                snap = OBS.registry.snapshot()
+            splits[engine] = {
+                name: data["value"]
+                for name, data in snap.items()
+                if name.startswith("dba/")
+            }
+            sent = (
+                sum(router.reservations_sent for router in network.routers)
+                - sent_at_warmup[-1]
+            )
+            assert sent > 0
+            assert sum(splits[engine].values()) == sent, engine
+        assert splits["reference"] == splits["array"]

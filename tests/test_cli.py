@@ -215,6 +215,22 @@ class TestSharedRunFlags:
                 self._parse(*argv, kind.value)
 
 
+class TestSweepCache:
+    def test_no_cache_is_rejected_before_any_work(self, monkeypatch):
+        """A sweep's results go through the shared cache, so ``sweep``
+        has no ``--no-cache``: argparse rejects it with status 2 before
+        the default ML model is prepared (or trained)."""
+        import repro.cli
+
+        def prepare_model(args):
+            raise AssertionError("the ML model was prepared")
+
+        monkeypatch.setattr(repro.cli, "_ml_model_path", prepare_model)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--no-cache", "--policies", "ml"])
+        assert excinfo.value.code == 2
+
+
 class TestChart:
     def test_chart_flag_renders(self, capsys):
         # fig4 is trace-only, so this stays fast.
