@@ -92,19 +92,5 @@ def test_telemetry_overhead_within_budget():
     )
 
 
-def test_disabled_telemetry_is_free():
-    """With no session, instrumentation sites are one attribute check."""
-    run = _workload()
-    run()
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    # Sanity bound only: a bare run must not mysteriously slow down
-    # because telemetry code exists (guards are plain attribute reads).
-    assert min(times) > 0
-
-
 if __name__ == "__main__":
     pytest.main([__file__, "-v", "-s"])

@@ -457,9 +457,11 @@ def _engine_scope(args: argparse.Namespace):
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
+    # A traced run executes its jobs, as `obs report` does: a cache hit
+    # carries telemetry only if the run that wrote it was traced.
     return engine_scope(
         jobs=args.jobs,
-        use_cache=not args.no_cache,
+        use_cache=not (args.no_cache or getattr(args, "trace", None)),
         backend=getattr(args, "cache_backend", None),
     )
 

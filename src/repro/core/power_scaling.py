@@ -22,15 +22,20 @@ from .wavelength import WavelengthLadder
 class LaserBank:
     """One router's bank-organised on-chip laser array (Fig. 3).
 
-    The bank tracks the *active* wavelength state, pending transitions
-    and the stabilization countdown.  Scaling **down** is immediate
-    (lasers switch off instantly); scaling **up** keeps the link dark
-    for ``turn_on_cycles`` while the newly lit lasers stabilise, after
-    which the new state becomes active.  Power is integrated as integer
-    cycle counts per powered state (``energy_j`` is derived lazily), so
-    a span of cycles can be credited in closed form with bit-identical
-    statistics to per-cycle :meth:`tick` calls — the invariant the
-    array core's lazy laser ledgers are built on.
+    The bank is the one copy of its router's laser state: the active
+    wavelength state, a pending turn-on with its flip cycle, and the
+    integrated statistics that the fault clamp, the window telemetry,
+    the run result and the energy integration read.  Scaling **down**
+    is immediate (lasers switch off instantly); scaling **up** keeps the
+    link dark for ``turn_on_cycles`` while the newly lit lasers
+    stabilise, after which the new state becomes active.
+
+    ``clock`` is the first cycle not yet integrated, and a request
+    applies at it.  The reference engine integrates one cycle per
+    :meth:`tick`; the array core integrates whole spans with
+    :meth:`settle`.  Power is integrated as integer cycle counts per
+    powered state (``energy_j`` is derived lazily), so the two
+    integrators produce bit-identical statistics.
     """
 
     def __init__(
@@ -44,8 +49,12 @@ class LaserBank:
         self._state = initial_state or self.ladder.max_state
         if self._state not in self.ladder.states:
             raise ValueError(f"unknown wavelength state {self._state}")
+        #: First cycle not yet integrated.
+        self.clock = 0
         self._pending_state: Optional[int] = None
-        self._stabilize_remaining = 0
+        #: The cycle a pending turn-on becomes active (read only while
+        #: ``_pending_state`` is set).
+        self._flip_cycle = 0
         # Integrated statistics:
         self.cycles_in_state: Dict[int, int] = {s: 0 for s in self.ladder.states}
         self.stall_cycles = 0
@@ -68,7 +77,7 @@ class LaserBank:
     @property
     def is_stabilizing(self) -> bool:
         """True while newly lit lasers are warming up (link is dark)."""
-        return self._stabilize_remaining > 0
+        return self._pending_state is not None
 
     @property
     def energy_j(self) -> float:
@@ -87,10 +96,10 @@ class LaserBank:
         return not self.is_stabilizing
 
     def request_state(self, new_state: int) -> None:
-        """Ask for a state change at a window boundary.
+        """Ask for a state change, effective from cycle ``clock``.
 
         A downward change applies immediately; an upward change starts
-        the stabilization countdown (shortening an in-flight one is not
+        the stabilization delay (shortening an in-flight one is not
         modelled — re-requests replace the pending target).  Requesting
         the *current* state while an upward transition is pending
         cancels the transition: the active lasers are already lit, so
@@ -102,32 +111,61 @@ class LaserBank:
         if new_state == self._state and self._pending_state is None:
             return
         self.transitions += 1
-        if new_state <= self._state:
+        if new_state <= self._state or self.turn_on_cycles == 0:
             self._state = new_state
             self._pending_state = None
-            self._stabilize_remaining = 0
         else:
             self._pending_state = new_state
-            self._stabilize_remaining = self.turn_on_cycles
-            if self._stabilize_remaining == 0:
-                self._state = new_state
-                self._pending_state = None
+            self._flip_cycle = self.clock + self.turn_on_cycles
 
     def tick(self) -> None:
-        """Advance one network cycle: integrate power, progress warm-up."""
+        """Integrate cycle ``clock``: power, residency, warm-up."""
+        pending = self._pending_state
         # While stabilizing the target lasers are already drawing power.
-        powered_state = (
-            self._pending_state if self._pending_state is not None else self._state
-        )
+        powered_state = self._state if pending is None else pending
         counts = self._cycles_at_power
         counts[powered_state] = counts.get(powered_state, 0) + 1
         self.cycles_in_state[self._state] += 1
-        if self._stabilize_remaining > 0:
+        self.clock += 1
+        if pending is not None:
             self.stall_cycles += 1
-            self._stabilize_remaining -= 1
-            if self._stabilize_remaining == 0 and self._pending_state is not None:
-                self._state = self._pending_state
+            if self.clock == self._flip_cycle:
+                self._state = pending
                 self._pending_state = None
+
+    def settle(self, to: int) -> None:
+        """Integrate cycles ``[clock, to)`` in closed form.
+
+        Equal to ``to - clock`` calls of :meth:`tick`: a pending turn-on
+        whose flip cycle falls inside the span splits it there, the
+        cycles before the flip stalled with the new lasers powered and
+        the cycles from it on under the new state.
+        """
+        clock = self.clock
+        if to < clock:
+            raise ValueError("laser bank settled backwards")
+        counts = self._cycles_at_power
+        pending = self._pending_state
+        if pending is not None:
+            flip = self._flip_cycle
+            end = flip if flip < to else to
+            span = end - clock
+            if span:
+                counts[pending] = counts.get(pending, 0) + span
+                self.cycles_in_state[self._state] += span
+                self.stall_cycles += span
+            if end < flip:
+                self.clock = to
+                return
+            self._state = pending
+            self._pending_state = None
+            clock = flip
+        span = to - clock
+        if span:
+            state = self._state
+            counts[state] = counts.get(state, 0) + span
+            self.cycles_in_state[state] += span
+        self.clock = to
 
     def reset_stats(self) -> None:
         """Clear the integrated statistics (warm-up boundary)."""

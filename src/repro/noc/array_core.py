@@ -11,9 +11,8 @@ reference engine — the differential harness in
 every policy, allocator, fault schedule and quantization format.  It
 is the default engine of :meth:`~repro.noc.network.PearlNetwork.run`.
 
-State layout (indexed by router id, ``n = num_routers``; numpy arrays
-carry the laser ledgers and window cadence, plain Python lists carry
-the scalars the per-packet hot path touches):
+State layout (plain Python lists indexed by router id, ``n =
+num_routers``):
 
 =========================  ====================================================
 ``_s_*``                   occupied slots (cpu, ej-cpu, gpu, ej-gpu pools)
@@ -24,16 +23,14 @@ the scalars the per-packet hot path touches):
 ``_feat_link_busy``        link-busy cycles settled into the open window
 ``_emax / _cpu_free ...``  per-pool transmit-engine busy caches
 ``_f_* lists``             Table III event counters (features 7-29)
-``state_idx (n,)``         active wavelength-state index (ladder order)
-``pending_idx (n,)``       pending state index (-1 = none)
-``stab_end (n,)``          integral flip cycle of the pending transition
-``seg_start (n,)``         start of the open laser-ledger segment
-``in_state/at_power``      ``(n, n_states)`` integer laser cycle ledgers
+``_ser_now / _tx_ok``      transmit mirrors of each router's ``LaserBank``,
+                           the one copy of its laser state
+``_close_groups``          close schedule: rows per stagger offset, in order
 =========================  ====================================================
 
 Three ideas make the vector step cheap *and* exact:
 
-* **Lazy segment settlement.**  Laser residency/power/stall ledgers,
+* **Lazy settlement.**  Laser residency/power/stall counts,
   occupancy/link sample counters, the occupancy slot-cycle integrals
   and the link-busy integral are all piecewise constant between
   events, so they are settled in closed form only when something
@@ -56,13 +53,13 @@ Three ideas make the vector step cheap *and* exact:
   collector uses, and hands them to the *same*
   :meth:`~repro.noc.network.PearlNetwork._close_windows` as the
   reference engine — one ``(k, n_features)`` ML inference per close
-  group, then each router's policy.  Only the closing rows' laser
-  views round-trip through their bank objects (the policies request
-  states there); the routers' feature collectors stay untouched.
+  group, then each router's policy, which requests its state from the
+  router's (settled) bank; the routers' feature collectors stay
+  untouched.
 
 The core runs one whole warm-up-plus-measurement run of a fresh
-network, so its state starts from cycle-0 constants, and the end of
-the run writes back only the laser ledgers (see :class:`ArrayCore`).
+network, so its state starts from cycle-0 constants (see
+:class:`ArrayCore`).
 
 What stays scalar: packet movement (FIFO pushes/pops, heap events,
 responder/fault RNG draws) and the policy decisions at window cadence.
@@ -76,9 +73,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from ..ml.features import input_buffer_mean, window_row
 from ..obs import OBS
@@ -99,13 +94,14 @@ class ArrayCore:
 
     A core is built at cycle 0 of a network that has not run yet
     (:meth:`PearlNetwork.run` is single-use), so every counter,
-    integral, ledger and queue flag starts at its cycle-0 constant:
-    only each router's initial laser state and each fault injector's
-    first event are read from the objects.  All arrays are sized from
+    integral and queue flag starts at its cycle-0 constant: only each
+    router's initial laser state, stagger offset and fault injector's
+    first event are read from the objects.  All lists are sized from
     ``len(network.routers)``, so any cluster count works.  Pools,
-    engines, statistics, reservation counts and policy histories are
-    updated in place as the run goes; :meth:`_finish` writes the laser
-    ledgers into the bank objects.
+    engines, statistics, reservation counts, policy histories and laser
+    banks are updated in place as the run goes; a bank is settled
+    (:meth:`LaserBank.settle`) before each of its requests, at its due
+    flips, and at the warm-up boundary and the end of the run.
     """
 
     def __init__(self, network) -> None:
@@ -117,12 +113,9 @@ class ArrayCore:
 
         # -- shared lookups ------------------------------------------------
         ladder = routers[0].ladder
-        self._states = tuple(ladder.states)
-        self._sidx = {s: i for i, s in enumerate(self._states)}
-        self._ser_by_idx = [
-            ladder.serialization_cycles(s) for s in self._states
-        ]
-        n_states = len(self._states)
+        self._ser = {s: ladder.serialization_cycles(s) for s in ladder.states}
+        #: Each router's laser bank: the one copy of its laser state.
+        self._banks = [r.laser for r in routers]
 
         # -- object hoists (packet movement stays on these) ----------------
         self._cpu_pool = [r.buffers.cpu for r in routers]
@@ -245,27 +238,29 @@ class ArrayCore:
         self._link_settled = [0] * n
         self._stats_link_base = 0
 
-        # -- laser ledgers (segment-settled) --------------------------------
-        self.state_idx = np.array(
-            [self._sidx[r.laser.state] for r in routers], dtype=np.int64
-        )
-        self.pending_idx = np.full(n, -1, dtype=np.int64)
-        self.stab_end = np.zeros(n, dtype=np.int64)
-        self.seg_start = np.zeros(n, dtype=np.int64)
-        self.in_state = np.zeros((n, n_states), dtype=np.int64)
-        self.at_power = np.zeros((n, n_states), dtype=np.int64)
-        self.stall = np.zeros(n, dtype=np.int64)
+        # -- laser flips (no bank has a turn-on pending at cycle 0) ---------
         self._next_flip = _FAR
 
-        # -- window cadence --------------------------------------------------
-        self.win = np.array([r._window for r in routers], dtype=np.int64)
-        self.off = np.array([r._offset for r in routers], dtype=np.int64)
-        self._next_boundary = int(((-self.off) % self.win).min())
+        # -- close schedule --------------------------------------------------
+        # Every router closes on the run's reservation window at its own
+        # stagger offset, so the boundaries cycle through the offset
+        # groups: (rows in router order, cycles to the next boundary).
+        groups: Dict[int, List[int]] = {}
+        for r, router in enumerate(routers):
+            groups.setdefault(router._offset, []).append(r)
+        offsets = sorted(groups)
+        window = network.config.power_scaling.reservation_window
+        nexts = offsets[1:] + [offsets[0] + window]
+        self._close_groups = [
+            (groups[o], b - o) for o, b in zip(offsets, nexts)
+        ]
+        self._group = 0
+        self._next_boundary = offsets[0]
 
         # -- fault schedule ---------------------------------------------------
         # No fault starts before cycle 0, so every link starts up.
         self._has_faults = network._fault_context is not None
-        self._fault_next = np.full(n, _FAR, dtype=np.int64)
+        self._fault_next = [_FAR] * n
         self._link_down = [False] * n
         if self._has_faults:
             for r, router in enumerate(routers):
@@ -273,13 +268,11 @@ class ArrayCore:
                 if injector is not None:
                     event = injector.next_event()
                     self._fault_next[r] = _FAR if event is None else event
-        self._next_fault = int(self._fault_next.min()) if n else _FAR
+        self._next_fault = min(self._fault_next)
 
         # -- hot-path mirrors of the laser/fault view -------------------------
         self._tx_ok = [True] * n
-        self._ser_now = [
-            self._ser_by_idx[int(self.state_idx[r])] for r in range(n)
-        ]
+        self._ser_now = [self._ser[bank.state] for bank in self._banks]
 
         # -- DBA split counts (telemetry only) --------------------------------
         # Under a telemetry session each photonic dispatch is counted in
@@ -321,82 +314,34 @@ class ArrayCore:
         sums[2] += self._s_gpu[r] * d
         sums[3] += self._s_ejg[r] * d
 
-    # -- laser ledger settlement --------------------------------------------
+    # -- laser flips --------------------------------------------------------
 
-    def _settle_laser_row(self, r: int, to: int) -> None:
-        seg = int(self.seg_start[r])
-        d = to - seg
-        if d < 0:
-            raise ValueError("laser ledger settled backwards")
-        if d > 0:
-            si = int(self.state_idx[r])
-            pi = int(self.pending_idx[r])
-            self.in_state[r, si] += d
-            self.at_power[r, pi if pi >= 0 else si] += d
-            if pi >= 0:
-                self.stall[r] += d
-        self.seg_start[r] = to
-
-    def _settle_lasers_all(self, to: int) -> None:
-        d = to - self.seg_start
-        rows = np.arange(self.n)
-        self.in_state[rows, self.state_idx] += d
-        powered = np.where(self.pending_idx >= 0, self.pending_idx, self.state_idx)
-        self.at_power[rows, powered] += d
-        self.stall += np.where(self.pending_idx >= 0, d, 0)
-        self.seg_start[:] = to
+    def _refresh_laser(self, r: int) -> None:
+        """Mirror row ``r``'s bank into the hot-path transmit lists."""
+        bank = self._banks[r]
+        self._ser_now[r] = self._ser[bank.state]
+        self._tx_ok[r] = bank.can_transmit and not self._link_down[r]
 
     def _recompute_next_flip(self) -> None:
-        pending = self.stab_end[self.stab_end > 0]
-        self._next_flip = int(pending.min()) if pending.size else _FAR
+        flips = [
+            bank._flip_cycle
+            for bank in self._banks
+            if bank._pending_state is not None
+        ]
+        self._next_flip = min(flips) if flips else _FAR
 
     def _apply_flips(self, through: int) -> None:
-        """Land every pending transition whose flip cycle is <= ``through``.
+        """Land every pending turn-on whose flip cycle is <= ``through``.
 
-        The ledger segment is split exactly at the flip cycle, so a
-        flip may be applied late (after a quiescent span skipped over
-        it) without error: the cycles before the flip settle under the
-        old state with the pending lasers powered, the cycles after it
-        under the new state.
+        :meth:`LaserBank.settle` splits the span exactly at the flip
+        cycle, so a flip may be landed late (after a quiescent span
+        skipped over it) without error.
         """
-        for r in np.nonzero((self.stab_end > 0) & (self.stab_end <= through))[
-            0
-        ].tolist():
-            flip = int(self.stab_end[r])
-            self._settle_laser_row(r, flip)
-            self.state_idx[r] = self.pending_idx[r]
-            self.pending_idx[r] = -1
-            self.stab_end[r] = 0
-            self._ser_now[r] = self._ser_by_idx[int(self.state_idx[r])]
-            self._tx_ok[r] = not self._link_down[r]
+        for r, bank in enumerate(self._banks):
+            if bank._pending_state is not None and bank._flip_cycle <= through:
+                bank.settle(through)
+                self._refresh_laser(r)
         self._recompute_next_flip()
-
-    # -- laser bank sync ------------------------------------------------------
-
-    def _laser_to_bank(self, r: int, cycle: int) -> None:
-        """Project a row's pre-tick laser view into its bank object."""
-        bank = self.routers[r].laser
-        bank._state = self._states[int(self.state_idx[r])]
-        pi = int(self.pending_idx[r])
-        if pi >= 0:
-            bank._pending_state = self._states[pi]
-            bank._stabilize_remaining = int(self.stab_end[r]) - cycle
-        else:
-            bank._pending_state = None
-            bank._stabilize_remaining = 0
-
-    def _laser_from_bank(self, r: int, cycle: int) -> None:
-        bank = self.routers[r].laser
-        self.state_idx[r] = self._sidx[bank._state]
-        if bank._pending_state is not None:
-            self.pending_idx[r] = self._sidx[bank._pending_state]
-            self.stab_end[r] = cycle + bank._stabilize_remaining
-            self._tx_ok[r] = False
-        else:
-            self.pending_idx[r] = -1
-            self.stab_end[r] = 0
-            self._tx_ok[r] = not self._link_down[r]
-        self._ser_now[r] = self._ser_by_idx[int(self.state_idx[r])]
 
     # -- link-busy settlement --------------------------------------------------
 
@@ -427,21 +372,18 @@ class ArrayCore:
         event <= cycle exists, so calling it lazily at exactly those
         cycles is equivalent to the scalar engine's every-cycle call.
         """
-        for r in np.nonzero(self._fault_next <= cycle)[0].tolist():
+        fault_next = self._fault_next
+        for r in [r for r, due in enumerate(fault_next) if due <= cycle]:
             router = self.routers[r]
             injector = router._fault_injector
-            self._settle_laser_row(r, cycle)
-            self._laser_to_bank(r, cycle)
             if injector.advance_to(cycle):
+                self._banks[r].settle(cycle)
                 router._request_laser_state(router._desired_state, cycle)
-            self._laser_from_bank(r, cycle)
             event = injector.next_event()
-            self._fault_next[r] = _FAR if event is None else event
+            fault_next[r] = _FAR if event is None else event
             self._link_down[r] = injector.link_down
-            self._tx_ok[r] = (
-                int(self.stab_end[r]) == 0 and not injector.link_down
-            )
-        self._next_fault = int(self._fault_next.min())
+            self._refresh_laser(r)
+        self._next_fault = min(fault_next)
         self._recompute_next_flip()
 
     # -- window boundary ----------------------------------------------------------
@@ -454,15 +396,16 @@ class ArrayCore:
         :func:`~repro.ml.features.window_row` the reference engine's
         collectors use), and :meth:`PearlNetwork._close_windows` is the
         code the reference engine runs, so policy/RNG/ML behaviour is
-        identical by construction.  Only the laser view round-trips
-        through the bank objects the policies drive.
+        identical by construction.  Each closing row's bank is settled
+        to ``cycle`` first, so the state its policy requests applies
+        from this cycle on.
         """
-        rows = np.nonzero((cycle - self.off) % self.win == 0)[0].tolist()
+        rows, gap = self._close_groups[self._group]
         closers: List = []
         frozen: List = []
         for r in rows:
-            self._settle_laser_row(r, cycle)
-            self._laser_to_bank(r, cycle)
+            bank = self._banks[r]
+            bank.settle(cycle)
             self._settle_link_row(r, cycle)
             self._settle_occ_row(r, cycle + 1)
             sums = self._occ_sums[r]
@@ -485,7 +428,7 @@ class ArrayCore:
                 ),
                 self._f_qlvl[r],
                 self._f_plvl[r],
-                self._states[int(self.state_idx[r])],
+                bank.state,
             )
             frozen.append(
                 (
@@ -514,11 +457,11 @@ class ArrayCore:
             self._f_plvl[r] = [0] * 8
         self.net._close_windows(closers, frozen, cycle)
         for r in rows:
-            self._laser_from_bank(r, cycle)
+            self._refresh_laser(r)
             self._refresh_dba_pin(r)
         self._recompute_next_flip()
-        nxt = cycle + self.win - (cycle - self.off) % self.win
-        self._next_boundary = int(nxt.min())
+        self._group = (self._group + 1) % len(self._close_groups)
+        self._next_boundary = cycle + gap
 
     # -- packet plumbing -----------------------------------------------------------
 
@@ -1098,7 +1041,7 @@ class ArrayCore:
         Only *externally scheduled* events bound the horizon: heap
         arrivals, trace events, window boundaries and fault
         transitions.  Laser flips and engine drains are integrated
-        lazily (segment ledgers, link-busy spans), so a quiescent span
+        lazily (bank settlement, link-busy spans), so a quiescent span
         may skip straight over them.
         """
         net = self.net
@@ -1143,41 +1086,21 @@ class ArrayCore:
 
     def _begin_measurement(self, warmup: int) -> None:
         """Warm-up boundary: settle, reset integrals, re-anchor bases."""
-        net = self.net
         self._settle_links_all(warmup)
         self._apply_flips(warmup)  # flips skipped before the boundary
-        self._settle_lasers_all(warmup)
-        net._begin_measurement(warmup)
-        # The network zeroed the object counters; zero the array
-        # ledgers to match (state/pending and the open feature windows
-        # carry across, as in the scalar run).
-        self.in_state[:] = 0
-        self.at_power[:] = 0
-        self.stall[:] = 0
+        for bank in self._banks:
+            bank.settle(warmup)
+        self.net._begin_measurement(warmup)
         self._stats_link_base = warmup
 
     def _finish(self, total: int) -> None:
-        """End of the run: write the laser ledgers, then finish there.
+        """End of the run: settle every bank, then finish there.
 
         Pools, engines, statistics, reservation counts and policy
-        histories were updated in place as the run went, so only the
-        laser banks lag behind their arrays.
+        histories were updated in place as the run went, and the laser
+        banks lag only by the span since their last settlement.
         """
         self._settle_links_all(total)
-        # A flip inside a skipped idle tail has no later executed cycle
-        # to land it, so split the ledgers at it before settling.
-        self._apply_flips(total)
-        self._settle_lasers_all(total)
-        for r, router in enumerate(self.routers):
-            self._laser_to_bank(r, total)
-            bank = router.laser
-            bank.cycles_in_state = {
-                s: int(self.in_state[r, i]) for i, s in enumerate(self._states)
-            }
-            bank._cycles_at_power = {
-                s: int(self.at_power[r, i])
-                for i, s in enumerate(self._states)
-                if self.at_power[r, i]
-            }
-            bank.stall_cycles = int(self.stall[r])
+        for bank in self._banks:
+            bank.settle(total)
         self.net._finish(total)

@@ -161,9 +161,8 @@ class PearlNetwork:
             line_bytes=arch.cache_line_bytes,
         )
         # Min-heap of packets in flight: (arrival_cycle, sequence,
-        # transmission) on the reference engine, (arrival_cycle,
-        # sequence, packet, source_router) on the array engine.
-        self._in_flight: List[Tuple] = []
+        # packet, source_router).
+        self._in_flight: List[Tuple[int, int, Packet, int]] = []
         # (inject_cycle, sequence, router_id, packet) pending responses.
         self._responses: List[Tuple[int, int, int, Packet]] = []
         self._sequence = 0
@@ -350,26 +349,22 @@ class PearlNetwork:
         # 5. Transmissions.
         on_link_sample = self.stats.on_link_sample
         sequence = self._sequence
-        for router in routers:
-            for transmission in router.transmit(cycle):
+        for router_id, router in enumerate(routers):
+            for arrival, packet in router.transmit(cycle):
                 sequence += 1
-                heappush(
-                    in_flight,
-                    (transmission.arrival_cycle, sequence, transmission),
-                )
+                heappush(in_flight, (arrival, sequence, packet, router_id))
             on_link_sample(router._link_busy_this_cycle)
         self._sequence = sequence
         # 6. Arrivals.  Photonic arrivals are CRC-checked when a bit
         #    error schedule is active; the local crossbar is electrical
         #    and never corrupts.
         while in_flight and in_flight[0][0] <= cycle:
-            _, _, transmission = heappop(in_flight)
-            packet = transmission.packet
+            _, _, packet, source_router = heappop(in_flight)
             destination = routers[packet.destination]
             if packet.source == packet.destination:
                 destination.deliver_local(packet)
             elif fault_context is not None and fault_context.corrupts(
-                transmission.source_router, packet.size_flits, cycle
+                source_router, packet.size_flits, cycle
             ):
                 self._handle_crc_error(packet, cycle)
             else:

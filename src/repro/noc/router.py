@@ -23,7 +23,6 @@ responses for all sixteen clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -152,15 +151,6 @@ def make_policy(
         drift_monitor=monitor,
         fallback_thresholds=power.thresholds(),
     )
-
-
-@dataclass(slots=True)
-class Transmission:
-    """A packet in flight on the photonic (or local) path."""
-
-    packet: Packet
-    arrival_cycle: int
-    source_router: int
 
 
 class _TransmitEngine:
@@ -581,14 +571,16 @@ class PearlRouter:
         self.laser.tick()
         return False
 
-    def transmit(self, cycle: int) -> List[Transmission]:
-        """Dispatch head packets onto the local and photonic paths."""
-        started: List[Transmission] = []
+    def transmit(self, cycle: int) -> List[Tuple[int, Packet]]:
+        """Dispatch head packets onto the local and photonic paths.
+
+        Returns an ``(arrival_cycle, packet)`` pair per packet started.
+        """
+        started: List[Tuple[int, Packet]] = []
         buffers = self.buffers
         allocation = self.dba.allocate_from_buffers(buffers)
         laser = self.laser
         local_engine = self._local_engine
-        router_id = self.router_id
         can_transmit = laser.can_transmit
         if (
             self._fault_injector is not None
@@ -613,13 +605,7 @@ class PearlRouter:
                         break
                     pool.pop()
                     local_engine.busy_until = cycle + 1
-                    started.append(
-                        Transmission(
-                            packet=head,
-                            arrival_cycle=cycle + LOCAL_CROSSBAR_CYCLES,
-                            source_router=router_id,
-                        )
-                    )
+                    started.append((cycle + LOCAL_CROSSBAR_CYCLES, head))
                     continue
                 if fraction <= 0.0 or not can_transmit:
                     break
@@ -641,13 +627,7 @@ class PearlRouter:
                     label = self.dba.split_labels[allocation]
                     counts[label] = counts.get(label, 0) + 1
                 started.append(
-                    Transmission(
-                        packet=head,
-                        arrival_cycle=cycle
-                        + serialize
-                        + PIPELINE_OVERHEAD_CYCLES,
-                        source_router=router_id,
-                    )
+                    (cycle + serialize + PIPELINE_OVERHEAD_CYCLES, head)
                 )
                 link_busy = True
         if not link_busy:

@@ -1,6 +1,8 @@
 """Tests for repro.core.power_scaling — LaserBank and the reactive scaler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PhotonicConfig, PowerScalingConfig
 from repro.core.power_scaling import (
@@ -108,6 +110,75 @@ class TestLaserBank:
             for _ in range(80):
                 bank.tick()
         assert long.stall_cycles > short.stall_cycles
+
+
+STATES = PhotonicConfig().wavelength_states
+
+#: Up to 40 operations: a state request, or an advance of 0-60 cycles
+#: (often exactly a turn-on delay, so flips land on a span's end).
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("request"), st.sampled_from(STATES)),
+        st.tuples(
+            st.just("advance"),
+            st.sampled_from([0, 1, 3, 25]) | st.integers(0, 60),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _integrated(bank):
+    return (
+        bank.clock,
+        bank.state,
+        bank._pending_state,
+        bank.cycles_in_state,
+        bank._cycles_at_power,
+        bank.stall_cycles,
+        bank.transitions,
+        bank.energy_j,
+    )
+
+
+class TestSettleEqualsTick:
+    """``settle`` over a span integrates exactly what per-cycle ticks do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.sampled_from(STATES),
+        turn_on_cycles=st.sampled_from([0, 1, 3, 25]),
+        operations=OPERATIONS,
+    )
+    def test_settle_matches_ticks(self, initial, turn_on_cycles, operations):
+        # 2 GHz: turn_on_ns = cycles / 2 is exact in binary.
+        ticked, settled, lazy = (
+            _bank(turn_on_ns=turn_on_cycles / 2, initial=initial)
+            for _ in range(3)
+        )
+        assert ticked.turn_on_cycles == turn_on_cycles
+        cycle = 0
+        for operation, value in operations:
+            if operation == "request":
+                # The array core settles a bank only before a request
+                # and at the end of the run.
+                lazy.settle(cycle)
+                for bank in (ticked, settled, lazy):
+                    bank.request_state(value)
+            else:
+                for _ in range(value):
+                    ticked.tick()
+                cycle += value
+                settled.settle(cycle)
+            assert _integrated(settled) == _integrated(ticked)
+        lazy.settle(cycle)
+        assert _integrated(lazy) == _integrated(ticked)
+
+    def test_settle_backwards_rejected(self):
+        bank = _bank()
+        bank.settle(10)
+        with pytest.raises(ValueError):
+            bank.settle(9)
 
 
 def _scaler(window=100, use_8wl=True):

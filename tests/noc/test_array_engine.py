@@ -486,9 +486,9 @@ class TestTurnOnSkippedAtRunBoundary:
     """A laser turn-on that completes inside an idle span skipped right
     before the warm-up boundary or the end of the run has no later
     executed cycle to land it, so the boundary itself must land it
-    before settling the ledgers (regression: the array core used to
-    settle the turn-on span as stall time in the old state, or fail
-    with "laser ledger settled backwards" at the next flip).
+    when it settles the laser banks (regression: the array core used
+    to settle the turn-on span as stall time in the old state, or fail
+    with a backwards settlement at the next flip).
 
     Each case idles the network and schedules the upward transition so
     it completes five cycles before the boundary: a RANDOM-policy

@@ -65,16 +65,17 @@ class TestTransmission:
         router.inject(_cpu_req(), cycle=0)
         started = router.transmit(0)
         assert len(started) == 1
-        tx = started[0]
+        arrival, _ = started[0]
         # 64 WL, full CPU share (GPU idle): 2 cycles + pipeline overhead.
-        assert tx.arrival_cycle == 2 + PIPELINE_OVERHEAD_CYCLES
+        assert arrival == 2 + PIPELINE_OVERHEAD_CYCLES
 
     def test_local_packet_uses_crossbar(self):
         router = _router()
         local = make_request(0, 0, CoreType.CPU, CacheLevel.CPU_L1_DATA)
         router.inject(local, cycle=0)
-        started = router.transmit(0)
-        assert started[0].arrival_cycle == LOCAL_CROSSBAR_CYCLES
+        [(arrival, packet)] = router.transmit(0)
+        assert arrival == LOCAL_CROSSBAR_CYCLES
+        assert packet is local
 
     def test_simultaneous_cpu_gpu_transmission(self):
         """Both core types transmit at once on their shares."""
@@ -105,23 +106,23 @@ class TestTransmission:
         router.inject(_cpu_req(), cycle=0)
         router.inject(_gpu_req(), cycle=0)
         started = router.transmit(0)
-        by_type = {t.packet.core_type: t for t in started}
+        by_type = {packet.core_type: arrival for arrival, packet in started}
         # CPU 75% of 64 WL: ceil(2/0.75)=3; GPU 25%: ceil(2/0.25)=8.
-        assert by_type[CoreType.CPU].arrival_cycle == 3 + PIPELINE_OVERHEAD_CYCLES
-        assert by_type[CoreType.GPU].arrival_cycle == 8 + PIPELINE_OVERHEAD_CYCLES
+        assert by_type[CoreType.CPU] == 3 + PIPELINE_OVERHEAD_CYCLES
+        assert by_type[CoreType.GPU] == 8 + PIPELINE_OVERHEAD_CYCLES
 
     def test_fcfs_even_split_always(self):
         router = _router(dynamic=False)
         router.inject(_cpu_req(), cycle=0)
-        started = router.transmit(0)
+        [(arrival, _)] = router.transmit(0)
         # FCFS: CPU share stays 50% even with GPU idle -> ceil(2/0.5)=4.
-        assert started[0].arrival_cycle == 4 + PIPELINE_OVERHEAD_CYCLES
+        assert arrival == 4 + PIPELINE_OVERHEAD_CYCLES
 
     def test_low_state_slows_transmission(self):
         router = _router(static_state=16)
         router.inject(_cpu_req(), cycle=0)
-        started = router.transmit(0)
-        assert started[0].arrival_cycle == 8 + PIPELINE_OVERHEAD_CYCLES
+        [(arrival, _)] = router.transmit(0)
+        assert arrival == 8 + PIPELINE_OVERHEAD_CYCLES
 
     def test_stabilizing_laser_blocks_transmit(self):
         router = _router(policy=PowerPolicyKind.REACTIVE)

@@ -15,7 +15,14 @@ import pytest
 
 from repro import obs
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
-from repro.faults import load_fault_schedule
+from repro.faults import (
+    BitErrorFault,
+    FaultSchedule,
+    LaserDroopFault,
+    WavelengthFault,
+    load_fault_schedule,
+)
+from repro.ml.lifecycle.registry import ModelRegistry
 from repro.noc.network import PearlNetwork, PearlRunResult
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
@@ -185,3 +192,91 @@ class TestDbaSplitConservation:
             assert sent > 0
             assert sum(splits[engine].values()) == sent, engine
         assert splits["reference"] == splits["array"]
+
+
+class _Tripwire:
+    """Stands in for an instrument and fails on any attribute access."""
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    def __getattribute__(self, attr: str):
+        name = object.__getattribute__(self, "name")
+        raise AssertionError(f"a run without a session read OBS.{name}.{attr}")
+
+    def __setattr__(self, attr: str, value) -> None:
+        name = object.__getattribute__(self, "name")
+        raise AssertionError(f"a run without a session set OBS.{name}.{attr}")
+
+
+#: A schedule whose faults all start (and the transient ones clear)
+#: inside a 1,200-cycle run: ring loss clamps every router's state,
+#: laser droop caps the L3 router, bit errors trigger CRC retries.
+EARLY_FAULTS = FaultSchedule(
+    wavelength_faults=(WavelengthFault(wavelengths=40, start=400, end=800),),
+    droop_faults=(LaserDroopFault(max_state=16, router=16, start=600),),
+    bit_error_faults=(BitErrorFault(rate=0.002, start=300),),
+)
+
+
+class TestRunWithoutSessionTouchesNoInstrument:
+    """Every instrumentation site sits behind ``OBS.enabled``.
+
+    The registry, tracer and window series are swapped for tripwires,
+    so one unguarded site on either engine, under any policy, fault
+    path or the mid-run retrain, fails the run.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _tripwires(self):
+        real = OBS.registry, OBS.tracer, OBS.series
+        OBS.registry = _Tripwire("registry")
+        OBS.tracer = _Tripwire("tracer")
+        OBS.series = _Tripwire("series")
+        try:
+            yield
+        finally:
+            OBS.registry, OBS.tracer, OBS.series = real
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    @pytest.mark.parametrize("faults", ["clean", "faults.yaml", "early"])
+    @pytest.mark.parametrize("policy", golden.POLICIES + ("ml-retrain",))
+    def test_run_reads_no_instrument(self, policy, faults, engine, tmp_path):
+        config = PearlConfig(
+            simulation=SimulationConfig(warmup_cycles=200, measure_cycles=1_000),
+            power_scaling=PowerScalingConfig(reservation_window=100),
+        )
+        model = None
+        if policy == "ml-retrain":
+            config = config.replace(ml=golden.retrain_config().ml)
+            model = golden.drifting_model()
+        elif policy == "ml":
+            model = golden.golden_model()
+        schedule = {
+            "clean": None,
+            "faults.yaml": load_fault_schedule(FAULTS_YAML),
+            "early": EARLY_FAULTS,
+        }[faults]
+        trace = generate_pair_trace(
+            get_benchmark("fluidanimate"),
+            get_benchmark("dct"),
+            config.architecture,
+            config.simulation.total_cycles,
+            3,
+        )
+        network = PearlNetwork(
+            config,
+            power_policy=PowerPolicyKind(policy.split("-")[0]),
+            ml_model=model,
+            seed=3,
+            faults=schedule,
+            registry=ModelRegistry(tmp_path),
+        )
+        result = network.run(trace, engine=engine)
+        # The paths under test were reached.
+        assert result.stats.packets_delivered > 0
+        if policy == "ml-retrain":
+            assert result.retrain_events > 0
+        if faults == "early":
+            assert result.stats.crc_errors > 0
+            assert result.stats.fault_clamp_events > 0

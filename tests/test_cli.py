@@ -344,6 +344,27 @@ class TestTraceFlag:
         names = {e["name"] for e in doc["traceEvents"]}
         assert "sim/measure" in names
 
+    def test_traced_rerun_executes_its_jobs(self, capsys, tmp_path, monkeypatch):
+        """An untraced run's cache entries carry no telemetry, so a
+        traced rerun of the same experiment must execute its jobs."""
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("PEARL_RESULT_CACHE_DIR", "PEARL_RESULT_CACHE_BACKEND"):
+            monkeypatch.delenv(name, raising=False)
+        assert main(["experiment", "fig4"]) == 0
+        untraced = capsys.readouterr().out
+        assert main(["experiment", "fig4", "--trace", "warm"]) == 0
+        assert capsys.readouterr().out == untraced
+        metrics = {
+            record["name"]: record
+            for record in map(
+                json.loads, (tmp_path / "warm.jsonl").read_text().splitlines()
+            )
+            if record["type"] == "metric"
+        }
+        assert metrics["engine/jobs_executed"]["value"] > 0
+
     def test_trace_flag_leaves_telemetry_disabled(self, tmp_path):
         from repro.obs import OBS
 
