@@ -13,8 +13,10 @@ at the PEARL benchmark's production job shapes (``perfbench/``: window
 100, PARSEC jobs of 200+1,000 cycles, collective jobs of 100+1,200):
 one Table IV pair under all five adaptation policies, the same pair
 under reactive scaling with ``examples/faults.yaml`` for 500+2,000
-cycles, and the ML collective row with online retraining, built from
-the same ``pearl_job``/``pair_spec``/``collective_spec`` helpers.
+cycles, the ML collective row with online retraining, and the other
+three collectives under reactive scaling with NRZ and with PAM4
+signaling, built from the same ``pearl_job``/``pair_spec``/
+``collective_spec`` helpers.
 
 Usage::
 
@@ -186,8 +188,9 @@ def _production_specs(model_path: str):
     """(workload, policy, spec) rows at the benchmark's job shapes.
 
     One Table IV pair under each adaptation policy, the same pair under
-    reactive scaling with the example fault schedule, and the ML
-    collective row with online retraining.
+    reactive scaling with the example fault schedule, the ML
+    collective row with online retraining, and the other three
+    collectives under reactive scaling with each signaling.
     """
     pair = test_pairs()[0]
     parsec = _production_config(PARSEC_CYCLES)
@@ -221,6 +224,14 @@ def _production_specs(model_path: str):
         power_policy=PowerPolicyKind.ML,
         ml_model_path=model_path,
     )
+    for algorithm in ("halving_doubling", "alltoall", "parameter_server"):
+        for signaling in ("nrz", "pam4"):
+            yield f"{algorithm}_{signaling}", "reactive", pearl_job(
+                _production_config(COLLECTIVE_CYCLES, signaling),
+                collective_spec(algorithm, 3),
+                seed=3,
+                power_policy=PowerPolicyKind.REACTIVE,
+            )
 
 
 def _rows(quick: bool, model_dir: str):
@@ -319,7 +330,7 @@ def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
         },
     }
     print(
-        f"{workload:19s} {policy_name:10s} "
+        f"{workload:22s} {policy_name:10s} "
         f"trace={trace_s * 1e3:.1f}ms "
         f"ref={walls['reference']:.3f}s "
         f"array={walls['array']:.3f}s "

@@ -27,9 +27,8 @@ from ..config import (
     SimulationConfig,
 )
 from .buffer import VirtualChannelBuffer
-from .network import ResponderConfig
 from .packet import Flit, Packet
-from .responder import build_response
+from .responder import ResponderConfig, build_response
 from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
 

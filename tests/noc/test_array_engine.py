@@ -44,7 +44,7 @@ from repro.faults import (
 from repro.ml.features import NUM_FEATURES
 from repro.ml.ridge import RidgeRegression
 from repro.noc.array_core import ArrayCore
-from repro.noc.network import PearlNetwork
+from repro.noc.network import PearlNetwork, ResponderConfig
 from repro.noc.packet import CacheLevel, CoreType, PacketClass
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
@@ -117,6 +117,7 @@ def _run_engines(
     seed=3,
     faults=None,
     links=8,
+    responder=None,
 ):
     out = {}
     for engine in ALL_ENGINES:
@@ -128,6 +129,7 @@ def _run_engines(
             l3_parallel_links=links,
             seed=seed,
             faults=faults,
+            responder=responder,
         )
         out[engine] = _canonical(network, network.run(trace, engine=engine))
     return out
@@ -277,6 +279,51 @@ class TestArrayEngineEquivalence:
         )
         _assert_all_equal(out)
         assert out["array"]["stats"]["link_total_cycles"] > 0
+
+
+class TestZeroLatencyResponder:
+    """A zero-latency response is ready in the cycle its request
+    drained (the last phase of that cycle), so it must inject on the
+    next cycle: pending responses are due when their ready cycle is at
+    most the current one, not only when it equals it.  L3 miss rates of
+    0 and 1 take every L3 response through the hit path or through the
+    memory controllers."""
+
+    @pytest.mark.parametrize("miss_rate", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "policy", [PowerPolicyKind.STATIC, PowerPolicyKind.REACTIVE]
+    )
+    def test_engines_agree(self, miss_rate, policy):
+        config = _config()
+        responder = ResponderConfig(
+            l3_hit_latency=0,
+            local_l2_latency=0,
+            peer_latency=0,
+            cpu_l3_miss_rate=miss_rate,
+            gpu_l3_miss_rate=miss_rate,
+        )
+        out = _run_engines(
+            config, _pair_trace(config), policy, responder=responder
+        )
+        _assert_all_equal(out)
+        stats = out["array"]["stats"]
+        assert stats["local_packets_delivered"] > 0
+        assert stats["network_flits_delivered"] > 0
+
+    def test_faulted(self):
+        """Zero latency while CRC retransmits share the sequence."""
+        config = _config()
+        out = _run_engines(
+            config,
+            _pair_trace(config),
+            PowerPolicyKind.REACTIVE,
+            faults=_fault_schedule(),
+            responder=ResponderConfig(
+                l3_hit_latency=0, local_l2_latency=0, peer_latency=0
+            ),
+        )
+        _assert_all_equal(out)
+        assert out["array"]["crc_errors"] > 0
 
 
 class TestCollectionModeIdentity:

@@ -247,15 +247,24 @@ class TestSkipHorizonGuard:
     @pytest.mark.parametrize("kind", ["wavelength", "droop"])
     def test_idle_tail_executes_only_the_fault_transitions(self, kind):
         core = self._core(kind)
-        executed = []
-        step = core.step
+        skips = []
+        skip_horizon = core._skip_horizon
 
-        def recording_step(cycle, cursor=None):
-            executed.append(cycle)
-            step(cycle, cursor)
+        def recording_skip_horizon(cycle, end, cursor):
+            horizon = skip_horizon(cycle, end, cursor)
+            skips.append((cycle, horizon))
+            return horizon
 
-        core.step = recording_step
+        core._skip_horizon = recording_skip_horizon
         core._advance(0, 600, None)
+        # The loop only jumps through _skip_horizon: after a call
+        # returns ``horizon`` it executes every cycle from there up to
+        # the ``cycle`` argument of the next call (or the end).
+        executed = []
+        resume = 0
+        for cycle, horizon in skips + [(600, None)]:
+            executed.extend(range(resume, cycle))
+            resume = horizon
         assert [c for c in executed if c >= 200] == [self.ONSET, self.CLEAR]
         clamps = [r.fault_clamp_events for r in core.routers]
         assert all(n > 0 for n in clamps)

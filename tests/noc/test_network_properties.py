@@ -97,5 +97,5 @@ class TestNetworkInvariants:
         stats = result.stats
         injected = sum(c.packets_injected for c in stats.counters.values())
         assert stats.packets_delivered == injected
-        assert not network._in_flight
+        assert network.pending_packet_census()["in_flight"] == 0
         assert network.injection_backlog_size == 0

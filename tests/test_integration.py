@@ -122,11 +122,10 @@ class TestConservation:
             c.packets_injected for c in result.stats.counters.values()
         )
         delivered = result.stats.packets_delivered
-        in_buffers = sum(r.buffers.total_packets for r in network.routers)
-        in_ejection = sum(
-            len(pool) for r in network.routers for pool in r.ejection.values()
-        )
-        in_flight = len(network._in_flight)
+        census = network.pending_packet_census()
+        in_buffers = census["buffered"]
+        in_ejection = census["ejecting"]
+        in_flight = census["in_flight"]
         backlog = network.injection_backlog_size
         assert delivered + in_buffers + in_ejection + in_flight + backlog >= injected
 

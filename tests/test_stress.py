@@ -41,11 +41,10 @@ def _conservation(network, stats):
     """
     injected = sum(c.packets_injected for c in stats.counters.values())
     delivered = stats.packets_delivered
-    queued = sum(r.buffers.total_packets for r in network.routers)
-    ejecting = sum(
-        len(pool) for r in network.routers for pool in r.ejection.values()
-    ) + sum(len(r._ejection_backlog) for r in network.routers)
-    in_flight = len(network._in_flight)
+    census = network.pending_packet_census()
+    queued = census["buffered"]
+    ejecting = census["ejecting"]
+    in_flight = census["in_flight"]
     return delivered + queued + ejecting + in_flight - injected
 
 
