@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..obs import OBS
 from .service.spec_codec import result_from_bytes, result_to_bytes
@@ -135,9 +135,19 @@ class ResultCache:
 
     # -- keys and paths -------------------------------------------------------
 
-    def key_for(self, spec) -> str:
-        """Content key of one job spec under this cache's salt."""
-        return job_key(spec.payload(), salt=self.salt)
+    def key_for(
+        self, spec, with_payload: bool = False
+    ) -> Union[str, Tuple[str, Dict[str, Any]]]:
+        """Content key of one job spec under this cache's salt.
+
+        With ``with_payload``, return ``(key, payload)``: a caller that
+        keys a job and later stores its result hands the payload to
+        :meth:`put_by_key` instead of computing it again (an ML job's
+        payload hashes its model file).
+        """
+        payload = spec.payload()
+        key = job_key(payload, salt=self.salt)
+        return (key, payload) if with_payload else key
 
     # -- lookup ---------------------------------------------------------------
 
@@ -187,9 +197,8 @@ class ResultCache:
 
     def put(self, spec, result) -> bytes:
         """Persist one completed job result; return the stored document."""
-        return self.put_by_key(
-            self.key_for(spec), result, spec_payload=spec.payload()
-        )
+        key, payload = self.key_for(spec, with_payload=True)
+        return self.put_by_key(key, result, spec_payload=payload)
 
     def put_by_key(
         self,

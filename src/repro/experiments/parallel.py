@@ -43,6 +43,7 @@ from ..traffic.collectives import generate_collective_trace, validate_collective
 from ..traffic.synthetic import generate_pair_trace, uniform_random_trace
 from ..traffic.trace import Trace
 from .cache import ResultCache, file_digest
+from .service.spec_codec import result_from_bytes
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
 
@@ -505,9 +506,16 @@ class ExperimentEngine:
         """Execute all specs, returning results in submission order."""
         specs = list(specs)
         results: List[Optional[JobResult]] = [None] * len(specs)
+        # index -> (key, payload), computed once per job.
+        keyed: Dict[int, Tuple[str, Dict[str, object]]] = {}
         pending: List[int] = []
         for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
+            hit = None
+            if self.cache is not None:
+                keyed[index] = self.cache.key_for(spec, with_payload=True)
+                hit = self.cache.get_by_key(
+                    keyed[index][0], decode=result_from_bytes
+                )
             if hit is not None:
                 results[index] = hit
             else:
@@ -533,7 +541,8 @@ class ExperimentEngine:
 
         if self.cache is not None:
             for index in pending:
-                self.cache.put(specs[index], results[index])
+                key, payload = keyed[index]
+                self.cache.put_by_key(key, results[index], spec_payload=payload)
         if OBS.enabled:
             self._record_batch_telemetry(results, executed=len(pending))
         return results  # type: ignore[return-value]

@@ -5,14 +5,25 @@ submit specs with plain :mod:`http.client` and read the NDJSON event
 stream line by line.  :meth:`ServeClient.burst` fires N concurrent
 submissions of the same document from a thread pool — the coalescing
 check in CI counts server-side executions afterwards.
+
+The server keeps connections alive, so the client keeps a pool of idle
+ones: a request takes one (or opens one), and puts it back when the
+response has been read.  Each connection serves one request at a time,
+so concurrent threads never share one.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
+
+#: What a kept-alive connection raises when the server closed it while
+#: it sat idle (past the server's read deadline, or on its shutdown):
+#: ``http.client.RemoteDisconnected`` is a ``ConnectionResetError``.
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 class ServeError(RuntimeError):
@@ -24,7 +35,11 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Talks to one :class:`~.server.SweepServer`."""
+    """Talks to one :class:`~.server.SweepServer`.
+
+    Use it as a context manager, or call :meth:`close`, to close the
+    pooled connections.
+    """
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8639, timeout: float = 120.0
@@ -32,22 +47,54 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every idle pooled connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # -- low-level ------------------------------------------------------------
 
     def _request(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> "tuple[int, bytes]":
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        headers = {"Content-Type": "application/json"} if body else {}
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
+            try:
+                reused = conn.sock is not None
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                # The server closed the idle connection before this
+                # request reached it: send it once more on a new one.
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            payload = response.read()
+        except BaseException:
             conn.close()
+            raise
+        with self._lock:
+            self._idle.append(conn)
+        return response.status, payload
 
     # -- endpoints ------------------------------------------------------------
 

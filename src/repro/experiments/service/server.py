@@ -25,6 +25,14 @@ A result event carries the cache entry's stored result document
 (:func:`~.spec_codec.result_to_bytes`) spliced in byte for byte: a hit
 is streamed without being decoded or re-encoded.
 
+Connections are kept alive: one connection serves request after
+request, and the NDJSON stream is framed with ``Transfer-Encoding:
+chunked`` (one send for the head and the ``accepted`` event, one for
+the final event and the last chunk).  ``Connection: close`` and
+HTTP/1.0 requests get a close-delimited response instead, and so does
+every framing error (400/408/413).  A connection on which no byte of
+a next request arrives within ``_READ_DEADLINE_S`` is closed quietly.
+
 Endpoints::
 
     POST /simulate   body: spec document (see spec_codec)
@@ -42,7 +50,7 @@ import asyncio
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ... import obs
 from ...obs import OBS
@@ -57,8 +65,13 @@ from .spec_codec import result_to_doc, spec_from_doc  # noqa: F401
 _MAX_BODY_BYTES = 8 << 20  # an 8 MiB spec document is a client bug
 
 #: Seconds a client has to send its whole request (request line,
-#: headers and body); a stalled one gets a 408 and its socket back.
+#: headers and body) once its first byte arrived; a stalled one gets a
+#: 408 and its socket back.  A kept-alive connection on which no byte
+#: of a next request arrives for as long is closed without a response.
 _READ_DEADLINE_S = 30.0
+
+#: The last chunk of a chunked response.
+_LAST_CHUNK = b"0\r\n\r\n"
 
 
 class _HttpError(Exception):
@@ -67,6 +80,15 @@ class _HttpError(Exception):
         self.status = status
         self.reason = reason
         self.message = message
+
+
+class _Request(NamedTuple):
+    method: str
+    target: str
+    body: bytes
+    #: HTTP/1.1 without ``Connection: close``: serve the next request
+    #: on the same connection.
+    keep_alive: bool
 
 
 class SweepServer:
@@ -93,6 +115,7 @@ class SweepServer:
         #: key -> the one future all coalesced requests await.
         self._inflight: Dict[str, asyncio.Future] = {}
         self.counters: Dict[str, int] = {
+            "connections": 0,
             "submissions": 0,
             "executions": 0,
             "coalesced": 0,
@@ -101,6 +124,9 @@ class SweepServer:
             "errors": 0,
             "bad_requests": 0,
         }
+        #: Connections waiting for the first byte of a next request ->
+        #: their handler task; ``stop()`` closes these.
+        self._idle: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
 
@@ -131,14 +157,29 @@ class SweepServer:
             )
         return self._pool
 
-    async def stop(self) -> None:
-        """Close the socket, then wait until every pool worker has exited.
+    def _serving(self) -> bool:
+        return self._server is not None and self._server.is_serving()
 
-        Queued executions are cancelled; the wait runs off the event
-        loop so other tasks keep running while the workers exit.
+    async def stop(self) -> None:
+        """Close the socket and the idle connections, then wait until
+        every pool worker has exited.
+
+        A connection waiting for its next request is closed and its
+        handler awaited; one in the middle of a request finishes it and
+        then closes.  Queued executions are cancelled; the wait runs off
+        the event loop so other tasks keep running while the workers
+        exit.
         """
         if self._server is not None:
             self._server.close()
+            # Server.wait_closed() does not wait for open connections
+            # before Python 3.12 and waits for all of them after, so
+            # the idle ones are closed here on every version.
+            idle = list(self._idle.items())
+            for writer, _task in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([task for _writer, task in idle])
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
@@ -152,36 +193,58 @@ class SweepServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.counters["connections"] += 1
+        task = asyncio.current_task()
         try:
-            try:
-                method, target, body = await asyncio.wait_for(
-                    self._read_request(reader), _READ_DEADLINE_S
-                )
-            except asyncio.TimeoutError:
-                await self._write_error(
-                    writer,
-                    _HttpError(
-                        408,
-                        "Request Timeout",
-                        "request not received within the "
-                        f"{_READ_DEADLINE_S:g} s read deadline",
-                    ),
-                )
-                return
-            except _HttpError as exc:
-                await self._write_error(writer, exc)
-                return
-            try:
-                await self._route(method, target, body, writer)
-            except _HttpError as exc:
-                await self._write_error(writer, exc)
-            except Exception as exc:  # noqa: BLE001 - never hang the client
-                await self._write_error(
-                    writer,
-                    _HttpError(
-                        500, "Internal Server Error", f"unhandled: {exc!r}"
-                    ),
-                )
+            # A handler that starts after stop() began serves nothing.
+            while self._serving():
+                self._idle[writer] = task
+                try:
+                    first = await asyncio.wait_for(
+                        reader.read(1), _READ_DEADLINE_S
+                    )
+                except asyncio.TimeoutError:
+                    return  # idle past the deadline: close quietly
+                finally:
+                    del self._idle[writer]
+                if not first:
+                    return  # the client (or stop()) closed the connection
+                try:
+                    request = await asyncio.wait_for(
+                        self._read_request(reader, first), _READ_DEADLINE_S
+                    )
+                except asyncio.TimeoutError:
+                    await self._write_error(
+                        writer,
+                        _HttpError(
+                            408,
+                            "Request Timeout",
+                            "request not received within the "
+                            f"{_READ_DEADLINE_S:g} s read deadline",
+                        ),
+                        keep_alive=False,
+                    )
+                    return
+                except _HttpError as exc:
+                    # The stream's framing is lost: answer and close.
+                    await self._write_error(writer, exc, keep_alive=False)
+                    return
+                keep_alive = request.keep_alive and self._serving()
+                try:
+                    await self._route(request, writer, keep_alive)
+                except _HttpError as exc:
+                    await self._write_error(writer, exc, keep_alive)
+                except Exception as exc:  # noqa: BLE001 - never hang the client
+                    await self._write_error(
+                        writer,
+                        _HttpError(
+                            500, "Internal Server Error", f"unhandled: {exc!r}"
+                        ),
+                        keep_alive=False,
+                    )
+                    return
+                if not keep_alive:
+                    return
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass  # client went away; the shared execution (if any) lives on
         finally:
@@ -193,17 +256,20 @@ class SweepServer:
 
     @staticmethod
     async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> "tuple[str, str, bytes]":
-        """Parse one request; every framing fault is a 400 naming it."""
+        reader: asyncio.StreamReader, first: bytes
+    ) -> _Request:
+        """Parse one request whose first byte was already read; every
+        framing fault is a 400 naming it."""
         try:
-            request_line = await reader.readline()
+            request_line = (
+                first if first == b"\n" else first + await reader.readline()
+            )
         except (ValueError, OSError):
             raise _HttpError(400, "Bad Request", "unreadable request line")
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "Bad Request", "malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
         while True:
             try:
@@ -216,6 +282,12 @@ class SweepServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _HttpError(
+                400,
+                "Bad Request",
+                "request bodies must be sent with a Content-Length",
+            )
         text = headers.get("content-length", "0")
         if not (text.isascii() and text.isdigit()):
             raise _HttpError(
@@ -240,69 +312,78 @@ class SweepServer:
                 f"body ended after {len(exc.partial)} of the "
                 f"{length} bytes Content-Length announced",
             )
-        return method, target, body
+        tokens = {
+            token.strip().lower()
+            for token in headers.get("connection", "").split(",")
+        }
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
+        return _Request(method, target, body, keep_alive)
 
     async def _route(
         self,
-        method: str,
-        target: str,
-        body: bytes,
+        request: _Request,
         writer: asyncio.StreamWriter,
+        keep_alive: bool,
     ) -> None:
-        path = target.split("?", 1)[0]
+        method = request.method
+        path = request.target.split("?", 1)[0]
         if method == "GET" and path == "/healthz":
-            await self._write_json(writer, 200, {"status": "ok"})
+            await self._write_json(writer, 200, {"status": "ok"}, keep_alive)
             return
         if method == "GET" and path == "/stats":
-            await self._write_json(writer, 200, self.stats_doc())
+            await self._write_json(writer, 200, self.stats_doc(), keep_alive)
             return
         if method == "POST" and path == "/simulate":
-            await self._handle_simulate(body, writer)
+            await self._handle_simulate(request.body, writer, keep_alive)
             return
         raise _HttpError(404, "Not Found", f"no route for {method} {path}")
 
     @staticmethod
-    async def _write_head(
-        writer: asyncio.StreamWriter,
+    def _head(
         status: int,
         reason: str,
         content_type: str,
+        keep_alive: bool,
         extra_headers: "tuple[str, ...]" = (),
         content_length: Optional[int] = None,
-    ) -> None:
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            "Connection: close",
-        ]
+    ) -> bytes:
+        """A response head: framed by ``content_length`` when given,
+        else chunked on a kept-alive connection and by EOF otherwise."""
+        lines = [f"HTTP/1.1 {status} {reason}", f"Content-Type: {content_type}"]
+        if not keep_alive:
+            lines.append("Connection: close")
         if content_length is not None:
             lines.append(f"Content-Length: {content_length}")
+        elif keep_alive:
+            lines.append("Transfer-Encoding: chunked")
         lines.extend(extra_headers)
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        await writer.drain()
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     async def _write_json(
         self,
         writer: asyncio.StreamWriter,
         status: int,
         doc: dict,
+        keep_alive: bool,
         reason: str = "OK",
         extra_headers: "tuple[str, ...]" = (),
     ) -> None:
         payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        await self._write_head(
-            writer,
-            status,
-            reason,
-            "application/json",
-            extra_headers,
-            content_length=len(payload),
+        writer.write(
+            self._head(
+                status,
+                reason,
+                "application/json",
+                keep_alive,
+                extra_headers,
+                content_length=len(payload),
+            )
+            + payload
         )
-        writer.write(payload)
         await writer.drain()
 
     async def _write_error(
-        self, writer: asyncio.StreamWriter, exc: _HttpError
+        self, writer: asyncio.StreamWriter, exc: _HttpError, keep_alive: bool
     ) -> None:
         # A 4xx is the client's malformed request, not a server fault.
         if exc.status < 500:
@@ -314,6 +395,7 @@ class SweepServer:
             writer,
             exc.status,
             {"error": exc.message},
+            keep_alive,
             reason=exc.reason,
             extra_headers=extra,
         )
@@ -321,14 +403,14 @@ class SweepServer:
     # -- /simulate ------------------------------------------------------------
 
     async def _handle_simulate(
-        self, body: bytes, writer: asyncio.StreamWriter
+        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> None:
         try:
             doc = json.loads(body.decode("utf-8"))
             spec = spec_from_doc(doc)
         except ValueError as exc:
             raise _HttpError(400, "Bad Request", f"bad spec document: {exc}")
-        key = self.cache.key_for(spec)
+        key, payload = self.cache.key_for(spec, with_payload=True)
         self.counters["submissions"] += 1
         self._count("submissions")
 
@@ -343,20 +425,25 @@ class SweepServer:
                 f"(max_pending={self.max_pending}); retry shortly",
             )
 
-        await self._write_head(
-            writer, 200, "OK", "application/x-ndjson"
+        # A kept-alive stream is chunked: each event is one chunk.
+        def frame(data: bytes) -> bytes:
+            if keep_alive:
+                return b"%x\r\n%s\r\n" % (len(data), data)
+            return data
+
+        accepted = {"event": "accepted", "key": key, "coalesced": coalesced}
+        writer.write(
+            self._head(200, "OK", "application/x-ndjson", keep_alive)
+            + frame(_event_line(accepted))
         )
-        await self._stream_event(
-            writer,
-            {"event": "accepted", "key": key, "coalesced": coalesced},
-        )
+        await writer.drain()
 
         if coalesced:
             self.counters["coalesced"] += 1
             self._count("coalesced")
             future = self._inflight[key]
         else:
-            future = asyncio.ensure_future(self._execute(key, spec))
+            future = asyncio.ensure_future(self._execute(key, spec, payload))
             self._inflight[key] = future
             future.add_done_callback(
                 lambda _f, _key=key: self._inflight.pop(_key, None)
@@ -366,37 +453,31 @@ class SweepServer:
             # shared execution the other coalesced requests await.
             cached, document = await asyncio.shield(future)
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            await self._stream_event(
-                writer, {"event": "error", "key": key, "error": repr(exc)}
-            )
+            line = _event_line({"event": "error", "key": key, "error": repr(exc)})
             self.counters["errors"] += 1
-            return
-        head = json.dumps(
-            {
-                "event": "result",
-                "key": key,
-                "cached": cached,
-                "worker": self.worker,
-            },
-            sort_keys=True,
-        )
-        # The stored document becomes the last member, unparsed.
-        writer.write(
-            head[:-1].encode("utf-8") + b', "result": ' + document + b"}\n"
-        )
+        else:
+            head = json.dumps(
+                {
+                    "event": "result",
+                    "key": key,
+                    "cached": cached,
+                    "worker": self.worker,
+                },
+                sort_keys=True,
+            )
+            # The stored document becomes the last member, unparsed.
+            line = head[:-1].encode("utf-8") + b', "result": ' + document + b"}\n"
+        writer.write(frame(line) + (_LAST_CHUNK if keep_alive else b""))
         await writer.drain()
 
-    async def _stream_event(
-        self, writer: asyncio.StreamWriter, doc: dict
-    ) -> None:
-        writer.write((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
-        await writer.drain()
-
-    async def _execute(self, key: str, spec) -> "tuple[bool, bytes]":
+    async def _execute(
+        self, key: str, spec, payload: dict
+    ) -> "tuple[bool, bytes]":
         """The single execution all coalesced waiters share.
 
-        Returns ``(cached, document)``: the result document as the
-        cache stores it, read on a hit and written on a miss.
+        ``payload`` is the spec's cache payload, stored with a fresh
+        entry.  Returns ``(cached, document)``: the result document as
+        the cache stores it, read on a hit and written on a miss.
         """
         loop = asyncio.get_running_loop()
         # Cache probe off-loop: store reads touch disk/sqlite.
@@ -415,7 +496,7 @@ class SweepServer:
         if OBS.enabled and result.telemetry is not None:
             obs.merge_capture(result.telemetry, stream=f"serve/{key[:12]}")
         document = await loop.run_in_executor(
-            None, self.cache.put_by_key, key, result, spec.payload()
+            None, self.cache.put_by_key, key, result, payload
         )
         return False, document
 
@@ -438,3 +519,8 @@ class SweepServer:
                 f"service/serve_{event}",
                 help="serve endpoint submissions by outcome",
             ).inc(amount)
+
+
+def _event_line(doc: dict) -> bytes:
+    """One NDJSON event."""
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")

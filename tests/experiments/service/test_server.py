@@ -32,6 +32,7 @@ import repro
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 from repro.experiments.cache import ENTRY_FORMAT, ResultCache
 from repro.experiments.parallel import (
+    JobSpec,
     execute_job,
     pair_spec,
     pearl_job,
@@ -47,6 +48,12 @@ from repro.experiments.service.spec_codec import (
 )
 
 from .test_canonicalization import MALFORMED_DOCS, malformed_doc
+
+# A handler task or socket left behind by a stopped server surfaces
+# only as an unraisable exception when it is collected: fail on it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 @pytest.fixture
@@ -70,19 +77,26 @@ class _LiveServer:
         asyncio.run_coroutine_threadsafe(
             self.server.start(), self.loop
         ).result(timeout=60)
+        self.client = ServeClient(self.server.host, self.server.port)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(timeout=60)
+        # The client stays connected: stop() closes its idle connection.
+        self.stop()
+        self.client.close()
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=30)
         self.loop.close()
 
-    @property
-    def client(self) -> ServeClient:
-        return ServeClient(self.server.host, self.server.port)
+    def stop(self) -> None:
+        asyncio.run_coroutine_threadsafe(
+            self.server.stop(), self.loop
+        ).result(timeout=60)
+
+    def connect(self) -> socket.socket:
+        return socket.create_connection(
+            (self.server.host, self.server.port), timeout=30
+        )
 
 
 @pytest.fixture
@@ -103,6 +117,32 @@ def _fingerprint(result):
         list(result.ml_labels),
         dict(result.extras),
     )
+
+
+def _warm_cache(tmp_path, config, seed):
+    """A cache holding one executed trace job, and that job's spec."""
+    pair = experiment_pairs(quick=True)[0]
+    spec = trace_job(config, pair_spec(pair, seed), seed=seed)
+    cache = ResultCache(directory=tmp_path / "cache")
+    cache.put(spec, execute_job(spec))
+    return cache, spec
+
+
+def _response(sock: socket.socket) -> "tuple[http.client.HTTPResponse, bytes]":
+    """Read one response from a raw socket, leaving the socket open."""
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return response, response.read()
+
+
+def _post(doc, version: str = "HTTP/1.1") -> bytes:
+    body = json.dumps(doc).encode()
+    return (
+        f"POST /simulate {version}\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\n\r\n"
 
 
 class TestEndpoints:
@@ -286,7 +326,206 @@ class TestEndpoints:
         assert live.client.healthz()
 
 
+class TestKeepAlive:
+    """One connection serves request after request."""
+
+    def test_sequential_requests_share_one_connection(
+        self, tmp_path, tiny_sim_config
+    ):
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            n = 20
+            for _ in range(n):
+                assert live.client.submit(spec_to_doc(spec))[-1]["cached"]
+            assert live.client.healthz()
+            stats = live.client.stats()
+        assert stats["connections"] == 1
+        assert stats["cache_hits"] == n
+
+    def test_kept_alive_stream_is_chunked(self, tmp_path, tiny_sim_config):
+        """An HTTP/1.1 ``/simulate`` stream is chunked, carries both
+        events, and leaves the connection open for the next request."""
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            with live.connect() as sock:
+                sock.sendall(_post(spec_to_doc(spec)))
+                response, body = _response(sock)
+                assert response.getheader("Transfer-Encoding") == "chunked"
+                assert response.getheader("Connection") is None
+                accepted, result = map(json.loads, body.splitlines())
+                assert accepted["event"] == "accepted"
+                assert result["cached"] is True
+                sock.sendall(_HEALTHZ)
+                response, body = _response(sock)
+                assert json.loads(body) == {"status": "ok"}
+            assert live.client.stats()["connections"] == 2
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_requests_get_eof(self, live, request_bytes):
+        with live.connect() as sock:
+            sock.settimeout(5)  # well inside the 30 s idle deadline
+            sock.sendall(request_bytes)
+            response = sock.makefile("rb").read()  # returns only at EOF
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"status": "ok"}
+
+    def test_http10_stream_is_close_delimited(
+        self, tmp_path, tiny_sim_config
+    ):
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            with live.connect() as sock:
+                sock.settimeout(5)
+                sock.sendall(_post(spec_to_doc(spec), "HTTP/1.0"))
+                response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        assert b"Transfer-Encoding" not in head
+        accepted, result = map(json.loads, body.splitlines())
+        assert accepted["event"] == "accepted"
+        assert result["cached"] is True
+
+    def test_chunked_request_body_is_400(self, live):
+        with live.connect() as sock:
+            sock.settimeout(5)
+            sock.sendall(
+                b"POST /simulate HTTP/1.1\r\nTransfer-Encoding: chunked"
+                b"\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            )
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
+        assert live.client.stats()["bad_requests"] == 1
+
+    def test_stalled_second_request_gets_408(self, live, monkeypatch):
+        """A kept-alive connection whose next request starts and then
+        stalls is answered 408 and closed, like a first request."""
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.5)
+        with live.connect() as sock:
+            sock.sendall(_HEALTHZ)
+            _response(sock)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n")
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert "0.5 s read deadline" in json.loads(body)["error"]
+        stats = live.client.stats()
+        assert stats["bad_requests"] == 1
+        assert stats["errors"] == 0
+
+    def test_idle_connection_is_closed_quietly(self, live, monkeypatch):
+        """No byte of a next request within the deadline: the server
+        closes the connection with no response and counts nothing."""
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.5)
+        with live.connect() as sock, live.connect() as silent:
+            sock.sendall(_HEALTHZ)
+            _response(sock)
+            for idle in (sock, silent):  # after a request, and before one
+                idle.settimeout(10)
+                assert idle.recv(1) == b""
+        stats = live.client.stats()
+        assert stats["connections"] == 3
+        assert stats["bad_requests"] == 0
+        assert stats["errors"] == 0
+
+    def test_closed_pooled_connection_is_retried_once(
+        self, live, monkeypatch
+    ):
+        """A pooled connection the server closed while it sat idle is
+        sent the request again on a new connection."""
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.3)
+        assert live.client.healthz()
+        (pooled,) = live.client._idle
+        pooled.sock.settimeout(10)
+        assert pooled.sock.recv(1, socket.MSG_PEEK) == b""  # closed
+        assert live.client.stats()["connections"] == 2
+
+    def test_a_new_connection_is_not_retried(self):
+        """The one retry is for reused connections: a server that hangs
+        up on a new connection too fails the request."""
+        accepted = []
+        done = threading.Event()
+
+        def answer_once(listener):
+            listener.settimeout(0.1)  # closing it would not end accept()
+            while not done.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                accepted.append(conn)
+                with conn:
+                    conn.recv(1 << 16)
+                    if len(accepted) == 1:
+                        conn.sendall(
+                            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+                        )
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=answer_once, args=(listener,))
+            thread.start()
+            try:
+                with ServeClient(port=listener.getsockname()[1]) as client:
+                    assert client.stats() == {}
+                    with pytest.raises(ConnectionResetError):
+                        client.stats()
+            finally:
+                done.set()
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        # The first connection, then one retry after it was found closed.
+        assert len(accepted) == 2
+
+    def test_burst_threads_never_share_a_connection(
+        self, tmp_path, tiny_sim_config
+    ):
+        """Threads racing on the client's pool each hold their own
+        connection: every request is answered, and no more connections
+        are opened than there are threads."""
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+                streams = live.client.burst(
+                    spec_to_doc(spec), count=64, threads=threads
+                )
+                stats = live.client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(events[-1]["cached"] is True for events in streams)
+        assert stats["submissions"] == 64
+        assert stats["connections"] <= threads
+
+
 class TestShutdown:
+    def test_stop_closes_idle_connections(self, live):
+        """stop() closes a kept-alive connection waiting for its next
+        request and waits for its handler, long before the read
+        deadline; the client then finds the server gone."""
+        assert live.client.healthz()
+        with live.connect() as sock:
+            sock.sendall(_HEALTHZ)
+            _response(sock)
+            start = time.monotonic()
+            live.stop()
+            assert time.monotonic() - start < 5
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+        assert live.server._idle == {}
+        assert not live.client.healthz()
+
     def test_stop_returns_after_every_pool_worker_exited(
         self, tmp_path, tiny_sim_config
     ):
@@ -368,17 +607,10 @@ class TestShutdown:
 class TestLazyPool:
     """The worker pool starts on the first miss; hits never need it."""
 
-    def _warm(self, tmp_path, tiny_sim_config, seed):
-        pair = experiment_pairs(quick=True)[0]
-        spec = trace_job(tiny_sim_config, pair_spec(pair, seed), seed=seed)
-        cache = ResultCache(directory=tmp_path / "cache")
-        cache.put(spec, execute_job(spec))
-        return cache, spec
-
     def test_hit_only_session_never_starts_the_pool(
         self, tmp_path, tiny_sim_config
     ):
-        cache, spec = self._warm(tmp_path, tiny_sim_config, seed=1)
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
         server = SweepServer(cache=cache, port=0, jobs=1)
         with _LiveServer(server) as live:
             for _ in range(3):
@@ -387,10 +619,29 @@ class TestLazyPool:
             assert server._pool is None
         assert server._pool is None  # stop() had nothing to shut down
 
+    def test_a_request_computes_its_payload_once(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """A served miss keys and stores its job with one ``payload()``,
+        a served hit keys it with one."""
+        calls = []
+        payload = JobSpec.payload
+        monkeypatch.setattr(
+            JobSpec, "payload", lambda job: calls.append(job) or payload(job)
+        )
+        pair = experiment_pairs(quick=True)[0]
+        spec = trace_job(tiny_sim_config, pair_spec(pair, 4), seed=4)
+        cache = ResultCache(directory=tmp_path / "cache")
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            assert live.client.submit(spec_to_doc(spec))[-1]["cached"] is False
+            assert len(calls) == 1
+            assert live.client.submit(spec_to_doc(spec))[-1]["cached"] is True
+            assert len(calls) == 2
+
     def test_first_miss_starts_the_pool_and_executes_once(
         self, tmp_path, tiny_sim_config
     ):
-        cache, hit_spec = self._warm(tmp_path, tiny_sim_config, seed=1)
+        cache, hit_spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
         pair = experiment_pairs(quick=True)[0]
         miss_spec = trace_job(tiny_sim_config, pair_spec(pair, 2), seed=2)
         server = SweepServer(cache=cache, port=0, jobs=1)

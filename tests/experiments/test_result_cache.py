@@ -31,6 +31,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.parallel import (
     ExperimentEngine,
+    JobSpec,
     execute_job,
     pair_spec,
     pearl_job,
@@ -413,3 +414,28 @@ class TestEngineIntegration:
         )
         second.run(specs)
         assert second.cache.hits == 2
+
+    def test_payload_is_computed_once_per_job(
+        self, tmp_path, spec, monkeypatch
+    ):
+        """A miss keys, runs and stores its job with one ``payload()``
+        (an ML job's payload hashes its model file), and a hit keys it
+        with one; the entry is byte for byte the one ``put`` writes."""
+        calls = []
+        payload = JobSpec.payload
+        monkeypatch.setattr(
+            JobSpec, "payload", lambda job: calls.append(job) or payload(job)
+        )
+        engine = ExperimentEngine(
+            jobs=1, cache=ResultCache(directory=tmp_path / "engine")
+        )
+        (cold,) = engine.run([spec])
+        assert len(calls) == 1
+        engine.run([spec])
+        assert len(calls) == 2
+        assert (engine.cache.hits, engine.cache.misses) == (1, 1)
+
+        direct = ResultCache(directory=tmp_path / "put")
+        direct.put(spec, cold)
+        key = direct.key_for(spec)
+        assert engine.cache.store.get(key) == direct.store.get(key)
