@@ -502,17 +502,28 @@ class ExperimentEngine:
         #: identity (see docs/sweep_service.md).
         self.stream_prefix = stream_prefix
 
-    def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        """Execute all specs, returning results in submission order."""
+    def run(
+        self,
+        specs: Sequence[JobSpec],
+        keyed: Optional[Sequence[Tuple[str, Dict[str, object]]]] = None,
+    ) -> List[JobResult]:
+        """Execute all specs, returning results in submission order.
+
+        ``keyed`` holds each spec's ``(key, payload)`` from
+        :meth:`ResultCache.key_for` when the caller has computed them
+        already (the sweep runner keys its specs for the manifest);
+        otherwise a cached engine computes them here, once per job.
+        """
         specs = list(specs)
         results: List[Optional[JobResult]] = [None] * len(specs)
-        # index -> (key, payload), computed once per job.
-        keyed: Dict[int, Tuple[str, Dict[str, object]]] = {}
+        if self.cache is not None and keyed is None:
+            keyed = [
+                self.cache.key_for(spec, with_payload=True) for spec in specs
+            ]
         pending: List[int] = []
-        for index, spec in enumerate(specs):
+        for index in range(len(specs)):
             hit = None
             if self.cache is not None:
-                keyed[index] = self.cache.key_for(spec, with_payload=True)
                 hit = self.cache.get_by_key(
                     keyed[index][0], decode=result_from_bytes
                 )

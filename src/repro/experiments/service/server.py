@@ -11,24 +11,30 @@ of identical submissions (the "millions of users" story):
   running execution instead of spawning their own.  N concurrent
   identical submissions perform exactly 1 simulation and stream N
   results;
-* **shared cache** — before executing, the server consults the same
-  content-addressed store as ``pearl-sim sweep``, so anything any
-  worker ever computed is served at cache-read speed;
+* **shared cache** — a request whose key is not in flight first probes
+  the same content-addressed store as ``pearl-sim sweep``, so anything
+  any worker ever computed is served at cache-read speed;
 * **backpressure** — at most ``max_pending`` *distinct* keys may be in
   flight; beyond that, new work is refused with ``503`` +
-  ``Retry-After`` (coalescing joins are always accepted — they cost
-  nothing).  Executions fan out over a bounded process pool, started
-  on the first miss, so a server that only answers hits never starts
-  one.
+  ``Retry-After``.  Cache hits and coalescing joins are always
+  answered: neither starts an execution.  Executions fan out over a
+  bounded process pool, started on the first miss, so a server that
+  only answers hits never starts one.
 
-A result event carries the cache entry's stored result document
+The probe runs on the event loop, between the in-flight check and the
+registration of a new execution with no ``await`` in between, so
+coalescing stays exact.  A hit is answered in one write (head,
+``accepted`` event, ``result`` event and, when chunked, the last
+chunk) and never touches an executor; a miss registers the shared
+execution, which does not probe again.  A result event carries the
+cache entry's stored result document
 (:func:`~.spec_codec.result_to_bytes`) spliced in byte for byte: a hit
 is streamed without being decoded or re-encoded.
 
 Connections are kept alive: one connection serves request after
 request, and the NDJSON stream is framed with ``Transfer-Encoding:
-chunked`` (one send for the head and the ``accepted`` event, one for
-the final event and the last chunk).  ``Connection: close`` and
+chunked`` (a miss or a join sends the head and the ``accepted`` event,
+then the final event and the last chunk).  ``Connection: close`` and
 HTTP/1.0 requests get a close-delimited response instead, and so does
 every framing error (400/408/413).  A connection on which no byte of
 a next request arrives within ``_READ_DEADLINE_S`` is closed quietly.
@@ -414,15 +420,33 @@ class SweepServer:
         self.counters["submissions"] += 1
         self._count("submissions")
 
-        coalesced = key in self._inflight
-        if not coalesced and len(self._inflight) >= self.max_pending:
-            self.counters["rejected"] += 1
-            self._count("rejected")
-            raise _HttpError(
-                503,
-                "Service Unavailable",
-                f"{len(self._inflight)} keys in flight "
-                f"(max_pending={self.max_pending}); retry shortly",
+        # A join, a hit or a miss.  No await until a miss has registered
+        # its execution, so two requests for one key never both start
+        # it; the probe runs on the loop, before the max_pending check,
+        # because a hit takes no execution slot.
+        future = self._inflight.get(key)
+        coalesced = future is not None
+        document = None if coalesced else self.cache.get_by_key(key)
+        if coalesced:
+            self.counters["coalesced"] += 1
+            self._count("coalesced")
+        elif document is not None:
+            self.counters["cache_hits"] += 1
+            self._count("cache_hits")
+        else:
+            if len(self._inflight) >= self.max_pending:
+                self.counters["rejected"] += 1
+                self._count("rejected")
+                raise _HttpError(
+                    503,
+                    "Service Unavailable",
+                    f"{len(self._inflight)} keys in flight "
+                    f"(max_pending={self.max_pending}); retry shortly",
+                )
+            future = asyncio.ensure_future(self._execute(key, spec, payload))
+            self._inflight[key] = future
+            future.add_done_callback(
+                lambda _f, _key=key: self._inflight.pop(_key, None)
             )
 
         # A kept-alive stream is chunked: each event is one chunk.
@@ -432,62 +456,50 @@ class SweepServer:
             return data
 
         accepted = {"event": "accepted", "key": key, "coalesced": coalesced}
-        writer.write(
-            self._head(200, "OK", "application/x-ndjson", keep_alive)
-            + frame(_event_line(accepted))
-        )
+        head = self._head(200, "OK", "application/x-ndjson", keep_alive)
+        head += frame(_event_line(accepted))
+        end = _LAST_CHUNK if keep_alive else b""
+        if document is not None:  # a hit is answered in one write
+            line = self._result_line(key, True, document)
+            writer.write(head + frame(line) + end)
+            await writer.drain()
+            return
+        writer.write(head)
         await writer.drain()
-
-        if coalesced:
-            self.counters["coalesced"] += 1
-            self._count("coalesced")
-            future = self._inflight[key]
-        else:
-            future = asyncio.ensure_future(self._execute(key, spec, payload))
-            self._inflight[key] = future
-            future.add_done_callback(
-                lambda _f, _key=key: self._inflight.pop(_key, None)
-            )
         try:
             # shield(): a disconnecting waiter must not cancel the one
             # shared execution the other coalesced requests await.
-            cached, document = await asyncio.shield(future)
+            document = await asyncio.shield(future)
         except Exception as exc:  # noqa: BLE001 - reported to the client
             line = _event_line({"event": "error", "key": key, "error": repr(exc)})
             self.counters["errors"] += 1
         else:
-            head = json.dumps(
-                {
-                    "event": "result",
-                    "key": key,
-                    "cached": cached,
-                    "worker": self.worker,
-                },
-                sort_keys=True,
-            )
-            # The stored document becomes the last member, unparsed.
-            line = head[:-1].encode("utf-8") + b', "result": ' + document + b"}\n"
-        writer.write(frame(line) + (_LAST_CHUNK if keep_alive else b""))
+            line = self._result_line(key, False, document)
+        writer.write(frame(line) + end)
         await writer.drain()
 
-    async def _execute(
-        self, key: str, spec, payload: dict
-    ) -> "tuple[bool, bytes]":
+    def _result_line(self, key: str, cached: bool, document: bytes) -> bytes:
+        """The ``result`` event, with the stored document as its last
+        member, spliced in unparsed."""
+        head = json.dumps(
+            {
+                "event": "result",
+                "key": key,
+                "cached": cached,
+                "worker": self.worker,
+            },
+            sort_keys=True,
+        )
+        return head[:-1].encode("utf-8") + b', "result": ' + document + b"}\n"
+
+    async def _execute(self, key: str, spec, payload: dict) -> bytes:
         """The single execution all coalesced waiters share.
 
-        ``payload`` is the spec's cache payload, stored with a fresh
-        entry.  Returns ``(cached, document)``: the result document as
-        the cache stores it, read on a hit and written on a miss.
+        Runs after a missed probe.  ``payload`` is the spec's cache
+        payload, stored with the fresh entry.  Returns the result
+        document as the cache stored it.
         """
         loop = asyncio.get_running_loop()
-        # Cache probe off-loop: store reads touch disk/sqlite.
-        document = await loop.run_in_executor(
-            None, self.cache.get_by_key, key
-        )
-        if document is not None:
-            self.counters["cache_hits"] += 1
-            self._count("cache_hits")
-            return True, document
         result = await loop.run_in_executor(
             self._worker_pool(), execute_job, spec
         )
@@ -495,10 +507,9 @@ class SweepServer:
         self._count("executions")
         if OBS.enabled and result.telemetry is not None:
             obs.merge_capture(result.telemetry, stream=f"serve/{key[:12]}")
-        document = await loop.run_in_executor(
+        return await loop.run_in_executor(
             None, self.cache.put_by_key, key, result, payload
         )
-        return False, document
 
     # -- stats ----------------------------------------------------------------
 

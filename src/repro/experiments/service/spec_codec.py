@@ -94,12 +94,11 @@ def _model_path(ref: Any) -> Optional[str]:
         raise ValueError(f"ml_model must be a string or null, got {ref!r}")
     from ...ml.lifecycle import default_registry
 
-    registry = default_registry()
+    # One resolution: a tag costs one read of tags.json.
     try:
-        record = registry.record(ref)
+        return str(default_registry().model_path(ref))
     except KeyError as exc:
         raise ValueError(f"ml_model: {exc.args[0]}") from None
-    return str(registry.model_path(record.model_id))
 
 
 # ---------------------------------------------------------------------------

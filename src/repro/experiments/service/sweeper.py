@@ -32,6 +32,7 @@ from ...obs import OBS
 from ..cache import ResultCache
 from ..parallel import ExperimentEngine, JobResult, JobSpec
 from .manifest import Shard, ShardStatus, SweepManifest, worker_identity
+from .spec_codec import result_from_bytes
 
 
 @dataclass
@@ -121,9 +122,11 @@ class SweepRunner:
         one bad configuration cannot strand a thousand good ones.
         """
         specs = list(specs)
-        spec_keys = [self.cache.key_for(spec) for spec in specs]
+        # (key, payload) of every job, computed once: the manifest, the
+        # restore of done shards and the engine all reuse it.
+        keyed = [self.cache.key_for(spec, with_payload=True) for spec in specs]
         manifest, resumed = self._manifest_for(
-            Path(directory), spec_keys, resume
+            Path(directory), [key for key, _ in keyed], resume
         )
         report = SweepReport(
             sweep_id=manifest.sweep_id,
@@ -137,7 +140,7 @@ class SweepRunner:
 
         for number, shard in enumerate(manifest.shards):
             if shard.status == ShardStatus.DONE:
-                if self._restore_done_shard(shard, specs, results):
+                if self._restore_done_shard(shard, keyed, results):
                     report.shards_skipped += 1
                     report.cache_hits += len(shard.indices)
                     self._count("shards_skipped")
@@ -145,7 +148,9 @@ class SweepRunner:
                 # Cache lost entries since the shard committed: the
                 # manifest demotes it and the shard re-runs below.
                 manifest.reset_shard(shard)
-            self._execute_shard(number, shard, manifest, specs, results, report)
+            self._execute_shard(
+                number, shard, manifest, specs, keyed, results, report
+            )
 
         report.wall_seconds = time.perf_counter() - start
         return results, report
@@ -153,13 +158,15 @@ class SweepRunner:
     def _restore_done_shard(
         self,
         shard: Shard,
-        specs: Sequence[JobSpec],
+        keyed: Sequence["tuple[str, dict]"],
         results: List[Optional[JobResult]],
     ) -> bool:
         """Fill a done shard's slots from the cache; False when torn."""
         restored: List["tuple[int, JobResult]"] = []
         for index in shard.indices:
-            hit = self.cache.get(specs[index])
+            hit = self.cache.get_by_key(
+                keyed[index][0], decode=result_from_bytes
+            )
             if hit is None:
                 return False
             restored.append((index, hit))
@@ -173,6 +180,7 @@ class SweepRunner:
         shard: Shard,
         manifest: SweepManifest,
         specs: Sequence[JobSpec],
+        keyed: Sequence["tuple[str, dict]"],
         results: List[Optional[JobResult]],
         report: SweepReport,
     ) -> None:
@@ -185,7 +193,10 @@ class SweepRunner:
         hits_before = self.cache.hits
         misses_before = self.cache.misses
         try:
-            shard_results = engine.run([specs[i] for i in shard.indices])
+            shard_results = engine.run(
+                [specs[i] for i in shard.indices],
+                keyed=[keyed[i] for i in shard.indices],
+            )
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
             manifest.mark_failed(shard, repr(exc))
             report.shards_failed += 1

@@ -718,13 +718,13 @@ class TestThreeWayIdentity:
             asyncio.run_coroutine_threadsafe(server.start(), loop).result(
                 timeout=60
             )
-            client = ServeClient(server.host, server.port)
-            served = [
-                _result_fingerprint(
-                    client.submit_result(spec_to_doc(spec))
-                )
-                for spec in specs
-            ]
+            with ServeClient(server.host, server.port) as client:
+                served = [
+                    _result_fingerprint(
+                        client.submit_result(spec_to_doc(spec))
+                    )
+                    for spec in specs
+                ]
         finally:
             asyncio.run_coroutine_threadsafe(server.stop(), loop).result(
                 timeout=60

@@ -19,7 +19,12 @@ import pytest
 
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import pair_spec, pearl_job, trace_job
+from repro.experiments.parallel import (
+    JobSpec,
+    pair_spec,
+    pearl_job,
+    trace_job,
+)
 from repro.experiments.runner import experiment_pairs
 from repro.experiments.service.manifest import (
     MANIFEST_FORMAT,
@@ -224,6 +229,24 @@ class TestSweepRunner:
         ]
         counts = SweepManifest.load(tmp_path / "m").counts()
         assert counts["done"] == 3
+
+    def test_each_job_is_keyed_once(
+        self, specs, cache, tmp_path, monkeypatch
+    ):
+        """A sweep computes each job's payload once, cold and on
+        resume: the manifest, the engine and the restore of done shards
+        share the keys."""
+        calls = []
+        payload = JobSpec.payload
+        monkeypatch.setattr(
+            JobSpec, "payload", lambda job: calls.append(job) or payload(job)
+        )
+        sweep = specs[:4]
+        runner = SweepRunner(cache, jobs=1, shard_size=2)
+        _, cold = runner.run(sweep, tmp_path / "m")
+        assert (cold.jobs_executed, len(calls)) == (4, 4)
+        _, resumed = runner.run(sweep, tmp_path / "m", resume=True)
+        assert (resumed.shards_skipped, len(calls)) == (2, 8)
 
     def test_serial_equals_sharded(self, specs, cache, tmp_path):
         """Sharded execution is bit-identical to direct serial runs."""

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,13 @@ from repro.experiments.service.client import ServeClient, ServeError
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import (
     result_from_bytes,
+    spec_from_doc,
     spec_to_doc,
 )
+from repro.ml.features import NUM_FEATURES
+from repro.ml.lifecycle import ModelRegistry, default_registry
+from repro.ml.ridge import RidgeRegression
+from repro.noc.router import PowerPolicyKind
 
 from .test_canonicalization import MALFORMED_DOCS, malformed_doc
 
@@ -587,10 +593,13 @@ class TestShutdown:
             port = int(address.split()[0].rsplit(":", 1)[1])
             pair = experiment_pairs(quick=True)[0]
             spec = trace_job(tiny_sim_config, pair_spec(pair, 1), seed=1)
-            events = ServeClient(port=port).submit(spec_to_doc(spec))
-            assert events[-1]["cached"] is False
-            process.send_signal(signum)
-            _, stderr = process.communicate(timeout=10)
+            # The client's pooled connection stays open through the
+            # signal, so stop() must close it; it is closed afterwards.
+            with ServeClient(port=port) as client:
+                events = client.submit(spec_to_doc(spec))
+                assert events[-1]["cached"] is False
+                process.send_signal(signum)
+                _, stderr = process.communicate(timeout=10)
         finally:
             try:
                 os.killpg(process.pid, signal.SIGKILL)
@@ -618,6 +627,35 @@ class TestLazyPool:
                 assert events[-1]["cached"] is True
             assert server._pool is None
         assert server._pool is None  # stop() had nothing to shut down
+
+    def test_a_hit_is_one_write_on_the_loop(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """A hit is probed on the event loop, with no executor hop, and
+        answered in one write: head, both events and the last chunk."""
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        writes = []
+        write = asyncio.StreamWriter.write
+        monkeypatch.setattr(
+            asyncio.StreamWriter,
+            "write",
+            lambda writer, data: writes.append(data) or write(writer, data),
+        )
+        with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
+            hops = []
+            hop = live.loop.run_in_executor
+            live.loop.run_in_executor = (
+                lambda *args: hops.append(args) or hop(*args)
+            )
+            events = live.client.submit(spec_to_doc(spec))
+            assert [event["event"] for event in events] == [
+                "accepted",
+                "result",
+            ]
+            assert events[-1]["cached"] is True
+            assert hops == []
+            assert len(writes) == 1
+            assert writes[0].endswith(b"\r\n0\r\n\r\n")
 
     def test_a_request_computes_its_payload_once(
         self, tmp_path, tiny_sim_config, monkeypatch
@@ -848,3 +886,138 @@ class TestBackpressure:
             stats = live.client.stats()
             assert stats["rejected"] == 1
             assert stats["executions"] == 1
+
+    def test_stored_key_is_answered_while_max_pending_keys_are_in_flight(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """A hit holds no execution slot: with every slot taken by a
+        running execution, a stored key is still answered (``accepted``,
+        then a cached ``result``) while a new key gets a 503."""
+        cache, stored_spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        server = SweepServer(cache=cache, port=0, jobs=1, max_pending=1)
+        # Executions run on a thread and wait for the gate, so the slot
+        # stays taken for as long as the test needs.
+        gate = threading.Event()
+        monkeypatch.setattr(
+            server_module,
+            "execute_job",
+            lambda spec: gate.wait(60) and execute_job(spec),
+        )
+        server._pool = ThreadPoolExecutor(max_workers=1)
+        pair = experiment_pairs(quick=True)[0]
+        running, refused = (
+            spec_to_doc(
+                trace_job(tiny_sim_config, pair_spec(pair, seed), seed=seed)
+            )
+            for seed in (2, 3)
+        )
+        with _LiveServer(server) as live:
+            events: list = []
+            submitter = threading.Thread(
+                target=lambda: events.append(live.client.submit(running)),
+                daemon=True,
+            )
+            submitter.start()
+            try:
+                deadline = time.monotonic() + 60
+                while live.client.stats()["inflight"] < 1:
+                    assert time.monotonic() < deadline, "never in flight"
+                    time.sleep(0.01)
+                hit = live.client.submit(spec_to_doc(stored_spec))
+                with pytest.raises(ServeError) as err:
+                    live.client.submit(refused)
+                assert live.client.stats()["inflight"] == 1
+            finally:
+                gate.set()
+                submitter.join(timeout=60)
+            stats = live.client.stats()
+        assert [event["event"] for event in hit] == ["accepted", "result"]
+        assert hit[0]["coalesced"] is False
+        assert hit[-1]["cached"] is True
+        assert err.value.status == 503
+        assert events and events[0][-1]["cached"] is False
+        assert stats["cache_hits"] == 1
+        assert stats["rejected"] == 1
+        assert stats["executions"] == 1
+        assert stats["coalesced"] == 0
+
+
+@pytest.fixture
+def served_model_path(tmp_path, monkeypatch):
+    """The file of a model tagged ``served`` in the default registry,
+    which also holds two ids that share the prefix ``zz``."""
+    monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+    registry = default_registry()
+    model = RidgeRegression(lam=1.0).fit(
+        np.eye(NUM_FEATURES), np.arange(NUM_FEATURES, dtype=float)
+    )
+    record = registry.put(model, training={"key": {"spec": "served"}})
+    registry.promote(record.model_id, "served")
+    for model_id in ("zz00000000000001", "zz00000000000002"):
+        obj_dir = registry.root / "objects" / model_id
+        obj_dir.mkdir(parents=True)
+        (obj_dir / "meta.json").write_text("{}")
+    return str(registry.model_path(record.model_id))
+
+
+def _ml_doc(config, model_path: str, ml_model: str) -> dict:
+    pair = experiment_pairs(quick=True)[0]
+    spec = pearl_job(
+        config,
+        pair_spec(pair, 3),
+        seed=3,
+        power_policy=PowerPolicyKind.ML,
+        ml_model_path=model_path,
+    )
+    return spec_to_doc(spec, ml_model=ml_model)
+
+
+class TestModelReference:
+    """A document's ``ml_model`` is resolved against the registry once."""
+
+    def test_a_tag_costs_one_tags_read_and_no_scan(
+        self, served_model_path, tiny_sim_config, monkeypatch
+    ):
+        doc = _ml_doc(tiny_sim_config, served_model_path, "served")
+        reads, scans = [], []
+        read_tags = ModelRegistry._read_tags
+        iter_dirs = ModelRegistry._iter_object_dirs
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_read_tags",
+            lambda registry: reads.append(1) or read_tags(registry),
+        )
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_iter_object_dirs",
+            lambda registry: scans.append(1) or iter_dirs(registry),
+        )
+        spec = spec_from_doc(doc)
+        assert (len(reads), len(scans)) == (1, 0)
+        assert spec.ml_model_path == served_model_path
+
+    @pytest.mark.parametrize(
+        "ref,message",
+        [
+            ("no-such-model", "unknown model reference 'no-such-model'"),
+            (
+                "zz",
+                "ambiguous model reference 'zz': "
+                "['zz00000000000001', 'zz00000000000002']",
+            ),
+        ],
+        ids=["unknown", "ambiguous"],
+    )
+    def test_unresolvable_reference_is_400(
+        self, served_model_path, tiny_sim_config, live, ref, message
+    ):
+        doc = _ml_doc(tiny_sim_config, served_model_path, ref)
+        with pytest.raises(ServeError) as err:
+            live.client.submit(doc)
+        assert err.value.status == 400
+        assert str(err.value) == (
+            f"HTTP 400: bad spec document: ml_model: {message}"
+        )
+        stats = live.client.stats()
+        assert stats["bad_requests"] == 1
+        assert stats["submissions"] == 0
