@@ -17,13 +17,18 @@ for CI trending; this module is the local regression canary.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 from repro.config import PearlConfig, SimulationConfig
 from repro.noc.network import PearlNetwork
 from repro.noc.packet import CoreType
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.synthetic import uniform_random_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracle import fingerprint  # noqa: E402
 
 #: Minimum idle-heavy reference/array wall-time ratio (measured ~40-50x;
 #: the floor leaves headroom for loaded CI machines).
@@ -39,15 +44,16 @@ REPEATS = 3
 
 def _time_engines(config, trace, policy=PowerPolicyKind.REACTIVE, seed=3):
     best = {"reference": float("inf"), "array": float("inf")}
-    results = {}
+    fingerprints = {}
     for _ in range(REPEATS):
         for engine in best:
             network = PearlNetwork(config=config, power_policy=policy, seed=seed)
             start = time.perf_counter()
-            results[engine] = network.run(trace, engine=engine)
+            result = network.run(trace, engine=engine)
             best[engine] = min(best[engine], time.perf_counter() - start)
+            fingerprints[engine] = fingerprint(network, result)
     assert (
-        results["reference"].stats.to_dict() == results["array"].stats.to_dict()
+        fingerprints["reference"] == fingerprints["array"]
     ), "engines diverged — speed is meaningless if results differ"
     return best
 

@@ -3,7 +3,8 @@
 
 Runs a small workload matrix under the reference cycle-by-cycle engine
 (the test oracle) and the struct-of-arrays array engine (the default
-every production path runs), verifies the two are bit-identical, and
+every production path runs), verifies the two are bit-identical on
+the test oracle's whole-run fingerprint (``tests/oracle.py``), and
 writes ``BENCH_<label>.json`` with per-engine wall time, simulated
 cycles/second, the array-over-reference speedup and ``trace_s``, the
 best-of-N wall time of building the row's trace.  The matrix has two
@@ -53,7 +54,9 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.config import PearlConfig, SimulationConfig  # noqa: E402
 from repro.experiments.parallel import (  # noqa: E402
@@ -77,6 +80,7 @@ from repro.traffic.synthetic import (  # noqa: E402
     generate_pair_trace,
     uniform_random_trace,
 )
+from tests.oracle import fingerprint  # noqa: E402
 
 ENGINES = ("reference", "array")
 
@@ -259,21 +263,6 @@ def _rows(quick: bool, model_dir: str):
         )
 
 
-def _canonical(network: PearlNetwork, result) -> dict:
-    """Everything that must be bit-identical across engines."""
-    return {
-        "stats": result.stats.to_dict(),
-        "residency": result.state_residency,
-        "mean_laser_power_w": result.mean_laser_power_w,
-        "laser_stall_cycles": result.laser_stall_cycles,
-        "ml_predictions": result.ml_predictions,
-        "ml_labels": result.ml_labels,
-        "retrained_model_ids": result.retrained_model_ids,
-        "sequence": network._sequence,
-        "backlog": network.injection_backlog_size,
-    }
-
-
 def run_matrix(quick: bool, repeats: int) -> dict:
     """Time every workload/policy/engine combination (best-of-N).
 
@@ -312,7 +301,7 @@ def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
             result = network.run(trace, engine=engine)
             wall = time.perf_counter() - start
             walls[engine] = min(walls[engine], wall)
-            outputs[engine] = _canonical(network, result)
+            outputs[engine] = fingerprint(network, result)
     identical = outputs["array"] == outputs["reference"]
     entry = entries[f"{workload}/{policy_name}"] = {
         "workload": workload,

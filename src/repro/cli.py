@@ -606,12 +606,11 @@ def _ml_model_path(args: argparse.Namespace) -> str:
     if args.model:
         from .ml.lifecycle import default_registry
 
-        registry = default_registry()
+        # One resolution: a tag costs one read of tags.json.
         try:
-            record = registry.record(args.model)
+            return str(default_registry().model_path(args.model))
         except KeyError as exc:
             raise SystemExit(f"--model {args.model}: {exc}")
-        return str(registry.model_path(record.model_id))
     from .ml.pipeline import ensure_model_file
 
     print("preparing default ML model...", file=sys.stderr)
@@ -759,8 +758,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.shard_size < 1:
         raise SystemExit("--shard-size must be at least 1")
     specs = _sweep_specs(args)
-    cache = ResultCache(store=args.cache_backend) if args.cache_backend \
-        else ResultCache()
+    cache = ResultCache(store=args.cache_backend)
     runner = SweepRunner(cache, jobs=args.jobs, shard_size=args.shard_size)
     try:
         results, report = runner.run(
@@ -799,8 +797,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--jobs must be at least 1")
     if args.max_pending < 1:
         raise SystemExit("--max-pending must be at least 1")
-    cache = ResultCache(store=args.cache_backend) if args.cache_backend \
-        else ResultCache()
+    cache = ResultCache(store=args.cache_backend)
     server = SweepServer(
         cache=cache,
         host=args.host,
@@ -856,8 +853,7 @@ def _parse_age(text: str) -> float:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .experiments.cache import ResultCache
 
-    cache = ResultCache(store=args.cache_backend) if args.cache_backend \
-        else ResultCache()
+    cache = ResultCache(store=args.cache_backend)
     if args.cache_command == "stats":
         stats = cache.stats()
         if args.json:

@@ -167,8 +167,8 @@ class SweepServer:
         return self._server is not None and self._server.is_serving()
 
     async def stop(self) -> None:
-        """Close the socket and the idle connections, then wait until
-        every pool worker has exited.
+        """Close the socket and the idle connections, wait until every
+        pool worker has exited, then close the cache store.
 
         A connection waiting for its next request is closed and its
         handler awaited; one in the middle of a request finishes it and
@@ -193,6 +193,7 @@ class SweepServer:
             await asyncio.to_thread(
                 pool.shutdown, wait=True, cancel_futures=True
             )
+        self.cache.store.close()
 
     # -- HTTP plumbing --------------------------------------------------------
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 
 @dataclass
@@ -107,6 +108,9 @@ class CacheStore:
 
     def location(self) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the store holds open (nothing, by default)."""
 
 
 class LocalDirStore(CacheStore):
@@ -197,10 +201,15 @@ class SqliteStore(CacheStore):
     """One-file store on :mod:`sqlite3` (stdlib), WAL-journalled.
 
     sqlite serialises writers internally, so the meta+blob pair commits
-    in a single transaction — there is no torn-pair window at all.  A
-    fresh connection per operation keeps the store safe to share across
-    processes *and* across pickled :class:`ResultCache` copies in a
-    process pool (sqlite connections must not cross ``fork``).
+    in a single transaction — there is no torn-pair window at all, and
+    the file is safe to share across processes.  Each process opens one
+    connection, lazily, and runs the WAL pragma and the schema once on
+    it: a connect costs dozens of keyed reads.  One lock covers
+    each operation, because the sweep server probes the store on its
+    event-loop thread and writes from an executor thread.  sqlite
+    connections must not cross ``fork`` or a pickle into a process
+    pool, so the connection is reopened when ``os.getpid()`` changes
+    and is left out of the pickled state; :meth:`close` releases it.
     """
 
     backend = "sqlite"
@@ -217,75 +226,100 @@ class SqliteStore(CacheStore):
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+        self._pid = os.getpid()
+        # A connection inherited across fork must be neither used nor
+        # closed by the child, so it stays referenced here, untouched.
+        self._inherited: List[sqlite3.Connection] = []
 
-    def _connect(self) -> sqlite3.Connection:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(self._SCHEMA)
-        return conn
+    def __getstate__(self) -> dict:
+        return {"path": self.path}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["path"])
+
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection; the caller holds ``_lock``."""
+        pid = os.getpid()
+        if self._pid != pid:
+            if self._conn is not None:
+                self._inherited.append(self._conn)
+            self._conn, self._pid = None, pid
+        if self._conn is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                str(self.path), timeout=30.0, check_same_thread=False
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(self._SCHEMA)
+            self._conn = conn
+        return self._conn
+
+    def _query(self, sql: str, args: tuple = ()) -> list:
+        # fetchall steps the statement to its end, so no read
+        # transaction stays open between operations.
+        with self._lock:
+            return self._connection().execute(sql, args).fetchall()
+
+    def _write(self, sql: str, args: tuple) -> None:
+        with self._lock:
+            conn = self._connection()
+            with conn:  # one committed transaction
+                conn.execute(sql, args)
 
     def get(self, key: str) -> Optional[Tuple[bytes, bytes]]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT meta, blob FROM entries WHERE key = ?", (key,)
-            ).fetchone()
-        conn.close()
-        if row is None:
+        rows = self._query(
+            "SELECT meta, blob FROM entries WHERE key = ?", (key,)
+        )
+        if not rows:
             return None
-        return bytes(row[0]), bytes(row[1])
+        meta, blob = rows[0]
+        return bytes(meta), bytes(blob)
 
     def put(self, key: str, meta: bytes, blob: bytes) -> None:
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO entries "
-                "(key, meta, blob, size, mtime) VALUES (?, ?, ?, ?, ?)",
-                (key, meta, blob, len(meta) + len(blob), time.time()),
-            )
-        conn.close()
+        self._write(
+            "INSERT OR REPLACE INTO entries "
+            "(key, meta, blob, size, mtime) VALUES (?, ?, ?, ?, ?)",
+            (key, meta, blob, len(meta) + len(blob), time.time()),
+        )
 
     def delete(self, key: str) -> None:
-        with self._connect() as conn:
-            conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-        conn.close()
+        self._write("DELETE FROM entries WHERE key = ?", (key,))
 
     def keys(self) -> Iterator[str]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT key FROM entries ORDER BY key"
-            ).fetchall()
-        conn.close()
-        for (key,) in rows:
+        for (key,) in self._query("SELECT key FROM entries ORDER BY key"):
             yield key
 
     def entry_info(self, key: str) -> Optional[Tuple[int, float]]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT size, mtime FROM entries WHERE key = ?", (key,)
-            ).fetchone()
-        conn.close()
-        if row is None:
+        rows = self._query(
+            "SELECT size, mtime FROM entries WHERE key = ?", (key,)
+        )
+        if not rows:
             return None
-        return int(row[0]), float(row[1])
+        size, mtime = rows[0]
+        return int(size), float(mtime)
 
     def stats(self) -> StoreStats:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
-            ).fetchone()
-        conn.close()
+        ((entries, total),) = self._query(
+            "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
+        )
         return StoreStats(
             backend=self.backend,
             location=str(self.path),
-            entries=int(row[0]),
-            total_bytes=int(row[1]),
+            entries=int(entries),
+            total_bytes=int(total),
         )
 
     def location(self) -> str:
         return str(self.path)
 
-    # sqlite3.Connection objects cannot be pickled; the store itself
-    # holds only a path, so default pickling is already safe.
+    def close(self) -> None:
+        """Close this process's connection; the next operation reopens it."""
+        with self._lock:
+            if self._conn is not None and self._pid == os.getpid():
+                self._conn.close()
+                self._conn = None
 
 
 def open_store(spec: Union[str, Path, CacheStore]) -> CacheStore:
@@ -293,19 +327,23 @@ def open_store(spec: Union[str, Path, CacheStore]) -> CacheStore:
 
     A bare path (no scheme) selects the directory backend, matching the
     historical ``ResultCache(directory=...)`` behaviour.  Windows drive
-    letters (``C:\\...``) are not mistaken for schemes.
+    letters (``C:\\...``) are not mistaken for schemes.  An empty path
+    is rejected: it would resolve to the working directory.
     """
     if isinstance(spec, CacheStore):
         return spec
     text = str(spec)
     scheme, sep, rest = text.partition(":")
-    if sep and len(scheme) > 1:
-        if scheme == "dir":
-            return LocalDirStore(rest)
-        if scheme == "sqlite":
-            return SqliteStore(rest)
+    if not (sep and len(scheme) > 1):
+        scheme, rest = "dir", text
+    if scheme not in ("dir", "sqlite"):
         raise ValueError(
             f"unknown cache backend {scheme!r} "
             "(expected 'dir:PATH' or 'sqlite:PATH')"
         )
-    return LocalDirStore(text)
+    if not rest:
+        raise ValueError(
+            f"cache backend {text!r} names no path "
+            "(expected 'dir:PATH' or 'sqlite:PATH')"
+        )
+    return LocalDirStore(rest) if scheme == "dir" else SqliteStore(rest)

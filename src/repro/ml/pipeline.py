@@ -272,7 +272,6 @@ def train_default_model(
     reservation_window: int = 500,
     quick: bool = True,
     seed: int = 2018,
-    use_disk_cache: bool = True,
 ) -> TrainingResult:
     """Train (and memoise) the deployable model for a window size.
 
@@ -309,39 +308,37 @@ def train_default_model(
     if memo_key in _MODEL_CACHE:
         return _MODEL_CACHE[memo_key]
 
-    if use_disk_cache:
-        record = registry.find_by_key(key, with_schema_hash=expected_hash)
-        if record is not None:
-            try:
-                model = registry.get(record.model_id)
-            except Exception:
-                # Corrupted/truncated artifact: retrain and re-put
-                # rather than crash (training is deterministic, so the
-                # rewritten version is identical to an uncorrupted one).
-                pass
-            else:
-                result = _result_from_record(record, model)
-                _MODEL_CACHE[memo_key] = result
-                return result
+    record = registry.find_by_key(key, with_schema_hash=expected_hash)
+    if record is not None:
+        try:
+            model = registry.get(record.model_id)
+        except Exception:
+            # Corrupted/truncated artifact: retrain and re-put rather
+            # than crash (training is deterministic, so the rewritten
+            # version is identical to an uncorrupted one).
+            pass
+        else:
+            result = _result_from_record(record, model)
+            _MODEL_CACHE[memo_key] = result
+            return result
 
     trainer = PowerModelTrainer(config=config, seed=seed, quick=quick)
     result = trainer.train()
     _MODEL_CACHE[memo_key] = result
-    if use_disk_cache:
-        record = registry.put(
-            result.model,
-            training={
-                "key": key,
-                "lambda": result.lam,
-                "phase1_samples": result.phase1_samples,
-                "phase2_samples": result.phase2_samples,
-                "history": result.history,
-            },
-            metrics={"validation_nrmse": result.validation_nrmse},
-            schema=schema,
-            provenance=collect_provenance(config=config, seed=seed),
-        )
-        registry.promote(record.model_id, DEFAULT_TAG)
+    record = registry.put(
+        result.model,
+        training={
+            "key": key,
+            "lambda": result.lam,
+            "phase1_samples": result.phase1_samples,
+            "phase2_samples": result.phase2_samples,
+            "history": result.history,
+        },
+        metrics={"validation_nrmse": result.validation_nrmse},
+        schema=schema,
+        provenance=collect_provenance(config=config, seed=seed),
+    )
+    registry.promote(record.model_id, DEFAULT_TAG)
     return result
 
 

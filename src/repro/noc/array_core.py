@@ -5,8 +5,9 @@ objects every cycle; this engine keeps the per-router *cycle-path*
 state in flat arrays indexed by router id and replaces the per-router
 Python calls with one loop, in one frame, over only the routers that
 can actually do work this cycle.  Everything it computes is
-**bit-identical** to the reference engine — the differential harness in
-``tests/noc/test_array_engine.py`` enforces array == reference across
+**bit-identical** to the reference engine — the engine oracle in
+``tests/oracle.py`` enforces array == reference, on hand-picked rows
+and generated runs (``tests/noc/test_engine_identity.py``), across
 every policy, allocator, fault schedule, responder setting and
 quantization format.  It is the default engine of
 :meth:`~repro.noc.network.PearlNetwork.run`.

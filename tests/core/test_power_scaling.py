@@ -112,6 +112,32 @@ class TestLaserBank:
         assert long.stall_cycles > short.stall_cycles
 
 
+class TestLaserBankRegression:
+    def test_equal_state_request_cancels_pending_upshift(self):
+        """Re-requesting the current state mid-upshift cancels the
+        pending transition and restores transmit immediately (the
+        fault clamp relies on this at fault onset)."""
+        bank = LaserBank(PhotonicConfig(), initial_state=16)
+        bank.request_state(64)
+        assert bank.is_stabilizing
+        assert not bank.can_transmit
+        bank.request_state(16)
+        assert bank.state == 16
+        assert not bank.is_stabilizing
+        assert bank.can_transmit
+
+    def test_downshift_during_upshift_cancels_pending(self):
+        bank = LaserBank(PhotonicConfig(), initial_state=32)
+        bank.request_state(64)
+        bank.request_state(8)
+        assert bank.state == 8
+        assert bank.can_transmit
+        # And the cancelled 64-state never becomes active:
+        for _ in range(20):
+            bank.tick()
+        assert bank.state == 8
+
+
 STATES = PhotonicConfig().wavelength_states
 
 #: Up to 40 operations: a state request, or an advance of 0-60 cycles

@@ -8,6 +8,9 @@ Both backends promise the same byte-level contract (see
 from __future__ import annotations
 
 import pickle
+import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -21,8 +24,11 @@ from repro.experiments.service.stores import (
 @pytest.fixture(params=["dir", "sqlite"])
 def store(request, tmp_path):
     if request.param == "dir":
-        return LocalDirStore(tmp_path / "cache")
-    return SqliteStore(tmp_path / "cache.db")
+        store = LocalDirStore(tmp_path / "cache")
+    else:
+        store = SqliteStore(tmp_path / "cache.db")
+    yield store
+    store.close()
 
 
 class TestContract:
@@ -71,6 +77,7 @@ class TestContract:
         store.put("k1", b"m", b"b")
         clone = pickle.loads(pickle.dumps(store))
         assert clone.get("k1") == (b"m", b"b")
+        clone.close()
 
 
 class TestLocalDirLayout:
@@ -96,6 +103,66 @@ class TestLocalDirLayout:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestSqliteConnection:
+    def test_one_connection_per_process(self, tmp_path, monkeypatch):
+        """50 mixed gets and puts share one connection; a pickled copy
+        opens its own, and a closed store reopens on next use."""
+        connects = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            connects.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        store = SqliteStore(tmp_path / "cache.db")
+        for i in range(25):
+            store.put(f"k{i}", b"meta", b"blob-%d" % i)
+            assert store.get(f"k{i}") == (b"meta", b"blob-%d" % i)
+        assert len(connects) == 1
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy.get("k7") == (b"meta", b"blob-7")
+        assert len(connects) == 2
+        copy.close()
+        store.close()
+        assert store.stats().entries == 25
+        assert len(connects) == 3
+        store.close()
+
+    def test_threads_share_the_connection(self, tmp_path):
+        """Readers and writers on several threads (the server probes on
+        its loop thread and writes from an executor) lose no entry."""
+        store = SqliteStore(tmp_path / "cache.db")
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(40):
+                    key = f"t{t}-{i}"
+                    store.put(key, b"meta", key.encode())
+                    assert store.get(key) == (b"meta", key.encode())
+                    store.get(f"t{(t + 1) % 6}-{i}")
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.stats().entries == 6 * 40
+        store.close()
+
+
 class TestOpenStore:
     def test_bare_path_is_dir_backend(self, tmp_path):
         store = open_store(str(tmp_path / "c"))
@@ -112,6 +179,12 @@ class TestOpenStore:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown cache backend"):
             open_store("redis:somewhere")
+
+    @pytest.mark.parametrize("spec", ["", "dir:", "sqlite:"])
+    def test_empty_path_rejected(self, spec):
+        """An empty path would put the cache in the working directory."""
+        with pytest.raises(ValueError, match="names no path"):
+            open_store(spec)
 
     def test_store_instance_passes_through(self, tmp_path):
         store = SqliteStore(tmp_path / "c.db")

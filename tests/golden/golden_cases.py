@@ -19,11 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List
 
-import numpy as np
-
 from repro.config import PearlConfig, SimulationConfig
-from repro.ml.features import NUM_FEATURES
-from repro.ml.ridge import RidgeRegression
 from repro.noc.cmesh import CMeshNetwork
 from repro.noc.mwsr import MwsrNetwork
 from repro.noc.network import PearlNetwork, PearlRunResult
@@ -31,6 +27,8 @@ from repro.noc.router import PowerPolicyKind
 from repro.noc.stats import NetworkStats
 from repro.traffic.benchmarks import get_benchmark
 from repro.traffic.synthetic import generate_pair_trace
+
+from ..oracle import drifting_model, literal_model
 
 GOLDEN_SEED = 11
 POLICIES = (
@@ -66,24 +64,6 @@ def golden_config() -> PearlConfig:
     return PearlConfig(
         simulation=SimulationConfig(warmup_cycles=200, measure_cycles=1500)
     )
-
-
-def golden_model() -> RidgeRegression:
-    """A handcrafted ridge model for the ML-policy cases.
-
-    The weights are set directly instead of fitted: a closed-form
-    lstsq/BLAS solve could differ in the last ulp across platforms,
-    while a literal weight vector is bit-identical everywhere.  Feature
-    8 (packets received from local cores last window) with a 0.5 gain
-    plus a constant bias gives predictions that actually vary with
-    load, so the selector exercises several ladder states.
-    """
-    model = RidgeRegression(lam=1.0, standardize=False)
-    weights = np.zeros(NUM_FEATURES)
-    weights[8] = 0.5
-    model.weights = weights
-    model.intercept = 4.0
-    return model
 
 
 def case_names() -> List[str]:
@@ -136,22 +116,10 @@ def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
         config,
         power_policy=PowerPolicyKind(policy),
         use_dynamic_bandwidth=(allocator == "dynamic"),
-        ml_model=golden_model() if policy == "ml" else None,
+        ml_model=literal_model() if policy == "ml" else None,
         seed=GOLDEN_SEED,
     )
     return canonical(network.run(trace, engine=engine))
-
-
-def drifting_model() -> RidgeRegression:
-    """The golden model plus a training scaler centred far from any
-    deployment feature, so the drift monitor trips deterministically."""
-    from repro.ml.ridge import Standardizer
-
-    model = golden_model()
-    model._scaler = Standardizer(
-        mean=np.full(NUM_FEATURES, -100.0), scale=np.ones(NUM_FEATURES)
-    )
-    return model
 
 
 def retrain_config() -> PearlConfig:

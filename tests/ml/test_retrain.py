@@ -30,7 +30,7 @@ from repro import obs
 from repro.config import MLConfig, PearlConfig, SimulationConfig
 from repro.ml.features import NUM_FEATURES
 from repro.ml.lifecycle.registry import DEFAULT_TAG, ModelRegistry
-from repro.ml.ridge import RidgeRegression, Standardizer
+from repro.ml.ridge import RidgeRegression
 from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
@@ -38,24 +38,7 @@ from repro.traffic.benchmarks import get_benchmark
 from repro.traffic.synthetic import generate_pair_trace
 
 from ..golden import golden_cases as golden
-
-
-def _drifting_model() -> RidgeRegression:
-    """Literal weights plus a far-off training scaler.
-
-    Deployment features live around [0, 50]; a recorded training mean
-    of -100 puts every window's feature EWMA >> the z threshold the
-    moment calibration ends.
-    """
-    model = RidgeRegression(lam=1.0, standardize=False)
-    weights = np.zeros(NUM_FEATURES)
-    weights[8] = 0.5
-    model.weights = weights
-    model.intercept = 4.0
-    model._scaler = Standardizer(
-        mean=np.full(NUM_FEATURES, -100.0), scale=np.ones(NUM_FEATURES)
-    )
-    return model
+from ..oracle import drifting_model
 
 
 def _retrain_config(cooldown_windows: int = 10_000) -> PearlConfig:
@@ -91,7 +74,7 @@ def _run(config, registry, engine: str, seed: int = 1):
     network = PearlNetwork(
         config,
         power_policy=PowerPolicyKind.ML,
-        ml_model=_drifting_model(),
+        ml_model=drifting_model(),
         seed=seed,
         registry=registry,
     )
@@ -122,7 +105,7 @@ class TestAdoptModel:
         network = PearlNetwork(
             config,
             power_policy=PowerPolicyKind.ML,
-            ml_model=_drifting_model(),
+            ml_model=drifting_model(),
         )
         return network.routers[0].policy
 
@@ -199,7 +182,7 @@ class TestRetrainLifecycle:
             assert scaler.models_adopted == 1
             assert scaler.model.weights.shape == (NUM_FEATURES,)
             assert not np.array_equal(
-                scaler.model.weights, _drifting_model().weights
+                scaler.model.weights, drifting_model().weights
             )
         # Drift events observed before the swap survive the monitor
         # rebuild (they are folded into the result, not reset away).
@@ -252,7 +235,7 @@ class TestSwapKeepsMonitorSettings:
         network = PearlNetwork(
             config,
             power_policy=PowerPolicyKind.ML,
-            ml_model=golden.drifting_model(),
+            ml_model=drifting_model(),
             seed=golden.GOLDEN_SEED,
             registry=ModelRegistry(tmp_path / "registry"),
         )
@@ -286,7 +269,7 @@ class TestDriftInstantCycles:
         network = PearlNetwork(
             config,
             power_policy=PowerPolicyKind.ML,
-            ml_model=golden.drifting_model(),
+            ml_model=drifting_model(),
             seed=golden.GOLDEN_SEED,
             registry=ModelRegistry(tmp_path / "registry"),
         )

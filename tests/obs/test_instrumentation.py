@@ -8,7 +8,6 @@ the emitted metrics and that guarantee.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -23,12 +22,13 @@ from repro.faults import (
     load_fault_schedule,
 )
 from repro.ml.lifecycle.registry import ModelRegistry
-from repro.noc.network import PearlNetwork, PearlRunResult
+from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.obs import OBS
 from repro.traffic.benchmarks import get_benchmark, training_pairs
 from repro.traffic.synthetic import generate_pair_trace
 
+from .. import oracle
 from ..golden import golden_cases as golden
 
 FAULTS_YAML = Path(__file__).resolve().parents[2] / "examples" / "faults.yaml"
@@ -52,15 +52,7 @@ def _tiny_run(seed=7, engine="array"):
     network = PearlNetwork(
         config, power_policy=PowerPolicyKind.REACTIVE, seed=seed
     )
-    return network.run(trace, engine=engine)
-
-
-def _canonical(result):
-    data = {}
-    for field in dataclasses.fields(PearlRunResult):
-        value = getattr(result, field.name)
-        data[field.name] = value.to_dict() if hasattr(value, "to_dict") else value
-    return data
+    return oracle.fingerprint(network, network.run(trace, engine=engine))
 
 
 class TestNetworkInstrumentation:
@@ -96,9 +88,9 @@ class TestNetworkInstrumentation:
         }
 
     def test_run_identical_with_telemetry_on_or_off(self):
-        plain = _canonical(_tiny_run())
+        plain = _tiny_run()
         with obs.session():
-            instrumented = _canonical(_tiny_run())
+            instrumented = _tiny_run()
         assert plain == instrumented
 
     def test_array_engine_reports_same_sim_metrics(self):
@@ -111,10 +103,10 @@ class TestNetworkInstrumentation:
         the simulated quantities must agree.
         """
         with obs.session():
-            reference = _canonical(_tiny_run(engine="reference"))
+            reference = _tiny_run(engine="reference")
             ref_metrics = OBS.registry.snapshot()
         with obs.session():
-            array = _canonical(_tiny_run(engine="array"))
+            array = _tiny_run(engine="array")
             array_metrics = OBS.registry.snapshot()
         assert reference == array
         assert sorted(ref_metrics) == sorted(array_metrics)
@@ -173,7 +165,7 @@ class TestDbaSplitConservation:
                 config,
                 power_policy=PowerPolicyKind(policy),
                 use_dynamic_bandwidth=(allocator == "dynamic"),
-                ml_model=golden.golden_model() if policy == "ml" else None,
+                ml_model=oracle.literal_model() if policy == "ml" else None,
                 seed=3,
                 faults=schedule,
             )
@@ -249,9 +241,9 @@ class TestRunWithoutSessionTouchesNoInstrument:
         model = None
         if policy == "ml-retrain":
             config = config.replace(ml=golden.retrain_config().ml)
-            model = golden.drifting_model()
+            model = oracle.drifting_model()
         elif policy == "ml":
-            model = golden.golden_model()
+            model = oracle.literal_model()
         schedule = {
             "clean": None,
             "faults.yaml": load_fault_schedule(FAULTS_YAML),

@@ -215,6 +215,53 @@ class TestSharedRunFlags:
                 self._parse(*argv, kind.value)
 
 
+class TestModelReference:
+    """``--model REF`` is resolved against the registry once."""
+
+    @pytest.fixture
+    def registry(self, tmp_path, monkeypatch):
+        from repro.ml.lifecycle.registry import ModelRegistry
+
+        from .oracle import literal_model
+
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.put(literal_model(), training={"key": {"cli": 1}})
+        registry.promote(record.model_id, "served")
+        return registry
+
+    def test_a_tag_costs_one_tags_read_and_no_scan(
+        self, registry, monkeypatch
+    ):
+        from repro.cli import _build_parser, _ml_model_path
+        from repro.ml.lifecycle.registry import ModelRegistry
+
+        reads, scans = [], []
+        read_tags = ModelRegistry._read_tags
+        iter_dirs = ModelRegistry._iter_object_dirs
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_read_tags",
+            lambda self: reads.append(1) or read_tags(self),
+        )
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_iter_object_dirs",
+            lambda self: scans.append(1) or iter_dirs(self),
+        )
+        args = _build_parser().parse_args(["simulate", "--model", "served"])
+        path = _ml_model_path(args)
+        assert (len(reads), len(scans)) == (1, 0)
+        assert path == str(registry.model_path("served"))
+
+    def test_unknown_reference_exits_with_its_message(self, registry):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--policy", "ml", "--model", "nope"])
+        assert str(excinfo.value.code) == (
+            "--model nope: \"unknown model reference 'nope'\""
+        )
+
+
 class TestSweepCache:
     def test_no_cache_is_rejected_before_any_work(self, monkeypatch):
         """A sweep's results go through the shared cache, so ``sweep``

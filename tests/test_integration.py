@@ -12,6 +12,8 @@ from repro.power.energy import energy_per_bit_pj
 from repro.traffic.benchmarks import CPU_BENCHMARKS, GPU_BENCHMARKS
 from repro.traffic.synthetic import generate_pair_trace
 
+from .oracle import check_laws
+
 
 @pytest.fixture(scope="module")
 def config():
@@ -118,12 +120,8 @@ class TestPaperShapeInvariants:
 class TestConservation:
     @pytest.mark.parametrize("engine", PearlNetwork.ENGINES)
     def test_no_packet_loss_at_moderate_load(self, config, trace, engine):
-        """Injected == delivered + still inside the network, exactly.
-
-        The run has no warm-up, which would reset ``packets_injected``.
-        A packet counts as injected when it enters a router, so the
-        injection backlog sits upstream of both sides and is left out.
-        """
+        """Injected == delivered + still inside the network, exactly,
+        on a warm-up-free run (the oracle's packet law)."""
         simulation = replace(
             config.simulation,
             warmup_cycles=0,
@@ -131,13 +129,10 @@ class TestConservation:
         )
         network = PearlNetwork(replace(config, simulation=simulation))
         result = network.run(trace, engine=engine)
-        injected = sum(
-            c.packets_injected for c in result.stats.counters.values()
-        )
         census = network.pending_packet_census()
         # Packets are still buffered and in flight when the run ends.
         assert census["buffered"] > 0 and census["in_flight"] > 0, census
-        assert injected == result.stats.packets_delivered + sum(census.values())
+        check_laws(network, result)
 
     def test_gpu_does_not_starve_cpu(self, config, trace, baseline):
         """DBA goal iii: CPU packets keep flowing under GPU load."""

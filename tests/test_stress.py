@@ -7,8 +7,6 @@ invariants: no crash, no packet loss (conservation), controllers
 recover.
 """
 
-import pytest
-
 from repro.config import (
     PearlConfig,
     PhotonicConfig,
@@ -19,7 +17,8 @@ from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.noc.packet import CoreType
 from repro.traffic.synthetic import hotspot_trace, uniform_random_trace
-from repro.traffic.trace import Trace
+
+from .oracle import check_laws
 
 
 def _config(measure=2_000, warmup=0, window=200, turn_on_ns=2.0):
@@ -32,22 +31,6 @@ def _config(measure=2_000, warmup=0, window=200, turn_on_ns=2.0):
     )
 
 
-def _conservation(network, stats):
-    """Injected == delivered + still inside the network.
-
-    Backlogged packets are *not* counted: ``on_injected`` fires when a
-    packet actually enters a router, so the backlog sits upstream of
-    the injected count by design.
-    """
-    injected = sum(c.packets_injected for c in stats.counters.values())
-    delivered = stats.packets_delivered
-    census = network.pending_packet_census()
-    queued = census["buffered"]
-    ejecting = census["ejecting"]
-    in_flight = census["in_flight"]
-    return delivered + queued + ejecting + in_flight - injected
-
-
 class TestDegradedLink:
     def test_pinned_at_lowest_state_still_delivers(self):
         """A network stuck at 8 WL is slow but correct."""
@@ -55,7 +38,7 @@ class TestDegradedLink:
         network = PearlNetwork(_config(measure=2_500), static_state=8)
         result = network.run(trace)
         assert result.stats.packets_delivered > 0
-        assert _conservation(network, result.stats) == 0
+        check_laws(network, result)
 
     def test_slow_laser_storm(self):
         """32 ns turn-on with a tiny window forces constant stalls."""
@@ -67,7 +50,7 @@ class TestDegradedLink:
         result = network.run(trace)
         assert result.laser_stall_cycles > 0
         assert result.stats.packets_delivered > 0
-        assert _conservation(network, result.stats) == 0
+        check_laws(network, result)
 
 
 class TestHotspot:
@@ -77,7 +60,7 @@ class TestHotspot:
         )
         network = PearlNetwork(_config(measure=2_500))
         result = network.run(trace)
-        assert _conservation(network, result.stats) == 0
+        check_laws(network, result)
 
     def test_hotspot_under_power_scaling(self):
         trace = hotspot_trace(
@@ -87,11 +70,7 @@ class TestHotspot:
             _config(measure=2_500), power_policy=PowerPolicyKind.REACTIVE
         )
         result = network.run(trace)
-        assert _conservation(network, result.stats) == 0
-        # The hotspot's ejection pressure keeps it at higher states than
-        # an idle router.
-        hot = network.routers[3].laser.residency()
-        assert sum(result.state_residency.values()) == pytest.approx(1.0)
+        check_laws(network, result)
 
 
 class TestOverload:
@@ -102,7 +81,7 @@ class TestOverload:
         network = PearlNetwork(_config(measure=1_000))
         result = network.run(trace)
         assert network.injection_backlog_size > 0
-        assert _conservation(network, result.stats) == 0
+        check_laws(network, result)
 
     def test_random_policy_under_load(self):
         trace = uniform_random_trace(rate=0.2, duration=1_500, seed=4)
@@ -110,7 +89,7 @@ class TestOverload:
             _config(measure=1_800), power_policy=PowerPolicyKind.RANDOM
         )
         result = network.run(trace)
-        assert _conservation(network, result.stats) == 0
+        check_laws(network, result)
 
     def test_gpu_only_flood_cannot_wedge_cpu_queue(self):
         """With zero CPU traffic the GPU takes the whole link and the
