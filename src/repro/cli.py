@@ -146,14 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--fcfs", action="store_true", help="disable DBA")
     simp.add_argument("--seed", type=int, default=1)
     simp.add_argument(
-        "--sim-engine",
-        default="array",
-        choices=["array", "reference"],
-        help="cycle engine: the struct-of-arrays core (default) or the "
-        "plain cycle-by-cycle reference stepping it is tested against "
-        "(bit-identical results)",
-    )
-    simp.add_argument(
         "--faults",
         default=None,
         metavar="PATH",
@@ -254,33 +246,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="distinct in-flight specs before 503 backpressure "
         "(default 64; coalesced duplicates are always accepted)",
     )
-    srv.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="URL",
-        help="shared result store: dir:PATH or sqlite:PATH "
-        "(default: the local .pearl_result_cache directory)",
-    )
+    _add_cache_backend_arg(srv)
 
     cachep = sub.add_parser(
         "cache", help="shared result-cache management"
     )
     cache_sub = cachep.add_subparsers(dest="cache_command", required=True)
     cstats = cache_sub.add_parser("stats", help="entry count and size")
-    cstats.add_argument(
-        "--cache-backend", default=None, metavar="URL",
-        help="dir:PATH or sqlite:PATH (default: local directory cache)",
-    )
+    _add_cache_backend_arg(cstats)
     cstats.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
     cprune = cache_sub.add_parser(
         "prune", help="evict entries by age and/or size budget"
     )
-    cprune.add_argument(
-        "--cache-backend", default=None, metavar="URL",
-        help="dir:PATH or sqlite:PATH (default: local directory cache)",
-    )
+    _add_cache_backend_arg(cprune)
     cprune.add_argument(
         "--max-gb",
         type=float,
@@ -402,11 +382,31 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for the simulation fan-out (default 1)",
     )
+    _add_cache_backend_arg(parser)
+
+
+def _cache_backend(text: str) -> str:
+    """Validate a ``--cache-backend`` value at argument-parse time.
+
+    Only the value is checked: nothing is opened or created, so a
+    malformed value is a usage error before any work starts.
+    """
+    from .experiments.service.stores import parse_store_spec
+
+    try:
+        parse_store_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
+def _add_cache_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-backend",
+        type=_cache_backend,
         default=None,
         metavar="URL",
-        help="result store backend: dir:PATH or sqlite:PATH "
+        help="result store: dir:PATH or sqlite:PATH "
         "(default: the local .pearl_result_cache directory)",
     )
 
@@ -490,6 +490,33 @@ def _profile_scope(args: argparse.Namespace):
         print(f"wrote {path}", file=sys.stderr)
 
 
+def _observed_session(args: argparse.Namespace):
+    """The telemetry session of ``--sample-every``/``--series-every``."""
+    from . import obs
+
+    if args.sample_every < 1:
+        raise SystemExit("--sample-every must be at least 1")
+    if args.series_every < 0:
+        raise SystemExit("--series-every must be >= 0 (0 disables)")
+    return obs.session(
+        sample_every=args.sample_every, series_every=args.series_every
+    )
+
+
+def _write_artifacts(stem: str, provenance: dict) -> None:
+    """Export the session's JSONL, Chrome trace and (if on) series."""
+    from . import obs
+
+    jsonl_path, chrome_path = obs.write_trace_artifacts(
+        stem, obs.OBS.registry, obs.OBS.tracer, provenance
+    )
+    written = f"wrote {jsonl_path} and {chrome_path}"
+    if obs.OBS.series.enabled:
+        npz_path = obs.write_series(stem, obs.OBS.series, provenance)
+        written = f"wrote {jsonl_path}, {chrome_path} and {npz_path}"
+    print(written, file=sys.stderr)
+
+
 @contextmanager
 def _telemetry_scope(args: argparse.Namespace):
     """Enable telemetry for a command when ``--trace PATH`` was given.
@@ -503,19 +530,9 @@ def _telemetry_scope(args: argparse.Namespace):
         return
     from . import obs
 
-    if args.sample_every < 1:
-        raise SystemExit("--sample-every must be at least 1")
-    if args.series_every < 0:
-        raise SystemExit("--series-every must be >= 0 (0 disables)")
-    with obs.session(
-        sample_every=args.sample_every, series_every=args.series_every
-    ):
+    with _observed_session(args):
         yield
         extra: dict = {}
-        requested = getattr(args, "_engine_requested", None)
-        if requested is not None:
-            extra["engine_requested"] = requested
-            extra["engine_used"] = getattr(args, "_engine_used", None)
         if obs.OBS.engines:
             extra["engines_used"] = dict(obs.OBS.engines)
         provenance = obs.collect_provenance(
@@ -525,14 +542,7 @@ def _telemetry_scope(args: argparse.Namespace):
             series_every=args.series_every,
             **extra,
         )
-        jsonl_path, chrome_path = obs.write_trace_artifacts(
-            trace, obs.OBS.registry, obs.OBS.tracer, provenance
-        )
-        written = f"wrote {jsonl_path} and {chrome_path}"
-        if obs.OBS.series.enabled:
-            npz_path = obs.write_series(trace, obs.OBS.series, provenance)
-            written = f"wrote {jsonl_path}, {chrome_path} and {npz_path}"
-        print(written, file=sys.stderr)
+        _write_artifacts(trace, provenance)
 
 
 def _cmd_list() -> int:
@@ -617,11 +627,24 @@ def _ml_model_path(args: argparse.Namespace) -> str:
     return str(ensure_model_file(args.window, quick=True))
 
 
+def _trace_specs(args: argparse.Namespace, pairs, seeds):
+    """The traces ``simulate`` and ``sweep`` jobs run, in stable order.
+
+    ``--workload collective:<algorithm>`` gives that schedule per seed;
+    otherwise each benchmark pair of ``pairs`` is run per seed.
+    """
+    from .experiments.parallel import collective_spec, pair_spec
+
+    if args.workload.startswith("collective:"):
+        algorithm = args.workload.split(":", 1)[1]
+        return [collective_spec(algorithm, seed) for seed in seeds]
+    return [pair_spec(pair, seed) for pair in pairs for seed in seeds]
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .experiments.parallel import TraceSpec, pearl_job, pearl_network
-    from .ml.ridge import RidgeRegression
+    from .experiments.parallel import ExperimentEngine, pearl_job
 
     faults = None
     if args.faults:
@@ -632,18 +655,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--faults {args.faults}: {exc}")
     policy = PowerPolicyKind(args.policy)
-    if args.workload.startswith("collective:"):
+    pair = (CPU_BENCHMARKS[args.cpu], GPU_BENCHMARKS[args.gpu])
+    (trace,) = _trace_specs(args, [pair], [args.seed])
+    if trace.kind == "collective":
         workload_name = args.workload
-        trace = TraceSpec(
-            kind="collective",
-            algorithm=args.workload.split(":", 1)[1],
-            seed=args.seed,
-        )
     else:
         workload_name = f"{args.cpu}+{args.gpu}"
-        trace = TraceSpec(
-            kind="pair", cpu=args.cpu, gpu=args.gpu, seed=args.seed
-        )
     try:
         config = _run_config(args)
         ml = config.ml
@@ -665,18 +682,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-    ml_model = None
     if policy is PowerPolicyKind.ML:
         spec = dataclasses.replace(spec, ml_model_path=_ml_model_path(args))
-        ml_model = RidgeRegression.load(spec.ml_model_path)
-    network = pearl_network(spec, ml_model)
-    result = network.run(
-        spec.trace.build(spec.config), engine=args.sim_engine
-    )
-    # Provenance for --trace: which engine was asked for and which ran
-    # (always equal — run() has no silent downgrade).
-    args._engine_requested = network.last_engine_requested
-    args._engine_used = network.last_engine_used
+    # The one job runs as every other job does, uncached: its events
+    # merge into a traced run under the ``job0`` stream.
+    (result,) = ExperimentEngine(jobs=1).run([spec])
     print(
         f"workload: {workload_name} policy={args.policy} "
         f"window={args.window} signaling={args.signaling}"
@@ -704,7 +714,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "  ml: quantization=%s drift_events=%d fallback_windows=%d "
             "retraining_recommended=%s"
             % (
-                result.quantization or "float64",
+                spec.config.ml.quantization or "float64",
                 result.drift_events,
                 result.fallback_windows,
                 result.drift_retraining_recommended,
@@ -720,20 +730,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sweep_specs(args: argparse.Namespace):
     """The sweep's JobSpecs: policies × workloads × seeds, in stable order."""
-    from .experiments.parallel import collective_spec, pair_spec, pearl_job
+    from .experiments.parallel import pearl_job
     from .experiments.runner import experiment_pairs
 
     config = _run_config(args)
     model_path = _ml_model_path(args) if "ml" in args.policies else None
-    if args.workload.startswith("collective:"):
-        algorithm = args.workload.split(":", 1)[1]
-        traces = [collective_spec(algorithm, seed) for seed in args.seeds]
-    else:
-        traces = [
-            pair_spec(pair, seed)
-            for pair in experiment_pairs(quick=not args.full)
-            for seed in args.seeds
-        ]
+    traces = _trace_specs(
+        args, experiment_pairs(quick=not args.full), args.seeds
+    )
     specs = []
     for policy in args.policies:
         for trace in traces:
@@ -1038,15 +1042,9 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         return 2
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
-    if args.sample_every < 1:
-        raise SystemExit("--sample-every must be at least 1")
-    if args.series_every < 0:
-        raise SystemExit("--series-every must be >= 0 (0 disables)")
     from .experiments.parallel import engine_scope
 
-    with obs.session(
-        sample_every=args.sample_every, series_every=args.series_every
-    ):
+    with _observed_session(args):
         # Cache off: the report must describe a live instrumented run,
         # not whatever telemetry an earlier cache entry happened to hold.
         with engine_scope(jobs=args.jobs, use_cache=False):
@@ -1060,16 +1058,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             engines_used=dict(obs.OBS.engines),
         )
         if args.trace:
-            jsonl_path, chrome_path = obs.write_trace_artifacts(
-                args.trace, obs.OBS.registry, obs.OBS.tracer, provenance
-            )
-            written = f"wrote {jsonl_path} and {chrome_path}"
-            if obs.OBS.series.enabled:
-                npz_path = obs.write_series(
-                    args.trace, obs.OBS.series, provenance
-                )
-                written = f"wrote {jsonl_path}, {chrome_path} and {npz_path}"
-            print(written, file=sys.stderr)
+            _write_artifacts(args.trace, provenance)
         if args.json:
             doc = obs.report_doc(
                 obs.OBS.registry,

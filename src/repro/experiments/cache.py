@@ -52,9 +52,10 @@ CODE_VERSION = "pearl-experiments-1"
 
 #: On-disk schema version of one cache entry.  Format 2 added the
 #: ``blob_sha256`` commit digest; format 3 made the blob the result
-#: document.  A hit serves the blob without parsing it, so any change to
-#: the document's shape bumps this too.  Older entries self-heal on read.
-ENTRY_FORMAT = 3
+#: document; format 4 holds result document format 2.  A hit serves the
+#: blob without parsing it, so any change to the document's shape bumps
+#: this too.  Older entries self-heal on read.
+ENTRY_FORMAT = 4
 
 
 def canonical_json(payload: Any) -> str:

@@ -141,9 +141,8 @@ class TraceSpec:
         raise ValueError(f"unknown trace kind {self.kind!r}")
 
 
-#: Job kinds whose worker regenerates an injection trace.
-_TRACED_KINDS = ("pearl", "cmesh", "mwsr", "trace")
-_JOB_KINDS = _TRACED_KINDS + ("thermal",)
+#: Job kinds; every one regenerates an injection trace.
+_JOB_KINDS = ("pearl", "cmesh", "mwsr", "trace")
 
 _POLICY_VALUES = frozenset(kind.value for kind in PowerPolicyKind)
 
@@ -154,8 +153,8 @@ class JobSpec:
 
     ``kind`` selects the worker path: ``"pearl"`` (the PEARL network in
     any variant), ``"cmesh"`` (electrical baseline), ``"mwsr"``
-    (token-arbitrated crossbar), ``"trace"`` (trace-level statistics,
-    no simulation) or ``"thermal"`` (heater-feedback trimming model).
+    (token-arbitrated crossbar) or ``"trace"`` (trace-level statistics,
+    no simulation).
     """
 
     kind: str
@@ -173,11 +172,6 @@ class JobSpec:
     faults: Optional[FaultSchedule] = None
     # -- cmesh --
     bandwidth_divisor: Optional[int] = None
-    # -- thermal --
-    wavelength_state: int = 64
-    activity: float = 0.0
-    settle_cycles: int = 0
-    settle_steps: int = 1
 
     def __post_init__(self) -> None:
         # Reject what would otherwise only fail inside a pool worker, so
@@ -186,7 +180,7 @@ class JobSpec:
             raise ValueError(
                 f"unknown job kind {self.kind!r} (choose from {_JOB_KINDS})"
             )
-        if self.kind in _TRACED_KINDS and self.trace is None:
+        if self.trace is None:
             raise ValueError(f"{self.kind} job specs need a trace")
         if self.power_policy not in _POLICY_VALUES:
             raise ValueError(
@@ -202,8 +196,6 @@ class JobSpec:
                 )
         if self.bandwidth_divisor is not None and self.bandwidth_divisor < 1:
             raise ValueError("bandwidth_divisor must be positive")
-        if self.settle_cycles < 0 or self.settle_steps < 0:
-            raise ValueError("settle_cycles and settle_steps cannot be negative")
         if self.faults is not None and self.faults.is_empty:
             object.__setattr__(self, "faults", None)
 
@@ -233,6 +225,13 @@ class JobResult:
     laser_stall_cycles: int = 0
     ml_predictions: List[float] = field(default_factory=list)
     ml_labels: List[float] = field(default_factory=list)
+    #: What drift detection and online retraining did during a pearl
+    #: job (see :class:`~repro.noc.network.PearlRunResult`).
+    drift_events: int = 0
+    drift_retraining_recommended: bool = False
+    fallback_windows: int = 0
+    retrain_events: int = 0
+    retrained_model_ids: List[str] = field(default_factory=list)
     extras: Dict[str, object] = field(default_factory=dict)
     #: Telemetry captured while this job ran (``None`` when the session
     #: was disabled): a JSON-able ``{"metrics": ..., "events": ...}``
@@ -315,24 +314,6 @@ def trace_job(config: PearlConfig, trace: TraceSpec, seed: int = 1) -> JobSpec:
     return JobSpec(kind="trace", config=config, trace=trace, seed=seed)
 
 
-def thermal_job(
-    config: PearlConfig,
-    wavelength_state: int,
-    activity: float,
-    settle_cycles: int,
-    settle_steps: int,
-) -> JobSpec:
-    """A thermal trimming-model settling job."""
-    return JobSpec(
-        kind="thermal",
-        config=config,
-        wavelength_state=wavelength_state,
-        activity=activity,
-        settle_cycles=settle_cycles,
-        settle_steps=settle_steps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Worker
 # ---------------------------------------------------------------------------
@@ -379,8 +360,6 @@ def _dispatch_job(spec: JobSpec) -> JobResult:
         return _run_mwsr_job(spec)
     if spec.kind == "trace":
         return _run_trace_job(spec)
-    if spec.kind == "thermal":
-        return _run_thermal_job(spec)
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
@@ -419,6 +398,11 @@ def _run_pearl_job(spec: JobSpec) -> JobResult:
         laser_stall_cycles=run.laser_stall_cycles,
         ml_predictions=list(run.ml_predictions),
         ml_labels=list(run.ml_labels),
+        drift_events=run.drift_events,
+        drift_retraining_recommended=run.drift_retraining_recommended,
+        fallback_windows=run.fallback_windows,
+        retrain_events=run.retrain_events,
+        retrained_model_ids=list(run.retrained_model_ids),
     )
 
 
@@ -455,22 +439,6 @@ def _run_trace_job(spec: JobSpec) -> JobResult:
             "cpu_packets": int(counts[CoreType.CPU]),
             "gpu_packets": int(counts[CoreType.GPU]),
         },
-    )
-
-
-def _run_thermal_job(spec: JobSpec) -> JobResult:
-    from ..noc.thermal import ThermalTrimmingModel
-
-    model = ThermalTrimmingModel(optical=spec.config.optical)
-    power = 0.0
-    step_cycles = max(spec.settle_cycles // max(spec.settle_steps, 1), 1)
-    for _ in range(spec.settle_steps):
-        power = model.step(
-            spec.wavelength_state, spec.activity, cycles=step_cycles
-        )
-    return JobResult(
-        kind=spec.kind,
-        extras={"trimming_w": float(power), "locked": model.all_locked()},
     )
 
 
@@ -613,16 +581,14 @@ def current_engine() -> ExperimentEngine:
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    cache_dir: Union[str, "os.PathLike[str]", None] = None,
-    salt: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> ExperimentEngine:
     """Replace the default engine (the CLI's ``--jobs``/``--no-cache``).
 
     Unspecified fields keep the current engine's values.  ``backend``
     selects a cache store (``dir:PATH`` / ``sqlite:PATH``, see
-    :func:`repro.experiments.service.stores.open_store`) and takes
-    precedence over ``cache_dir``.
+    :func:`repro.experiments.service.stores.open_store`); without it
+    the cache uses the process-default store.
     """
     global _ENGINE
     current = current_engine()
@@ -630,12 +596,7 @@ def configure(
     if use_cache is None:
         new_cache = current.cache
     elif use_cache:
-        kwargs = {}
-        if salt is not None:
-            kwargs["salt"] = salt
-        if backend is not None:
-            kwargs["store"] = backend
-        new_cache = ResultCache(directory=cache_dir, **kwargs)
+        new_cache = ResultCache(store=backend)
     else:
         new_cache = None
     _ENGINE = ExperimentEngine(jobs=new_jobs, cache=new_cache)
@@ -646,21 +607,13 @@ def configure(
 def engine_scope(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    cache_dir: Union[str, "os.PathLike[str]", None] = None,
-    salt: Optional[str] = None,
     backend: Optional[str] = None,
 ):
     """Temporarily swap the default engine, restoring it on exit."""
     global _ENGINE
     previous = _ENGINE
     try:
-        yield configure(
-            jobs=jobs,
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            salt=salt,
-            backend=backend,
-        )
+        yield configure(jobs=jobs, use_cache=use_cache, backend=backend)
     finally:
         _ENGINE = previous
 

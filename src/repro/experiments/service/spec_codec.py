@@ -107,8 +107,9 @@ def _model_path(ref: Any) -> Optional[str]:
 
 #: Result-document version tag, checked strictly on decode.  A cache hit
 #: streams the stored document without parsing it, so any change to the
-#: document's shape must also bump ``cache.ENTRY_FORMAT``.
-RESULT_DOC_FORMAT = 1
+#: document's shape must also bump ``cache.ENTRY_FORMAT``.  Format 2
+#: added the drift and retraining outcome of a pearl job.
+RESULT_DOC_FORMAT = 2
 
 #: The packed arrays: little-endian fixed-width elements.
 _LATENCY_DTYPE = "<i8"
@@ -150,6 +151,11 @@ def result_to_doc(result: "JobResult") -> Dict[str, Any]:
         ),
         "ml_predictions": _pack(result.ml_predictions, _ML_DTYPE),
         "ml_labels": _pack(result.ml_labels, _ML_DTYPE),
+        "drift_events": result.drift_events,
+        "drift_retraining_recommended": result.drift_retraining_recommended,
+        "fallback_windows": result.fallback_windows,
+        "retrain_events": result.retrain_events,
+        "retrained_model_ids": list(result.retrained_model_ids),
     }
 
 
@@ -167,9 +173,10 @@ def result_to_bytes(result: "JobResult") -> bytes:
 def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
     """Rebuild a :class:`JobResult` from :func:`result_to_doc` output.
 
-    Strict: a wrong or missing ``format``, a missing field, an array
-    that is not base64 of a deflate stream or whose byte length is not
-    a whole number of elements all raise :class:`ValueError`.
+    Strict: a wrong or missing ``format``, a missing field, a
+    lifecycle field of the wrong JSON type, an array that is not base64
+    of a deflate stream or whose byte length is not a whole number of
+    elements all raise :class:`ValueError`.
     """
     from ..parallel import JobResult
 
@@ -180,6 +187,9 @@ def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
         raise ValueError(f"unknown result document format: {version!r}")
     try:
         latencies = _unpack(doc["latencies"], _LATENCY_DTYPE, "latencies")
+        model_ids = _typed(doc, "retrained_model_ids", list)
+        if not all(type(ref) is str for ref in model_ids):
+            raise ValueError("retrained_model_ids must hold strings")
         stats = None
         if doc["stats"] is not None:
             stats = NetworkStats.from_dict(doc["stats"], latencies=latencies)
@@ -196,6 +206,13 @@ def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
                 doc["ml_predictions"], _ML_DTYPE, "ml_predictions"
             ),
             ml_labels=_unpack(doc["ml_labels"], _ML_DTYPE, "ml_labels"),
+            drift_events=_typed(doc, "drift_events", int),
+            drift_retraining_recommended=_typed(
+                doc, "drift_retraining_recommended", bool
+            ),
+            fallback_windows=_typed(doc, "fallback_windows", int),
+            retrain_events=_typed(doc, "retrain_events", int),
+            retrained_model_ids=model_ids,
             extras=doc["extras"],
             telemetry=doc["telemetry"],
         )
@@ -206,6 +223,16 @@ def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
 def result_from_bytes(data: bytes) -> "JobResult":
     """Decode :func:`result_to_bytes` output (``ValueError`` if malformed)."""
     return result_from_doc(json.loads(data))
+
+
+def _typed(doc: Dict[str, Any], name: str, kind: type) -> Any:
+    """``doc[name]``, which must be exactly a ``kind`` (no bool for int)."""
+    value = doc[name]
+    if type(value) is not kind:
+        raise ValueError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def _pack(values, dtype: str) -> str:

@@ -332,13 +332,23 @@ def open_store(spec: Union[str, Path, CacheStore]) -> CacheStore:
     """
     if isinstance(spec, CacheStore):
         return spec
+    scheme, path = parse_store_spec(spec)
+    return LocalDirStore(path) if scheme == "dir" else SqliteStore(path)
+
+
+def parse_store_spec(spec: Union[str, Path]) -> Tuple[str, str]:
+    """``(scheme, path)`` of a store spec, or a :class:`ValueError`.
+
+    Opens and creates nothing, so a command can check the spec before
+    it does any work (:func:`open_store` gives the rules).
+    """
     text = str(spec)
     scheme, sep, rest = text.partition(":")
     if not (sep and len(scheme) > 1):
         scheme, rest = "dir", text
     if scheme not in ("dir", "sqlite"):
         raise ValueError(
-            f"unknown cache backend {scheme!r} "
+            f"unknown cache backend {text!r} "
             "(expected 'dir:PATH' or 'sqlite:PATH')"
         )
     if not rest:
@@ -346,4 +356,4 @@ def open_store(spec: Union[str, Path, CacheStore]) -> CacheStore:
             f"cache backend {text!r} names no path "
             "(expected 'dir:PATH' or 'sqlite:PATH')"
         )
-    return LocalDirStore(rest) if scheme == "dir" else SqliteStore(rest)
+    return scheme, rest

@@ -11,14 +11,15 @@ self-heating backing the heaters off.
 from __future__ import annotations
 
 from ..config import PearlConfig
-from .parallel import run_jobs, thermal_job
+from ..noc.thermal import ThermalTrimmingModel
 from .runner import ExperimentResult, cached
 
 #: Wavelength states studied.
 STATES = (64, 48, 32, 16, 8)
 
-#: Cycles the model is settled for before reading power.
+#: Cycles the model is settled for before reading power, in steps.
 SETTLE_CYCLES = 40_000
+SETTLE_STEPS = 40
 
 #: Activity levels probed per state.
 ACTIVITIES = (("idle", 0.0), ("busy", 0.9))
@@ -34,26 +35,18 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         flat_w_per_state = {
             state: 2 * state * optical.ring_heating_w for state in STATES
         }
-        # Let the heater loops settle at each operating point.
-        specs = [
-            thermal_job(
-                config,
-                wavelength_state=state,
-                activity=activity,
-                settle_cycles=SETTLE_CYCLES,
-                settle_steps=40,
-            )
-            for state in STATES
-            for _, activity in ACTIVITIES
-        ]
-        jobs = iter(run_jobs(specs))
         for state in STATES:
             row = {"wavelengths": state,
                    "flat_model_w": flat_w_per_state[state]}
-            for label, _ in ACTIVITIES:
-                job = next(jobs)
-                row[f"trimming_{label}_w"] = job.extras["trimming_w"]
-                row[f"locked_{label}"] = job.extras["locked"]
+            for label, activity in ACTIVITIES:
+                # Let the heater loops settle at this operating point.
+                model = ThermalTrimmingModel(optical=optical)
+                for _ in range(SETTLE_STEPS):
+                    power = model.step(
+                        state, activity, cycles=SETTLE_CYCLES // SETTLE_STEPS
+                    )
+                row[f"trimming_{label}_w"] = float(power)
+                row[f"locked_{label}"] = model.all_locked()
             result.add_row(**row)
         result.notes.append(
             "paper Sec. III-C: bank gating scales trimming with the laser; "

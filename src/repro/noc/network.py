@@ -126,10 +126,8 @@ class PearlNetwork:
         self.stats = NetworkStats()
         for router in self.routers:
             router._net_stats = self.stats
-        # Which engine run() was asked for / executed on (always equal —
-        # there is no silent downgrade); recorded into trace provenance
-        # by the CLI.
-        self.last_engine_requested: Optional[str] = None
+        # The engine run() executed on (the one it was asked for: there
+        # is no silent downgrade).
         self.last_engine_used: Optional[str] = None
         # run() is single-use: a second call would start from the first
         # run's leftovers (queues, heaps, policy histories, RNG state).
@@ -516,7 +514,6 @@ class PearlNetwork:
             raise ValueError(f"unknown engine {engine!r}")
         trace.check_routers(len(self.routers))
         self._has_run = True
-        self.last_engine_requested = engine
         self.last_engine_used = engine
         if OBS.enabled:
             OBS.note_engine(engine)

@@ -38,9 +38,9 @@ from repro.experiments.parallel import (
     cmesh_job,
     collective_spec,
     execute_job,
+    mwsr_job,
     pair_spec,
     pearl_job,
-    thermal_job,
     trace_job,
     uniform_spec,
 )
@@ -202,10 +202,14 @@ MALFORMED_DOCS = [
      r"unknown JobSpec fields: \['allow_8wl'\]"),
     ("float-static-state", _set(("static_state",), 64.0),
      "static_state must be an integer"),
-    ("negative-settle-cycles", _set(("settle_cycles",), -5),
-     "cannot be negative"),
-    ("negative-settle-steps", _set(("settle_steps",), -1),
-     "cannot be negative"),
+    ("retired-settle-cycles", _set(("settle_cycles",), 100),
+     r"unknown JobSpec fields: \['settle_cycles'\]"),
+    ("retired-settle-steps", _set(("settle_steps",), 2),
+     r"unknown JobSpec fields: \['settle_steps'\]"),
+    ("retired-wavelength-state", _set(("wavelength_state",), 64),
+     r"unknown JobSpec fields: \['wavelength_state'\]"),
+    ("retired-activity", _set(("activity",), 0.5),
+     r"unknown JobSpec fields: \['activity'\]"),
     ("string-bandwidth-divisor", _set(("bandwidth_divisor",), "x"),
      "bandwidth_divisor must be an integer"),
     ("zero-bandwidth-divisor", _set(("bandwidth_divisor",), 0),
@@ -269,13 +273,6 @@ class TestSpecCodecPreservesKeys:
                 collective_spec("allreduce_ring", 7),
                 seed=7,
                 power_policy=PowerPolicyKind.REACTIVE,
-            ),
-            thermal_job(
-                config,
-                wavelength_state=16,
-                activity=0.5,
-                settle_cycles=100,
-                settle_steps=2,
             ),
         ]
 
@@ -508,10 +505,6 @@ JOB_FIELD_OVERRIDES = {
         wavelength_faults=(WavelengthFault(wavelengths=2, start=50),)
     ),
     "bandwidth_divisor": 2,
-    "wavelength_state": 32,
-    "activity": 0.5,
-    "settle_cycles": 100,
-    "settle_steps": 3,
 }
 
 #: A valid non-default value for every TraceSpec field of a pair trace.
@@ -631,7 +624,8 @@ def valid_docs(served_model):
             None,
         ),
         (cmesh_job(config, uniform_spec(0.2, 5), bandwidth_divisor=2), None),
-        (thermal_job(config, 16, 0.5, 100, 2), None),
+        (mwsr_job(config, pair_spec(pair, 2), seed=2), None),
+        (trace_job(config, uniform_spec(0.2, 9), seed=9), None),
         (
             pearl_job(
                 ml_config,

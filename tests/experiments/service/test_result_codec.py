@@ -97,9 +97,24 @@ def job_results(draw):
         laser_stall_cycles=draw(INT64),
         ml_predictions=draw(st.lists(ML_VALUES, max_size=50) | LONG_ML),
         ml_labels=draw(st.lists(ML_VALUES, max_size=50) | LONG_ML),
+        drift_events=draw(INT64),
+        drift_retraining_recommended=draw(st.booleans()),
+        fallback_windows=draw(INT64),
+        retrain_events=draw(INT64),
+        retrained_model_ids=draw(st.lists(st.text(), max_size=4)),
         extras=draw(st.none() | JSON_DICTS),
         telemetry=draw(st.none() | JSON_DICTS),
     )
+
+
+#: The drift and retraining outcome a pearl job reports.
+LIFECYCLE_FIELDS = (
+    "drift_events",
+    "drift_retraining_recommended",
+    "fallback_windows",
+    "retrain_events",
+    "retrained_model_ids",
+)
 
 
 def _bits(values) -> bytes:
@@ -132,6 +147,9 @@ class TestRoundTrip:
         assert decoded.laser_stall_cycles == result.laser_stall_cycles
         assert _bits(decoded.ml_predictions) == _bits(result.ml_predictions)
         assert _bits(decoded.ml_labels) == _bits(result.ml_labels)
+        for name in LIFECYCLE_FIELDS:
+            assert getattr(decoded, name) == getattr(result, name), name
+            assert type(getattr(decoded, name)) is type(getattr(result, name))
         assert decoded.extras == result.extras
         assert decoded.telemetry == result.telemetry
 
@@ -142,10 +160,13 @@ class TestRoundTrip:
         Update this pin together with those bumps."""
         doc = result_to_doc(JobResult(kind="trace"))
         assert (ENTRY_FORMAT, RESULT_DOC_FORMAT, sorted(doc)) == (
-            3,
-            1,
+            4,
+            2,
             [
+                "drift_events",
+                "drift_retraining_recommended",
                 "extras",
+                "fallback_windows",
                 "format",
                 "kind",
                 "laser_stall_cycles",
@@ -153,6 +174,8 @@ class TestRoundTrip:
                 "mean_laser_power_w",
                 "ml_labels",
                 "ml_predictions",
+                "retrain_events",
+                "retrained_model_ids",
                 "state_residency",
                 "stats",
                 "telemetry",
@@ -201,6 +224,15 @@ REJECTED = [
     ("ml-width", lambda doc: doc.update(ml_labels=_packed(bytes(7)))),
     ("field-missing", lambda doc: doc.pop("mean_laser_power_w")),
     ("stats-mistyped", lambda doc: doc.update(stats=[1, 2])),
+    ("lifecycle-missing", lambda doc: doc.pop("retrain_events")),
+    ("drift-events-float", lambda doc: doc.update(drift_events=1.0)),
+    ("drift-events-bool", lambda doc: doc.update(drift_events=True)),
+    (
+        "recommended-int",
+        lambda doc: doc.update(drift_retraining_recommended=1),
+    ),
+    ("model-ids-string", lambda doc: doc.update(retrained_model_ids="ab")),
+    ("model-ids-ints", lambda doc: doc.update(retrained_model_ids=[1])),
 ]
 
 

@@ -15,6 +15,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import select
 import shlex
 import signal
@@ -194,10 +195,11 @@ class TestEndpoints:
         """Wrong JSON types and unknown trace kinds or benchmarks are
         400s counted under ``bad_requests``: nothing is submitted,
         nothing fails in the pool and nothing reaches the store."""
-        for case, mutate, _ in MALFORMED_DOCS:
+        for case, mutate, match in MALFORMED_DOCS:
             with pytest.raises(ServeError) as err:
                 live.client.submit(malformed_doc(tiny_sim_config, mutate))
             assert err.value.status == 400, case
+            assert re.search(match, str(err.value)), (case, str(err.value))
         stats = live.client.stats()
         assert stats["bad_requests"] == len(MALFORMED_DOCS)
         assert stats["errors"] == 0
@@ -1021,3 +1023,71 @@ class TestModelReference:
         stats = live.client.stats()
         assert stats["bad_requests"] == 1
         assert stats["submissions"] == 0
+
+
+class TestLifecycleOutcome:
+    """A retrain job reports what drift and retraining did, whichever
+    way it runs: executed, replayed from the cache or served."""
+
+    def test_retrain_job_reports_its_outcome_three_ways(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.parallel import ExperimentEngine, pearl_network
+
+        from ...golden.golden_cases import retrain_config
+        from ...oracle import drifting_model
+
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+        registry = default_registry()
+        record = registry.put(
+            drifting_model(), training={"key": {"spec": "drifting"}}
+        )
+        registry.promote(record.model_id, "drifting")
+        pair = experiment_pairs(quick=True)[0]
+        spec = pearl_job(
+            retrain_config(),
+            pair_spec(pair, 11),
+            seed=11,
+            power_policy=PowerPolicyKind.ML,
+            ml_model_path=registry.model_path("drifting"),
+        )
+        run = pearl_network(
+            spec, RidgeRegression.load(spec.ml_model_path)
+        ).run(spec.trace.build(spec.config))
+        assert run.retrain_events >= 1
+        expected = (
+            run.retrain_events,
+            run.retrained_model_ids,
+            run.drift_events,
+            run.drift_retraining_recommended,
+            run.fallback_windows,
+        )
+
+        executed = execute_job(spec)
+        cache = ResultCache(directory=tmp_path / "cache")
+        engine = ExperimentEngine(jobs=1, cache=cache)
+        engine.run([spec])
+        (hit,) = engine.run([spec])
+        assert cache.hits == 1
+        with _LiveServer(
+            SweepServer(
+                cache=ResultCache(directory=tmp_path / "serve_cache"),
+                port=0,
+                jobs=1,
+            )
+        ) as live:
+            served = live.client.submit_result(
+                spec_to_doc(spec, ml_model="drifting")
+            )
+            assert live.client.stats()["executions"] == 1
+        for way, result in (
+            ("executed", executed), ("cache hit", hit), ("served", served)
+        ):
+            assert (
+                result.retrain_events,
+                result.retrained_model_ids,
+                result.drift_events,
+                result.drift_retraining_recommended,
+                result.fallback_windows,
+            ) == expected, way
+            assert result.stats.to_dict() == run.stats.to_dict(), way

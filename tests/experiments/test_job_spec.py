@@ -1,6 +1,6 @@
 """JobSpec validation: a job that cannot run is rejected when built.
 
-An unknown power policy, a traced job kind without a trace, or a static
+An unknown power policy, a job without a trace, or a static
 wavelength state off the config's ladder would otherwise only fail
 inside a pool worker.  ``JobSpec`` rejects them at construction — which
 is also when the wire codec decodes a served spec — so ``pearl-sim
@@ -28,7 +28,6 @@ from repro.experiments.parallel import (
     execute_job,
     pair_spec,
     pearl_job,
-    thermal_job,
     uniform_spec,
 )
 from repro.experiments.runner import experiment_pairs
@@ -49,15 +48,11 @@ class TestTraceRequired:
         with pytest.raises(ValueError, match=f"{kind} job specs need a trace"):
             JobSpec(kind=kind, config=PearlConfig())
 
-    def test_thermal_job_needs_no_trace(self):
-        spec = thermal_job(
-            PearlConfig(),
-            wavelength_state=32,
-            activity=0.5,
-            settle_cycles=100,
-            settle_steps=2,
-        )
-        assert spec.trace is None
+    def test_thermal_kind_is_retired(self):
+        """Every job kind runs a trace; the trimming-model settling job
+        left the engine (``thermal_study`` steps its models inline)."""
+        with pytest.raises(ValueError, match="unknown job kind 'thermal'"):
+            JobSpec(kind="thermal", config=PearlConfig())
 
 
 class TestKindAndFaults:

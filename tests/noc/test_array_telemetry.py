@@ -123,13 +123,13 @@ class TestNoSilentDowngrade:
             engines = dict(obs.OBS.engines)
         assert engines == {"array": 1, "reference": 1}
         for engine, network in networks.items():
-            assert network.last_engine_requested == engine
             assert network.last_engine_used == engine
 
-    def test_requested_equals_used_for_array(self):
+    def test_default_engine_is_the_array_core(self):
         run = SCENARIOS["reactive"]
         network = run.network()
         with obs.session():
-            network.run(run.build_trace(), engine="array")
-        assert network.last_engine_requested == "array"
+            network.run(run.build_trace())
+            engines = dict(obs.OBS.engines)
         assert network.last_engine_used == "array"
+        assert engines == {"array": 1}

@@ -24,8 +24,7 @@ of the suite goes through this module:
   are the hypothesis strategies that draw traces, fault schedules and
   whole runs.
 
-``scripts/bench.py`` and ``benchmarks/test_engine_speed.py`` compare
-engines through :func:`fingerprint` too.
+``scripts/bench.py`` compares engines through :func:`fingerprint` too.
 """
 
 from __future__ import annotations

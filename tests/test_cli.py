@@ -154,6 +154,15 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--signaling", "qam16"])
 
+    def test_engine_option_is_gone(self, capsys):
+        """``simulate`` runs its job through the job engine, on the array
+        core like every production path; the reference engine is reached
+        through ``PearlNetwork.run`` only."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--sim-engine", "reference"])
+        assert excinfo.value.code == 2
+        assert "--sim-engine" in capsys.readouterr().err
+
     def test_rejects_static_state_off_the_ladder(self):
         """A spec-validation error exits with its message, no traceback."""
         with pytest.raises(SystemExit) as excinfo:
@@ -278,6 +287,37 @@ class TestSweepCache:
         assert excinfo.value.code == 2
 
 
+class TestCacheBackendFlag:
+    """A malformed ``--cache-backend`` is a usage error on every command
+    that takes one: status 2, one error line naming the value, nothing
+    opened or created."""
+
+    COMMANDS = [
+        ["experiment", "table1"],
+        ["sweep"],
+        ["serve"],
+        ["cache", "stats"],
+        ["cache", "prune", "--max-gb", "0"],
+    ]
+
+    @pytest.mark.parametrize("value", ["bogus:x", "dir:"])
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=[" ".join(argv[:2]) for argv in COMMANDS]
+    )
+    def test_malformed_value_is_a_usage_error(
+        self, argv, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--cache-backend", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --cache-backend:" in err.splitlines()[-1]
+        assert f"cache backend {value!r}" in err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestChart:
     def test_chart_flag_renders(self, capsys):
         # fig4 is trace-only, so this stays fast.
@@ -390,6 +430,43 @@ class TestTraceFlag:
         doc = json.loads((tmp_path / "sim.trace.json").read_text())
         names = {e["name"] for e in doc["traceEvents"]}
         assert "sim/measure" in names
+
+    def test_simulate_trace_merges_like_an_experiment(self, capsys, tmp_path):
+        """The one job's telemetry merges under the ``job0`` stream, and
+        the provenance records the engine that ran."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        stem = tmp_path / "sim"
+        assert main(
+            [
+                "simulate",
+                "--policy",
+                "reactive",
+                "--cycles",
+                "1000",
+                "--warmup",
+                "100",
+                "--trace",
+                str(stem),
+            ]
+        ) == 0
+        check = Path(__file__).resolve().parent.parent / "scripts" / "check_trace.py"
+        subprocess.run([sys.executable, str(check), str(stem)], check=True)
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "sim.jsonl").read_text().splitlines()
+        ]
+        provenance = records[0]["provenance"]
+        assert provenance["engines_used"] == {"array": 1}
+        assert "engine_requested" not in provenance
+        assert "engine_used" not in provenance
+        streams = {r["stream"] for r in records if r["type"] == "event"}
+        assert streams == {"job0"}
+        metrics = {r["name"]: r for r in records if r["type"] == "metric"}
+        assert metrics["engine/jobs_executed"]["value"] == 1
 
     def test_traced_rerun_executes_its_jobs(self, capsys, tmp_path, monkeypatch):
         """An untraced run's cache entries carry no telemetry, so a
