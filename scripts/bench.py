@@ -61,6 +61,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from repro.config import PearlConfig, SimulationConfig  # noqa: E402
+from repro.experiments.collective_study import DRIFT_KNOBS  # noqa: E402
 from repro.experiments.parallel import (  # noqa: E402
     collective_spec,
     pair_spec,
@@ -166,17 +167,6 @@ COLLECTIVE_CYCLES = (100, 1_200)
 #: errors (cycle 1,000) and chip-wide wavelength loss (cycle 2,000).
 FAULTED_CYCLES = (500, 2_000)
 FAULTS_FILE = Path(__file__).resolve().parent.parent / "examples" / "faults.yaml"
-#: ``collective_study``'s tight drift settings, which make the ML
-#: collective row drift, refit and hot-swap its model mid-run.
-RETRAIN_ML = dict(
-    drift_detection=True,
-    drift_action="retrain",
-    drift_calibration_windows=8,
-    drift_patience=3,
-    drift_z_threshold=4.0,
-    retrain_min_samples=20,
-    retrain_cooldown_windows=10_000,
-)
 
 
 def _production_config(cycles, signaling="nrz", retrain=False) -> PearlConfig:
@@ -189,8 +179,12 @@ def _production_config(cycles, signaling="nrz", retrain=False) -> PearlConfig:
             photonic=dataclasses.replace(config.photonic, signaling=signaling)
         )
     if retrain:
+        # collective_study's tight drift settings make the ML collective
+        # row drift, refit and hot-swap its model mid-run.
         config = config.replace(
-            ml=dataclasses.replace(config.ml, **RETRAIN_ML)
+            ml=dataclasses.replace(
+                config.ml, drift_action="retrain", **DRIFT_KNOBS
+            )
         )
     return config
 

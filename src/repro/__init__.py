@@ -34,7 +34,7 @@ from .config import (
     SimulationConfig,
 )
 from .noc.cmesh import CMeshNetwork
-from .noc.network import PearlNetwork, PearlRunResult, ResponderConfig
+from .noc.network import JobResult, PearlNetwork, ResponderConfig
 from .noc.packet import CacheLevel, CoreType, Packet, PacketClass
 from .noc.router import PowerPolicyKind
 from .noc.stats import NetworkStats
@@ -51,6 +51,7 @@ __all__ = [
     "DBAConfig",
     "DEFAULT_CONFIG",
     "ElectricalPowerConfig",
+    "JobResult",
     "MLConfig",
     "NetworkStats",
     "OpticalConfig",
@@ -58,7 +59,6 @@ __all__ = [
     "PacketClass",
     "PearlConfig",
     "PearlNetwork",
-    "PearlRunResult",
     "PhotonicConfig",
     "PowerPolicyKind",
     "PowerScalingConfig",

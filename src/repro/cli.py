@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -398,6 +399,27 @@ def _cache_backend(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return text
+
+
+def _check_backend_env(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject a malformed ``$PEARL_RESULT_CACHE_BACKEND`` as a usage error.
+
+    Checked as ``--cache-backend`` is: before any work, opening nothing.
+    """
+    value = os.environ.get("PEARL_RESULT_CACHE_BACKEND", "")
+    # Commands without the flag open no store; the flag overrides it.
+    if not value or getattr(args, "cache_backend", value) is not None:
+        return
+    from .experiments.service.stores import parse_store_spec
+
+    try:
+        parse_store_spec(value)
+    except ValueError as exc:
+        parser.exit(
+            2, f"{parser.prog}: error: PEARL_RESULT_CACHE_BACKEND: {exc}\n"
+        )
 
 
 def _add_cache_backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -904,7 +926,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
         print(f"{'MODEL ID':<18} {'CREATED':<26} {'NRMSE':>7}  KEY / TAGS")
         for record in records:
             key = record.training.get("key") or {}
+            # Refit models registered by online retraining have none.
             nrmse = record.metrics.get("validation_nrmse")
+            nrmse = "-" if nrmse is None else format(nrmse, ".3f")
             key_str = (
                 f"w={key.get('reservation_window')} "
                 f"quick={key.get('quick')} seed={key.get('seed')}"
@@ -914,7 +938,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
             tags = f" [{', '.join(record.tags)}]" if record.tags else ""
             print(
                 f"{record.model_id:<18} {record.created:<26} "
-                f"{nrmse if nrmse is None else format(nrmse, '.3f'):>7}  "
+                f"{nrmse:>7}  "
                 f"{key_str}{tags}"
             )
         return 0
@@ -1103,7 +1127,9 @@ def _cmd_obs_series(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _check_backend_env(parser, args)
     try:
         if args.command == "list":
             return _cmd_list()

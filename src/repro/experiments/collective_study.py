@@ -1,14 +1,15 @@
 """Collective workloads under NRZ vs PAM4 across adaptation policies.
 
-The grid the ISSUE's tentpole asks for: every collective schedule ×
-{reactive, ml, proteus, d3noc} × {nrz, pam4}, with the ML rows run both
-purely observed (``drift_action="flag"``) and with the closed online
-retraining loop (``drift_action="retrain"``).  The deployed model is
-fitted on PARSEC-style deployment samples (see
+Every collective schedule × {reactive, ml, proteus, d3noc} × {nrz,
+pam4}, with the ML rows run both purely observed
+(``drift_action="flag"``) and with the closed online retraining loop
+(``drift_action="retrain"``).  The deployed model is fitted on
+PARSEC-style deployment samples (see
 :func:`repro.ml.pipeline.deployment_fitted_model`), so collective
 traffic is genuinely out of its training distribution — the drift
-columns show the monitor firing and, under ``retrain``, the promoted
-replacement models.
+columns show the monitor firing and, under ``retrain``, the refit
+replacement models (registered, no tag moved).  The grid runs as
+pearl jobs through :func:`~repro.experiments.parallel.run_jobs`.
 
 PAM4 halves serialization latency per wavelength state but pays the
 BER-driven laser/receiver penalty; the ``energy_pj_per_bit`` column
@@ -21,15 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
-from typing import Optional
+from pathlib import Path
 
 from ..config import PearlConfig, SimulationConfig
 from ..ml.pipeline import deployment_fitted_model
-from ..ml.ridge import RidgeRegression
-from ..noc.network import PearlNetwork
 from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
-from ..traffic.collectives import COLLECTIVE_ALGORITHMS, generate_collective_trace
+from ..traffic.collectives import COLLECTIVE_ALGORITHMS
+from .parallel import JobResult, JobSpec, collective_spec, pearl_job, run_jobs
 from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, cached
 
 #: Quick mode exercises one bandwidth-optimal schedule; full sweeps all.
@@ -41,6 +41,17 @@ POLICY_GRID = ("reactive", "ml", "proteus", "d3noc")
 #: Reservation window short enough that phase boundaries land inside
 #: distinct windows (collective steps are tens of cycles long).
 WINDOW = 200
+
+#: Tight drift/retrain knobs of the ML rows (one event suffices); the
+#: drift action is per row.
+DRIFT_KNOBS = dict(
+    drift_detection=True,
+    drift_calibration_windows=8,
+    drift_patience=3,
+    drift_z_threshold=4.0,
+    retrain_min_samples=20,
+    retrain_cooldown_windows=10_000,
+)
 
 
 def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
@@ -57,99 +68,56 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
                 warmup_cycles=warmup, measure_cycles=cycles
             )
         ).with_reservation_window(WINDOW)
-        model = deployment_fitted_model(seed=seed)
-
-        for algorithm in algorithms:
-            for signaling in ("nrz", "pam4"):
-                config = base
-                if signaling != "nrz":
-                    config = base.replace(
-                        photonic=dataclasses.replace(
-                            base.photonic, signaling=signaling
-                        )
-                    )
-                trace = generate_collective_trace(
-                    algorithm,
-                    config.architecture,
-                    duration=config.simulation.total_cycles,
-                    seed=seed,
-                )
-                for policy in POLICY_GRID:
-                    if policy == "ml":
-                        for action in ("flag", "retrain"):
-                            run_result = _run_case(
-                                config, trace, policy, seed, model, action
-                            )
-                            _add_row(
-                                result, algorithm, signaling, policy,
-                                action, run_result,
-                            )
-                    else:
-                        run_result = _run_case(
-                            config, trace, policy, seed, None, None
-                        )
-                        _add_row(
-                            result, algorithm, signaling, policy, "-",
-                            run_result,
-                        )
+        cells = [
+            (algorithm, signaling, policy, action)
+            for algorithm in algorithms
+            for signaling in ("nrz", "pam4")
+            for policy in POLICY_GRID
+            for action in (("flag", "retrain") if policy == "ml" else ("-",))
+        ]
+        # The ML rows load the deployment model from a file that lives
+        # as long as the jobs; the result cache keys it by its bytes.
+        with tempfile.TemporaryDirectory() as tmp:
+            model_path = Path(tmp) / "deployment.npz"
+            deployment_fitted_model(seed=seed).save(model_path)
+            results = run_jobs(
+                [_job(base, cell, seed, model_path) for cell in cells]
+            )
+        for cell, job in zip(cells, results):
+            _add_row(result, *cell, job)
         result.notes.append(
             "model fitted on PARSEC-style deployment samples; collective "
             "traffic is out-of-distribution, so ml rows show drift (and, "
-            "under retrain, promoted replacements); pam4 halves "
-            "serialization at a 4.8 dB laser/receiver penalty"
+            "under retrain, refit replacements, registered with no tag "
+            "moved); pam4 halves serialization at a 4.8 dB "
+            "laser/receiver penalty"
         )
         return result
 
     return cached(("collective_study", quick, seed), compute)
 
 
+def _job(base: PearlConfig, cell, seed: int, model_path: Path) -> JobSpec:
+    """The pearl job of one ``(algorithm, signaling, policy, action)`` cell."""
+    algorithm, signaling, policy, action = cell
+    config = base.replace(
+        photonic=dataclasses.replace(base.photonic, signaling=signaling)
+    )
+    ml = policy == "ml"
+    return pearl_job(
+        _drift_config(config, action) if ml else config,
+        collective_spec(algorithm, seed),
+        seed=seed,
+        power_policy=PowerPolicyKind(policy),
+        ml_model_path=model_path if ml else None,
+    )
+
+
 def _drift_config(config: PearlConfig, action: str) -> PearlConfig:
-    """Tight drift/retrain knobs for the ML rows (one event suffices)."""
+    """``config`` with :data:`DRIFT_KNOBS` and drift action ``action``."""
     return config.replace(
-        ml=dataclasses.replace(
-            config.ml,
-            drift_detection=True,
-            drift_action=action,
-            drift_calibration_windows=8,
-            drift_patience=3,
-            drift_z_threshold=4.0,
-            retrain_min_samples=20,
-            retrain_cooldown_windows=10_000,
-        )
+        ml=dataclasses.replace(config.ml, drift_action=action, **DRIFT_KNOBS)
     )
-
-
-def _run_case(
-    config: PearlConfig,
-    trace,
-    policy: str,
-    seed: int,
-    model: Optional[RidgeRegression],
-    drift_action: Optional[str],
-):
-    """One grid cell; retrain rows get an isolated throwaway registry."""
-    if policy == "ml":
-        config = _drift_config(config, drift_action)
-        if drift_action == "retrain":
-            from ..ml.lifecycle.registry import ModelRegistry
-
-            with tempfile.TemporaryDirectory() as tmp:
-                network = PearlNetwork(
-                    config,
-                    power_policy=PowerPolicyKind.ML,
-                    ml_model=model,
-                    seed=seed,
-                    registry=ModelRegistry(tmp),
-                )
-                return network.run(trace)
-        network = PearlNetwork(
-            config, power_policy=PowerPolicyKind.ML, ml_model=model, seed=seed
-        )
-        return network.run(trace)
-    network = PearlNetwork(
-        config, power_policy=PowerPolicyKind(policy), seed=seed
-    )
-    return network.run(trace)
 
 
 def _add_row(
@@ -158,17 +126,17 @@ def _add_row(
     signaling: str,
     policy: str,
     drift_action: str,
-    run_result,
+    job: JobResult,
 ) -> None:
     result.add_row(
         algorithm=algorithm,
         signaling=signaling,
         policy=policy,
         drift_action=drift_action,
-        throughput=run_result.stats.throughput_flits_per_cycle(),
-        mean_latency=run_result.stats.mean_latency(),
-        laser_power_w=run_result.mean_laser_power_w,
-        energy_pj_per_bit=energy_per_bit_pj(run_result.stats),
-        drift_events=run_result.drift_events,
-        retrain_events=run_result.retrain_events,
+        throughput=job.stats.throughput_flits_per_cycle(),
+        mean_latency=job.stats.mean_latency(),
+        laser_power_w=job.mean_laser_power_w,
+        energy_pj_per_bit=energy_per_bit_pj(job.stats),
+        drift_events=job.drift_events,
+        retrain_events=job.retrain_events,
     )

@@ -27,15 +27,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..config import PearlConfig
 from ..config_io import to_doc
 from ..faults import FaultSchedule
+from ..noc.network import JobResult
 from ..noc.packet import CoreType
-from ..noc.stats import NetworkStats
 from ..noc.router import PowerPolicyKind
 from ..obs import OBS
 from ..traffic.benchmarks import BenchmarkProfile, get_benchmark
@@ -214,37 +214,6 @@ class JobSpec:
         return data
 
 
-@dataclass
-class JobResult:
-    """What one job sends back to the parent (picklable, cacheable)."""
-
-    kind: str
-    stats: Optional[NetworkStats] = None
-    state_residency: Dict[int, float] = field(default_factory=dict)
-    mean_laser_power_w: float = 0.0
-    laser_stall_cycles: int = 0
-    ml_predictions: List[float] = field(default_factory=list)
-    ml_labels: List[float] = field(default_factory=list)
-    #: What drift detection and online retraining did during a pearl
-    #: job (see :class:`~repro.noc.network.PearlRunResult`).
-    drift_events: int = 0
-    drift_retraining_recommended: bool = False
-    fallback_windows: int = 0
-    retrain_events: int = 0
-    retrained_model_ids: List[str] = field(default_factory=list)
-    extras: Dict[str, object] = field(default_factory=dict)
-    #: Telemetry captured while this job ran (``None`` when the session
-    #: was disabled): a JSON-able ``{"metrics": ..., "events": ...}``
-    #: snapshot the engine merges into the parent's registry/tracer.
-    telemetry: Optional[Dict[str, object]] = None
-
-    def throughput(self) -> float:
-        """Network throughput in flits/cycle."""
-        if self.stats is None:
-            return 0.0
-        return self.stats.throughput_flits_per_cycle()
-
-
 # -- convenience constructors ------------------------------------------------
 
 
@@ -388,22 +357,7 @@ def _run_pearl_job(spec: JobSpec) -> JobResult:
     ml_model = None
     if spec.ml_model_path is not None:
         ml_model = RidgeRegression.load(spec.ml_model_path)
-    network = pearl_network(spec, ml_model)
-    run = network.run(spec.trace.build(spec.config))
-    return JobResult(
-        kind=spec.kind,
-        stats=run.stats,
-        state_residency=dict(run.state_residency),
-        mean_laser_power_w=run.mean_laser_power_w,
-        laser_stall_cycles=run.laser_stall_cycles,
-        ml_predictions=list(run.ml_predictions),
-        ml_labels=list(run.ml_labels),
-        drift_events=run.drift_events,
-        drift_retraining_recommended=run.drift_retraining_recommended,
-        fallback_windows=run.fallback_windows,
-        retrain_events=run.retrain_events,
-        retrained_model_ids=list(run.retrained_model_ids),
-    )
+    return pearl_network(spec, ml_model).run(spec.trace.build(spec.config))
 
 
 def _run_cmesh_job(spec: JobSpec) -> JobResult:
@@ -558,23 +512,15 @@ class ExperimentEngine:
 _ENGINE: Optional[ExperimentEngine] = None
 
 
-def _engine_from_env() -> ExperimentEngine:
-    jobs = max(int(os.environ.get("PEARL_JOBS", "1") or "1"), 1)
-    cache = None
-    if os.environ.get("PEARL_RESULT_CACHE", "") == "1":
-        cache = ResultCache()
-    return ExperimentEngine(jobs=jobs, cache=cache)
-
-
 def current_engine() -> ExperimentEngine:
     """The engine experiment modules submit through.
 
-    Defaults to serial/uncached (overridable via ``PEARL_JOBS`` and
-    ``PEARL_RESULT_CACHE=1``) until :func:`configure` is called.
+    Serial and uncached until :func:`configure` or :func:`engine_scope`
+    replaces it.
     """
     global _ENGINE
     if _ENGINE is None:
-        _ENGINE = _engine_from_env()
+        _ENGINE = ExperimentEngine()
     return _ENGINE
 
 

@@ -19,7 +19,7 @@ registry models by tag/id (``ml_model``) and the server resolves them
 against its local :mod:`repro.ml.lifecycle` registry at decode time.
 
 The result document is the one encoding of a
-:class:`~repro.experiments.parallel.JobResult`: the result cache stores
+:class:`~repro.noc.network.JobResult`: the result cache stores
 its bytes as an entry's blob and ``pearl-sim serve`` streams those
 bytes unchanged, on hits and misses alike.
 """
@@ -34,10 +34,11 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 import numpy as np
 
 from ...config_io import from_doc, to_doc
+from ...noc.network import JobResult
 from ...noc.stats import NetworkStats
 
 if TYPE_CHECKING:
-    from ..parallel import JobResult, JobSpec
+    from ..parallel import JobSpec
 
 #: Wire-format version tag, checked strictly on decode.
 SPEC_DOC_FORMAT = 1
@@ -122,7 +123,7 @@ _ML_DTYPE = "<f8"
 _DEFLATE_LEVEL = 5
 
 
-def result_to_doc(result: "JobResult") -> Dict[str, Any]:
+def result_to_doc(result: JobResult) -> Dict[str, Any]:
     """JSON-able form of a :class:`JobResult` (loss-free).
 
     Scalars travel as JSON numbers (floats round-trip through ``repr``);
@@ -159,7 +160,7 @@ def result_to_doc(result: "JobResult") -> Dict[str, Any]:
     }
 
 
-def result_to_bytes(result: "JobResult") -> bytes:
+def result_to_bytes(result: JobResult) -> bytes:
     """The canonical result document: compact JSON with sorted keys.
 
     Pure ASCII with no raw newline, so it splices into an NDJSON line
@@ -170,7 +171,7 @@ def result_to_bytes(result: "JobResult") -> bytes:
     ).encode("ascii")
 
 
-def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
+def result_from_doc(doc: Dict[str, Any]) -> JobResult:
     """Rebuild a :class:`JobResult` from :func:`result_to_doc` output.
 
     Strict: a wrong or missing ``format``, a missing field, a
@@ -178,8 +179,6 @@ def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
     of a deflate stream or whose byte length is not a whole number of
     elements all raise :class:`ValueError`.
     """
-    from ..parallel import JobResult
-
     if type(doc) is not dict:
         raise ValueError("result document must be a JSON object")
     version = doc.get("format")
@@ -220,7 +219,7 @@ def result_from_doc(doc: Dict[str, Any]) -> "JobResult":
         raise ValueError(f"malformed result document: {exc!r}") from None
 
 
-def result_from_bytes(data: bytes) -> "JobResult":
+def result_from_bytes(data: bytes) -> JobResult:
     """Decode :func:`result_to_bytes` output (``ValueError`` if malformed)."""
     return result_from_doc(json.loads(data))
 

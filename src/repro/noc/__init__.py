@@ -10,7 +10,7 @@ from .thermal import (
     ThermalTrimmingModel,
 )
 from .topology import ChipFloorplan, Placement, per_router_link_budget
-from .network import PearlNetwork, PearlRunResult, ResponderConfig
+from .network import JobResult, PearlNetwork, ResponderConfig
 from .packet import CacheLevel, CoreType, Flit, Packet, PacketClass, make_request, make_response
 from .photonic import LinkBudget, PhotonicLinkModel, dbm_to_mw, mw_to_dbm
 from .router import PearlRouter, PowerPolicyKind
@@ -32,6 +32,7 @@ __all__ = [
     "CoreType",
     "Flit",
     "InputBuffer",
+    "JobResult",
     "LinkBudget",
     "NetworkStats",
     "Packet",
@@ -39,7 +40,6 @@ __all__ = [
     "PartitionedBuffer",
     "PearlNetwork",
     "PearlRouter",
-    "PearlRunResult",
     "PhotonicLinkModel",
     "PowerPolicyKind",
     "ResponderConfig",

@@ -37,13 +37,19 @@ from .stats import NetworkStats
 from ..traffic.trace import Trace, TraceCursor
 
 @dataclass
-class PearlRunResult:
-    """Everything a single simulation run produced."""
+class JobResult:
+    """What one simulation run produced (picklable, cacheable).
 
-    stats: NetworkStats
-    state_residency: Dict[int, float]
-    mean_laser_power_w: float
-    laser_stall_cycles: int
+    :meth:`PearlNetwork.run` returns it with ``kind="pearl"``; the job
+    engine, the result cache, sweeps and ``pearl-sim serve`` carry the
+    same record for every job kind.
+    """
+
+    kind: str
+    stats: Optional[NetworkStats] = None
+    state_residency: Dict[int, float] = field(default_factory=dict)
+    mean_laser_power_w: float = 0.0
+    laser_stall_cycles: int = 0
     ml_predictions: List[float] = field(default_factory=list)
     ml_labels: List[float] = field(default_factory=list)
     #: Drift excursions that crossed the patience threshold, summed
@@ -53,16 +59,24 @@ class PearlRunResult:
     drift_retraining_recommended: bool = False
     #: Windows decided by the reactive fallback (drift_action="fallback").
     fallback_windows: int = 0
-    #: The Qm.n spec the deployed predictor ran at (None = float64).
-    quantization: Optional[str] = None
-    #: Completed mid-run retrain+promote+hot-swap cycles
-    #: (drift_action="retrain" only).
+    #: Completed mid-run retrain+register+hot-swap cycles
+    #: (drift_action="retrain" only); no registry tag moves.
     retrain_events: int = 0
-    #: Registry ids of the models promoted mid-run, in swap order.
+    #: Registry ids of the models registered and swapped in mid-run,
+    #: in swap order.
     retrained_model_ids: List[str] = field(default_factory=list)
+    #: Job-kind specific counters (the MWSR token waits, the trace
+    #: job's packet counts).
+    extras: Dict[str, object] = field(default_factory=dict)
+    #: Telemetry captured while the job ran (``None`` when the session
+    #: was disabled): a JSON-able ``{"metrics": ..., "events": ...}``
+    #: snapshot the engine merges into the parent's registry/tracer.
+    telemetry: Optional[Dict[str, object]] = None
 
     def throughput(self) -> float:
         """Network throughput in flits/cycle."""
+        if self.stats is None:
+            return 0.0
         return self.stats.throughput_flits_per_cycle()
 
 
@@ -369,7 +383,9 @@ class PearlNetwork:
         request; once the cooldown since the previous swap has elapsed
         and enough aligned (feature, label) rows are pooled, the
         coordinator refits a ridge model on the deployment-time buffer,
-        registers + promotes it, and hot-swaps every router's scaler.
+        registers it and hot-swaps every router's scaler.  No registry
+        tag moves: a run (or a cache hit standing in for one) never
+        changes what a later ``--model production`` run deploys.
         The whole sequence is deterministic (closed-form ridge fit over
         rows pooled in router order at a fixed cycle), so both engines
         retrain identically.
@@ -422,7 +438,6 @@ class PearlNetwork:
             },
             provenance={"trigger": "drift", "cycle": int(cycle)},
         )
-        registry.promote(record.model_id)
         for scaler in scalers:
             if scaler.drift_monitor is not None:
                 self._drift_events_retired += scaler.drift_monitor.state.events
@@ -434,7 +449,7 @@ class PearlNetwork:
         if OBS.enabled:
             OBS.registry.counter(
                 "ml/retrain_events",
-                help="mid-run drift-triggered retrain+promote+swap cycles",
+                help="mid-run drift-triggered retrain+register+swap cycles",
             ).inc()
             OBS.tracer.instant(
                 "ml_retrain",
@@ -494,7 +509,7 @@ class PearlNetwork:
     #: Engines accepted by :meth:`run`; both are bit-identical.
     ENGINES = ("reference", "array")
 
-    def run(self, trace: Trace, engine: str = "array") -> PearlRunResult:
+    def run(self, trace: Trace, engine: str = "array") -> JobResult:
         """Simulate warm-up plus measurement over a trace.
 
         ``engine`` selects ``"array"`` (the struct-of-arrays core in
@@ -657,7 +672,7 @@ class PearlNetwork:
             "retransmit_pending": self.retransmit_queue_size,
         }
 
-    def _result(self) -> PearlRunResult:
+    def _result(self) -> JobResult:
         self.stats.fault_clamp_events = sum(
             router.fault_clamp_events for router in self.routers
         )
@@ -691,7 +706,8 @@ class PearlNetwork:
                 if monitor is not None:
                     drift_events += monitor.state.events
                     retrain = retrain or monitor.state.retraining_recommended
-        return PearlRunResult(
+        return JobResult(
+            kind="pearl",
             stats=self.stats,
             state_residency=residency,
             mean_laser_power_w=self.stats.mean_laser_power_w(
@@ -705,9 +721,4 @@ class PearlNetwork:
             fallback_windows=fallback_windows,
             retrain_events=self.retrain_events,
             retrained_model_ids=list(self.retrained_model_ids),
-            quantization=(
-                self.config.ml.quantization
-                if self.power_policy is PowerPolicyKind.ML
-                else None
-            ),
         )

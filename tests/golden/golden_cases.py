@@ -22,7 +22,7 @@ from typing import Dict, List
 from repro.config import PearlConfig, SimulationConfig
 from repro.noc.cmesh import CMeshNetwork
 from repro.noc.mwsr import MwsrNetwork
-from repro.noc.network import PearlNetwork, PearlRunResult
+from repro.noc.network import JobResult, PearlNetwork
 from repro.noc.router import PowerPolicyKind
 from repro.noc.stats import NetworkStats
 from repro.traffic.benchmarks import get_benchmark
@@ -45,7 +45,7 @@ ALLOCATORS = ("dynamic", "fcfs")
 #: and refuses to write a snapshot the array engine disagrees with.
 ENGINES = ("reference", "array")
 
-#: Snapshot stem of the drift->retrain->promote->swap mid-run case.
+#: Snapshot stem of the drift->retrain->register->swap mid-run case.
 RETRAIN_CASE = "ml_retrain_dynamic"
 
 #: CMESH link-width divisors pinned (Fig. 5 compares 1, 2 and 4).
@@ -86,7 +86,7 @@ def canonical_stats(stats: NetworkStats) -> Dict[str, object]:
     }
 
 
-def canonical(result: PearlRunResult) -> Dict[str, object]:
+def canonical(result: JobResult) -> Dict[str, object]:
     """The JSON-able canonical form of one PEARL run, compared exactly."""
     out = canonical_stats(result.stats)
     out["state_residency"] = {
@@ -141,10 +141,10 @@ def retrain_config() -> PearlConfig:
 
 
 def run_retrain_case(engine: str) -> Dict[str, object]:
-    """The mid-run drift->retrain->promote->swap case.
+    """The mid-run drift->retrain->register->swap case.
 
     The canonical form additionally pins the retrain count and the
-    promoted model ids — registry ids are content digests, so a change
+    registered model ids — registry ids are content digests, so a change
     in the pooled training rows or the refit arithmetic shows up here
     as a snapshot diff even if the traffic statistics happen to agree.
     """
@@ -186,11 +186,11 @@ def _collective_trace(config: PearlConfig, algorithm: str):
 
 
 def run_collective_retrain_case(engine: str) -> Dict[str, object]:
-    """drift -> retrain -> promote -> swap driven by an all-reduce.
+    """drift -> retrain -> register -> swap driven by an all-reduce.
 
     The drifting model (scaler centred at -100) guarantees the monitor
     trips on the collective's feature stream; the canonical form pins
-    the promoted registry ids, so the pooled rows the collective's
+    the registered model ids, so the pooled rows the collective's
     bursty windows feed into the refit are under snapshot control.
     """
     import tempfile

@@ -86,9 +86,9 @@ def test_golden_run(policy: str, allocator: str, engine: str) -> None:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_retrain_mid_run(engine: str) -> None:
-    """The drift->retrain->promote->swap case, pinned per engine.
+    """The drift->retrain->register->swap case, pinned per engine.
 
-    Beyond the traffic statistics this pins the promoted registry model
+    Beyond the traffic statistics this pins the registered model
     ids (content digests of the refit weights + training key), so the
     online retraining arithmetic itself is under snapshot control.
     """
@@ -99,7 +99,7 @@ def test_golden_retrain_mid_run(engine: str) -> None:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_collective_retrain(engine: str) -> None:
-    """The collective-driven drift->retrain->promote case, per engine."""
+    """The collective-driven drift->retrain->register case, per engine."""
     actual = run_collective_retrain_case(engine)
     assert actual["retrain_events"] >= 1, "the golden case must retrain"
     _check_snapshot(COLLECTIVE_RETRAIN_CASE, actual, f"on the {engine} engine")

@@ -9,7 +9,7 @@ the separation the lifecycle design promises:
   zero drift events on a PARSEC pair deployment;
 * phase-structured collective traffic is out-of-distribution — the
   cluster-router monitors trip, and under ``drift_action="retrain"``
-  the closed loop refits, promotes, and hot-swaps a replacement whose
+  the closed loop refits, registers and hot-swaps a replacement whose
   registry id (a content digest) is byte-identical across both cycle
   engines.
 """
@@ -126,7 +126,7 @@ def test_parameter_server_trips_the_host(model):
 
 
 def test_retrain_closes_loop_identically_across_engines(model):
-    """drift -> retrain -> promote fires on a collective, same model
+    """drift -> retrain -> register fires on a collective, same model
     ids (registry content digests) from every cycle engine."""
     ids_by_engine = {}
     for engine in ENGINES:

@@ -1,17 +1,21 @@
-"""The closed ML lifecycle loop: drift -> retrain -> promote -> hot-swap.
+"""The closed ML lifecycle loop: drift -> retrain -> register -> hot-swap.
 
 Under ``drift_action="retrain"`` a drift event does not merely flag or
 fall back — the network pools every router's deployment-time
-(feature, label) buffer, refits a ridge model, registers and promotes
-it, and swaps it into every scaler mid-simulation.  These tests pin:
+(feature, label) buffer, refits a ridge model, registers it and swaps
+it into every scaler mid-simulation.  No registry tag moves: what a
+later ``--model production`` run deploys never depends on which jobs
+happened to execute.  These tests pin:
 
 * the scaler-side machinery (aligned ``training_pairs``, the
   ``adopt_model`` hot-swap, config validation);
 * the end-to-end loop on a live network — the registry gains exactly
-  one promoted version, the obs stream records the swap cycle, and the
-  post-swap model actually differs from the deployed one;
-* cross-engine identity: the reference, fast and array engines retrain
-  at the same cycle and promote byte-identical model ids.
+  one version and no tag, the obs stream records the swap cycle, and
+  the post-swap model actually differs from the deployed one;
+* the same loop through the job engine's worker, on the default
+  registry, leaving its ``production`` tag where it was;
+* cross-engine identity: the reference and array engines retrain at
+  the same cycle and register byte-identical model ids.
 
 The deployed model is handcrafted with a training-distribution scaler
 centred far away from any real deployment features, so the feature
@@ -28,8 +32,13 @@ import pytest
 
 from repro import obs
 from repro.config import MLConfig, PearlConfig, SimulationConfig
+from repro.experiments.parallel import execute_job, pair_spec, pearl_job
 from repro.ml.features import NUM_FEATURES
-from repro.ml.lifecycle.registry import DEFAULT_TAG, ModelRegistry
+from repro.ml.lifecycle.registry import (
+    DEFAULT_TAG,
+    ModelRegistry,
+    default_registry,
+)
 from repro.ml.ridge import RidgeRegression
 from repro.noc.network import PearlNetwork
 from repro.noc.router import PowerPolicyKind
@@ -151,9 +160,9 @@ class TestAdoptModel:
 
 
 class TestRetrainLifecycle:
-    def test_drift_retrains_promotes_and_swaps_once(self, tmp_path):
-        """One drift excursion -> exactly one registered + promoted
-        version, observable on the obs stream, live in every scaler."""
+    def test_drift_retrains_registers_and_swaps_once(self, tmp_path):
+        """One drift excursion -> exactly one registered version and no
+        tag, observable on the obs stream, live in every scaler."""
         config = _retrain_config()
         registry = ModelRegistry(tmp_path / "registry")
         with obs.session():
@@ -168,13 +177,15 @@ class TestRetrainLifecycle:
         assert counter == 1
         records = registry.list()
         assert len(records) == 1
-        promoted_id = registry.resolve(DEFAULT_TAG)
-        assert promoted_id == records[0].model_id
-        assert result.retrained_model_ids == [promoted_id]
+        registered_id = records[0].model_id
+        assert result.retrained_model_ids == [registered_id]
         assert records[0].training["key"]["origin"] == "online-retrain"
-        # The swap event carries the promoted id and the close cycle.
+        assert records[0].tags == []
+        with pytest.raises(KeyError):
+            registry.resolve(DEFAULT_TAG)
+        # The swap event carries the registered id and the close cycle.
         (swap,) = swaps
-        assert swap.args["model_id"] == promoted_id
+        assert swap.args["model_id"] == registered_id
         assert swap.args["samples"] >= config.ml.retrain_min_samples
         # Every scaler now runs the retrained model, not the original.
         for router in network.routers:
@@ -187,6 +198,33 @@ class TestRetrainLifecycle:
         # Drift events observed before the swap survive the monitor
         # rebuild (they are folded into the result, not reset away).
         assert result.drift_events >= 1
+
+    def test_retrain_job_leaves_production_where_it_was(
+        self, tmp_path, monkeypatch
+    ):
+        """A retrain job run by the engine's worker (as ``sweep``,
+        ``serve`` and ``simulate`` run it) registers its refit models
+        in the default registry without moving ``production``."""
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+        registry = default_registry()
+        deployed = registry.put(
+            drifting_model(), training={"key": {"origin": "test"}}
+        )
+        registry.promote(deployed.model_id, DEFAULT_TAG)
+        config = _retrain_config()
+        spec = pearl_job(
+            config,
+            pair_spec(
+                (get_benchmark("fluidanimate"), get_benchmark("dct")), 1
+            ),
+            power_policy=PowerPolicyKind.ML,
+            ml_model_path=registry.model_path(deployed.model_id),
+        )
+        result = execute_job(spec)
+        assert registry.resolve(DEFAULT_TAG) == deployed.model_id
+        assert result.retrain_events >= 1
+        listed = {record.model_id for record in registry.list()}
+        assert set(result.retrained_model_ids) <= listed
 
     def test_cooldown_zero_allows_repeated_retrains(self, tmp_path):
         config = _retrain_config(cooldown_windows=0)
@@ -206,7 +244,7 @@ class TestRetrainLifecycle:
 
     def test_engines_retrain_identically(self, tmp_path):
         """Both engines drift, retrain and swap at the same close,
-        promoting byte-identical model ids."""
+        registering byte-identical model ids."""
         config = _retrain_config()
         out = {}
         for engine in ("reference", "array"):

@@ -34,13 +34,16 @@ whole-run fingerprint.
 
 The property draws whole runs from :func:`tests.oracle.run_descriptions`
 (the random quiet spans and idle tails exercise the array core's idle
-skipping) and shrinks any divergence or broken law to a small run.
+skipping) and reports the first run that diverges or breaks a law as
+drawn, unshrunk: every shrink step would run both engines again over
+hundreds of cycles, minutes before a report.  The reported ``Run(...)``
+replays through :func:`tests.oracle.check_run`.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 from repro.faults import (
     BitErrorFault,
@@ -457,7 +460,11 @@ def test_engines_identical(run, checks):
         assert check(outcome), check.__name__
 
 
-@settings(max_examples=100, deadline=None)
+@settings(
+    max_examples=100,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 @given(run=oracle.run_descriptions())
 def test_generated_runs_identical(run):
     oracle.check_run(run)

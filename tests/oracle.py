@@ -9,7 +9,7 @@ of the suite goes through this module:
   knobs, trace, policy, allocator, seeds, faults, model, responder and
   L3 link count) and builds its configuration, trace and network;
 * :func:`fingerprint` is everything two runs of one description must
-  agree on: every :class:`PearlRunResult` field, statistics with their
+  agree on: every :class:`~repro.noc.network.JobResult` field, statistics with their
   per-packet latencies, and the network's end state (sequence number,
   injection backlog, retransmit queue, packet census and each router's
   laser, reservation, fault-clamp and ML-energy state);
@@ -54,7 +54,7 @@ from repro.faults import (
 from repro.ml.features import NUM_FEATURES
 from repro.ml.lifecycle.registry import DEFAULT_TAG, ModelRegistry
 from repro.ml.ridge import RidgeRegression, Standardizer
-from repro.noc.network import PearlNetwork, PearlRunResult, ResponderConfig
+from repro.noc.network import JobResult, PearlNetwork, ResponderConfig
 from repro.noc.packet import CacheLevel, CoreType, PacketClass
 from repro.noc.router import PowerPolicyKind
 from repro.traffic.benchmarks import (
@@ -328,7 +328,7 @@ ZERO_LATENCY = (
 # ---------------------------------------------------------------------------
 
 
-def fingerprint(network: PearlNetwork, result: PearlRunResult) -> dict:
+def fingerprint(network: PearlNetwork, result: JobResult) -> dict:
     """Everything two runs of one description must reproduce exactly."""
     out = {
         field.name: getattr(result, field.name)
@@ -351,7 +351,7 @@ def fingerprint(network: PearlNetwork, result: PearlRunResult) -> dict:
     return out
 
 
-def check_laws(network: PearlNetwork, result: PearlRunResult) -> None:
+def check_laws(network: PearlNetwork, result: JobResult) -> None:
     """Assert the conservation laws on one finished run.
 
     The packet laws count injections, which the warm-up boundary

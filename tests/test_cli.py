@@ -271,6 +271,26 @@ class TestModelReference:
         )
 
 
+class TestModelList:
+    def test_lists_a_model_without_a_validation_score(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Retrain jobs register refit models with no validation NRMSE
+        in the default registry; ``model list`` prints ``-`` for it."""
+        from repro.ml.lifecycle.registry import ModelRegistry
+
+        from .oracle import literal_model
+
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path))
+        record = ModelRegistry(tmp_path).put(
+            literal_model(), training={"key": {"origin": "online-retrain"}}
+        )
+        assert main(["model", "list"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[0] == record.model_id
+        assert row[2] == "-"
+
+
 class TestSweepCache:
     def test_no_cache_is_rejected_before_any_work(self, monkeypatch):
         """A sweep's results go through the shared cache, so ``sweep``
@@ -288,12 +308,13 @@ class TestSweepCache:
 
 
 class TestCacheBackendFlag:
-    """A malformed ``--cache-backend`` is a usage error on every command
-    that takes one: status 2, one error line naming the value, nothing
-    opened or created."""
+    """A malformed ``--cache-backend`` or ``$PEARL_RESULT_CACHE_BACKEND``
+    is a usage error on every command that opens a result store: status
+    2, one error line naming the value, nothing opened or created."""
 
     COMMANDS = [
         ["experiment", "table1"],
+        ["all"],
         ["sweep"],
         ["serve"],
         ["cache", "stats"],
@@ -316,6 +337,34 @@ class TestCacheBackendFlag:
         assert "argument --cache-backend:" in err.splitlines()[-1]
         assert f"cache backend {value!r}" in err.splitlines()[-1]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["bogus:x", "dir:"])
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=[" ".join(argv[:2]) for argv in COMMANDS]
+    )
+    def test_malformed_env_value_is_a_usage_error(
+        self, argv, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PEARL_RESULT_CACHE_BACKEND", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert "PEARL_RESULT_CACHE_BACKEND" in err
+        assert f"cache backend {value!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_overrides_a_malformed_env_value(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PEARL_RESULT_CACHE_BACKEND", "bogus:x")
+        store = tmp_path / "store"
+        assert main(["cache", "stats", "--cache-backend", f"dir:{store}"]) == 0
+        assert "entries" in capsys.readouterr().out
 
 
 class TestChart:
