@@ -929,12 +929,16 @@ def _cmd_model(args: argparse.Namespace) -> int:
             # Refit models registered by online retraining have none.
             nrmse = record.metrics.get("validation_nrmse")
             nrmse = "-" if nrmse is None else format(nrmse, ".3f")
-            key_str = (
-                f"w={key.get('reservation_window')} "
-                f"quick={key.get('quick')} seed={key.get('seed')}"
-                if key
-                else "-"
-            )
+            # Each record's own training-key fields: the default
+            # pipeline's window/quick/seed, a refit's origin, cycle,
+            # window, samples and event.
+            if isinstance(key, dict):
+                key_str = (
+                    " ".join(f"{name}={key[name]}" for name in sorted(key))
+                    or "-"
+                )
+            else:
+                key_str = str(key)
             tags = f" [{', '.join(record.tags)}]" if record.tags else ""
             print(
                 f"{record.model_id:<18} {record.created:<26} "

@@ -8,8 +8,10 @@ PARSEC-style deployment samples (see
 :func:`repro.ml.pipeline.deployment_fitted_model`), so collective
 traffic is genuinely out of its training distribution — the drift
 columns show the monitor firing and, under ``retrain``, the refit
-replacement models (registered, no tag moved).  The grid runs as
-pearl jobs through :func:`~repro.experiments.parallel.run_jobs`.
+replacement models (registered, no tag moved).  The deployed model
+lives in the default model registry under its training key, so a rerun
+fits nothing.  The grid runs as pearl jobs through
+:func:`~repro.experiments.parallel.run_jobs`.
 
 PAM4 halves serialization latency per wavelength state but pays the
 BER-driven laser/receiver penalty; the ``energy_pj_per_bit`` column
@@ -21,13 +23,15 @@ laser output like extra waveguide loss).
 from __future__ import annotations
 
 import dataclasses
-import tempfile
 from pathlib import Path
 
 from ..config import PearlConfig, SimulationConfig
+from ..ml.lifecycle import default_registry
+from ..ml.lifecycle.registry import schema_hash
 from ..ml.pipeline import deployment_fitted_model
 from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
+from ..traffic.benchmarks import test_pairs
 from ..traffic.collectives import COLLECTIVE_ALGORITHMS
 from .parallel import JobResult, JobSpec, collective_spec, pearl_job, run_jobs
 from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, cached
@@ -75,14 +79,10 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
             for policy in POLICY_GRID
             for action in (("flag", "retrain") if policy == "ml" else ("-",))
         ]
-        # The ML rows load the deployment model from a file that lives
-        # as long as the jobs; the result cache keys it by its bytes.
-        with tempfile.TemporaryDirectory() as tmp:
-            model_path = Path(tmp) / "deployment.npz"
-            deployment_fitted_model(seed=seed).save(model_path)
-            results = run_jobs(
-                [_job(base, cell, seed, model_path) for cell in cells]
-            )
+        model_path = deployment_model_path(seed)
+        results = run_jobs(
+            [_job(base, cell, seed, model_path) for cell in cells]
+        )
         for cell, job in zip(cells, results):
             _add_row(result, *cell, job)
         result.notes.append(
@@ -95,6 +95,39 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         return result
 
     return cached(("collective_study", quick, seed), compute)
+
+
+def deployment_model_path(seed: int) -> Path:
+    """The deployment model's file in the default registry.
+
+    The model is :func:`~repro.ml.pipeline.deployment_fitted_model` on
+    the first Table IV test pair at window :data:`WINDOW`, looked up by
+    that training key and the feature schema's hash; it is fitted and
+    registered (no tag moved) only when no record matches.  The ML
+    jobs load it from here, and the result cache keys them by the
+    file's bytes.
+    """
+    cpu, gpu = test_pairs()[0]
+    key = {
+        "pipeline": "collective_study_deployment",
+        "pair": [cpu.name, gpu.name],
+        "seed": int(seed),
+        "window": WINDOW,
+    }
+    registry = default_registry()
+    record = registry.find_by_key(key, with_schema_hash=schema_hash())
+    if record is None:
+        model = deployment_fitted_model(
+            pair=(cpu, gpu),
+            config=PearlConfig().with_reservation_window(WINDOW),
+            seed=seed,
+        )
+        record = registry.put(
+            model,
+            training={"key": key},
+            provenance={"experiment": "collective_study"},
+        )
+    return registry.model_path(record.model_id)
 
 
 def _job(base: PearlConfig, cell, seed: int, model_path: Path) -> JobSpec:

@@ -217,10 +217,19 @@ class ModelRegistry:
         return RidgeRegression.load(self.model_path(ref))
 
     def list(self) -> List[ModelRecord]:
-        """Every stored record, newest first."""
-        records = [
-            self.record(entry.name) for entry in self._iter_object_dirs()
-        ]
+        """Every stored record, newest first.
+
+        One pass over the object directories and one ``tags.json``
+        read: each entry is a stored id, so nothing is resolved.
+        """
+        tags = self._read_tags()
+        records = []
+        for entry in self._iter_object_dirs():
+            record = ModelRecord.from_json((entry / "meta.json").read_text())
+            record.tags = sorted(
+                tag for tag, mid in tags.items() if mid == entry.name
+            )
+            records.append(record)
         records.sort(key=lambda r: (r.created, r.model_id), reverse=True)
         return records
 

@@ -12,22 +12,32 @@ every policy, allocator, fault schedule, responder setting and
 quantization format.  It is the default engine of
 :meth:`~repro.noc.network.PearlNetwork.run`.
 
+A packet is a row tuple from injection to delivery: the
+:class:`~repro.traffic.trace.TraceCursor` row layout ``(source,
+destination, core_type, packet_class, cache_level, size_flits,
+created_cycle)``.  Trace rows are the cursor's own tuples, validated
+once, vectorised, when the trace was built; responses are the rows
+:func:`~repro.noc.responder.build_response` returns; a CRC
+retransmission appends its retry count as an eighth field.  Pools,
+backlogs and cycle buckets hold these rows; no :class:`Packet` is built.
+
 State layout (plain Python lists indexed by router id, ``n =
 num_routers``, unless noted):
 
 =========================  ====================================================
-``_s_*``                   occupied slots (cpu, ej-cpu, gpu, ej-gpu pools)
-``_occ_sums``              window slot-cycle integrals of those four pools
+``_s_*``                   occupied slots (cpu, ej-cpu, gpu, ej-gpu pools):
+                           the run's only per-packet copy of occupancy
+``_st_*``                  occupancy event stamps of those four pools
                            (features 2-5 and the reactive Buf_w numerators)
-``_occ_settled``           first cycle not yet credited to ``_occ_sums``
 ``_occ_base/_link_base``   lazy sample counters: ``samples = cycle - base``
 ``_feat_link_busy``        link-busy cycles settled into the open window
 ``_emax / _cpu_free ...``  per-pool transmit-engine busy caches
 ``_f_* lists``             Table III event counters (features 7-29)
+``_resv``                  photonic dispatches (``reservations_sent``)
 ``_ser_now / _tx_ok``      transmit mirrors of each router's ``LaserBank``,
                            the one copy of its laser state
 ``_close_groups``          close schedule: rows per stagger offset, in order
-``_arrivals``              dict: arrival cycle -> packets in flight, in push
+``_arrivals``              dict: arrival cycle -> rows in flight, in push
                            order; ``_arrival_cycles`` heaps its keys
 ``_responses``             dict: ready cycle -> pending responses, in push
                            order; ``_response_cycles`` heaps its keys
@@ -37,41 +47,47 @@ Four ideas make the loop cheap *and* exact:
 
 * **One frame.**  :meth:`ArrayCore._advance` is the whole cycle loop:
   phases 0-7 run inline in :meth:`PearlNetwork.step`'s order, the
-  state lists, the work counter and the packet sequence are locals
-  bound once per call, and ready responses and new trace events share
-  one inline copy of the inject logic.  Only rare work calls out:
-  backlog and retransmit retries, laser flips, fault events, window
-  closes and CRC errors.
+  state lists, the run's packet, flit and latency counters and the
+  packet sequence are locals bound once per call, and ready responses
+  and new trace rows share one inline copy of the inject logic.  Only
+  rare work calls out: backlog and retransmit retries, laser flips,
+  fault events, window closes and CRC errors.  The pool objects'
+  occupied slots, the routers' ``reservations_sent`` and the
+  :class:`~repro.noc.stats.NetworkStats` traffic counters are written
+  once, when the call returns.
 * **Cycle buckets.**  The reference engine keeps in-flight packets and
   pending responses in ``(cycle, sequence, ...)`` heaps.  The core
-  appends each packet to the list of its arrival (or ready) cycle and
+  appends each row to the list of its arrival (or ready) cycle and
   heaps only the distinct pending cycles.  Every push takes the next
-  sequence number, so a bucket holds its packets in sequence order,
-  and popping the cycles in ascending order (with ``<=``, as the
-  heaps are popped) visits them exactly in heap order.  The core
-  still advances ``net._sequence`` per push, so retransmits and the
-  final sequence stay identical.
-* **Lazy settlement.**  Laser residency/power/stall counts,
-  occupancy/link sample counters, the occupancy slot-cycle integrals
-  and the link-busy integral are all piecewise constant between
-  events, so they are settled in closed form only when something
-  changes (a state flip, a dispatch, a pool push or pop, a window
-  close) — per-cycle cost is a couple of integer compares.  Every
-  closed form is integer arithmetic (the laser bank integrates power
-  as integer cycle counts, the feature collector occupancy as integer
-  slot-cycles), so a settled span equals the per-cycle accumulation
-  exactly.  Idle spans cost nothing: when no packet can move, the
-  loop jumps to the next externally scheduled event.
+  sequence number, so a bucket holds its rows in sequence order, and
+  popping the cycles in ascending order (with ``<=``, as the heaps are
+  popped) visits them exactly in heap order.  The core still advances
+  ``net._sequence`` per push, so retransmits and the final sequence
+  stay identical.
+* **Lazy settlement and event stamps.**  Laser residency/power/stall
+  counts, the link-busy integral and the sample counters are
+  piecewise constant between events, so they are settled in closed
+  form only when something changes (a state flip, a dispatch, a window
+  close).  Occupancy needs no settlement at all: every pool push or
+  pop adds ``Δslots × e`` to its pool's stamp, where ``e`` is the
+  first cycle whose observation sees the change (the cycle itself in
+  phases 0-3, the next one in phases 5-7).  A window closing on cycle
+  ``c`` then holds ``slots × (c + 1) − stamp`` slot-cycles, and the
+  close leaves ``slots × (c + 1)`` in the stamp for the next window.
+  Every closed form is integer arithmetic, so a settled span equals
+  the per-cycle accumulation exactly.  Idle spans cost nothing: when
+  no packet can move, the loop jumps to the next externally scheduled
+  event.
 * **Frozen rows, one close path.**  At a window boundary the engine
-  freezes each closing row's label, Table III row and Buf_w mean
-  straight from its counters and integrals, through the same
+  freezes each closing row's label, Table III row, Buf_w mean and
+  pool slots straight from its counters and stamps, through the same
   :func:`~repro.ml.features.window_row` the reference engine's feature
   collector uses, and hands them to the *same*
   :meth:`~repro.noc.network.PearlNetwork._close_windows` as the
   reference engine — one ``(k, n_features)`` ML inference per close
   group, then each router's policy, which requests its state from the
-  router's (settled) bank; the routers' feature collectors stay
-  untouched.
+  router's (settled) bank, and the window telemetry, which reads the
+  handed-over slots; the routers' feature collectors stay untouched.
 
 A router is a transmit candidate only when a pool head can actually
 move: a photonic engine is free, or the head packet is local and the
@@ -84,13 +100,11 @@ network, so its state starts from cycle-0 constants (see
 :class:`ArrayCore`).
 
 What stays scalar: packet movement (FIFO pushes/pops, bucket pushes,
-responder/fault RNG draws) and the policy decisions at window cadence.
-Packets stay :class:`~repro.noc.packet.Packet` objects, built by
-:class:`~repro.traffic.trace.TraceCursor` and by the shared
-:func:`~repro.noc.responder.build_response`.  Per-packet work is
-irreducible and order-sensitive; the array core inlines the per-packet
-counter updates (features, stats, slot accounting) and removes the
-per-cycle *per-router* overhead around them.
+responder/fault RNG draws, all in order) and the policy decisions at
+window cadence.  Per-packet work is irreducible and order-sensitive;
+the array core reads each row's fields by index, keeps one copy of
+each per-packet count and removes the per-cycle *per-router* overhead
+around them.
 """
 
 from __future__ import annotations
@@ -118,13 +132,14 @@ class ArrayCore:
     """Struct-of-arrays engine over a fresh :class:`PearlNetwork`.
 
     A core is built at cycle 0 of a network that has not run yet
-    (:meth:`PearlNetwork.run` is single-use), so every counter,
-    integral and queue flag starts at its cycle-0 constant: only each
-    router's initial laser state, stagger offset and fault injector's
-    first event are read from the objects.  All lists are sized from
-    ``len(network.routers)``, so any cluster count works.  Pools,
-    engines, statistics, reservation counts, policy histories and laser
-    banks are updated in place as the run goes; a bank is settled
+    (:meth:`PearlNetwork.run` is single-use), so every counter, stamp
+    and queue flag starts at its cycle-0 constant: only each router's
+    initial laser state, stagger offset and fault injector's first
+    event are read from the objects.  All lists are sized from
+    ``len(network.routers)``, so any cluster count works.  Pool queues,
+    engines, policy histories and laser banks are updated in place as
+    the run goes; pool slots, reservation counts and the traffic
+    statistics at the end of each :meth:`_advance`.  A bank is settled
     (:meth:`LaserBank.settle`) before each of its requests, at its due
     flips, and at the warm-up boundary and the end of the run.
     """
@@ -143,32 +158,31 @@ class ArrayCore:
         self._banks = [r.laser for r in routers]
 
         # -- object hoists (packet movement stays on these) ----------------
-        self._cpu_pool = [r.buffers.cpu for r in routers]
-        self._gpu_pool = [r.buffers.gpu for r in routers]
-        self._ej_cpu = [r._ejection_cpu for r in routers]
-        self._ej_gpu = [r._ejection_gpu for r in routers]
-        self._q_cpu = [p._queue for p in self._cpu_pool]
-        self._q_gpu = [p._queue for p in self._gpu_pool]
-        self._q_ejc = [p._queue for p in self._ej_cpu]
-        self._q_ejg = [p._queue for p in self._ej_gpu]
-        self._ej_info = [
-            ((self._ej_cpu[r], True), (self._ej_gpu[r], False))
-            for r in range(n)
+        #: Per row: the four pools in feature order (cpu, ej-cpu, gpu,
+        #: ej-gpu), whose slots :meth:`_advance` writes back.
+        self._pools = [
+            (r.buffers.cpu, r._ejection_cpu, r.buffers.gpu, r._ejection_gpu)
+            for r in routers
         ]
+        self._q_cpu = [pools[0]._queue for pools in self._pools]
+        self._q_ejc = [pools[1]._queue for pools in self._pools]
+        self._q_gpu = [pools[2]._queue for pools in self._pools]
+        self._q_ejg = [pools[3]._queue for pools in self._pools]
+        self._ej_info = [
+            ((self._q_ejc[r], True), (self._q_ejg[r], False)) for r in range(n)
+        ]
+        self._ej_backlog = [r._ejection_backlog for r in routers]
         self._cpu_eng = [r._engines[CoreType.CPU] for r in routers]
         self._gpu_eng = [r._engines[CoreType.GPU] for r in routers]
         self._local_eng = [r._local_engine for r in routers]
         self._tx_info = [
             (
-                (self._cpu_pool[r], self._cpu_eng[r], True),
-                (self._gpu_pool[r], self._gpu_eng[r], False),
+                (self._q_cpu[r], self._cpu_eng[r], True),
+                (self._q_gpu[r], self._gpu_eng[r], False),
             )
             for r in range(n)
         ]
-        stats = network.stats
-        self._stats = stats
-        self._cnt_cpu = stats.counters[CoreType.CPU]
-        self._cnt_gpu = stats.counters[CoreType.GPU]
+        self._stats = network.stats
 
         # -- allocator constants (the DBA decision is inlined per row) -----
         from ..core.dba import DynamicBandwidthAllocator
@@ -191,12 +205,33 @@ class ArrayCore:
         self._dba_pin_label: List[Optional[str]] = [None] * n
 
         # -- slot accounting (every pool starts empty) ----------------------
-        self._cap_cpu = [p.capacity_slots for p in self._cpu_pool]
-        self._cap_gpu = [p.capacity_slots for p in self._gpu_pool]
+        #: Per row: the four pool capacities features 2-5 divide by
+        #: (cpu, ej-cpu, gpu, ej-gpu).
+        self._feat_caps = [
+            tuple(pool.capacity_slots for pool in pools)
+            for pools in self._pools
+        ]
+        self._cap_cpu = [caps[0] for caps in self._feat_caps]
+        self._cap_ejc = [caps[1] for caps in self._feat_caps]
+        self._cap_gpu = [caps[2] for caps in self._feat_caps]
+        self._cap_ejg = [caps[3] for caps in self._feat_caps]
+        #: The pooled input capacity Buf_w divides by.
+        self._in_caps = [caps[0] + caps[2] for caps in self._feat_caps]
         self._s_cpu = [0] * n
-        self._s_gpu = [0] * n
         self._s_ejc = [0] * n
+        self._s_gpu = [0] * n
         self._s_ejg = [0] * n
+        #: Occupancy event stamps: each push or pop of ``d`` slots adds
+        #: ``d × e`` (``e`` = ``cycle`` in phases 0-3, ``cycle + 1`` in
+        #: phases 5-7), and each close leaves ``slots × (close + 1)``,
+        #: so ``slots × (c + 1) − stamp`` is the open window's
+        #: slot-cycle integral at a close on cycle ``c``.  The first
+        #: window opens at cycle 0 with empty pools: every stamp is 0.
+        self._st_cpu = [0] * n
+        self._st_ejc = [0] * n
+        self._st_gpu = [0] * n
+        self._st_ejg = [0] * n
+        self._resv = [0] * n
 
         # -- queue-head flags and work counter ------------------------------
         self._cpu_has = [False] * n
@@ -217,11 +252,11 @@ class ArrayCore:
         self._bl_ready: set = set()
 
         # -- packets in flight and pending responses -------------------------
-        #: Packets per arrival cycle and responses per ready cycle, each
+        #: Rows per arrival cycle and responses per ready cycle, each
         #: list in push order, with a min-heap of the distinct pending
         #: cycles.  Every push takes the next sequence number, so push
         #: order is sequence order and popping the cycles in ascending
-        #: order visits the packets in the reference heaps'
+        #: order visits the rows in the reference heaps'
         #: ``(cycle, sequence)`` order.
         self._arrivals: Dict[int, List] = {}
         self._arrival_cycles: List[int] = []
@@ -230,25 +265,6 @@ class ArrayCore:
 
         # -- window accumulators (lazy sample counters) ---------------------
         self._is_l3 = [r.is_l3 for r in routers]
-        #: Per row: the four pool capacities features 2-5 divide by
-        #: (cpu, ej-cpu, gpu, ej-gpu) and the pooled input capacity
-        #: Buf_w divides by.
-        self._feat_caps = [
-            (
-                self._cap_cpu[r],
-                self._ej_cpu[r].capacity_slots,
-                self._cap_gpu[r],
-                self._ej_gpu[r].capacity_slots,
-            )
-            for r in range(n)
-        ]
-        self._in_caps = [self._cap_cpu[r] + self._cap_gpu[r] for r in range(n)]
-        self._occ_sums: List[List[int]] = [[0] * 4 for _ in range(n)]
-        #: Occupancy is observed after injection (phases 0-3) and before
-        #: transmit, so every pool push or pop first credits the slots
-        #: it is about to change: through ``cycle - 1`` for a mutation
-        #: in phases 0-3, through ``cycle`` for one in phases 5-7.
-        self._occ_settled = [0] * n
         self._feat_link_busy = [0] * n
         # Lazy counters: ``samples = cycle - base``.  Occupancy is
         # observed *before* a close on the boundary cycle (so that cycle
@@ -329,26 +345,15 @@ class ArrayCore:
             self._dba_pin_cf[r] = pinned.cpu_fraction
             self._dba_pin_gf[r] = pinned.gpu_fraction
 
-    # -- occupancy integrals -------------------------------------------------
-
-    def _settle_occ_row(self, r: int, to: int) -> None:
-        """Credit row ``r``'s current pool slots to cycles [settled, to).
-
-        Callers settle to ``cycle`` before a pool mutation in phases 0-3
-        (it changes what cycle ``cycle`` observes), to ``cycle + 1``
-        before one in phases 5-7 and at a close (cycle ``cycle`` was
-        observed before them).
-        """
-        settled = self._occ_settled[r]
-        if to <= settled:
-            return
-        self._occ_settled[r] = to
-        d = to - settled
-        sums = self._occ_sums[r]
-        sums[0] += self._s_cpu[r] * d
-        sums[1] += self._s_ejc[r] * d
-        sums[2] += self._s_gpu[r] * d
-        sums[3] += self._s_ejg[r] * d
+    def _write_back(self) -> None:
+        """Write the pools' slots and the reservation counts to the
+        router objects (the core's lists are the run's only copy)."""
+        for r, (cpu, ejc, gpu, ejg) in enumerate(self._pools):
+            cpu._occupied_slots = self._s_cpu[r]
+            ejc._occupied_slots = self._s_ejc[r]
+            gpu._occupied_slots = self._s_gpu[r]
+            ejg._occupied_slots = self._s_ejg[r]
+            self.routers[r].reservations_sent = self._resv[r]
 
     # -- laser flips --------------------------------------------------------
 
@@ -427,24 +432,51 @@ class ArrayCore:
     def _close_boundary(self, cycle: int) -> None:
         """Freeze the closing rows and run the shared close path.
 
-        Each closing row's label, Table III row and Buf_w mean come
-        straight from its counters and integrals (through the same
-        :func:`~repro.ml.features.window_row` the reference engine's
-        collectors use), and :meth:`PearlNetwork._close_windows` is the
-        code the reference engine runs, so policy/RNG/ML behaviour is
-        identical by construction.  Each closing row's bank is settled
-        to ``cycle`` first, so the state its policy requests applies
-        from this cycle on.
+        Each closing row's label, Table III row, Buf_w mean and pool
+        slots come straight from its counters and stamps (through the
+        same :func:`~repro.ml.features.window_row` the reference
+        engine's collectors use), and :meth:`PearlNetwork._close_windows`
+        is the code the reference engine runs, so policy/RNG/ML
+        behaviour is identical by construction.  Each closing row's
+        bank is settled to ``cycle`` first, so the state its policy
+        requests applies from this cycle on.
         """
         rows, gap = self._close_groups[self._group]
         closers: List = []
         frozen: List = []
+        # This cycle was observed before the close: the open window's
+        # observations end at ``cycle`` inclusive.
+        after = cycle + 1
+        s_cpu, s_ejc, s_gpu, s_ejg = (
+            self._s_cpu,
+            self._s_ejc,
+            self._s_gpu,
+            self._s_ejg,
+        )
+        st_cpu, st_ejc, st_gpu, st_ejg = (
+            self._st_cpu,
+            self._st_ejc,
+            self._st_gpu,
+            self._st_ejg,
+        )
         for r in rows:
             bank = self._banks[r]
             bank.settle(cycle)
             self._settle_link_row(r, cycle)
-            self._settle_occ_row(r, cycle + 1)
-            sums = self._occ_sums[r]
+            slots = (s_cpu[r], s_ejc[r], s_gpu[r], s_ejg[r])
+            ends = (
+                slots[0] * after,
+                slots[1] * after,
+                slots[2] * after,
+                slots[3] * after,
+            )
+            sums = (
+                ends[0] - st_cpu[r],
+                ends[1] - st_ejc[r],
+                ends[2] - st_gpu[r],
+                ends[3] - st_ejg[r],
+            )
+            st_cpu[r], st_ejc[r], st_gpu[r], st_ejg[r] = ends
             samples = cycle - self._occ_base[r]
             row = window_row(
                 self._is_l3[r],
@@ -473,11 +505,11 @@ class ArrayCore:
                     input_buffer_mean(
                         sums[0], sums[2], self._in_caps[r], samples
                     ),
+                    slots,
                 )
             )
             closers.append(self.routers[r])
             # Open the next window.
-            self._occ_sums[r] = [0, 0, 0, 0]
             self._feat_link_busy[r] = 0
             self._occ_base[r] = cycle
             self._link_base[r] = cycle
@@ -501,87 +533,50 @@ class ArrayCore:
 
     # -- packet plumbing (backlog and retransmit retries) ----------------------------
 
-    def _inject(self, r: int, packet, cycle: int) -> bool:
-        """Inlined router.inject + stats.on_injected (bit-identical).
+    def _push_input(
+        self, r: int, packet: tuple, cycle: int, front: bool
+    ) -> bool:
+        """Push ``packet`` into row ``r``'s input pool in phases 0-3.
 
-        The backlog retry's path; responses and trace events inject
-        through the same logic inlined in :meth:`_advance`.
+        A CRC retransmission goes in ``front`` (head-of-line, as
+        :meth:`PearlRouter.reinject`); a backlogged injection at the
+        tail.  Returns False when the pool cannot take it.  Counts the
+        packet's Table III injection features; the run statistics are
+        the caller's (a retransmission was counted at its injection).
         """
-        if self._occ_settled[r] < cycle:
-            self._settle_occ_row(r, cycle)
-        flits = packet.size_flits
-        if packet.core_type is CoreType.CPU:
-            pool = self._cpu_pool[r]
-            if flits > pool.capacity_slots - pool._occupied_slots:
+        flits = packet[5]
+        if packet[2] is CoreType.CPU:
+            if flits > self._cap_cpu[r] - self._s_cpu[r]:
                 return False
-            queue = pool._queue
-            if not queue:
+            queue = self._q_cpu[r]
+            if front or not queue:
                 self._cpu_has[r] = True
-                self._cpu_hl[r] = packet.source == packet.destination
-            queue.append(packet)
-            pool._occupied_slots += flits
+                self._cpu_hl[r] = r == packet[1]
             self._s_cpu[r] += flits
-            counter = self._cnt_cpu
+            self._st_cpu[r] += flits * cycle
         else:
-            pool = self._gpu_pool[r]
-            if flits > pool.capacity_slots - pool._occupied_slots:
+            if flits > self._cap_gpu[r] - self._s_gpu[r]:
                 return False
-            queue = pool._queue
-            if not queue:
+            queue = self._q_gpu[r]
+            if front or not queue:
                 self._gpu_has[r] = True
-                self._gpu_hl[r] = packet.source == packet.destination
-            queue.append(packet)
-            pool._occupied_slots += flits
+                self._gpu_hl[r] = r == packet[1]
             self._s_gpu[r] += flits
-            counter = self._cnt_gpu
-        packet.injected_cycle = cycle
+            self._st_gpu[r] += flits * cycle
+        if front:
+            queue.appendleft(packet)
+        else:
+            queue.append(packet)
         # features.on_injected, inlined:
         self._f_cores[r] += 1
-        if packet.source != packet.destination:
+        if r != packet[1]:
             self._f_netinj[r] += 1
-        if packet.packet_class is PacketClass.REQUEST:
+        if packet[3] is PacketClass.REQUEST:
             self._f_qs[r] += 1
-            self._f_qlvl[r][packet.cache_level.table_index] += 1
+            self._f_qlvl[r][packet[4].table_index] += 1
         else:
             self._f_ps[r] += 1
-            self._f_plvl[r][packet.cache_level.table_index] += 1
-        # stats.on_injected, inlined:
-        counter.packets_injected += 1
-        counter.flits_injected += flits
-        return True
-
-    def _reinject(self, r: int, packet, cycle: int) -> bool:
-        """Inlined router.reinject: head-of-line retry, no run stats."""
-        if self._occ_settled[r] < cycle:
-            self._settle_occ_row(r, cycle)
-        flits = packet.size_flits
-        if packet.core_type is CoreType.CPU:
-            pool = self._cpu_pool[r]
-            if flits > pool.capacity_slots - pool._occupied_slots:
-                return False
-            pool._queue.appendleft(packet)
-            pool._occupied_slots += flits
-            self._s_cpu[r] += flits
-            self._cpu_has[r] = True
-            self._cpu_hl[r] = packet.source == packet.destination
-        else:
-            pool = self._gpu_pool[r]
-            if flits > pool.capacity_slots - pool._occupied_slots:
-                return False
-            pool._queue.appendleft(packet)
-            pool._occupied_slots += flits
-            self._s_gpu[r] += flits
-            self._gpu_has[r] = True
-            self._gpu_hl[r] = packet.source == packet.destination
-        self._f_cores[r] += 1
-        if packet.source != packet.destination:
-            self._f_netinj[r] += 1
-        if packet.packet_class is PacketClass.REQUEST:
-            self._f_qs[r] += 1
-            self._f_qlvl[r][packet.cache_level.table_index] += 1
-        else:
-            self._f_ps[r] += 1
-            self._f_plvl[r][packet.cache_level.table_index] += 1
+            self._f_plvl[r][packet[4].table_index] += 1
         return True
 
     # -- idle skipping --------------------------------------------------------------
@@ -625,14 +620,17 @@ class ArrayCore:
         """Advance cycles [start, end): the array core's whole cycle loop.
 
         Phases 0-7 run inline, in :meth:`PearlNetwork.step`'s order, in
-        this one frame: the state lists, the work counter and the
-        packet sequence are locals bound once per call, and ready
-        responses and new trace events share one inline copy of the
-        inject logic.  Only rare work calls out: retransmit and
-        backlog retries (:meth:`_reinject`, :meth:`_inject`), laser
+        this one frame: the state lists, the work counter, the run's
+        traffic counters and the packet sequence are locals bound once
+        per call, and ready responses and new trace rows share one
+        inline copy of the inject logic.  Only rare work calls out:
+        retransmit and backlog retries (:meth:`_push_input`), laser
         flips, fault events, window closes and CRC errors.  Phases the
         reference engine runs per router become loops over the rows
-        that can make progress.
+        that can make progress.  A packet is its row tuple (see the
+        module docstring), read by index: 0 source, 1 destination, 2
+        core type, 3 class, 4 cache level, 5 flits, 6 created cycle and,
+        on a retransmission, 7 retries.
 
         Because every per-cycle integral is lazy, skipping a quiescent
         span costs nothing: whenever the work counter reads zero after
@@ -640,7 +638,6 @@ class ArrayCore:
         settlement's closed form covers the gap exactly.
         """
         net = self.net
-        routers = self.routers
         n = self.n
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -660,12 +657,25 @@ class ArrayCore:
         retransmits = net._retransmits
         retry_backlogs = net._retransmit_backlog
         stats = self._stats
-        # NetworkStats.begin_measurement replaces ``stats._latencies``
-        # between the warm-up and the measurement call, so its append
-        # is bound once per call.
+        # The run's traffic counters, counted here and written back
+        # when the call returns.  NetworkStats.begin_measurement zeroes
+        # them (and replaces ``stats._latencies``) between the warm-up
+        # and the measurement call.
+        cnt_cpu = stats.counters[CPU]
+        cnt_gpu = stats.counters[CoreType.GPU]
+        inj_cpu = cnt_cpu.packets_injected
+        injf_cpu = cnt_cpu.flits_injected
+        dlv_cpu = cnt_cpu.packets_delivered
+        dlvf_cpu = cnt_cpu.flits_delivered
+        lat_cpu = cnt_cpu.total_latency
+        inj_gpu = cnt_gpu.packets_injected
+        injf_gpu = cnt_gpu.flits_injected
+        dlv_gpu = cnt_gpu.packets_delivered
+        dlvf_gpu = cnt_gpu.flits_delivered
+        lat_gpu = cnt_gpu.total_latency
+        local_delivered = stats.local_packets_delivered
+        network_flits = stats.network_flits_delivered
         lat_append = stats._latencies.append
-        cnt_cpu = self._cnt_cpu
-        cnt_gpu = self._cnt_gpu
         arrivals = self._arrivals
         arrival_cycles = self._arrival_cycles
         responses = self._responses
@@ -673,14 +683,11 @@ class ArrayCore:
         backlogs = self._backlogs
         bl_ready = self._bl_ready
         ej_rows = self._ej_rows
-        cpu_pool = self._cpu_pool
-        gpu_pool = self._gpu_pool
+        ej_backlogs = self._ej_backlog
         q_cpu = self._q_cpu
         q_gpu = self._q_gpu
         q_ejc = self._q_ejc
         q_ejg = self._q_ejg
-        ej_cpu = self._ej_cpu
-        ej_gpu = self._ej_gpu
         ej_info = self._ej_info
         tx_info = self._tx_info
         cpu_engs = self._cpu_eng
@@ -688,10 +695,17 @@ class ArrayCore:
         local_engs = self._local_eng
         cap_cpu = self._cap_cpu
         cap_gpu = self._cap_gpu
+        cap_ejc = self._cap_ejc
+        cap_ejg = self._cap_ejg
         s_cpu = self._s_cpu
         s_gpu = self._s_gpu
         s_ejc = self._s_ejc
         s_ejg = self._s_ejg
+        st_cpu = self._st_cpu
+        st_gpu = self._st_gpu
+        st_ejc = self._st_ejc
+        st_ejg = self._st_ejg
+        resv = self._resv
         cpu_has = self._cpu_has
         gpu_has = self._gpu_has
         cpu_hl = self._cpu_hl
@@ -714,11 +728,9 @@ class ArrayCore:
         dba_pin_gf = self._dba_pin_gf
         obs = self._obs
         dba_counts = self._dba_counts
-        occ_settled = self._occ_settled
-        # Each window close replaces a closing row's ``_occ_sums``,
-        # ``_f_qlvl`` and ``_f_plvl`` entries, so those are indexed by
-        # row at each use and never hoisted across a close.
-        occ_sums = self._occ_sums
+        # Each window close replaces a closing row's ``_f_qlvl`` and
+        # ``_f_plvl`` entries, so those are indexed by row at each use
+        # and never hoisted across a close.
         f_qlvl = self._f_qlvl
         f_plvl = self._f_plvl
         f_core = self._f_core
@@ -729,13 +741,12 @@ class ArrayCore:
         f_ps = self._f_ps
         f_qr = self._f_qr
         f_pr = self._f_pr
-        inject = self._inject
-        reinject = self._reinject
+        push_input = self._push_input
         skip_horizon = self._skip_horizon
         if cursor is None:
             trace_next = _FAR
         else:
-            pop_packets = cursor.pop_packets
+            pop_rows = cursor.pop_rows
             trace_next = cursor.next_cycle()
             if trace_next is None:
                 trace_next = _FAR
@@ -754,15 +765,15 @@ class ArrayCore:
             if fault_context is not None:
                 for r, retry_backlog in enumerate(retry_backlogs):
                     if retry_backlog:
-                        while retry_backlog and reinject(
-                            r, retry_backlog[0], cycle
+                        while retry_backlog and push_input(
+                            r, retry_backlog[0], cycle, True
                         ):
                             retry_backlog.popleft()
                 while retransmits and retransmits[0][0] <= cycle:
-                    _, _, packet = heappop(retransmits)
-                    r = packet.source
+                    packet = heappop(retransmits)[2]
+                    r = packet[0]
                     retry_backlog = retry_backlogs[r]
-                    if retry_backlog or not reinject(r, packet, cycle):
+                    if retry_backlog or not push_input(r, packet, cycle, True):
                         retry_backlog.append(packet)
                     work += 1
             # 1. Retry backlogged injections (net-zero for the work
@@ -773,16 +784,22 @@ class ArrayCore:
                 for r in sorted(bl_ready):
                     backlog = backlogs[r]
                     while backlog:
-                        head = backlog[0]
-                        if head.core_type is CPU:
-                            if head.size_flits > cap_cpu[r] - s_cpu[r]:
+                        packet = backlog[0]
+                        flits = packet[5]
+                        if packet[2] is CPU:
+                            if flits > cap_cpu[r] - s_cpu[r]:
                                 break
-                        elif head.size_flits > cap_gpu[r] - s_gpu[r]:
-                            break
-                        inject(r, head, cycle)
+                            inj_cpu += 1
+                            injf_cpu += flits
+                        else:
+                            if flits > cap_gpu[r] - s_gpu[r]:
+                                break
+                            inj_gpu += 1
+                            injf_gpu += flits
+                        push_input(r, packet, cycle, False)
                         backlog.popleft()
                 bl_ready.clear()
-            # 2. Ready responses, then 3. new trace events.  Pending
+            # 2. Ready responses, then 3. new trace rows.  Pending
             #    cycles are popped with ``<=``: a zero-latency response
             #    becomes ready in the cycle its request drained (phase 7)
             #    and injects on the next cycle.
@@ -792,8 +809,8 @@ class ArrayCore:
                 while response_cycles and response_cycles[0] <= cycle:
                     packets += responses.pop(heappop(response_cycles))
             if trace_next <= cycle:
-                events = pop_packets(cycle)
-                packets = packets + events if packets else events
+                rows = pop_rows(cycle)
+                packets = packets + rows if packets else rows
                 trace_next = cursor.next_cycle()
                 if trace_next is None:
                     trace_next = _FAR
@@ -801,60 +818,49 @@ class ArrayCore:
                 # router.inject + stats.on_injected, inlined (a packet
                 # behind a backlog, or one that does not fit, waits in
                 # its router's backlog).
-                r = packet.source
+                r = packet[0]
                 work += 1
                 backlog = backlogs[r]
                 if backlog:
                     backlog.append(packet)
                     continue
-                flits = packet.size_flits
-                is_cpu = packet.core_type is CPU
-                if flits > (
-                    cap_cpu[r] - s_cpu[r] if is_cpu else cap_gpu[r] - s_gpu[r]
-                ):
-                    backlog.append(packet)
-                    continue
-                # _settle_occ_row(r, cycle), inlined:
-                settled = occ_settled[r]
-                if settled < cycle:
-                    d = cycle - settled
-                    occ_settled[r] = cycle
-                    sums = occ_sums[r]
-                    sums[0] += s_cpu[r] * d
-                    sums[1] += s_ejc[r] * d
-                    sums[2] += s_gpu[r] * d
-                    sums[3] += s_ejg[r] * d
-                if is_cpu:
+                flits = packet[5]
+                if packet[2] is CPU:
+                    if flits > cap_cpu[r] - s_cpu[r]:
+                        backlog.append(packet)
+                        continue
                     queue = q_cpu[r]
                     if not queue:
                         cpu_has[r] = True
-                        cpu_hl[r] = r == packet.destination
+                        cpu_hl[r] = r == packet[1]
                     queue.append(packet)
-                    cpu_pool[r]._occupied_slots += flits
                     s_cpu[r] += flits
-                    counter = cnt_cpu
+                    st_cpu[r] += flits * cycle
+                    inj_cpu += 1
+                    injf_cpu += flits
                 else:
+                    if flits > cap_gpu[r] - s_gpu[r]:
+                        backlog.append(packet)
+                        continue
                     queue = q_gpu[r]
                     if not queue:
                         gpu_has[r] = True
-                        gpu_hl[r] = r == packet.destination
+                        gpu_hl[r] = r == packet[1]
                     queue.append(packet)
-                    gpu_pool[r]._occupied_slots += flits
                     s_gpu[r] += flits
-                    counter = cnt_gpu
-                packet.injected_cycle = cycle
+                    st_gpu[r] += flits * cycle
+                    inj_gpu += 1
+                    injf_gpu += flits
                 # features.on_injected, inlined:
                 f_cores[r] += 1
-                if r != packet.destination:
+                if r != packet[1]:
                     f_netinj[r] += 1
-                if packet.packet_class is REQ:
+                if packet[3] is REQ:
                     f_qs[r] += 1
-                    f_qlvl[r][packet.cache_level.table_index] += 1
+                    f_qlvl[r][packet[4].table_index] += 1
                 else:
                     f_ps[r] += 1
-                    f_plvl[r][packet.cache_level.table_index] += 1
-                counter.packets_injected += 1
-                counter.flits_injected += flits
+                    f_plvl[r][packet[4].table_index] += 1
             # 4. Control planes.  Pending laser flips whose integral
             #    boundary has passed land first (they are the pre-tick
             #    state view the closes and fault clamps read)...
@@ -866,7 +872,7 @@ class ArrayCore:
                 next_fault = self._next_fault
                 next_flip = self._next_flip
             #    ... then the window closes on this cycle's boundary
-            #    (this cycle's occupancy observation is settled lazily)...
+            #    (this cycle's occupancy observation is in the stamps)...
             if cycle == next_boundary:
                 self._close_boundary(cycle)
                 next_boundary = self._next_boundary
@@ -901,13 +907,10 @@ class ArrayCore:
                         )
                     ):
                         continue
-                    # Slots this row's occupancy observation saw at
-                    # ``cycle``: credited below if the row pops.
-                    sc = s_cpu[r]
-                    sg = s_gpu[r]
                     # The DBA decision, inlined: the same branch order as
                     # DynamicBandwidthAllocator.decide on the same int/int
-                    # occupancy divisions, so the fractions are
+                    # occupancy divisions (the slots this row's occupancy
+                    # observation saw at ``cycle``), so the fractions are
                     # bit-identical.  The branch also labels the decision,
                     # the key a photonic dispatch is counted under when
                     # telemetry is on.
@@ -916,8 +919,8 @@ class ArrayCore:
                         cf = dba_pin_cf[r]
                         gf = dba_pin_gf[r]
                     elif dba_dyn[r]:
-                        co = sc / cap_cpu[r]
-                        go = sg / cap_gpu[r]
+                        co = s_cpu[r] / cap_cpu[r]
+                        go = s_gpu[r] / cap_gpu[r]
                         if go == 0.0 and co > 0.0:
                             cf = 1.0
                             gf = 0.0
@@ -947,21 +950,12 @@ class ArrayCore:
                     old_max = emax[r]
                     popped = 0
                     dispatched = False
-                    for pool, engines, is_cpu in tx_info[r]:
-                        queue = pool._queue
+                    for queue, engines, is_cpu in tx_info[r]:
                         while queue:
                             head = queue[0]
-                            if head.source == head.destination:
+                            if head[0] == head[1]:
                                 if cycle < local_engine.busy_until:
                                     break
-                                queue.popleft()
-                                flits = head.size_flits
-                                pool._occupied_slots -= flits
-                                if is_cpu:
-                                    s_cpu[r] -= flits
-                                else:
-                                    s_gpu[r] -= flits
-                                popped += 1
                                 local_engine.busy_until = cycle_next
                                 loc_busy[r] = cycle_next
                                 arrival = cycle + lvl
@@ -976,24 +970,25 @@ class ArrayCore:
                                         break
                                 if engine is None:
                                     break
-                                queue.popleft()
-                                flits = head.size_flits
-                                pool._occupied_slots -= flits
-                                if is_cpu:
-                                    s_cpu[r] -= flits
-                                else:
-                                    s_gpu[r] -= flits
-                                popped += 1
                                 dispatched = True
                                 serialize = int(
-                                    ceil(serialization * flits / fraction)
+                                    ceil(serialization * head[5] / fraction)
                                 )
                                 engine.busy_until = cycle + serialize
-                                routers[r].reservations_sent += 1
+                                resv[r] += 1
                                 if obs:
                                     counts = dba_counts[r]
                                     counts[label] = counts.get(label, 0) + 1
                                 arrival = cycle + serialize + overhead
+                            queue.popleft()
+                            popped += 1
+                            flits = head[5]
+                            if is_cpu:
+                                s_cpu[r] -= flits
+                                st_cpu[r] -= flits * cycle_next
+                            else:
+                                s_gpu[r] -= flits
+                                st_gpu[r] -= flits * cycle_next
                             # In flight until ``arrival``: the bucket
                             # keeps push order, which is sequence order.
                             sequence += 1
@@ -1004,17 +999,6 @@ class ArrayCore:
                             else:
                                 bucket.append(head)
                     if popped:
-                        # _settle_occ_row(r, cycle + 1) on the pre-pop
-                        # slots (the ejection pools do not change here):
-                        settled = occ_settled[r]
-                        if settled < cycle_next:
-                            d = cycle_next - settled
-                            occ_settled[r] = cycle_next
-                            sums = occ_sums[r]
-                            sums[0] += sc * d
-                            sums[1] += s_ejc[r] * d
-                            sums[2] += sg * d
-                            sums[3] += s_ejg[r] * d
                         work -= popped
                         if backlogs[r]:
                             bl_ready.add(r)
@@ -1022,14 +1006,14 @@ class ArrayCore:
                         if queue:
                             head = queue[0]
                             cpu_has[r] = True
-                            cpu_hl[r] = head.source == head.destination
+                            cpu_hl[r] = head[0] == head[1]
                         else:
                             cpu_has[r] = False
                         queue = q_gpu[r]
                         if queue:
                             head = queue[0]
                             gpu_has[r] = True
-                            gpu_hl[r] = head.source == head.destination
+                            gpu_hl[r] = head[0] == head[1]
                         else:
                             gpu_has[r] = False
                     if dispatched:
@@ -1069,53 +1053,45 @@ class ArrayCore:
             #    are CRC-checked when a bit-error schedule is active.
             while arrival_cycles and arrival_cycles[0] <= cycle:
                 for packet in arrivals.pop(heappop(arrival_cycles)):
-                    r = packet.destination
-                    src = packet.source
+                    r = packet[1]
+                    src = packet[0]
+                    flits = packet[5]
                     if src != r:
                         if fault_context is not None and fault_context.corrupts(
-                            src, packet.size_flits, cycle
+                            src, flits, cycle
                         ):
-                            net._sequence = sequence
-                            net._handle_crc_error(packet, cycle)
-                            sequence = net._sequence
+                            retries = packet[7] if len(packet) > 7 else 0
+                            ready = net._handle_crc_error(
+                                retries, cycle, src, r
+                            )
+                            if ready is not None:
+                                sequence += 1
+                                retry = packet[:7] + (retries + 1,)
+                                heappush(retransmits, (ready, sequence, retry))
                             continue
                         # features.on_received, inlined:
                         f_other[r] += 1
-                        if packet.packet_class is REQ:
+                        if packet[3] is REQ:
                             f_qr[r] += 1
-                            f_qlvl[r][packet.cache_level.table_index] += 1
+                            f_qlvl[r][packet[4].table_index] += 1
                         else:
                             f_pr[r] += 1
-                            f_plvl[r][packet.cache_level.table_index] += 1
-                    # _settle_occ_row(r, cycle + 1), inlined:
-                    settled = occ_settled[r]
-                    if settled < cycle_next:
-                        d = cycle_next - settled
-                        occ_settled[r] = cycle_next
-                        sums = occ_sums[r]
-                        sums[0] += s_cpu[r] * d
-                        sums[1] += s_ejc[r] * d
-                        sums[2] += s_gpu[r] * d
-                        sums[3] += s_ejg[r] * d
+                            f_plvl[r][packet[4].table_index] += 1
                     # _push_ejection, inlined (local delivery skips the
                     # CRC check and the features):
-                    flits = packet.size_flits
-                    if packet.core_type is CPU:
-                        pool = ej_cpu[r]
-                        if flits <= pool.capacity_slots - s_ejc[r]:
-                            pool._queue.append(packet)
-                            pool._occupied_slots += flits
+                    if packet[2] is CPU:
+                        if flits <= cap_ejc[r] - s_ejc[r]:
+                            q_ejc[r].append(packet)
                             s_ejc[r] += flits
+                            st_ejc[r] += flits * cycle_next
                         else:
-                            routers[r]._ejection_backlog.append(packet)
+                            ej_backlogs[r].append(packet)
+                    elif flits <= cap_ejg[r] - s_ejg[r]:
+                        q_ejg[r].append(packet)
+                        s_ejg[r] += flits
+                        st_ejg[r] += flits * cycle_next
                     else:
-                        pool = ej_gpu[r]
-                        if flits <= pool.capacity_slots - s_ejg[r]:
-                            pool._queue.append(packet)
-                            pool._occupied_slots += flits
-                            s_ejg[r] += flits
-                        else:
-                            routers[r]._ejection_backlog.append(packet)
+                        ej_backlogs[r].append(packet)
                     work += 1
                     ej_rows.add(r)
             # 7. Ejection to cores (:meth:`PearlRouter.drain_ejection`)
@@ -1123,69 +1099,58 @@ class ArrayCore:
             #    features.on_delivered_to_core and the responder inlined.
             if ej_rows:
                 for r in sorted(ej_rows) if len(ej_rows) > 1 else tuple(ej_rows):
-                    settled = occ_settled[r]
-                    if settled < cycle_next:
-                        d = cycle_next - settled
-                        occ_settled[r] = cycle_next
-                        sums = occ_sums[r]
-                        sums[0] += s_cpu[r] * d
-                        sums[1] += s_ejc[r] * d
-                        sums[2] += s_gpu[r] * d
-                        sums[3] += s_ejg[r] * d
-                    router = routers[r]
-                    backlog = router._ejection_backlog
+                    backlog = ej_backlogs[r]
                     if backlog:
                         remaining: List = []
                         for packet in backlog:
-                            flits = packet.size_flits
-                            if packet.core_type is CPU:
-                                pool = ej_cpu[r]
-                                if flits <= pool.capacity_slots - s_ejc[r]:
-                                    pool._queue.append(packet)
-                                    pool._occupied_slots += flits
+                            flits = packet[5]
+                            if packet[2] is CPU:
+                                if flits <= cap_ejc[r] - s_ejc[r]:
+                                    q_ejc[r].append(packet)
                                     s_ejc[r] += flits
-                                else:
-                                    remaining.append(packet)
-                            else:
-                                pool = ej_gpu[r]
-                                if flits <= pool.capacity_slots - s_ejg[r]:
-                                    pool._queue.append(packet)
-                                    pool._occupied_slots += flits
-                                    s_ejg[r] += flits
-                                else:
-                                    remaining.append(packet)
-                        router._ejection_backlog = remaining
-                    for pool, is_cpu in ej_info[r]:
-                        queue = pool._queue
+                                    st_ejc[r] += flits * cycle_next
+                                    continue
+                            elif flits <= cap_ejg[r] - s_ejg[r]:
+                                q_ejg[r].append(packet)
+                                s_ejg[r] += flits
+                                st_ejg[r] += flits * cycle_next
+                                continue
+                            remaining.append(packet)
+                        backlog[:] = remaining
+                    for queue, is_cpu in ej_info[r]:
                         budget = drain_budget
                         while budget and queue:
                             budget -= 1
                             work -= 1
                             packet = queue.popleft()
-                            flits = packet.size_flits
-                            pool._occupied_slots -= flits
+                            flits = packet[5]
+                            latency = cycle - packet[6]
+                            # stats.on_delivered, inlined:
                             if is_cpu:
                                 s_ejc[r] -= flits
-                                counter = cnt_cpu
+                                st_ejc[r] -= flits * cycle_next
+                                dlv_cpu += 1
+                                dlvf_cpu += flits
+                                lat_cpu += latency
                             else:
                                 s_ejg[r] -= flits
-                                counter = cnt_gpu
+                                st_ejg[r] -= flits * cycle_next
+                                dlv_gpu += 1
+                                dlvf_gpu += flits
+                                lat_gpu += latency
+                            lat_append(latency)
+                            if packet[0] == r:
+                                local_delivered += 1
+                            else:
+                                network_flits += flits
                             # features.on_delivered_to_core, inlined:
                             f_core[r] += 1
-                            # stats.on_delivered, inlined:
-                            packet.received_cycle = cycle
-                            counter.packets_delivered += 1
-                            counter.flits_delivered += flits
-                            latency = cycle - packet.created_cycle
-                            counter.total_latency += latency
-                            lat_append(latency)
-                            if packet.source == r:
-                                stats.local_packets_delivered += 1
-                            else:
-                                stats.network_flits_delivered += flits
-                            if packet.packet_class is REQ:
+                            if packet[3] is REQ:
                                 ready, response = build_response(
-                                    packet,
+                                    packet[0],
+                                    r,
+                                    packet[2],
+                                    packet[6],
                                     cycle,
                                     responder,
                                     rng,
@@ -1200,7 +1165,7 @@ class ArrayCore:
                                     heappush(response_cycles, ready)
                                 else:
                                     bucket.append(response)
-                    if not q_ejc[r] and not q_ejg[r] and not router._ejection_backlog:
+                    if not q_ejc[r] and not q_ejg[r] and not backlog:
                         ej_rows.discard(r)
             cycle = cycle_next
             if work == 0 and cycle < end:
@@ -1209,6 +1174,19 @@ class ArrayCore:
                     cycle = horizon
         self._work = work
         net._sequence = sequence
+        cnt_cpu.packets_injected = inj_cpu
+        cnt_cpu.flits_injected = injf_cpu
+        cnt_cpu.packets_delivered = dlv_cpu
+        cnt_cpu.flits_delivered = dlvf_cpu
+        cnt_cpu.total_latency = lat_cpu
+        cnt_gpu.packets_injected = inj_gpu
+        cnt_gpu.flits_injected = injf_gpu
+        cnt_gpu.packets_delivered = dlv_gpu
+        cnt_gpu.flits_delivered = dlvf_gpu
+        cnt_gpu.total_latency = lat_gpu
+        stats.local_packets_delivered = local_delivered
+        stats.network_flits_delivered = network_flits
+        self._write_back()
 
     # -- run ------------------------------------------------------------------------
 
@@ -1224,9 +1202,11 @@ class ArrayCore:
     def _finish(self, total: int) -> None:
         """End of the run: settle every bank, then finish there.
 
-        Pools, engines, statistics, reservation counts and policy
-        histories were updated in place as the run went, and the laser
-        banks lag only by the span since their last settlement.
+        Pool queues, engines, policy histories and the other counters
+        were updated as the run went (the last :meth:`_advance` wrote
+        the slots, reservation counts and traffic statistics back), and
+        the laser banks lag only by the span since their last
+        settlement.
         """
         self._settle_links_all(total)
         for bank in self._banks:

@@ -169,8 +169,11 @@ class CMeshNetwork:
     # -- responder ---------------------------------------------------------------
 
     def _schedule_response(self, request: Packet, cycle: int) -> None:
-        ready, response = build_response(
-            request,
+        ready, row = build_response(
+            request.source,
+            request.destination,
+            request.core_type,
+            request.created_cycle,
             cycle,
             self.responder,
             self._rng,
@@ -179,7 +182,7 @@ class CMeshNetwork:
         )
         self._sequence += 1
         heapq.heappush(
-            self._responses, (ready, self._sequence, response.source, response)
+            self._responses, (ready, self._sequence, row[0], Packet(*row))
         )
 
     def _on_delivered(self, packet: Packet, cycle: int) -> None:

@@ -143,8 +143,11 @@ class MwsrNetwork:
     def _deliver(self, packet: Packet, cycle: int) -> None:
         self.stats.on_delivered(packet, cycle)
         if packet.is_request:
-            ready, response = build_response(
-                packet,
+            ready, row = build_response(
+                packet.source,
+                packet.destination,
+                packet.core_type,
+                packet.created_cycle,
                 cycle,
                 self.responder,
                 self._rng,
@@ -155,7 +158,7 @@ class MwsrNetwork:
             self._sequence += 1
             heapq.heappush(
                 self._responses,
-                (ready, self._sequence, response.source, response),
+                (ready, self._sequence, row[0], Packet(*row)),
             )
 
     # -- one cycle --------------------------------------------------------------

@@ -138,8 +138,6 @@ class PearlNetwork:
         # the run result so the count survives retraining.
         self._drift_events_retired = 0
         self.stats = NetworkStats()
-        for router in self.routers:
-            router._net_stats = self.stats
         # The engine run() executed on (the one it was asked for: there
         # is no silent downgrade).
         self.last_engine_used: Optional[str] = None
@@ -150,7 +148,11 @@ class PearlNetwork:
         # after an array run, for the census.  Only the buckets are
         # kept: a reference to the core itself would make a cycle that
         # refcounting cannot free.
-        self._array_arrivals: Optional[Dict[int, List[Packet]]] = None
+        self._array_arrivals: Optional[Dict[int, List[tuple]]] = None
+        #: :meth:`pending_packet_census` at the warm-up boundary (all
+        #: zeros for a warm-up-free run), taken by both engines: the
+        #: packets the measurement phase starts with.
+        self.warmup_census: Optional[Dict[str, int]] = None
         self.memory = MemoryController(
             num_controllers=arch.memory_controllers,
             line_bytes=arch.cache_line_bytes,
@@ -192,8 +194,10 @@ class PearlNetwork:
         self._retry_backoff = resilience.retry_backoff_cycles
         # (ready_cycle, sequence, packet) min-heap of NACKed packets
         # waiting out their retry backoff, plus a per-router FIFO for
-        # retries whose input pool was full at reinjection time.
-        self._retransmits: List[Tuple[int, int, Packet]] = []
+        # retries whose input pool was full at reinjection time.  The
+        # array core queues its rows here, each carrying its retry
+        # count as an eighth field.
+        self._retransmits: List[Tuple[int, int, object]] = []
         self._retransmit_backlog: List = [
             deque() for _ in range(arch.num_routers)
         ]
@@ -228,8 +232,11 @@ class PearlNetwork:
         self.stats.on_delivered(packet, cycle)
         if packet.is_request:
             arch = self.config.architecture
-            ready, response = build_response(
-                packet,
+            ready, row = build_response(
+                packet.source,
+                packet.destination,
+                packet.core_type,
+                packet.created_cycle,
                 cycle,
                 self.responder,
                 self._rng,
@@ -240,7 +247,7 @@ class PearlNetwork:
             self._sequence += 1
             heapq.heappush(
                 self._responses,
-                (ready, self._sequence, response.source, response),
+                (ready, self._sequence, row[0], Packet(*row)),
             )
 
     # -- main loop ----------------------------------------------------------------
@@ -336,7 +343,13 @@ class PearlNetwork:
             elif fault_context is not None and fault_context.corrupts(
                 source_router, packet.size_flits, cycle
             ):
-                self._handle_crc_error(packet, cycle)
+                ready = self._handle_crc_error(
+                    packet.retries, cycle, packet.source, packet.destination
+                )
+                if ready is not None:
+                    packet.retries += 1
+                    self._sequence += 1
+                    heappush(self._retransmits, (ready, self._sequence, packet))
             else:
                 destination.receive(packet)
         # 7. Ejection to cores (delivery + closed-loop responses).
@@ -353,24 +366,28 @@ class PearlNetwork:
         """Close every router window that falls on ``cycle``.
 
         The one close path of both engines: ``frozen`` holds each
-        closer's ``(label, row, Buf_w mean)``, frozen by
+        closer's ``(label, row, Buf_w mean, pool slots)``, frozen by
         :meth:`PearlRouter.freeze_window` on the reference engine and
         from the array core's own counters on the array engine.  Under
         the ML policy the rows of the group are predicted together —
         one ``(k, n_features)`` matmul, or one saturating-MAC sweep on
         the quantized path, for every k — which is the defining
         inference semantics, so batch-sensitive BLAS kernels can never
-        split the engines.  Each router then closes in group order.
+        split the engines.  Each router then closes in group order; its
+        window telemetry reads the handed-over slots and this run's
+        fault counters, never the pool objects.
         """
         predictions: List[Optional[float]] = [None] * len(closers)
         if self.power_policy is PowerPolicyKind.ML:
             predictions = closers[0].policy.predict_window_batch(
-                np.stack([row for _, row, _ in frozen])
+                np.stack([row for _, row, _, _ in frozen])
             ).tolist()
-        for router, (label, row, buf_mean), predicted in zip(
+        for router, (label, row, buf_mean, slots), predicted in zip(
             closers, frozen, predictions
         ):
-            router.close_window(cycle, label, row, buf_mean, predicted)
+            router.close_window(
+                cycle, label, row, buf_mean, slots, predicted, self.stats
+            )
         if self._retrain_enabled:
             # After *all* closers of the group decided, so every row of
             # a group is predicted by the same model.
@@ -459,14 +476,20 @@ class PearlNetwork:
                 samples=samples,
             )
 
-    def _handle_crc_error(self, packet: Packet, cycle: int) -> None:
+    def _handle_crc_error(
+        self, retries: int, cycle: int, source: int, destination: int
+    ) -> Optional[int]:
         """One packet failed its arrival CRC: NACK + retry, or drop.
 
-        The receiver NACKs the source; after ``nack_latency_cycles``
-        plus a linear per-attempt backoff the source retransmits the
-        packet head-of-line.  A packet that exhausts ``retry_limit``
-        attempts is dropped (counted, so the conservation invariant
-        ``crc_errors == retransmissions + packets_dropped`` holds).
+        The CRC rule of both engines, worked from the packet's
+        ``retries`` so far.  The receiver NACKs the source; after
+        ``nack_latency_cycles`` plus a linear per-attempt backoff the
+        source retransmits the packet head-of-line.  Returns that
+        retransmission's ready cycle (the caller queues the packet,
+        carrying ``retries + 1``, on ``_retransmits``), or None when the
+        packet has exhausted ``retry_limit`` attempts and is dropped
+        (counted, so the conservation invariant ``crc_errors ==
+        retransmissions + packets_dropped`` holds).
         """
         stats = self.stats
         stats.crc_errors += 1
@@ -475,7 +498,7 @@ class PearlNetwork:
                 "faults/crc_errors",
                 help="packets that failed their arrival CRC check",
             ).inc()
-        if packet.retries >= self._retry_limit:
+        if retries >= self._retry_limit:
             stats.packets_dropped += 1
             if OBS.enabled:
                 OBS.registry.counter(
@@ -486,25 +509,18 @@ class PearlNetwork:
                     "packet_dropped",
                     "faults",
                     cycle,
-                    source=packet.source,
-                    destination=packet.destination,
-                    retries=packet.retries,
+                    source=source,
+                    destination=destination,
+                    retries=retries,
                 )
-            return
-        packet.retries += 1
+            return None
         stats.retransmissions += 1
         if OBS.enabled:
             OBS.registry.counter(
                 "faults/retransmissions",
                 help="CRC-triggered retransmission attempts scheduled",
             ).inc()
-        ready = (
-            cycle + self._nack_latency + self._retry_backoff * packet.retries
-        )
-        self._sequence += 1
-        heapq.heappush(
-            self._retransmits, (ready, self._sequence, packet)
-        )
+        return cycle + self._nack_latency + self._retry_backoff * (retries + 1)
 
     #: Engines accepted by :meth:`run`; both are bit-identical.
     ENGINES = ("reference", "array")
@@ -565,7 +581,13 @@ class PearlNetwork:
             step(cycle, cursor)
 
     def _begin_measurement(self, warmup: int) -> None:
-        """Warm-up boundary: zero the run's statistics and power integrals."""
+        """Warm-up boundary: zero the run's statistics and power integrals.
+
+        The packets still pending here are the measurement phase's
+        opening balance: :attr:`warmup_census` records them (observing
+        only), so the packet law holds across the boundary.
+        """
+        self.warmup_census = self.pending_packet_census()
         self.stats.begin_measurement(warmup)
         for router in self.routers:
             router.reset_power_stats()
@@ -647,10 +669,11 @@ class PearlNetwork:
     def pending_packet_census(self) -> Dict[str, int]:
         """Where every injected-but-undelivered packet currently lives.
 
-        Backs the conservation property of the resilience test-suite:
-        with no warm-up, ``packets_injected`` always equals delivered +
-        dropped + the sum of this census (nothing is silently lost, no
-        matter what the fault schedule did).  Packets in flight are
+        Backs the packet law of every run: the :attr:`warmup_census`
+        plus the packets injected after the warm-up boundary equal
+        delivered + dropped + the sum of this census at the end
+        (nothing is silently lost, no matter what the fault schedule
+        did).  Packets in flight are
         counted where the engine that ran keeps them: the array core's
         arrival buckets after an array run, ``_in_flight`` otherwise.
         """

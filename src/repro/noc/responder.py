@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from ..cache.memory import MemoryController
-from .packet import CacheLevel, CoreType, Packet, PacketClass
+from .packet import CacheLevel, CoreType, PacketClass
 
 #: Flits in a data-bearing response (64-byte line + header).
 RESPONSE_FLITS = 5
@@ -43,26 +43,29 @@ class ResponderConfig:
 
 
 def build_response(
-    request: Packet,
+    requester: int,
+    server: int,
+    core: CoreType,
+    created_cycle: int,
     cycle: int,
     config: ResponderConfig,
     rng: np.random.Generator,
     memory: MemoryController,
     l3_router_id: int,
     line_bytes: int = 64,
-) -> Tuple[int, Packet]:
-    """The (ready_cycle, response packet) for a delivered request.
+) -> Tuple[int, tuple]:
+    """The ``(ready_cycle, response row)`` for a request delivered at ``cycle``.
 
-    The response travels back from the request's destination to its
-    source.  Only an L3 request draws from ``rng`` (one draw, the miss
-    test).  It sits on the delivery path of every engine, so it reads
-    the request's fields directly and builds the response positionally.
+    The request went from ``requester`` to ``server`` for a ``core``
+    core and was created at ``created_cycle``; the response travels
+    back from ``server`` to ``requester``.  Only an L3 request draws
+    from ``rng`` (one draw, the miss test).  The response is a trace
+    row, ``(source, destination, core_type, packet_class, cache_level,
+    size_flits, created_cycle)``: the array core carries it as is, and
+    the object engines wrap it as ``Packet(*row)``.
     """
-    requester = request.source
-    source = request.destination
-    core = request.core_type
-    local = requester == source
-    if source == l3_router_id:
+    local = requester == server
+    if server == l3_router_id:
         miss_rate = (
             config.cpu_l3_miss_rate
             if core is CoreType.CPU
@@ -70,7 +73,7 @@ def build_response(
         )
         ready = cycle + config.l3_hit_latency
         if rng.random() < miss_rate:
-            line = requester * 131 + request.created_cycle
+            line = requester * 131 + created_cycle
             ready = memory.request(line * line_bytes, ready)
         level = CacheLevel.L3
     else:
@@ -80,8 +83,8 @@ def build_response(
         level = (
             CacheLevel.CPU_L2_UP if core is CoreType.CPU else CacheLevel.GPU_L2_UP
         )
-    response = Packet(
-        source,
+    return ready, (
+        server,
         requester,
         core,
         PacketClass.RESPONSE,
@@ -89,4 +92,3 @@ def build_response(
         1 if local else config.response_flits,
         ready,
     )
-    return ready, response

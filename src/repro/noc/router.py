@@ -31,7 +31,12 @@ import numpy as np
 from ..config import PearlConfig
 from ..core.adaptive import AdaptiveReactiveScaler
 from ..core.d3noc import D3nocReconfigurer
-from ..core.dba import DynamicBandwidthAllocator, FCFSAllocator, remap_wavelengths
+from ..core.dba import (
+    DynamicBandwidthAllocator,
+    FCFSAllocator,
+    OccupancySample,
+    remap_wavelengths,
+)
 from ..faults.injector import RouterFaultInjector
 from ..core.ml_scaling import MLPowerScaler, StateSelector
 from ..core.power_scaling import (
@@ -261,9 +266,6 @@ class PearlRouter:
         # the dispatch under a session, cleared at the warm-up boundary
         # and flushed into the registry once per run by the network.
         self._dba_split_counts: Dict[str, int] = {}
-        # Network-level fault counters (attached by PearlNetwork) read
-        # by the window-series recorder; None for a standalone router.
-        self._net_stats = None
         # Fault-injection hooks (repro.faults).  ``_desired_state`` is
         # the policy's *unclamped* intent, kept so a clearing fault can
         # re-light the link without waiting for the next window.
@@ -397,21 +399,32 @@ class PearlRouter:
         """
         return (cycle - self._offset) % self._window == 0
 
-    def freeze_window(self) -> Tuple[float, np.ndarray, float]:
-        """Freeze the open window: ``(label, row, Buf_w mean)``.
+    def freeze_window(
+        self,
+    ) -> Tuple[float, np.ndarray, float, Tuple[int, int, int, int]]:
+        """Freeze the open window: ``(label, row, Buf_w mean, slots)``.
 
         The label is the window's link-bound injection count, the row
-        its Table III vector (feature 30 is the active state) and the
+        its Table III vector (feature 30 is the active state), the
         mean the combined input-buffer occupancy the reactive rules
-        read.  The collector restarts for the next window.  The array
-        core freezes its rows from its own counters instead, through
-        the same :func:`~repro.ml.features.window_row`.
+        read and ``slots`` the occupied slots of the CPU input, CPU
+        ejection, GPU input and GPU ejection pools at the close (the
+        window telemetry's occupancies).  The collector restarts for
+        the next window.  The array core freezes its rows from its own
+        counters instead, through the same
+        :func:`~repro.ml.features.window_row`.
         """
         features = self.features
         label = float(features.network_injected_this_window)
         buf_mean = features.buffer_mean()
         row = features.snapshot(self.laser.state)
-        return label, row, buf_mean
+        slots = (
+            self.buffers.cpu._occupied_slots,
+            self._ejection_cpu._occupied_slots,
+            self.buffers.gpu._occupied_slots,
+            self._ejection_gpu._occupied_slots,
+        )
+        return label, row, buf_mean, slots
 
     def close_window(
         self,
@@ -419,14 +432,19 @@ class PearlRouter:
         label: float,
         row: np.ndarray,
         buf_mean: float,
+        slots: Tuple[int, int, int, int],
         predicted: Optional[float] = None,
+        stats=None,
     ) -> None:
         """Reservation-window boundary: pick the next wavelength state.
 
-        ``label``, ``row`` and ``buf_mean`` are the frozen window (see
-        :meth:`freeze_window`).  ``predicted`` is this router's row of
-        the ML inference the network ran over its close group; an ML
-        router closing alone predicts its row itself.
+        ``label``, ``row``, ``buf_mean`` and ``slots`` are the frozen
+        window (see :meth:`freeze_window`).  ``predicted`` is this
+        router's row of the ML inference the network ran over its close
+        group; an ML router closing alone predicts its row itself.
+        ``stats`` is the run's :class:`~repro.noc.stats.NetworkStats`,
+        whose fault counters the window series records (None for a
+        standalone router).
         """
         if self.collection_hook is not None and self._prev_features is not None:
             self.collection_hook(self._prev_features, label)
@@ -449,16 +467,34 @@ class PearlRouter:
             self.ml_energy_j += self._inference_energy_j
 
         if OBS.enabled:
-            self._record_window_telemetry(cycle, label, state_before)
+            self._record_window_telemetry(
+                cycle, label, state_before, slots, stats
+            )
 
     def _record_window_telemetry(
-        self, cycle: int, injected_label: float, state_before: int
+        self,
+        cycle: int,
+        injected_label: float,
+        state_before: int,
+        slots: Tuple[int, int, int, int],
+        stats,
     ) -> None:
         """Window-cadence telemetry flush (never on the cycle path).
 
-        Purely observational: reads buffer occupancies and the laser
-        state, touching no RNG and no control state.
+        Purely observational: reads the frozen window's pool ``slots``
+        (in :meth:`freeze_window` order), the laser state and the run's
+        fault counters in ``stats``, touching no RNG and no control
+        state.
         """
+        capacities = (
+            self.buffers.cpu.capacity_slots,
+            self._ejection_cpu.capacity_slots,
+            self.buffers.gpu.capacity_slots,
+            self._ejection_gpu.capacity_slots,
+        )
+        occ_cpu, ej_cpu, occ_gpu, ej_gpu = (
+            used / capacity for used, capacity in zip(slots, capacities)
+        )
         registry = OBS.registry
         registry.counter(
             "noc/windows_closed", help="reservation-window boundaries"
@@ -466,11 +502,11 @@ class PearlRouter:
         registry.histogram(
             "noc/buffer_occupancy/cpu",
             help="CPU input-buffer occupancy sampled at window boundaries",
-        ).observe(self.buffers.cpu_occupancy)
+        ).observe(occ_cpu)
         registry.histogram(
             "noc/buffer_occupancy/gpu",
             help="GPU input-buffer occupancy sampled at window boundaries",
-        ).observe(self.buffers.gpu_occupancy)
+        ).observe(occ_gpu)
         state_target = (
             self.laser._pending_state
             if self.laser._pending_state is not None
@@ -514,17 +550,18 @@ class PearlRouter:
                 predicted = float("nan")
                 drift = False
                 fallback = False
-            allocation = self.dba.allocate_from_buffers(self.buffers)
-            stats = self._net_stats
+            allocation = self.dba.allocate(
+                OccupancySample(cpu=occ_cpu, gpu=occ_gpu)
+            )
             series.record(
                 cycle,
                 self.router_id,
                 injected=injected_label,
                 predicted=predicted,
-                occ_cpu=self.buffers.cpu_occupancy,
-                occ_gpu=self.buffers.gpu_occupancy,
-                ej_cpu=self._ejection_cpu.occupancy,
-                ej_gpu=self._ejection_gpu.occupancy,
+                occ_cpu=occ_cpu,
+                occ_gpu=occ_gpu,
+                ej_cpu=ej_cpu,
+                ej_gpu=ej_gpu,
                 state_before=state_before,
                 state_target=state_target,
                 laser_power_w=self.laser._power_w[state_target],

@@ -8,8 +8,9 @@ what makes the power-scaling feedback realistic: a slower network delays
 responses and therefore future injections' buffer pressure.
 
 The generators fill the columns with numpy; the engines read them
-through :class:`TraceCursor`, which builds each :class:`Packet` at its
-injection cycle.  Hand-written traces can still be given as
+through :class:`TraceCursor`, which hands each row out at its injection
+cycle as a tuple (the array core's packet) or a :class:`Packet` built
+from it (the object engines).  Hand-written traces can still be given as
 :class:`InjectionEvent` records, and :attr:`Trace.events` rebuilds the
 records on demand.  Every way in validates the columns once, when the
 trace is built, so a malformed row fails there, not mid-run.
@@ -345,15 +346,17 @@ class Trace:
 class TraceCursor:
     """Streaming view over a trace for the cycle loop.
 
-    ``pop_packets(cycle)`` returns the packets of every row whose time
-    has come, in trace order, exactly once: a row is returned by the
-    first call whose ``cycle`` reaches it and by no later call, so a
-    caller stepping cycle-by-cycle and a caller that jumps straight to
-    the same cycle observe identical batches (the array core's idle
-    skipping relies on this boundary semantics).  Every engine injects
-    through this one method; each :class:`Packet` is built when it is
-    popped, from the columns converted to Python ints and enum members
-    once, here.
+    ``pop_rows(cycle)`` returns every row whose time has come, in trace
+    order, exactly once: a row is returned by the first call whose
+    ``cycle`` reaches it and by no later call, so a caller stepping
+    cycle-by-cycle and a caller that jumps straight to the same cycle
+    observe identical batches (the array core's idle skipping relies on
+    this boundary semantics).  A row is the tuple ``(source,
+    destination, core_type, packet_class, cache_level, size_flits,
+    created_cycle)`` — :class:`Packet`'s positional arguments, converted
+    to Python ints and enum members once, here.  The array core carries
+    these tuples as its packets; the object engines inject through
+    ``pop_packets(cycle)``, which wraps the same rows as ``Packet(*row)``.
 
     ``next_cycle()`` exposes the cycle of the next unpopped row — the
     trace's contribution to the array core's skip horizon.
@@ -379,11 +382,15 @@ class TraceCursor:
         index = self._index
         return self._cycles[index] if index < self._count else None
 
-    def pop_packets(self, cycle: int) -> List[Packet]:
-        """Packets of the rows with ``row cycle <= cycle`` not yet popped."""
+    def pop_rows(self, cycle: int) -> List[tuple]:
+        """The rows with ``row cycle <= cycle`` not yet popped."""
         start = self._index
         if start >= self._count or self._cycles[start] > cycle:
             return []
         end = bisect_right(self._cycles, cycle, start)
         self._index = end
-        return list(starmap(Packet, self._rows[start:end]))
+        return self._rows[start:end]
+
+    def pop_packets(self, cycle: int) -> List[Packet]:
+        """:meth:`pop_rows` as :class:`Packet` objects."""
+        return list(starmap(Packet, self.pop_rows(cycle)))

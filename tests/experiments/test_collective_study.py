@@ -84,3 +84,28 @@ def test_workers_and_cache_leave_the_rows_alone(tmp_path):
         assert _quick_rows() == ROWS
         assert engine.cache.hits == len(ROWS)
         assert engine.cache.misses == len(ROWS)
+
+
+def test_rerun_fits_no_model(tmp_path, monkeypatch):
+    """The deployment model is fitted once per registry: a rerun finds
+    it by its training key, and its ML jobs hit the result cache."""
+    fitted = collective_study.deployment_fitted_model
+    fits = []
+
+    def counting_fit(**kwargs):
+        fits.append(kwargs)
+        return fitted(**kwargs)
+
+    monkeypatch.setattr(
+        collective_study, "deployment_fitted_model", counting_fit
+    )
+    with engine_scope(
+        jobs=1, use_cache=True, backend=f"dir:{tmp_path / 'results'}"
+    ) as engine:
+        assert _quick_rows() == ROWS
+        assert _quick_rows() == ROWS
+        assert engine.cache.hits == len(ROWS)
+    assert len(fits) == 1
+    path = collective_study.deployment_model_path(seed=1)
+    assert len(fits) == 1
+    assert path.parent.parent.parent == tmp_path / "registry"

@@ -191,6 +191,35 @@ class TestFindByKey:
         )
 
 
+    def test_lookup_reads_each_record_once(self, registry, monkeypatch):
+        """A lookup is one pass over the stored records: a registry
+        grows by one refit model per retrain job, and resolving every
+        listed id again made each lookup quadratic in its size."""
+        records = [
+            registry.put(_fitted_model(seed=seed), training={"key": seed})
+            for seed in range(6)
+        ]
+        registry.promote(records[2].model_id)
+        reads = []
+        read_tags = ModelRegistry._read_tags
+
+        def counting_read_tags(self):
+            reads.append(1)
+            return read_tags(self)
+
+        monkeypatch.setattr(ModelRegistry, "_read_tags", counting_read_tags)
+        monkeypatch.setattr(
+            ModelRegistry,
+            "resolve",
+            lambda self, ref: pytest.fail("list() resolved an id"),
+        )
+        hit = registry.find_by_key(2)
+        assert hit.model_id == records[2].model_id
+        assert hit.tags == ["production"]
+        assert registry.find_by_key(99) is None
+        assert len(reads) == 2
+
+
 class TestDefaultRoot:
     def test_registry_dir_env_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "explicit"))

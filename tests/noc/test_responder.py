@@ -5,21 +5,33 @@ import pytest
 
 from repro.cache.memory import MemoryController
 from repro.noc.network import ResponderConfig
-from repro.noc.packet import CacheLevel, CoreType, PacketClass, make_request
+from repro.noc.packet import (
+    CacheLevel,
+    CoreType,
+    Packet,
+    PacketClass,
+    make_request,
+)
 from repro.noc.responder import build_response
 
 L3 = 16
 
 
 def _respond(request, cycle=100, config=None, seed=0, memory=None):
-    return build_response(
-        request,
+    """``build_response`` on a request packet; the response row comes
+    back as a ``Packet``, whose constructor validates it."""
+    ready, row = build_response(
+        request.source,
+        request.destination,
+        request.core_type,
+        request.created_cycle,
         cycle,
         config or ResponderConfig(),
         np.random.default_rng(seed),
         memory or MemoryController(),
         l3_router_id=L3,
     )
+    return ready, Packet(*row)
 
 
 class TestL3Responses:

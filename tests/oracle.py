@@ -339,6 +339,7 @@ def fingerprint(network: PearlNetwork, result: JobResult) -> dict:
     out["backlog"] = network.injection_backlog_size
     out["retransmit_queue"] = network.retransmit_queue_size
     out["census"] = network.pending_packet_census()
+    out["warmup_census"] = network.warmup_census
     routers = network.routers
     out["laser_energy_j"] = [r.laser.energy_j for r in routers]
     out["cycles_in_state"] = [dict(r.laser.cycles_in_state) for r in routers]
@@ -354,10 +355,14 @@ def fingerprint(network: PearlNetwork, result: JobResult) -> dict:
 def check_laws(network: PearlNetwork, result: JobResult) -> None:
     """Assert the conservation laws on one finished run.
 
-    The packet laws count injections, which the warm-up boundary
-    resets, so they apply to warm-up-free runs only.  A packet counts
-    as injected when it enters a router, so the injection backlog sits
-    upstream of both sides of the packet balance.
+    The packet law holds on every run: the packets pending at the
+    warm-up boundary (``network.warmup_census``, all zeros without a
+    warm-up) plus the packets injected after it equal the delivered,
+    the dropped and the packets still pending at the end.  A packet
+    counts as injected when it enters a router, so the injection
+    backlog sits upstream of both sides of the balance.  The retry
+    bound compares drops with CRC errors, which the warm-up boundary
+    resets apart, so it applies to warm-up-free runs only.
     """
     stats = result.stats
     assert stats.crc_errors == stats.retransmissions + stats.packets_dropped
@@ -369,14 +374,15 @@ def check_laws(network: PearlNetwork, result: JobResult) -> None:
     assert stats.total_energy_j() >= 0
     if stats.packets_delivered:
         assert stats.mean_latency() > 0
+    opening = network.warmup_census
+    injected = sum(c.packets_injected for c in stats.counters.values())
+    census = network.pending_packet_census()
+    assert sum(opening.values()) + injected == (
+        stats.packets_delivered + stats.packets_dropped + sum(census.values())
+    ), (opening, census)
     config = network.config
     if config.simulation.warmup_cycles:
         return
-    injected = sum(c.packets_injected for c in stats.counters.values())
-    census = network.pending_packet_census()
-    assert injected == (
-        stats.packets_delivered + stats.packets_dropped + sum(census.values())
-    ), census
     # A packet drops at its CRC failure after retry_limit retries.
     retry_limit = config.resilience.retry_limit
     assert stats.packets_dropped * (retry_limit + 1) <= stats.crc_errors
@@ -392,7 +398,8 @@ class Outcome(NamedTuple):
 def run_engine(run: Run, engine: str, trace: Trace) -> Outcome:
     """Run one engine, recording every ``_close_windows`` call as its
     cycle, the closing router ids and each frozen ``(label, row,
-    Buf_w mean)`` with the row as bytes, and check the laws."""
+    Buf_w mean, pool slots)`` with the row as bytes, and check the
+    laws."""
     with tempfile.TemporaryDirectory() as root:
         network = run.network(Path(root))
         closes = []
@@ -404,8 +411,8 @@ def run_engine(run: Run, engine: str, trace: Trace) -> Outcome:
                     cycle,
                     [router.router_id for router in closers],
                     [
-                        (label, row.dtype.str, row.tobytes(), buf_mean)
-                        for label, row, buf_mean in frozen
+                        (label, row.dtype.str, row.tobytes(), buf_mean, slots)
+                        for label, row, buf_mean, slots in frozen
                     ],
                 )
             )

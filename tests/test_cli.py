@@ -290,6 +290,51 @@ class TestModelList:
         assert row[0] == record.model_id
         assert row[2] == "-"
 
+    def test_key_column_prints_each_records_own_key(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A default-pipeline record and an online-retrain refit each
+        show their own training-key fields, sorted by name."""
+        from repro.ml.lifecycle.registry import ModelRegistry
+        from repro.ml.pipeline import _training_key
+
+        from .oracle import literal_model, toy_model
+
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path))
+        registry = ModelRegistry(tmp_path)
+        default = registry.put(
+            toy_model(),
+            training={"key": _training_key(200, True, 7)},
+            metrics={"validation_nrmse": 0.25},
+        )
+        registry.promote(default.model_id)
+        refit = registry.put(
+            literal_model(),
+            training={
+                "key": {
+                    "origin": "online-retrain",
+                    "cycle": 1200,
+                    "window": 200,
+                    "samples": 48,
+                    "event": 0,
+                }
+            },
+        )
+        assert main(["model", "list"]) == 0
+        lines = {
+            line.split()[0]: line
+            for line in capsys.readouterr().out.splitlines()[1:]
+        }
+        assert lines[default.model_id].endswith(
+            "0.250  pipeline=two_phase_default quick=True "
+            "reservation_window=200 seed=7 [production]"
+        )
+        assert lines[refit.model_id].endswith(
+            "-  cycle=1200 event=0 origin=online-retrain samples=48 "
+            "window=200"
+        )
+        assert "None" not in "".join(lines.values())
+
 
 class TestSweepCache:
     def test_no_cache_is_rejected_before_any_work(self, monkeypatch):

@@ -94,6 +94,38 @@ class TestTraceCursor:
         assert packet.created_cycle == 7
         assert packet.size_flits == 2
 
+    def test_rows_are_the_packet_arguments(self):
+        """``pop_rows`` hands out plain row tuples (the array core's
+        packets); ``pop_packets`` wraps the same rows as packets."""
+        events = [
+            _event(cycle=4, source=3, destination=16, flits=2),
+            _event(cycle=4, source=5, destination=5),
+        ]
+        rows = TraceCursor(Trace(events)).pop_rows(4)
+        packets = TraceCursor(Trace(events)).pop_packets(4)
+        assert all(type(row) is tuple for row in rows)
+        assert [
+            (
+                p.source,
+                p.destination,
+                p.core_type,
+                p.packet_class,
+                p.cache_level,
+                p.size_flits,
+                p.created_cycle,
+            )
+            for p in packets
+        ] == rows
+        assert rows[0] == (
+            3,
+            16,
+            events[0].core_type,
+            events[0].packet_class,
+            events[0].cache_level,
+            2,
+            4,
+        )
+
     def test_pops_in_order_exactly_once(self):
         trace = Trace([_event(cycle=c) for c in (0, 0, 3, 5)])
         cursor = TraceCursor(trace)
