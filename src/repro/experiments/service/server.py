@@ -21,15 +21,21 @@ of identical submissions (the "millions of users" story):
   bounded process pool, started on the first miss, so a server that
   only answers hits never starts one.
 
-The probe runs on the event loop, between the in-flight check and the
-registration of a new execution with no ``await`` in between, so
-coalescing stays exact.  A hit is answered in one write (head,
-``accepted`` event, ``result`` event and, when chunked, the last
-chunk) and never touches an executor; a miss registers the shared
-execution, which does not probe again.  A result event carries the
-cache entry's stored result document
-(:func:`~.spec_codec.result_to_bytes`) spliced in byte for byte: a hit
-is streamed without being decoded or re-encoded.
+Each server remembers the spec, key and cache payload of up to
+``_DECODED_BODIES`` distinct request bodies, so a body seen before
+skips the JSON parse, the spec decode and the key hash.  A remembered
+body that names a model is reused only after its reference is resolved
+again and the model file hashed again
+(:func:`~.spec_codec.model_still_keyed`), so every request gets the
+key a fresh decode would.  The body lookup, the in-flight check, the
+store probe and the registration of a new execution all run on the
+event loop with no ``await`` between them, so coalescing stays exact.
+A hit is answered in one write (head, ``accepted`` event, ``result``
+event and, when chunked, the last chunk) and never touches an
+executor; a miss registers the shared execution, which does not probe
+again.  A result event carries the cache entry's stored result
+document (:func:`~.spec_codec.result_to_bytes`) spliced in byte for
+byte: a hit is streamed without being decoded or re-encoded.
 
 Connections are kept alive: one connection serves request after
 request, and the NDJSON stream is framed with ``Transfer-Encoding:
@@ -56,7 +62,7 @@ import asyncio
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from ... import obs
 from ...obs import OBS
@@ -66,9 +72,21 @@ from .manifest import worker_identity
 
 # result_to_doc is not called here (results are spliced in as stored),
 # but perfbench's span wrappers look the name up in this module.
-from .spec_codec import result_to_doc, spec_from_doc  # noqa: F401
+from .spec_codec import (  # noqa: F401
+    model_still_keyed,
+    result_to_doc,
+    spec_from_doc,
+)
 
 _MAX_BODY_BYTES = 8 << 20  # an 8 MiB spec document is a client bug
+
+#: Distinct request bodies whose decode a server remembers, the oldest
+#: evicted first.  An entry of a 2 KiB document (body, spec and cache
+#: payload) takes about 7 KiB, so a full map stays under 8 MiB; a body
+#: over ``_MAX_BODY_BYTES // _DECODED_BODIES`` (8 KiB) is decoded every
+#: time, so the map never holds more body bytes than one request may
+#: carry.
+_DECODED_BODIES = 1024
 
 #: Seconds a client has to send its whole request (request line,
 #: headers and body) once its first byte arrived; a stalled one gets a
@@ -97,6 +115,16 @@ class _Request(NamedTuple):
     keep_alive: bool
 
 
+class _Decoded(NamedTuple):
+    """What the first clean decode and key of one request body gave."""
+
+    spec: Any  # the JobSpec
+    key: str
+    payload: Dict[str, Any]
+    #: The document's ``ml_model`` reference, or ``None``.
+    model_ref: Optional[str]
+
+
 class SweepServer:
     """Coalescing, cache-backed simulation server."""
 
@@ -120,6 +148,8 @@ class SweepServer:
         self.worker = worker_identity()
         #: key -> the one future all coalesced requests await.
         self._inflight: Dict[str, asyncio.Future] = {}
+        #: request body -> its decode, oldest first (``_decode``).
+        self._decoded: Dict[bytes, _Decoded] = {}
         self.counters: Dict[str, int] = {
             "connections": 0,
             "submissions": 0,
@@ -266,7 +296,7 @@ class SweepServer:
         reader: asyncio.StreamReader, first: bytes
     ) -> _Request:
         """Parse one request whose first byte was already read; every
-        framing fault is a 400 naming it."""
+        framing fault is a 4xx naming it."""
         try:
             request_line = (
                 first if first == b"\n" else first + await reader.readline()
@@ -288,14 +318,27 @@ class SweepServer:
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # Two lengths frame one body two ways: refuse both.
+                raise _HttpError(
+                    400, "Bad Request", "Content-Length given more than once"
+                )
+            headers[name] = value.strip()
         if "transfer-encoding" in headers:
             raise _HttpError(
                 400,
                 "Bad Request",
                 "request bodies must be sent with a Content-Length",
             )
-        text = headers.get("content-length", "0")
+        text = headers.get("content-length")
+        if text is None:
+            if method == "POST":
+                # Its body would be read as the next request.
+                raise _HttpError(
+                    411, "Length Required", "a POST needs a Content-Length"
+                )
+            text = "0"
         if not (text.isascii() and text.isdigit()):
             raise _HttpError(
                 400,
@@ -412,12 +455,7 @@ class SweepServer:
     async def _handle_simulate(
         self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> None:
-        try:
-            doc = json.loads(body.decode("utf-8"))
-            spec = spec_from_doc(doc)
-        except ValueError as exc:
-            raise _HttpError(400, "Bad Request", f"bad spec document: {exc}")
-        key, payload = self.cache.key_for(spec, with_payload=True)
+        spec, key, payload, _ref = self._decode(body)
         self.counters["submissions"] += 1
         self._count("submissions")
 
@@ -478,6 +516,36 @@ class SweepServer:
             line = self._result_line(key, False, document)
         writer.write(frame(line) + end)
         await writer.drain()
+
+    def _decode(self, body: bytes) -> _Decoded:
+        """The spec, key and cache payload of one request body.
+
+        A remembered body is reused while its model reference still
+        holds; any other body is parsed, decoded and keyed, and
+        remembered only once all three succeeded, so a rejected body is
+        never stored.  A stale entry is dropped before the fresh
+        decode, which may reject the body.
+        """
+        decoded = self._decoded.get(body)
+        if decoded is not None and model_still_keyed(
+            decoded.model_ref, decoded.spec, decoded.payload
+        ):
+            return decoded
+        self._decoded.pop(body, None)
+        try:
+            doc = json.loads(body.decode("utf-8"))
+            spec = spec_from_doc(doc)
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: a document nested deeper than the parser
+            # (or the decoder) can follow is malformed, not a fault.
+            raise _HttpError(400, "Bad Request", f"bad spec document: {exc}")
+        key, payload = self.cache.key_for(spec, with_payload=True)
+        decoded = _Decoded(spec, key, payload, doc.get("ml_model"))
+        if len(body) <= _MAX_BODY_BYTES // _DECODED_BODIES:
+            if len(self._decoded) >= _DECODED_BODIES:
+                del self._decoded[next(iter(self._decoded))]
+            self._decoded[body] = decoded
+        return decoded
 
     def _result_line(self, key: str, cached: bool, document: bytes) -> bytes:
         """The ``result`` event, with the stored document as its last

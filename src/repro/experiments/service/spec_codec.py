@@ -16,7 +16,9 @@ What is not a field lives here: the ``format`` tag, checked strictly,
 and the model.  A client cannot ship a filesystem path into the
 server, so documents carry no ``ml_model_path``; they reference
 registry models by tag/id (``ml_model``) and the server resolves them
-against its local :mod:`repro.ml.lifecycle` registry at decode time.
+against its local :mod:`repro.ml.lifecycle` registry at decode time,
+and again (:func:`model_still_keyed`) whenever it reuses an earlier
+decode of the same document.
 
 The result document is the one encoding of a
 :class:`~repro.noc.network.JobResult`: the result cache stores
@@ -100,6 +102,34 @@ def _model_path(ref: Any) -> Optional[str]:
         return str(default_registry().model_path(ref))
     except KeyError as exc:
         raise ValueError(f"ml_model: {exc.args[0]}") from None
+
+
+def model_still_keyed(
+    ref: Optional[str], spec: JobSpec, payload: Dict[str, Any]
+) -> bool:
+    """Whether a document's ``ml_model`` reference still names the model
+    file ``spec`` runs, holding the bytes its cache ``payload`` keyed.
+
+    ``spec`` and ``payload`` come from an earlier decode and key of the
+    same document.  The reference is resolved again and the file hashed
+    again, as a fresh decode and key would, so a moved tag, a rewritten
+    model file or a newly ambiguous id prefix gives ``False``, and so
+    does a reference that no longer resolves or a file that cannot be
+    read.  A document without a model reference always holds.
+    """
+    if ref is None:
+        return True
+    # Imported here for the same reason as JobSpec above.
+    from ..cache import file_digest
+
+    try:
+        path = _model_path(ref)
+        return (
+            path == spec.ml_model_path
+            and file_digest(path) == payload["ml_model"]
+        )
+    except (ValueError, OSError):
+        return False
 
 
 # ---------------------------------------------------------------------------

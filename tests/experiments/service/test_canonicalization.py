@@ -643,6 +643,21 @@ def valid_docs(served_model):
     ]
 
 
+def mutated_doc(data, docs):
+    """One of ``docs`` with any key dropped, or any leaf or subtree
+    replaced with any JSON value, as ``data`` draws."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if data.draw(st.booleans(), label="drop"):
+        del target[path[-1]]
+    else:
+        target[path[-1]] = json.loads(json.dumps(data.draw(_JSON)))
+    return doc
+
+
 class TestSpecDocumentFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -653,15 +668,7 @@ class TestSpecDocumentFuzz:
         value: the decoder either returns a spec whose wire round trip
         keeps its cache key, or raises ValueError, never another error
         (the server answers a ValueError with a 400)."""
-        doc = copy.deepcopy(data.draw(st.sampled_from(valid_docs)))
-        path = data.draw(st.sampled_from(list(_paths(doc))))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if data.draw(st.booleans(), label="drop"):
-            del target[path[-1]]
-        else:
-            target[path[-1]] = json.loads(json.dumps(data.draw(_JSON)))
+        doc = mutated_doc(data, valid_docs)
         try:
             spec = spec_from_doc(doc)
         except ValueError:

@@ -29,12 +29,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.config import PearlConfig, PowerScalingConfig, SimulationConfig
 from repro.experiments.cache import ENTRY_FORMAT, ResultCache
 from repro.experiments.parallel import (
     JobSpec,
+    collective_spec,
     execute_job,
     pair_spec,
     pearl_job,
@@ -52,9 +55,10 @@ from repro.experiments.service.spec_codec import (
 from repro.ml.features import NUM_FEATURES
 from repro.ml.lifecycle import ModelRegistry, default_registry
 from repro.ml.ridge import RidgeRegression
+from repro.noc.network import JobResult
 from repro.noc.router import PowerPolicyKind
 
-from .test_canonicalization import MALFORMED_DOCS, malformed_doc
+from .test_canonicalization import MALFORMED_DOCS, malformed_doc, mutated_doc
 
 # A handler task or socket left behind by a stopped server surfaces
 # only as an unraisable exception when it is collected: fail on it.
@@ -142,14 +146,38 @@ def _response(sock: socket.socket) -> "tuple[http.client.HTTPResponse, bytes]":
     return response, response.read()
 
 
-def _post(doc, version: str = "HTTP/1.1") -> bytes:
-    body = json.dumps(doc).encode()
+def _framed(body: bytes, version: str = "HTTP/1.1") -> bytes:
+    """A ``POST /simulate`` of ``body`` with its ``Content-Length``."""
     return (
         f"POST /simulate {version}\r\nContent-Length: {len(body)}\r\n\r\n"
     ).encode() + body
 
 
+def _post(doc, version: str = "HTTP/1.1") -> bytes:
+    return _framed(json.dumps(doc).encode(), version)
+
+
 _HEALTHZ = b"GET /healthz HTTP/1.1\r\n\r\n"
+
+
+def _send(live, body: bytes) -> "tuple[int, bytes]":
+    """POST ``body`` byte for byte; the response's status and body."""
+    conn = http.client.HTTPConnection(
+        live.server.host, live.server.port, timeout=60
+    )
+    try:
+        conn.request("POST", "/simulate", body=body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _submit_body(live, body: bytes) -> list:
+    """POST ``body`` byte for byte; the events of its 200 response."""
+    status, payload = _send(live, body)
+    assert status == 200, payload
+    return [json.loads(line) for line in payload.splitlines()]
 
 
 class TestEndpoints:
@@ -267,6 +295,23 @@ class TestEndpoints:
                 400,
                 "header line exceeds the 64 KiB limit",
             ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: 200000\r\n\r\n"
+                + b"[" * 200_000,
+                400,
+                "bad spec document",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: 0\r\n"
+                b"Content-Length: 0\r\n\r\n",
+                400,
+                "Content-Length given more than once",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\n\r\n",
+                411,
+                "a POST needs a Content-Length",
+            ),
         ],
         ids=[
             "malformed-request-line",
@@ -277,6 +322,9 @@ class TestEndpoints:
             "negative-length",
             "short-body",
             "oversized-header-line",
+            "deeply-nested-body",
+            "duplicated-length",
+            "missing-length",
         ],
     )
     def test_client_errors_count_as_bad_requests(
@@ -662,21 +710,41 @@ class TestLazyPool:
     def test_a_request_computes_its_payload_once(
         self, tmp_path, tiny_sim_config, monkeypatch
     ):
-        """A served miss keys and stores its job with one ``payload()``,
-        a served hit keys it with one."""
-        calls = []
+        """A first-seen body is decoded and keyed once, and a miss
+        stores its job with that one ``payload()``.  The same bytes
+        again are decoded and keyed zero times; the same spec in other
+        bytes is a first-seen body with the same key."""
+        decodes, payloads = [], []
+        decode = server_module.spec_from_doc
         payload = JobSpec.payload
         monkeypatch.setattr(
-            JobSpec, "payload", lambda job: calls.append(job) or payload(job)
+            server_module,
+            "spec_from_doc",
+            lambda doc: decodes.append(doc) or decode(doc),
+        )
+        monkeypatch.setattr(
+            JobSpec,
+            "payload",
+            lambda job: payloads.append(job) or payload(job),
         )
         pair = experiment_pairs(quick=True)[0]
-        spec = trace_job(tiny_sim_config, pair_spec(pair, 4), seed=4)
+        doc = spec_to_doc(
+            trace_job(tiny_sim_config, pair_spec(pair, 4), seed=4)
+        )
+        body = json.dumps(doc).encode()
         cache = ResultCache(directory=tmp_path / "cache")
         with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
-            assert live.client.submit(spec_to_doc(spec))[-1]["cached"] is False
-            assert len(calls) == 1
-            assert live.client.submit(spec_to_doc(spec))[-1]["cached"] is True
-            assert len(calls) == 2
+            first = _submit_body(live, body)
+            assert first[-1]["cached"] is False
+            assert (len(decodes), len(payloads)) == (1, 1)
+            again = _submit_body(live, body)
+            assert again[-1]["cached"] is True
+            assert (len(decodes), len(payloads)) == (1, 1)
+            other = _submit_body(live, json.dumps(doc, indent=1).encode())
+            assert other[-1]["cached"] is True
+            assert (len(decodes), len(payloads)) == (2, 2)
+        keys = {events[0]["key"] for events in (first, again, other)}
+        assert keys == {cache.key_for(spec_from_doc(doc))}
 
     def test_first_miss_starts_the_pool_and_executes_once(
         self, tmp_path, tiny_sim_config
@@ -944,16 +1012,20 @@ class TestBackpressure:
         assert stats["coalesced"] == 0
 
 
+def _model(scale: float) -> RidgeRegression:
+    """A fitted model; each ``scale`` gives other weights."""
+    return RidgeRegression(lam=1.0).fit(
+        np.eye(NUM_FEATURES), scale * np.arange(NUM_FEATURES, dtype=float)
+    )
+
+
 @pytest.fixture
 def served_model_path(tmp_path, monkeypatch):
     """The file of a model tagged ``served`` in the default registry,
     which also holds two ids that share the prefix ``zz``."""
     monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
     registry = default_registry()
-    model = RidgeRegression(lam=1.0).fit(
-        np.eye(NUM_FEATURES), np.arange(NUM_FEATURES, dtype=float)
-    )
-    record = registry.put(model, training={"key": {"spec": "served"}})
+    record = registry.put(_model(1.0), training={"key": {"spec": "served"}})
     registry.promote(record.model_id, "served")
     for model_id in ("zz00000000000001", "zz00000000000002"):
         obj_dir = registry.root / "objects" / model_id
@@ -1025,6 +1097,197 @@ class TestModelReference:
         assert stats["submissions"] == 0
 
 
+def _fresh_key(live, body: bytes) -> str:
+    """The key a fresh decode of ``body`` gives at this moment."""
+    return live.server.cache.key_for(spec_from_doc(json.loads(body)))
+
+
+class TestDecodedBodies:
+    """A server remembers the decode of each body it has seen, and no
+    request can tell: every one gets the key a fresh decode gives."""
+
+    def test_a_moved_tag_rekeys_the_same_bytes(
+        self, served_model_path, tiny_sim_config, live
+    ):
+        registry = default_registry()
+        other = registry.put(_model(2.0), training={"key": {"spec": "other"}})
+        body = json.dumps(
+            _ml_doc(tiny_sim_config, served_model_path, "served")
+        ).encode()
+        first = _submit_body(live, body)
+        second = _submit_body(live, body)
+        registry.promote(other.model_id, "served")
+        third = _submit_body(live, body)
+        cached = [events[-1]["cached"] for events in (first, second, third)]
+        assert cached == [False, True, False]
+        assert first[0]["key"] == second[0]["key"] != third[0]["key"]
+        assert third[0]["key"] == _fresh_key(live, body)
+        assert live.client.stats()["executions"] == 2
+
+    def test_a_rewritten_model_file_rekeys_the_same_bytes(
+        self, served_model_path, tiny_sim_config, live
+    ):
+        registry = default_registry()
+        other = registry.put(_model(2.0), training={"key": {"spec": "other"}})
+        body = json.dumps(
+            _ml_doc(
+                tiny_sim_config, served_model_path, registry.resolve("served")
+            )
+        ).encode()
+        first = _submit_body(live, body)
+        Path(served_model_path).write_bytes(
+            registry.model_path(other.model_id).read_bytes()
+        )
+        second = _submit_body(live, body)
+        assert second[0]["key"] != first[0]["key"]
+        assert second[0]["key"] == _fresh_key(live, body)
+        assert second[-1]["cached"] is False
+
+    def test_a_newly_ambiguous_prefix_is_400(
+        self, served_model_path, tiny_sim_config, live
+    ):
+        registry = default_registry()
+        prefix = registry.resolve("served")[:6]
+        body = json.dumps(
+            _ml_doc(tiny_sim_config, served_model_path, prefix)
+        ).encode()
+        assert _submit_body(live, body)[0]["key"] == _fresh_key(live, body)
+        twin = registry.root / "objects" / f"{prefix}zzzzzzzzzz"
+        twin.mkdir()
+        (twin / "meta.json").write_text("{}")
+        status, payload = _send(live, body)
+        assert status == 400
+        matches = sorted([registry.resolve("served"), twin.name])
+        assert json.loads(payload)["error"] == (
+            f"bad spec document: ml_model: ambiguous model reference "
+            f"{prefix!r}: {matches}"
+        )
+        assert body not in live.server._decoded
+        stats = live.client.stats()
+        assert (stats["bad_requests"], stats["submissions"]) == (1, 1)
+
+    def test_the_newest_bodies_are_remembered(self, tmp_path, tiny_sim_config):
+        """Past the bound the oldest body is forgotten: one stored
+        document padded with 0 to bound spaces is bound + 1 distinct
+        bodies with one key."""
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        body = json.dumps(spec_to_doc(spec)).encode()
+        bound = server_module._DECODED_BODIES
+        bodies = [body + b" " * pad for pad in range(bound + 1)]
+        server = SweepServer(cache=cache, port=0, jobs=1)
+        with _LiveServer(server) as live:
+            for padded in bodies:
+                assert _submit_body(live, padded)[-1]["cached"] is True
+            assert live.client.stats()["cache_hits"] == bound + 1
+        assert list(server._decoded) == bodies[1:]
+
+    def test_a_body_over_its_share_is_decoded_every_time(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """A body longer than its share of the map's byte budget is
+        served as any other, but never remembered."""
+        decodes = []
+        decode = server_module.spec_from_doc
+        monkeypatch.setattr(
+            server_module,
+            "spec_from_doc",
+            lambda doc: decodes.append(doc) or decode(doc),
+        )
+        cache, spec = _warm_cache(tmp_path, tiny_sim_config, seed=1)
+        body = json.dumps(spec_to_doc(spec)).encode()
+        share = server_module._MAX_BODY_BYTES // server_module._DECODED_BODIES
+        padded = body + b" " * (share + 1 - len(body))
+        server = SweepServer(cache=cache, port=0, jobs=1)
+        with _LiveServer(server) as live:
+            for sent in (padded, padded, body, body):
+                assert _submit_body(live, sent)[-1]["cached"] is True
+        assert len(decodes) == 3
+        assert list(server._decoded) == [body]
+
+    @pytest.mark.hypothesis  # its @given runs inside, on one live server
+    def test_every_key_is_the_key_of_a_fresh_decode(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """Over generated sequences of submissions, tag moves, model
+        file rewrites and prefix shadowing, every request is answered
+        as a fresh decode of its body at that moment would answer it:
+        the same key, or a 400 where that decode raises."""
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+        registry = default_registry()
+        ids = [
+            registry.put(_model(scale), training={"key": {"scale": scale}})
+            .model_id
+            for scale in (1.0, 2.0, 3.0)
+        ]
+        blobs = [registry.model_path(i).read_bytes() for i in ids]
+        prefix = ids[2][:6]
+        twin = registry.root / "objects" / f"{prefix}zzzzzzzzzz"
+        pair = experiment_pairs(quick=True)[0]
+        job = trace_job(tiny_sim_config, pair_spec(pair, 6), seed=6)
+        bodies = [
+            json.dumps(spec_to_doc(job, ml_model=ref)).encode()
+            for ref in (None, "served", ids[1], prefix)
+        ]
+        # Trace jobs ignore their model and run in milliseconds.
+        server = SweepServer(
+            cache=ResultCache(directory=tmp_path / "cache"), port=0, jobs=1
+        )
+        server._pool = ThreadPoolExecutor(max_workers=1)
+
+        def apply(op) -> None:
+            name, index, source = op
+            if name == "submit":
+                body = bodies[index]
+                try:
+                    expected = _fresh_key(live, body)
+                except ValueError:
+                    expected = None
+                status, payload = _send(live, body)
+                if expected is None:
+                    assert status == 400, payload
+                    assert body not in server._decoded
+                else:
+                    assert status == 200, payload
+                    accepted = json.loads(payload.splitlines()[0])
+                    assert accepted["key"] == expected
+            elif name == "move":
+                registry.promote(ids[index], "served")
+            elif name == "rewrite":
+                registry.model_path(ids[index]).write_bytes(blobs[source])
+            elif twin.exists():  # "shadow" toggles the prefix's twin
+                (twin / "meta.json").unlink()
+                twin.rmdir()
+            else:
+                twin.mkdir()
+                (twin / "meta.json").write_text("{}")
+
+        ops = st.one_of(
+            st.tuples(st.just("submit"), st.integers(0, 3), st.just(0)),
+            st.tuples(st.just("move"), st.integers(0, 2), st.just(0)),
+            st.tuples(
+                st.just("rewrite"), st.integers(0, 2), st.integers(0, 2)
+            ),
+            st.tuples(st.just("shadow"), st.just(0), st.just(0)),
+        )
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(ops, min_size=1, max_size=10))
+        def check(sequence):
+            registry.promote(ids[0], "served")
+            for model_id, blob in zip(ids, blobs):
+                registry.model_path(model_id).write_bytes(blob)
+            if twin.exists():
+                apply(("shadow", 0, 0))
+            for op in sequence:
+                apply(op)
+
+        with _LiveServer(server) as live:
+            check()
+            stats = live.client.stats()
+        assert stats["errors"] == 0
+        assert stats["executions"] <= len(blobs) + 1
+
+
 class TestLifecycleOutcome:
     """A retrain job reports what drift and retraining did, whichever
     way it runs: executed, replayed from the cache or served."""
@@ -1091,3 +1354,228 @@ class TestLifecycleOutcome:
                 result.fallback_windows,
             ) == expected, way
             assert result.stats.to_dict() == run.stats.to_dict(), way
+
+
+class _Replay(io.BytesIO):
+    """Bytes a server sent, read back as a socket file that a parsed
+    response cannot close, so several responses parse in turn."""
+
+    def makefile(self, mode: str) -> "_Replay":
+        return self
+
+    def close(self) -> None:
+        pass
+
+
+def _exchange(live, raw: bytes) -> list:
+    """Send ``raw`` on a new connection, half-close it, and read every
+    response until the server closes: a list of (status, body)."""
+    with live.connect() as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as stream:
+            data = stream.read()
+    replay = _Replay(data)
+    responses = []
+    while replay.tell() < len(data):
+        response = http.client.HTTPResponse(replay)
+        response.begin()
+        responses.append((response.status, response.read()))
+    return responses
+
+
+#: Request-line tokens: visible ASCII and bytes that are no UTF-8.
+_TOKENS = st.lists(
+    st.sampled_from(list(range(0x21, 0x7F)) + [0x80, 0xC3, 0xFE, 0xFF]),
+    min_size=1,
+    max_size=12,
+).map(bytes)
+#: Header values: Latin-1 text without line breaks.
+_HEADER_VALUES = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=12
+)
+_POST = b"POST /simulate HTTP/1.1\r\n"
+
+
+def _bad_body(body: bytes, problem: str = "") -> tuple:
+    """A well-framed request whose body is no valid spec document."""
+    return _framed(body), body, 400, "^bad spec document: .*" + problem
+
+
+def _malformed_requests(good: bytes, config) -> dict:
+    """Kind -> strategy of (request bytes, its body or ``None``, the
+    4xx status, a pattern its ``error`` matches).  ``good`` is a valid
+    document, cut short or corrupted by some kinds."""
+    invalid = (b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80")
+    return {
+        "request-line": st.tuples(
+            st.lists(_TOKENS, max_size=6).filter(lambda line: len(line) != 3),
+            st.sampled_from([b"\r\n\r\n", b"\r\n", b"\n", b""]),
+        )
+        .map(lambda line: b" ".join(line[0]) + line[1])
+        .filter(bool)
+        .map(lambda raw: (raw, None, 400, "malformed request line")),
+        "missing-length": st.just(
+            (_POST + b"\r\n", None, 411, "a POST needs a Content-Length")
+        ),
+        "duplicated-length": st.tuples(
+            st.integers(0, 99), st.integers(0, 99)
+        ).map(
+            lambda n: (
+                _POST
+                + b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n" % n,
+                None,
+                400,
+                "Content-Length given more than once",
+            )
+        ),
+        "non-numeric-length": _HEADER_VALUES.filter(
+            lambda v: not (v.strip().isascii() and v.strip().isdigit())
+        ).map(
+            lambda v: (
+                _POST
+                + b"Content-Length: "
+                + v.encode("latin-1")
+                + b"\r\n\r\n",
+                None,
+                400,
+                "Content-Length must be a non-negative integer",
+            )
+        ),
+        "oversized-length": st.integers(
+            server_module._MAX_BODY_BYTES + 1, 10**40
+        ).map(
+            lambda n: (
+                _POST + b"Content-Length: %d\r\n\r\n" % n,
+                None,
+                413,
+                "body exceeds",
+            )
+        ),
+        "transfer-encoding": st.tuples(_HEADER_VALUES, st.booleans()).map(
+            lambda te: (
+                _POST
+                + b"Transfer-Encoding: "
+                + te[0].encode("latin-1")
+                + (b"\r\nContent-Length: 0" if te[1] else b"")
+                + b"\r\n\r\n",
+                None,
+                400,
+                "request bodies must be sent with a Content-Length",
+            )
+        ),
+        "short-body": st.tuples(
+            st.integers(0, len(good) - 1), st.integers(1, 1_000)
+        ).map(
+            lambda cut: (
+                _POST
+                + b"Content-Length: %d\r\n\r\n" % (cut[0] + cut[1])
+                + good[: cut[0]],
+                good[: cut[0]],
+                400,
+                "body ended after",
+            )
+        ),
+        "invalid-utf8": st.tuples(
+            st.integers(0, len(good)), st.sampled_from(invalid)
+        ).map(
+            lambda bad: _bad_body(
+                good[: bad[0]] + bad[1] + good[bad[0] :], "codec can't decode"
+            )
+        ),
+        "deep-nesting": st.tuples(
+            st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]),
+            st.one_of(st.integers(1, 50), st.integers(2_000, 100_000)),
+            st.booleans(),
+        ).map(
+            lambda n: _bad_body(
+                n[0][0] * n[1] + (b"0" + n[0][1] * n[1] if n[2] else b"")
+            )
+        ),
+        "non-object": st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-(10**6), 10**6),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=8),
+            st.lists(st.integers(-9, 9), max_size=3),
+        ).map(
+            lambda value: _bad_body(
+                json.dumps(value).encode(), "must be a JSON object"
+            )
+        ),
+        "malformed-doc": st.sampled_from(MALFORMED_DOCS).map(
+            lambda case: _bad_body(
+                json.dumps(malformed_doc(config, case[1])).encode(), case[2]
+            )
+        ),
+    }
+
+
+class TestRequestFuzz:
+    @pytest.mark.hypothesis  # its @given runs inside, on one live server
+    def test_malformed_requests_get_a_4xx_naming_their_fault(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """Generated raw requests against one live server: broken
+        request lines, missing, duplicated, non-numeric or oversized
+        lengths, any Transfer-Encoding, bodies cut short by a
+        half-close, invalid UTF-8, deep nesting, non-object JSON and
+        malformed or mutated spec documents.  Each malformed request
+        gets the 4xx naming its fault; a mutated document that still
+        decodes may get a 200.  A rejected body reaches neither the
+        store nor the body map, the server counts no error, and it
+        still answers at the end.  Executions are stubbed: a mutation
+        may ask for any number of cycles, and the fuzzed path ends at
+        the pool."""
+        monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
+        monkeypatch.setattr(
+            server_module,
+            "execute_job",
+            lambda spec: JobResult(kind=spec.kind),
+        )
+        cache = ResultCache(directory=tmp_path / "cache")
+        server = SweepServer(cache=cache, port=0, jobs=1)
+        server._pool = ThreadPoolExecutor(max_workers=1)
+        pair = experiment_pairs(quick=True)[0]
+        docs = [
+            json.loads(
+                json.dumps(spec_to_doc(trace_job(tiny_sim_config, trace)))
+            )
+            for trace in (pair_spec(pair, 3), collective_spec("alltoall", 5))
+        ]
+        requests = _malformed_requests(
+            json.dumps(docs[0]).encode(), tiny_sim_config
+        )
+
+        @settings(max_examples=100, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            kind = data.draw(st.sampled_from(sorted(requests) + ["mutated"]))
+            if kind == "mutated":  # it may still decode
+                body = json.dumps(mutated_doc(data, docs)).encode()
+                raw, statuses = _framed(body), (200, 400)
+                problem = "^bad spec document: "
+            else:
+                raw, body, status, problem = data.draw(requests[kind])
+                statuses = (status,)
+            before = live.client.stats()
+            responses = _exchange(live, raw)
+            assert len(responses) == 1, responses
+            status, payload = responses[0]
+            assert status in statuses, (kind, payload)
+            after = live.client.stats()
+            assert after["errors"] == before["errors"]
+            if status == 200:
+                events = [json.loads(line) for line in payload.splitlines()]
+                assert [e["event"] for e in events] == ["accepted", "result"]
+                return
+            error = json.loads(payload)["error"]
+            assert re.search(problem, error), (kind, error)
+            assert after["store"]["entries"] == before["store"]["entries"]
+            assert body not in server._decoded
+
+        with _LiveServer(server) as live:
+            check()
+            assert live.client.healthz()
+            assert live.client.stats()["errors"] == 0
