@@ -17,7 +17,11 @@ under reactive scaling with ``examples/faults.yaml`` for 500+2,000
 cycles, the ML collective row with online retraining, and the other
 three collectives under reactive scaling with NRZ and with PAM4
 signaling, built from the same ``pearl_job``/``pair_spec``/
-``collective_spec`` helpers.
+``collective_spec`` helpers.  Each production row also records
+``close_share``, the share of an array run's wall time spent in the
+window close (:meth:`ArrayCore._close_boundary`), from one extra run
+with that method wrapped by a timer after the timed passes, which stay
+bare (``null`` on the synthetic rows).
 
 Usage::
 
@@ -71,6 +75,7 @@ from repro.experiments.parallel import (  # noqa: E402
 from repro.faults.schedule import load_fault_schedule  # noqa: E402
 from repro.ml import pipeline  # noqa: E402
 from repro.ml.ridge import RidgeRegression  # noqa: E402
+from repro.noc.array_core import ArrayCore  # noqa: E402
 from repro.noc.network import PearlNetwork  # noqa: E402
 from repro.noc.packet import CoreType  # noqa: E402
 from repro.noc.router import PowerPolicyKind  # noqa: E402
@@ -240,7 +245,9 @@ def _production_specs(model_path: str):
 
 
 def _rows(quick: bool, model_dir: str):
-    """(workload, policy, network factory, trace builder, cycles) per row."""
+    """(workload, policy, network factory, trace builder, cycles,
+    production) per row; ``production`` marks the rows at the
+    benchmark's job shapes."""
     for workload, config, build in _workloads(quick):
         for policy_name, policy in POLICIES.items():
             make = functools.partial(
@@ -248,7 +255,7 @@ def _rows(quick: bool, model_dir: str):
             )
             yield workload, policy_name, make, build, (
                 config.simulation.total_cycles
-            )
+            ), False
     model_path = str(Path(model_dir) / "deployment.npz")
     pipeline.deployment_fitted_model(
         config=PearlConfig().with_reservation_window(WINDOW)
@@ -261,7 +268,7 @@ def _rows(quick: bool, model_dir: str):
         build = functools.partial(spec.trace.build, spec.config)
         yield workload, policy_name, make, build, (
             spec.config.simulation.total_cycles
-        )
+        ), True
 
 
 def run_matrix(quick: bool, repeats: int) -> dict:
@@ -285,7 +292,36 @@ def run_matrix(quick: bool, repeats: int) -> dict:
     return entries
 
 
-def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
+def _close_share(make, trace) -> float:
+    """The share of an array run's wall time spent closing windows.
+
+    One extra run with :meth:`ArrayCore._close_boundary` wrapped by a
+    timer: the time inside it over the run's wall time.  The timed
+    passes stay bare.
+    """
+    close = ArrayCore._close_boundary
+    spent = 0.0
+
+    def timed_close(core, cycle):
+        nonlocal spent
+        start = time.perf_counter()
+        close(core, cycle)
+        spent += time.perf_counter() - start
+
+    network = make()
+    ArrayCore._close_boundary = timed_close
+    try:
+        start = time.perf_counter()
+        network.run(trace, engine="array")
+        wall = time.perf_counter() - start
+    finally:
+        ArrayCore._close_boundary = close
+    return spent / wall
+
+
+def _time_row(
+    entries, workload, policy_name, make, build, cycles, production, repeats
+):
     trace_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -304,6 +340,7 @@ def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
             walls[engine] = min(walls[engine], wall)
             outputs[engine] = fingerprint(network, result)
     identical = outputs["array"] == outputs["reference"]
+    close_share = _close_share(make, trace) if production else None
     entry = entries[f"{workload}/{policy_name}"] = {
         "workload": workload,
         "policy": policy_name,
@@ -311,6 +348,7 @@ def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
         "identical": identical,
         "array_speedup": walls["reference"] / walls["array"],
         "trace_s": trace_s,
+        "close_share": close_share,
         **{
             engine: {
                 "wall_s": walls[engine],
@@ -319,12 +357,14 @@ def _time_row(entries, workload, policy_name, make, build, cycles, repeats):
             for engine in ENGINES
         },
     }
+    close = "" if close_share is None else f"close={close_share:.1%} "
     print(
         f"{workload:22s} {policy_name:10s} "
         f"trace={trace_s * 1e3:.1f}ms "
         f"ref={walls['reference']:.3f}s "
         f"array={walls['array']:.3f}s "
         f"x{entry['array_speedup']:.2f} "
+        f"{close}"
         f"identical={identical}",
         flush=True,
     )

@@ -222,7 +222,8 @@ class ClosedWindow(NamedTuple):
     """What a window policy decides from when a reservation window closes.
 
     ``label`` is the window's link-bound injection count, ``row`` its
-    Table III vector and ``buf_mean`` its Buf_w mean (see
+    Table III row (a list; under the ML policy the router's row of its
+    close group's inference matrix) and ``buf_mean`` its Buf_w mean (see
     :meth:`repro.noc.router.PearlRouter.freeze_window`).  ``max_state``
     caps the ladder at what faulted hardware sustains (None: healthy),
     and ``predicted`` is the router's row of the ML inference its close
@@ -231,7 +232,7 @@ class ClosedWindow(NamedTuple):
 
     cycle: int
     label: float
-    row: Optional[np.ndarray]
+    row: Optional[Sequence[float]]
     buf_mean: float
     max_state: Optional[int] = None
     predicted: Optional[float] = None
@@ -277,10 +278,12 @@ class ReactivePowerScaler:
         self.config = config
         self.ladder = ladder
         self.decisions: List[int] = []
+        # The configuration is frozen, so its thresholds resolve once.
+        self._thresholds = config.thresholds()
 
     def current_thresholds(self) -> Tuple[float, float, float, float]:
         """The four thresholds the band rule compares against."""
-        return self.config.thresholds()
+        return self._thresholds
 
     def select_state(self, mean_occupancy: float) -> int:
         """Step 8: map a window-mean occupancy to a wavelength state."""

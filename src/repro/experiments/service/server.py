@@ -317,7 +317,13 @@ class SweepServer:
                 )
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise _HttpError(
+                    400,
+                    "Bad Request",
+                    f"header line without a colon: {name.rstrip()[:64]!r}",
+                )
             name = name.strip().lower()
             if name == "content-length" and name in headers:
                 # Two lengths frame one body two ways: refuse both.
@@ -346,13 +352,15 @@ class SweepServer:
                 "Content-Length must be a non-negative integer, "
                 f"got {text[:32]!r}",
             )
-        # Length first: int() refuses over 4,300 digits, and no body
-        # this server accepts needs ten.
-        if len(text) > 9 or int(text) > _MAX_BODY_BYTES:
+        # Leading zeros do not change the length.  Then the digit count
+        # first: int() refuses over 4,300 digits, and no body this
+        # server accepts needs ten.
+        digits = text.lstrip("0") or "0"
+        if len(digits) > 9 or int(digits) > _MAX_BODY_BYTES:
             raise _HttpError(
                 413, "Payload Too Large", f"body exceeds {_MAX_BODY_BYTES} bytes"
             )
-        length = int(text)
+        length = int(digits)
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:

@@ -20,7 +20,7 @@ Feature order matches Table III exactly:
 
 The collector is event-driven: the router calls the ``on_*`` hooks as
 packets move and ``observe_occupancies``/``observe_link`` once per
-cycle; ``snapshot`` freezes the window into a vector and resets.
+cycle; ``snapshot`` freezes the window into a row and resets.
 Buffer occupancy is integrated in integer slot-cycles and divided only
 when the window freezes (:func:`window_row`, :func:`input_buffer_mean`),
 the one definition both cycle engines use.
@@ -29,8 +29,6 @@ the one definition both cycle engines use.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from ..noc.packet import CacheLevel, Packet, PacketClass
 
@@ -90,14 +88,20 @@ def window_row(
     requests_by_level: Sequence[int],
     responses_by_level: Sequence[int],
     wavelength_state: int,
-) -> np.ndarray:
-    """One window's Table III vector from its integer counters.
+) -> List[float]:
+    """One window's Table III row from its integer counters.
 
     ``occupancy`` holds the slot-cycle integrals of the four buffers
     behind features 2-5; each mean divides by the buffer's capacity,
     then by the occupancy samples.  ``counts`` are features 7-13 in
     table order.  Both cycle engines freeze windows through this
     function, so they share one definition of every feature.
+
+    The row is a plain list: features 1-6 are floats, the counts and
+    the state stay the integers they were counted as, and
+    ``np.array(row, dtype=float)`` is the float64 vector.  A close
+    group's rows become one ``(k, 30)`` matrix only where a policy
+    needs one (the ML inference), so no array is built per row.
     """
     samples = max(samples, 1)
     row = [
@@ -112,7 +116,7 @@ def window_row(
     row += requests_by_level
     row += responses_by_level
     row.append(wavelength_state)
-    return np.array(row, dtype=float)
+    return row
 
 
 def input_buffer_mean(
@@ -235,8 +239,8 @@ class FeatureCollector:
             sums[0], sums[2], caps[0] + caps[2], self._occupancy_samples
         )
 
-    def snapshot(self, wavelength_state: int) -> np.ndarray:
-        """Freeze the window into a Table III-ordered vector and reset."""
+    def snapshot(self, wavelength_state: int) -> List[float]:
+        """Freeze the window into its Table III row and reset."""
         vector = window_row(
             self.is_l3_router,
             self._occupancy_slot_cycles,

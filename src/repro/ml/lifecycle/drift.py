@@ -31,6 +31,7 @@ policy (`MLConfig.drift_action`):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -121,6 +122,8 @@ class DriftMonitor:
         self._train_scale = scale
 
         self._ewma_features: Optional[np.ndarray] = None
+        # The feature z-scores of the latest window, rewritten in place.
+        self._feature_zs: Optional[np.ndarray] = None
         # Residual baseline: Welford over the calibration prefix.
         self._res_count = 0
         self._res_mean = 0.0
@@ -225,12 +228,14 @@ class DriftMonitor:
 
     def _update_features(self, features: np.ndarray) -> None:
         alpha = self.config.ewma_alpha
-        if self._ewma_features is None:
+        ewma = self._ewma_features
+        if ewma is None:
             self._ewma_features = features.copy()
         else:
-            self._ewma_features = (
-                alpha * features + (1.0 - alpha) * self._ewma_features
-            )
+            # alpha * x + (1 - alpha) * ewma, in place: the same two
+            # products and one sum per element, so the same bits.
+            ewma *= 1.0 - alpha
+            ewma += alpha * features
         if self._train_mean is None:
             # Calibration-window baseline (models without a scaler).
             self._feat_count += 1
@@ -259,7 +264,7 @@ class DriftMonitor:
     def _residual_z(self) -> float:
         if self._ewma_residual is None or self._res_count < 2:
             return 0.0
-        std = float(np.sqrt(self._res_m2 / max(self._res_count - 1, 1)))
+        std = math.sqrt(self._res_m2 / max(self._res_count - 1, 1))
         std = max(std, 1e-9, 0.05 * abs(self._res_mean))
         return abs(self._ewma_residual - self._res_mean) / std
 
@@ -274,6 +279,11 @@ class DriftMonitor:
             scale = np.where(scale < 1e-9, 1.0, scale)
         else:
             return 0.0, -1
-        z = np.abs(self._ewma_features - mean) / scale
+        z = self._feature_zs
+        if z is None:
+            z = self._feature_zs = np.empty_like(self._ewma_features)
+        np.subtract(self._ewma_features, mean, out=z)
+        np.abs(z, out=z)
+        np.divide(z, scale, out=z)
         worst = int(np.argmax(z))
         return float(z[worst]), worst

@@ -82,12 +82,18 @@ Four ideas make the loop cheap *and* exact:
   freezes each closing row's label, Table III row, Buf_w mean and
   pool slots straight from its counters and stamps, through the same
   :func:`~repro.ml.features.window_row` the reference engine's feature
-  collector uses, and hands them to the *same*
+  collector uses (a plain list: no array is built per row), and hands
+  them to the *same*
   :meth:`~repro.noc.network.PearlNetwork._close_windows` as the
-  reference engine — one ``(k, n_features)`` ML inference per close
-  group, then each router's policy, which requests its state from the
-  router's (settled) bank, and the window telemetry, which reads the
-  handed-over slots; the routers' feature collectors stay untouched.
+  reference engine — under ML one ``np.array`` of the group's rows and
+  one ``(k, n_features)`` inference, then each router's policy, which
+  requests its state from the router's (settled) bank, and the window
+  telemetry, which reads the handed-over slots; the routers' feature
+  collectors stay untouched.  The close then refreshes only what it
+  changed: the closers' transmit mirrors and, under D3NOC, their pin
+  mirrors; ``_next_flip`` is recomputed over every bank only when a
+  closer had a turn-on pending (otherwise the closers' new flips fold
+  into the current minimum).
 
 A router is a transmit candidate only when a pool head can actually
 move: a photonic engine is free, or the head packet is local and the
@@ -113,6 +119,7 @@ import heapq
 import math
 from typing import Dict, List, Optional
 
+from ..core.d3noc import D3nocReconfigurer
 from ..ml.features import input_buffer_mean, window_row
 from ..obs import OBS
 from ..traffic.trace import TraceCursor
@@ -198,8 +205,12 @@ class ArrayCore:
         self._dbas = dbas
         # D3NOC window pins (per row: fractions + split label, None =
         # unpinned).  Nothing is pinned before the first close, and pins
-        # only change inside _close_windows, so the mirrors refresh
-        # after each boundary.
+        # only change inside _close_windows, where only a D3NOC policy
+        # sets them, so the closers' mirrors refresh after a boundary of
+        # a run whose policy pins.
+        self._pins = any(
+            isinstance(router.policy, D3nocReconfigurer) for router in routers
+        )
         self._dba_pin_cf = [0.0] * n
         self._dba_pin_gf = [0.0] * n
         self._dba_pin_label: List[Optional[str]] = [None] * n
@@ -440,94 +451,149 @@ class ArrayCore:
         behaviour is identical by construction.  Each closing row's
         bank is settled to ``cycle`` first, so the state its policy
         requests applies from this cycle on.
+
+        Only the closers' banks and pins can change here, so only their
+        transmit mirrors are refreshed.  ``_next_flip`` is recomputed
+        over every bank only when a closer had a turn-on pending before
+        the close (its request may have moved or cancelled the minimum);
+        otherwise the closers' new flips fold into the current minimum.
         """
         rows, gap = self._close_groups[self._group]
+        routers = self.routers
+        banks = self._banks
         closers: List = []
         frozen: List = []
         # This cycle was observed before the close: the open window's
         # observations end at ``cycle`` inclusive.
         after = cycle + 1
-        s_cpu, s_ejc, s_gpu, s_ejg = (
-            self._s_cpu,
-            self._s_ejc,
-            self._s_gpu,
-            self._s_ejg,
-        )
-        st_cpu, st_ejc, st_gpu, st_ejg = (
-            self._st_cpu,
-            self._st_ejc,
-            self._st_gpu,
-            self._st_ejg,
-        )
+        s_cpu = self._s_cpu
+        s_ejc = self._s_ejc
+        s_gpu = self._s_gpu
+        s_ejg = self._s_ejg
+        st_cpu = self._st_cpu
+        st_ejc = self._st_ejc
+        st_gpu = self._st_gpu
+        st_ejg = self._st_ejg
+        emax = self._emax
+        link_settled = self._link_settled
+        feat_link_busy = self._feat_link_busy
+        occ_base = self._occ_base
+        link_base = self._link_base
+        f_core = self._f_core
+        f_other = self._f_other
+        f_cores = self._f_cores
+        f_netinj = self._f_netinj
+        f_qs = self._f_qs
+        f_qr = self._f_qr
+        f_ps = self._f_ps
+        f_pr = self._f_pr
+        f_qlvl = self._f_qlvl
+        f_plvl = self._f_plvl
+        stats = self._stats
+        had_flip = False
         for r in rows:
-            bank = self._banks[r]
+            bank = banks[r]
+            if bank._pending_state is not None:
+                had_flip = True
             bank.settle(cycle)
-            self._settle_link_row(r, cycle)
-            slots = (s_cpu[r], s_ejc[r], s_gpu[r], s_ejg[r])
-            ends = (
-                slots[0] * after,
-                slots[1] * after,
-                slots[2] * after,
-                slots[3] * after,
-            )
-            sums = (
-                ends[0] - st_cpu[r],
-                ends[1] - st_ejc[r],
-                ends[2] - st_gpu[r],
-                ends[3] - st_ejg[r],
-            )
-            st_cpu[r], st_ejc[r], st_gpu[r], st_ejg[r] = ends
-            samples = cycle - self._occ_base[r]
-            row = window_row(
-                self._is_l3[r],
-                sums,
-                self._feat_caps[r],
-                samples,
-                self._feat_link_busy[r],
-                cycle - self._link_base[r],
-                (
-                    self._f_core[r],
-                    self._f_other[r],
-                    self._f_cores[r],
-                    self._f_qs[r],
-                    self._f_qr[r],
-                    self._f_ps[r],
-                    self._f_pr[r],
-                ),
-                self._f_qlvl[r],
-                self._f_plvl[r],
-                bank.state,
-            )
+            # _settle_link_row(r, cycle), inlined: the window's last
+            # engine-busy cycles.
+            link_busy = feat_link_busy[r]
+            hi = emax[r]
+            if hi > cycle:
+                hi = cycle
+            d = hi - link_settled[r]
+            if d > 0:
+                link_busy += d
+                stats.link_busy_cycles += d
+            link_settled[r] = cycle
+            # Each pool's slot-cycle integral, and the stamp that opens
+            # the next window.
+            cpu = s_cpu[r]
+            ejc = s_ejc[r]
+            gpu = s_gpu[r]
+            ejg = s_ejg[r]
+            end_cpu = cpu * after
+            end_ejc = ejc * after
+            end_gpu = gpu * after
+            end_ejg = ejg * after
+            sum_cpu = end_cpu - st_cpu[r]
+            sum_ejc = end_ejc - st_ejc[r]
+            sum_gpu = end_gpu - st_gpu[r]
+            sum_ejg = end_ejg - st_ejg[r]
+            st_cpu[r] = end_cpu
+            st_ejc[r] = end_ejc
+            st_gpu[r] = end_gpu
+            st_ejg[r] = end_ejg
+            samples = cycle - occ_base[r]
             frozen.append(
                 (
-                    float(self._f_netinj[r]),
-                    row,
-                    input_buffer_mean(
-                        sums[0], sums[2], self._in_caps[r], samples
+                    float(f_netinj[r]),
+                    window_row(
+                        self._is_l3[r],
+                        (sum_cpu, sum_ejc, sum_gpu, sum_ejg),
+                        self._feat_caps[r],
+                        samples,
+                        link_busy,
+                        cycle - link_base[r],
+                        (
+                            f_core[r],
+                            f_other[r],
+                            f_cores[r],
+                            f_qs[r],
+                            f_qr[r],
+                            f_ps[r],
+                            f_pr[r],
+                        ),
+                        f_qlvl[r],
+                        f_plvl[r],
+                        bank.state,
                     ),
-                    slots,
+                    input_buffer_mean(
+                        sum_cpu, sum_gpu, self._in_caps[r], samples
+                    ),
+                    (cpu, ejc, gpu, ejg),
                 )
             )
-            closers.append(self.routers[r])
+            closers.append(routers[r])
             # Open the next window.
-            self._feat_link_busy[r] = 0
-            self._occ_base[r] = cycle
-            self._link_base[r] = cycle
-            self._f_core[r] = 0
-            self._f_other[r] = 0
-            self._f_cores[r] = 0
-            self._f_netinj[r] = 0
-            self._f_qs[r] = 0
-            self._f_ps[r] = 0
-            self._f_qr[r] = 0
-            self._f_pr[r] = 0
-            self._f_qlvl[r] = [0] * 8
-            self._f_plvl[r] = [0] * 8
+            feat_link_busy[r] = 0
+            occ_base[r] = cycle
+            link_base[r] = cycle
+            f_core[r] = 0
+            f_other[r] = 0
+            f_cores[r] = 0
+            f_netinj[r] = 0
+            f_qs[r] = 0
+            f_ps[r] = 0
+            f_qr[r] = 0
+            f_pr[r] = 0
+            f_qlvl[r] = [0] * 8
+            f_plvl[r] = [0] * 8
         self.net._close_windows(closers, frozen, cycle)
+        # _refresh_laser for the closers, inlined, with the fold of
+        # their flips into the current minimum.
+        ser = self._ser
+        ser_now = self._ser_now
+        tx_ok = self._tx_ok
+        link_down = self._link_down
+        next_flip = self._next_flip
         for r in rows:
-            self._refresh_laser(r)
-            self._refresh_dba_pin(r)
-        self._recompute_next_flip()
+            bank = banks[r]
+            ser_now[r] = ser[bank.state]
+            if bank._pending_state is None:
+                tx_ok[r] = not link_down[r]
+            else:
+                tx_ok[r] = False
+                if bank._flip_cycle < next_flip:
+                    next_flip = bank._flip_cycle
+        if had_flip:
+            self._recompute_next_flip()
+        else:
+            self._next_flip = next_flip
+        if self._pins:
+            for r in rows:
+                self._refresh_dba_pin(r)
         self._group = (self._group + 1) % len(self._close_groups)
         self._next_boundary = cycle + gap
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,9 +217,14 @@ class PearlNetwork:
     # -- collection-mode support -------------------------------------------------
 
     def enable_collection(
-        self, hook: Callable[[int, np.ndarray, float], None]
+        self, hook: Callable[[int, Sequence[float], float], None]
     ) -> None:
-        """Install a (router_id, features, label) dataset hook."""
+        """Install a (router_id, features, label) dataset hook.
+
+        ``features`` is a window's Table III row as frozen for its
+        close: a list, or under the ML policy the router's row of its
+        close group's inference matrix.
+        """
         for router in self.routers:
             router.collection_hook = (
                 lambda feats, label, rid=router.router_id: hook(rid, feats, label)
@@ -360,7 +365,7 @@ class PearlNetwork:
     def _close_windows(
         self,
         closers: List[PearlRouter],
-        frozen: List[Tuple[float, np.ndarray, float]],
+        frozen: List[Tuple[float, List[float], float, Tuple[int, ...]]],
         cycle: int,
     ) -> None:
         """Close every router window that falls on ``cycle``.
@@ -368,22 +373,26 @@ class PearlNetwork:
         The one close path of both engines: ``frozen`` holds each
         closer's ``(label, row, Buf_w mean, pool slots)``, frozen by
         :meth:`PearlRouter.freeze_window` on the reference engine and
-        from the array core's own counters on the array engine.  Under
-        the ML policy the rows of the group are predicted together —
-        one ``(k, n_features)`` matmul, or one saturating-MAC sweep on
-        the quantized path, for every k — which is the defining
-        inference semantics, so batch-sensitive BLAS kernels can never
-        split the engines.  Each router then closes in group order; its
+        from the array core's own counters on the array engine, with
+        each row a plain list.  Under the ML policy the rows of the
+        group become one C-contiguous float64 ``(k, n_features)``
+        matrix, predicted together — one matmul, or one saturating-MAC
+        sweep on the quantized path, for every k — which is the
+        defining inference semantics, so batch-sensitive BLAS kernels
+        can never split the engines; each router is handed its row of
+        that matrix.  Each router then closes in group order; its
         window telemetry reads the handed-over slots and this run's
         fault counters, never the pool objects.
         """
+        rows = [row for _, row, _, _ in frozen]
         predictions: List[Optional[float]] = [None] * len(closers)
         if self.power_policy is PowerPolicyKind.ML:
+            rows = np.array(rows, dtype=float)
             predictions = closers[0].policy.predict_window_batch(
-                np.stack([row for _, row, _, _ in frozen])
+                rows
             ).tolist()
-        for router, (label, row, buf_mean, slots), predicted in zip(
-            closers, frozen, predictions
+        for router, (label, _, buf_mean, slots), row, predicted in zip(
+            closers, frozen, rows, predictions
         ):
             router.close_window(
                 cycle, label, row, buf_mean, slots, predicted, self.stats
@@ -391,25 +400,30 @@ class PearlNetwork:
         if self._retrain_enabled:
             # After *all* closers of the group decided, so every row of
             # a group is predicted by the same model.
-            self._maybe_retrain(cycle)
+            self._maybe_retrain(cycle, closers)
 
-    def _maybe_retrain(self, cycle: int) -> None:
+    def _maybe_retrain(self, cycle: int, closers: List[PearlRouter]) -> None:
         """Close the ML lifecycle loop after a drift event.
 
-        Any router's pending flag latches a network-level retrain
-        request; once the cooldown since the previous swap has elapsed
-        and enough aligned (feature, label) rows are pooled, the
-        coordinator refits a ridge model on the deployment-time buffer,
-        registers it and hot-swaps every router's scaler.  No registry
+        A closer's pending flag latches a network-level retrain
+        request: only a closer's decision can raise one, and the latch
+        holds a flag raised at an earlier close group, so the group's
+        ``closers`` are the only routers worth checking.  Once the
+        cooldown since the previous swap has elapsed and enough aligned
+        (feature, label) rows are pooled, the coordinator refits a
+        ridge model on the deployment-time buffer, registers it and
+        hot-swaps every router's scaler.  No registry
         tag moves: a run (or a cache hit standing in for one) never
         changes what a later ``--model production`` run deploys.
         The whole sequence is deterministic (closed-form ridge fit over
         rows pooled in router order at a fixed cycle), so both engines
         retrain identically.
         """
-        scalers = [router.policy for router in self.routers]
         if not self._retrain_latched:
-            if not any(scaler.retrain_pending for scaler in scalers):
+            for router in closers:
+                if router.policy.retrain_pending:
+                    break
+            else:
                 return
             self._retrain_latched = True
         ml = self.config.ml
@@ -420,6 +434,7 @@ class PearlNetwork:
             < ml.retrain_cooldown_windows * window
         ):
             return
+        scalers = [router.policy for router in self.routers]
         xs, ys = [], []
         for scaler in scalers:
             x, y = scaler.training_pairs()

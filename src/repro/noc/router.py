@@ -22,13 +22,14 @@ responses for all sixteen clusters.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum, unique
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import PearlConfig
+from ..config import ArchitectureConfig, PearlConfig
 from ..core.adaptive import AdaptiveReactiveScaler
 from ..core.d3noc import D3nocReconfigurer
 from ..core.dba import (
@@ -89,6 +90,17 @@ WindowPolicy = Union[
 ]
 
 
+@functools.lru_cache(maxsize=16)
+def _floorplan(architecture: ArchitectureConfig) -> ChipFloorplan:
+    """The chip floorplan of ``architecture``, built once and shared.
+
+    A floorplan is read-only and depends only on the (frozen)
+    architecture, so every PROTEUS router of every network on one
+    architecture reads the same one instead of building its own.
+    """
+    return ChipFloorplan(architecture)
+
+
 def make_policy(
     kind: PowerPolicyKind,
     config: PearlConfig,
@@ -118,7 +130,7 @@ def make_policy(
         # The loss cap of this router's waveguide on the chip floorplan
         # (the geometry the power model integrates over).
         budget = per_router_link_budget(
-            ChipFloorplan(config.architecture),
+            _floorplan(config.architecture),
             config.optical,
             source=router_id,
             photonic=config.photonic,
@@ -260,8 +272,10 @@ class PearlRouter:
         self.reservations_sent = 0
         # Hook set by the network: called with (features, label) pairs
         # when running in dataset-collection mode.
-        self.collection_hook: Optional[Callable[[np.ndarray, float], None]] = None
-        self._prev_features: Optional[np.ndarray] = None
+        self.collection_hook: Optional[
+            Callable[[Sequence[float], float], None]
+        ] = None
+        self._prev_features: Optional[Sequence[float]] = None
         # Telemetry: photonic dispatches per DBA split label, counted at
         # the dispatch under a session, cleared at the warm-up boundary
         # and flushed into the registry once per run by the network.
@@ -401,12 +415,12 @@ class PearlRouter:
 
     def freeze_window(
         self,
-    ) -> Tuple[float, np.ndarray, float, Tuple[int, int, int, int]]:
+    ) -> Tuple[float, List[float], float, Tuple[int, int, int, int]]:
         """Freeze the open window: ``(label, row, Buf_w mean, slots)``.
 
         The label is the window's link-bound injection count, the row
-        its Table III vector (feature 30 is the active state), the
-        mean the combined input-buffer occupancy the reactive rules
+        its Table III row as a list (feature 30 is the active state),
+        the mean the combined input-buffer occupancy the reactive rules
         read and ``slots`` the occupied slots of the CPU input, CPU
         ejection, GPU input and GPU ejection pools at the close (the
         window telemetry's occupancies).  The collector restarts for
@@ -430,7 +444,7 @@ class PearlRouter:
         self,
         cycle: int,
         label: float,
-        row: np.ndarray,
+        row: Sequence[float],
         buf_mean: float,
         slots: Tuple[int, int, int, int],
         predicted: Optional[float] = None,
@@ -439,9 +453,11 @@ class PearlRouter:
         """Reservation-window boundary: pick the next wavelength state.
 
         ``label``, ``row``, ``buf_mean`` and ``slots`` are the frozen
-        window (see :meth:`freeze_window`).  ``predicted`` is this
-        router's row of the ML inference the network ran over its close
-        group; an ML router closing alone predicts its row itself.
+        window (see :meth:`freeze_window`); under the ML policy ``row``
+        is this router's row of its close group's inference matrix.
+        ``predicted`` is this router's prediction from the ML inference
+        the network ran over its close group; an ML router closing
+        alone predicts its row itself.
         ``stats`` is the run's :class:`~repro.noc.stats.NetworkStats`,
         whose fault counters the window series records (None for a
         standalone router).

@@ -15,21 +15,37 @@ cannot silently lose them (see ``docs/policies.md``):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DBAConfig, PhotonicConfig, PowerScalingConfig
+from repro.config import (
+    ArchitectureConfig,
+    DBAConfig,
+    OpticalConfig,
+    PearlConfig,
+    PhotonicConfig,
+    PowerScalingConfig,
+)
 from repro.core.d3noc import D3nocReconfigurer
 from repro.core.dba import DynamicBandwidthAllocator, remap_wavelengths
 from repro.core.ml_scaling import StateSelector
 from repro.core.power_scaling import ClosedWindow
-from repro.core.proteus import ProteusPowerScaler, loss_capped_state
+from repro.core.proteus import (
+    DEFAULT_LASER_BUDGET_MW,
+    ProteusPowerScaler,
+    loss_capped_state,
+)
 from repro.core.wavelength import WavelengthLadder, wavelengths_for_share
 from repro.ml.features import NUM_FEATURES
 from repro.noc.packet import CoreType
+from repro.noc.network import PearlNetwork
 from repro.noc.photonic import LinkBudget
+from repro.noc.router import PowerPolicyKind
+from repro.noc.topology import ChipFloorplan, per_router_link_budget
 
 LADDER = WavelengthLadder(PhotonicConfig())
 
@@ -120,6 +136,50 @@ class TestProteusMonotonicity:
         )
         assert state in allowed
         assert state <= scaler.max_state
+
+
+class TestProteusNetworkCaps:
+    """A network builds one floorplan for all its PROTEUS routers; each
+    router's loss cap must equal the cap of a router that builds its
+    own floorplan, as every router did before."""
+
+    @pytest.mark.parametrize(
+        "clusters, signaling, db_per_cm",
+        [
+            (16, "nrz", 1.0),  # the default die: 64 WL everywhere
+            (16, "pam4", 1.0),  # caps of 16 and 32 WL
+            (16, "pam4", 4.0),
+            (4, "nrz", 9.0),  # caps of 16 and 48 WL
+        ],
+    )
+    def test_caps_equal_the_per_router_build(
+        self, clusters, signaling, db_per_cm
+    ):
+        config = PearlConfig(
+            architecture=ArchitectureConfig(num_clusters=clusters),
+            optical=OpticalConfig(waveguide_db_per_cm=db_per_cm),
+        )
+        config = config.replace(
+            photonic=replace(config.photonic, signaling=signaling)
+        )
+        network = PearlNetwork(config, power_policy=PowerPolicyKind.PROTEUS)
+        caps = [router.policy.max_state for router in network.routers]
+        expected = [
+            loss_capped_state(
+                per_router_link_budget(
+                    ChipFloorplan(config.architecture),
+                    config.optical,
+                    source=router_id,
+                    photonic=config.photonic,
+                ),
+                WavelengthLadder(config.photonic),
+                DEFAULT_LASER_BUDGET_MW,
+                use_8wl=config.power_scaling.use_8wl,
+            )
+            for router_id in range(config.architecture.num_routers)
+        ]
+        assert len(caps) == clusters + 1
+        assert caps == expected
 
 
 def _reconfigurer(window=200, allocator=None):

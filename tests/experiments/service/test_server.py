@@ -312,6 +312,30 @@ class TestEndpoints:
                 411,
                 "a POST needs a Content-Length",
             ),
+            (
+                b"POST /simulate HTTP/1.1\r\n"
+                b"Content-Length: 0000000002\r\n\r\n{}",
+                400,
+                "bad spec document",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\nContent-Length: "
+                + b"0" * 5_000
+                + b"1\r\n\r\n{",
+                400,
+                "bad spec document",
+            ),
+            (
+                b"POST /simulate HTTP/1.1\r\n"
+                b"Content-Length: 00000000008388609\r\n\r\n",
+                413,
+                "body exceeds",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nbogus header line\r\n\r\n",
+                400,
+                "header line without a colon: 'bogus header line'",
+            ),
         ],
         ids=[
             "malformed-request-line",
@@ -325,6 +349,10 @@ class TestEndpoints:
             "deeply-nested-body",
             "duplicated-length",
             "missing-length",
+            "zero-padded-length",
+            "five-thousand-zeros-then-one",
+            "zero-padded-oversized-length",
+            "header-line-without-colon",
         ],
     )
     def test_client_errors_count_as_bad_requests(
@@ -1395,6 +1423,8 @@ _HEADER_VALUES = st.text(
     st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=12
 )
 _POST = b"POST /simulate HTTP/1.1\r\n"
+#: Leading zeros of a Content-Length, which do not change its value.
+_ZEROS = st.one_of(st.just(b""), st.integers(1, 5_000).map(lambda n: b"0" * n))
 
 
 def _bad_body(body: bytes, problem: str = "") -> tuple:
@@ -1442,14 +1472,26 @@ def _malformed_requests(good: bytes, config) -> dict:
                 "Content-Length must be a non-negative integer",
             )
         ),
-        "oversized-length": st.integers(
-            server_module._MAX_BODY_BYTES + 1, 10**40
+        "oversized-length": st.tuples(
+            _ZEROS, st.integers(server_module._MAX_BODY_BYTES + 1, 10**40)
         ).map(
             lambda n: (
-                _POST + b"Content-Length: %d\r\n\r\n" % n,
+                _POST + b"Content-Length: %s%d\r\n\r\n" % n,
                 None,
                 413,
                 "body exceeds",
+            )
+        ),
+        "colon-less-header": _HEADER_VALUES.filter(
+            lambda v: v and ":" not in v
+        ).map(
+            lambda v: (
+                b"GET /healthz HTTP/1.1\r\n"
+                + v.encode("latin-1")
+                + b"\r\n\r\n",
+                None,
+                400,
+                "header line without a colon",
             )
         ),
         "transfer-encoding": st.tuples(_HEADER_VALUES, st.booleans()).map(
@@ -1465,11 +1507,11 @@ def _malformed_requests(good: bytes, config) -> dict:
             )
         ),
         "short-body": st.tuples(
-            st.integers(0, len(good) - 1), st.integers(1, 1_000)
+            st.integers(0, len(good) - 1), st.integers(1, 1_000), _ZEROS
         ).map(
             lambda cut: (
                 _POST
-                + b"Content-Length: %d\r\n\r\n" % (cut[0] + cut[1])
+                + b"Content-Length: %s%d\r\n\r\n" % (cut[2], cut[0] + cut[1])
                 + good[: cut[0]],
                 good[: cut[0]],
                 400,
@@ -1518,7 +1560,8 @@ class TestRequestFuzz:
         self, tmp_path, tiny_sim_config, monkeypatch
     ):
         """Generated raw requests against one live server: broken
-        request lines, missing, duplicated, non-numeric or oversized
+        request lines, header lines without a colon, missing,
+        duplicated, non-numeric or oversized (and zero-padded)
         lengths, any Transfer-Encoding, bodies cut short by a
         half-close, invalid UTF-8, deep nesting, non-object JSON and
         malformed or mutated spec documents.  Each malformed request

@@ -38,10 +38,25 @@ class TestFeatureLayout:
         assert FEATURE_NAMES[21] == "response_cpu_l1i"
 
 
+def _float64_bytes(row) -> bytes:
+    """The row's exact float64 bytes (-0.0 and NaN compare exactly)."""
+    return np.asarray(row, dtype=float).tobytes()
+
+
+def _empty_row(state: int) -> bytes:
+    """The float64 bytes of an empty cluster-router window at ``state``."""
+    row = np.zeros(NUM_FEATURES)
+    row[29] = state
+    return row.tobytes()
+
+
 class TestCollector:
     def test_snapshot_shape(self):
+        """A frozen window is a plain 30-entry list, no array."""
         vec = FeatureCollector().snapshot(64)
-        assert vec.shape == (NUM_FEATURES,)
+        assert isinstance(vec, list)
+        assert len(vec) == NUM_FEATURES
+        assert _float64_bytes(vec) == _empty_row(64)
 
     def test_l3_indicator(self):
         assert FeatureCollector(is_l3_router=True).snapshot(64)[0] == 1.0
@@ -147,7 +162,7 @@ class TestCollector:
         collector.observe_occupancies(64, 64, 64, 64)
         collector.snapshot(64)
         fresh = collector.snapshot(64)
-        assert np.all(fresh[1:29] == 0.0)
+        assert _float64_bytes(fresh) == _empty_row(64)
         assert collector.injected_this_window == 0
 
     def test_empty_window_is_finite(self):

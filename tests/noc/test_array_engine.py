@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.config import PhotonicConfig
@@ -43,7 +44,7 @@ class TestCollectionModeIdentity:
         rows = []
         network.enable_collection(
             lambda rid, feats, label: rows.append(
-                (rid, feats.dtype.str, feats.tobytes(), label)
+                (rid, np.asarray(feats, dtype=float).tobytes(), label)
             )
         )
         network.run(run.build_trace(), engine=engine)

@@ -363,12 +363,20 @@ def check_laws(network: PearlNetwork, result: JobResult) -> None:
     backlog sits upstream of both sides of the balance.  The retry
     bound compares drops with CRC errors, which the warm-up boundary
     resets apart, so it applies to warm-up-free runs only.
+
+    The laser law holds per router: the bank's residency and powered
+    cycle counts each sum to the measured cycles, its stall cycles do
+    not exceed them, its energy is its ladder's power at each powered
+    state times the cycles at that power times the cycle time, and the
+    run's laser energy is the banks' energies times their parallel
+    links, summed in router order.
     """
     stats = result.stats
     assert stats.crc_errors == stats.retransmissions + stats.packets_dropped
     residency = list(result.state_residency.values())
     assert abs(sum(residency) - 1.0) < 1e-9, residency
     assert all(0.0 <= fraction <= 1.0 for fraction in residency)
+    check_laser_law(network, stats)
     assert stats.laser_energy_j >= 0
     assert stats.trimming_energy_j >= 0
     assert stats.total_energy_j() >= 0
@@ -388,6 +396,26 @@ def check_laws(network: PearlNetwork, result: JobResult) -> None:
     assert stats.packets_dropped * (retry_limit + 1) <= stats.crc_errors
 
 
+def check_laser_law(network: PearlNetwork, stats) -> None:
+    """Laser energy = state residency × state power, router by router."""
+    measured = stats.measured_cycles
+    cycle_s = (1.0 / network.config.architecture.network_frequency_ghz) * 1e-9
+    laser_energy_j = 0.0
+    for router in network.routers:
+        bank = router.laser
+        powered = bank._cycles_at_power
+        rid = router.router_id
+        assert sum(bank.cycles_in_state.values()) == measured, rid
+        assert sum(powered.values()) == measured, rid
+        assert 0 <= bank.stall_cycles <= measured, rid
+        energy_j = 0.0
+        for state in sorted(powered):
+            energy_j += bank.ladder.power_w(state) * powered[state] * cycle_s
+        assert bank.energy_j == energy_j, rid
+        laser_energy_j += bank.energy_j * router.parallel_links
+    assert stats.laser_energy_j == laser_energy_j
+
+
 class Outcome(NamedTuple):
     """One engine's run: its window closes and its fingerprint."""
 
@@ -398,8 +426,8 @@ class Outcome(NamedTuple):
 def run_engine(run: Run, engine: str, trace: Trace) -> Outcome:
     """Run one engine, recording every ``_close_windows`` call as its
     cycle, the closing router ids and each frozen ``(label, row,
-    Buf_w mean, pool slots)`` with the row as bytes, and check the
-    laws."""
+    Buf_w mean, pool slots)`` with the row as its exact float64 bytes
+    (so -0.0 and NaN compare exactly), and check the laws."""
     with tempfile.TemporaryDirectory() as root:
         network = run.network(Path(root))
         closes = []
@@ -411,7 +439,12 @@ def run_engine(run: Run, engine: str, trace: Trace) -> Outcome:
                     cycle,
                     [router.router_id for router in closers],
                     [
-                        (label, row.dtype.str, row.tobytes(), buf_mean, slots)
+                        (
+                            label,
+                            np.asarray(row, dtype=float).tobytes(),
+                            buf_mean,
+                            slots,
+                        )
                         for label, row, buf_mean, slots in frozen
                     ],
                 )
