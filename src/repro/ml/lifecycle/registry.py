@@ -155,7 +155,7 @@ class ModelRegistry:
             blob_path = obj_dir / "model.npz"
             if not blob_path.exists() or blob_path.stat().st_size != len(blob):
                 blob_path.write_bytes(blob)
-            return self.record(model_id)
+            return self._stored_record(model_id, self._read_tags())
 
         record = ModelRecord(
             model_id=model_id,
@@ -182,7 +182,7 @@ class ModelRegistry:
         _atomic_write(
             self._tags_path, json.dumps(tags, sort_keys=True, indent=2) + "\n"
         )
-        return self.record(model_id)
+        return self._stored_record(model_id, tags)
 
     # -- read path -----------------------------------------------------------
 
@@ -205,12 +205,7 @@ class ModelRegistry:
 
     def record(self, ref: str) -> ModelRecord:
         """The metadata record for a tag/id/prefix."""
-        model_id = self.resolve(ref)
-        meta_path = self._objects_dir / model_id / "meta.json"
-        record = ModelRecord.from_json(meta_path.read_text())
-        tags = self._read_tags()
-        record.tags = sorted(t for t, mid in tags.items() if mid == model_id)
-        return record
+        return self._stored_record(self.resolve(ref), self._read_tags())
 
     def get(self, ref: str) -> RidgeRegression:
         """Load the fitted model a tag/id/prefix names."""
@@ -225,11 +220,7 @@ class ModelRegistry:
         tags = self._read_tags()
         records = []
         for entry in self._iter_object_dirs():
-            record = ModelRecord.from_json((entry / "meta.json").read_text())
-            record.tags = sorted(
-                tag for tag, mid in tags.items() if mid == entry.name
-            )
-            records.append(record)
+            records.append(self._stored_record(entry.name, tags))
         records.sort(key=lambda r: (r.created, r.model_id), reverse=True)
         return records
 
@@ -259,6 +250,16 @@ class ModelRegistry:
         return sum(1 for _ in self._iter_object_dirs())
 
     # -- internals -----------------------------------------------------------
+
+    def _stored_record(
+        self, model_id: str, tags: Dict[str, str]
+    ) -> ModelRecord:
+        """The record of the stored full id ``model_id``, tagged with
+        the tags of ``tags`` (one ``tags.json`` read) that point at it."""
+        meta_path = self._objects_dir / model_id / "meta.json"
+        record = ModelRecord.from_json(meta_path.read_text())
+        record.tags = sorted(t for t, mid in tags.items() if mid == model_id)
+        return record
 
     def _iter_object_dirs(self):
         if not self._objects_dir.is_dir():

@@ -164,6 +164,34 @@ class TestTags:
         with pytest.raises(KeyError):
             registry.resolve(common)
 
+    def test_a_known_full_id_is_not_looked_up_again(
+        self, registry, monkeypatch
+    ):
+        """A re-put derives the full id it returns the record of, and a
+        promote has resolved its reference once: neither lists the
+        object directories (again) to build that record, which a
+        registry growing by one refit model per retrain job makes
+        slower with every model."""
+        records = [
+            registry.put(_fitted_model(seed=seed), training={"key": seed})
+            for seed in range(5)
+        ]
+        registry.promote(records[1].model_id, "candidate")
+        scans = []
+        iter_dirs = ModelRegistry._iter_object_dirs
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_iter_object_dirs",
+            lambda self: scans.append(1) or iter_dirs(self),
+        )
+        reput = registry.put(_fitted_model(seed=1), training={"key": 1})
+        assert len(scans) == 0
+        promoted = registry.promote(records[3].model_id)
+        assert len(scans) == 1
+        assert reput == registry.record(records[1].model_id)
+        assert promoted == registry.record(records[3].model_id)
+        assert (reput.tags, promoted.tags) == (["candidate"], [DEFAULT_TAG])
+
 
 class TestFindByKey:
     def test_find_by_key_matches(self, registry):
