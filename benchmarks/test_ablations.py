@@ -4,9 +4,12 @@ from repro.experiments import ablations
 
 from conftest import run_once
 
+#: Collection seed of the two fitting studies (the default pipeline's).
+TRAINING_SEED = 2018
+
 
 def test_dba_granularity(benchmark, quick):
-    result = run_once(benchmark, lambda: ablations.dba_granularity(quick=quick))
+    result = run_once(benchmark, ablations.DBA_GRANULARITY, quick)
     print("\n" + result.format_table())
     rows = {row["step_pct"]: row for row in result.rows}
     assert set(rows) == {25.0, 12.5, 6.25}
@@ -17,7 +20,7 @@ def test_dba_granularity(benchmark, quick):
 
 
 def test_upper_bounds(benchmark, quick):
-    result = run_once(benchmark, lambda: ablations.upper_bounds(quick=quick))
+    result = run_once(benchmark, ablations.UPPER_BOUNDS, quick)
     print("\n" + result.format_table())
     assert len(result.rows) == 5
     paper_row = next(
@@ -32,7 +35,7 @@ def test_upper_bounds(benchmark, quick):
 
 def test_feature_reduction(benchmark, quick):
     result = run_once(
-        benchmark, lambda: ablations.feature_reduction(quick=quick)
+        benchmark, ablations.FEATURE_REDUCTION, quick, seed=TRAINING_SEED
     )
     print("\n" + result.format_table())
     rows = {row["features"]: row for row in result.rows}
@@ -43,7 +46,7 @@ def test_feature_reduction(benchmark, quick):
 
 
 def test_low_state(benchmark, quick):
-    result = run_once(benchmark, lambda: ablations.low_state(quick=quick))
+    result = run_once(benchmark, ablations.LOW_STATE, quick)
     print("\n" + result.format_table())
     rows = {row["config"]: row for row in result.rows}
     assert (
@@ -54,7 +57,7 @@ def test_low_state(benchmark, quick):
 
 def test_predictor_comparison(benchmark, quick):
     result = run_once(
-        benchmark, lambda: ablations.predictor_comparison(quick=quick)
+        benchmark, ablations.PREDICTOR_COMPARISON, quick, seed=TRAINING_SEED
     )
     print("\n" + result.format_table())
     rows = {row["predictor"]: row for row in result.rows}
@@ -67,9 +70,7 @@ def test_predictor_comparison(benchmark, quick):
 
 
 def test_adaptive_thresholds(benchmark, quick):
-    result = run_once(
-        benchmark, lambda: ablations.adaptive_thresholds(quick=quick)
-    )
+    result = run_once(benchmark, ablations.ADAPTIVE_THRESHOLDS, quick)
     print("\n" + result.format_table())
     rows = {row["policy"]: row for row in result.rows}
     static = rows["64WL static"]

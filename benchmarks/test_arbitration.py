@@ -1,12 +1,10 @@
 """Benchmark for the R-SWMR vs token-MWSR arbitration extension."""
 
-from repro.experiments import arbitration
-
 from conftest import run_once
 
 
 def test_arbitration(benchmark, quick):
-    result = run_once(benchmark, lambda: arbitration.run(quick=quick))
+    result = run_once(benchmark, "arbitration", quick)
     print("\n" + result.format_table())
     per_pair = [row for row in result.rows if row["pair"] != "MEAN"]
 

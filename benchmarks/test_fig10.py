@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 10 (ML reservation-window sweep)."""
 
-from repro.experiments import fig10_window_sweep
-
 from conftest import run_once
 
 
 def test_fig10(benchmark, quick):
-    result = run_once(benchmark, lambda: fig10_window_sweep.run(quick=quick))
+    result = run_once(benchmark, "fig10", quick)
     print("\n" + result.format_table())
     rows = {row["window"]: row for row in result.rows}
 

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.experiments import fig11_turn_on
-
 from conftest import run_once
 
 
 def test_fig11(benchmark, quick):
-    result = run_once(benchmark, lambda: fig11_turn_on.run(quick=quick))
+    result = run_once(benchmark, "fig11", quick)
     print("\n" + result.format_table())
     for window in ("Dyn RW500", "Dyn RW2000"):
         rows = [r for r in result.rows if r["config"] == window]

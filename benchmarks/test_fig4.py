@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.experiments import fig4_breakdown
-
 from conftest import run_once
 
 
 def test_fig4(benchmark, quick):
-    result = run_once(benchmark, lambda: fig4_breakdown.run(quick=quick))
+    result = run_once(benchmark, "fig4", quick)
     print("\n" + result.format_table())
     for row in result.rows:
         assert row["cpu_percent"] + row["gpu_percent"] == pytest.approx(100.0)

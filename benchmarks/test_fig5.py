@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 5 (energy per bit comparison)."""
 
-from repro.experiments import fig5_energy
-
 from conftest import run_once
 
 
 def test_fig5(benchmark, quick):
-    result = run_once(benchmark, lambda: fig5_energy.run(quick=quick))
+    result = run_once(benchmark, "fig5", quick)
     print("\n" + result.format_table())
     by_wl = {row["wavelengths"]: row for row in result.rows}
 

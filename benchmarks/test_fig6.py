@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 6 (power-scaling throughput)."""
 
-from repro.experiments import fig6_throughput
-
 from conftest import run_once
 
 
 def test_fig6(benchmark, quick):
-    result = run_once(benchmark, lambda: fig6_throughput.run(quick=quick))
+    result = run_once(benchmark, "fig6", quick)
     print("\n" + result.format_table())
     rows = {row["config"]: row for row in result.rows}
 

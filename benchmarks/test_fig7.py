@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 7 (average laser power)."""
 
-from repro.experiments import fig7_laser_power
-
 from conftest import run_once
 
 
 def test_fig7(benchmark, quick):
-    result = run_once(benchmark, lambda: fig7_laser_power.run(quick=quick))
+    result = run_once(benchmark, "fig7", quick)
     print("\n" + result.format_table())
     rows = {row["config"]: row for row in result.rows}
 

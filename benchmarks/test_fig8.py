@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.experiments import fig8_states
-
 from conftest import run_once
 
 
 def test_fig8(benchmark, quick):
-    result = run_once(benchmark, lambda: fig8_states.run(quick=quick))
+    result = run_once(benchmark, "fig8", quick)
     print("\n" + result.format_table())
     for row in result.rows:
         state_cols = [v for k, v in row.items() if k.startswith("wl")]

@@ -1,12 +1,10 @@
 """Benchmark regenerating Fig. 9 (RW500 throughput vs baselines)."""
 
-from repro.experiments import fig9_comparison
-
 from conftest import run_once
 
 
 def test_fig9(benchmark, quick):
-    result = run_once(benchmark, lambda: fig9_comparison.run(quick=quick))
+    result = run_once(benchmark, "fig9", quick)
     print("\n" + result.format_table())
     rows = {row["config"]: row for row in result.rows}
 

@@ -1,12 +1,10 @@
 """Benchmark checking the paper's two headline claims end-to-end."""
 
-from repro.experiments import headline
-
 from conftest import run_once
 
 
 def test_headline(benchmark, quick):
-    result = run_once(benchmark, lambda: headline.run(quick=quick))
+    result = run_once(benchmark, "headline", quick)
     print("\n" + result.format_table())
     rows = {row["claim"]: row for row in result.rows}
 

@@ -2,13 +2,11 @@
 
 import math
 
-from repro.experiments import ml_quality
-
 from conftest import run_once
 
 
 def test_ml_quality(benchmark, quick):
-    result = run_once(benchmark, lambda: ml_quality.run(quick=quick))
+    result = run_once(benchmark, "ml_quality", quick)
     print("\n" + result.format_table())
     rows = {row["config"]: row for row in result.rows}
 

@@ -1,12 +1,10 @@
 """Benchmark for the saturation-sweep extension."""
 
-from repro.experiments import saturation
-
 from conftest import run_once
 
 
 def test_saturation(benchmark, quick):
-    result = run_once(benchmark, lambda: saturation.run(quick=quick))
+    result = run_once(benchmark, "saturation", quick)
     print("\n" + result.format_table())
 
     # Accepted throughput is non-decreasing in offered load up to

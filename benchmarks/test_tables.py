@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.experiments import tables
-
 from conftest import run_once
 
 
 def test_table1(benchmark):
-    result = run_once(benchmark, tables.table1)
+    result = run_once(benchmark, "table1")
     print("\n" + result.format_table())
     rows = {r["component"]: r["value"] for r in result.rows}
     assert rows["CPU cores"] == 32
@@ -16,7 +14,7 @@ def test_table1(benchmark):
 
 
 def test_table2(benchmark):
-    result = run_once(benchmark, tables.table2)
+    result = run_once(benchmark, "table2")
     print("\n" + result.format_table())
     rows = {r["component"]: r["value"] for r in result.rows}
     assert rows["Machine Learning"] == 0.018
@@ -24,7 +22,7 @@ def test_table2(benchmark):
 
 
 def test_table5(benchmark):
-    result = run_once(benchmark, tables.table5)
+    result = run_once(benchmark, "table5")
     print("\n" + result.format_table())
     rows = {r["component"]: r["value"] for r in result.rows}
     assert rows["Laser power @64 WL (W, paper)"] == pytest.approx(1.16)

@@ -1,12 +1,10 @@
 """Benchmark for the thermal trimming extension study."""
 
-from repro.experiments import thermal_study
-
 from conftest import run_once
 
 
 def test_thermal_study(benchmark, quick):
-    result = run_once(benchmark, lambda: thermal_study.run(quick=quick))
+    result = run_once(benchmark, "thermal_study", quick)
     print("\n" + result.format_table())
     rows = {row["wavelengths"]: row for row in result.rows}
 

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``list`` — show the registered experiments;
 * ``experiment <id>`` — regenerate one paper figure/table;
-* ``all`` — regenerate every experiment (writes a combined report);
+* ``all`` — regenerate every experiment as one batch (prints the
+  EXPERIMENTS.md report; ``--output`` writes it);
 * ``simulate`` — run one benchmark pair under a chosen configuration;
 * ``model train|list|show|promote|eval`` — manage the versioned model
   registry (see ``docs/ml_lifecycle.md``);
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_engine_args(exp)
     _add_trace_args(exp)
 
-    allp = sub.add_parser("all", help="run every experiment")
+    allp = sub.add_parser("all", help="run every experiment as one batch")
     allp.add_argument("--full", action="store_true")
     allp.add_argument("--seed", type=int, default=1)
     allp.add_argument("--output", default=None, help="write report to a file")
@@ -576,13 +577,13 @@ def _cmd_list() -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import REGISTRY
+    from .experiments import REGISTRY, run_experiment
 
     if args.id not in REGISTRY:
         print(f"unknown experiment {args.id!r}; try `pearl-sim list`")
         return 2
     with _engine_scope(args):
-        result = REGISTRY[args.id](quick=not args.full, seed=args.seed)
+        result = run_experiment(args.id, quick=not args.full, seed=args.seed)
     print(result.format_table())
     if getattr(args, "chart", False):
         from .viz import RENDERERS
@@ -598,16 +599,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     from .experiments import run_all
+    from .experiments.report import render_markdown
 
+    quick = not args.full
     with _engine_scope(args):
-        results = run_all(quick=not args.full, seed=args.seed)
-    report = "\n\n".join(result.format_table() for result in results)
+        report = render_markdown(run_all(quick=quick, seed=args.seed), quick)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(report + "\n")
+            fh.write(report)
         print(f"wrote {args.output}")
     else:
-        print(report)
+        print(report, end="")
     return 0
 
 
@@ -1063,7 +1065,7 @@ def _cmd_model_eval(args: argparse.Namespace, registry) -> int:
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from . import obs
-    from .experiments import REGISTRY
+    from .experiments import REGISTRY, run_experiment
 
     if args.id not in REGISTRY:
         print(f"unknown experiment {args.id!r}; try `pearl-sim list`")
@@ -1076,7 +1078,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         # Cache off: the report must describe a live instrumented run,
         # not whatever telemetry an earlier cache entry happened to hold.
         with engine_scope(jobs=args.jobs, use_cache=False):
-            REGISTRY[args.id](quick=not args.full, seed=args.seed)
+            run_experiment(args.id, quick=not args.full, seed=args.seed)
         provenance = obs.collect_provenance(
             seed=args.seed,
             experiment=args.id,

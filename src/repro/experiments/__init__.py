@@ -1,16 +1,19 @@
 """Experiment harness: one module per paper figure/table.
 
-Every module exposes ``run(quick=True, seed=1) -> ExperimentResult``;
-``REGISTRY`` maps experiment ids to those callables, and ``run_all``
-regenerates the whole evaluation (used to produce EXPERIMENTS.md).
-The registry is built on first use, so importing the job engine
+Every module exposes ``jobs(quick, seed)``, the job specs it needs, and
+``table(quick, seed, results)``, which folds their results into an
+:class:`ExperimentResult` (see :mod:`.runner`).  ``REGISTRY`` maps
+experiment ids to those experiments; :func:`run_experiment` runs one
+and :func:`run_all` the whole evaluation, each as one deduplicated
+batch of jobs (``run_all`` regenerates EXPERIMENTS.md).  The registry
+is built on first use, so importing the job engine
 (:mod:`repro.experiments.parallel`) loads no experiment module.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, List
+from typing import Dict, List, Optional, Union
 
 from .cache import ResultCache
 from .parallel import (
@@ -24,43 +27,42 @@ from .parallel import (
     execute_job,
     run_jobs,
 )
-from .runner import ExperimentResult, clear_cache
+from .runner import Experiment, ExperimentResult, fold
 
-#: Experiment id -> (module, entry point), in registry order.  The
-#: table dumps take no run arguments.
+#: Experiment id -> (module, attribute), in registry order.  The
+#: attribute names an :class:`Experiment` of the module; ``None``
+#: means the module itself.
 _ENTRIES = {
-    "table1": ("tables", "table1"),
-    "table2": ("tables", "table2"),
-    "table5": ("tables", "table5"),
-    "fig4": ("fig4_breakdown", "run"),
-    "fig5": ("fig5_energy", "run"),
-    "fig6": ("fig6_throughput", "run"),
-    "fig7": ("fig7_laser_power", "run"),
-    "fig8": ("fig8_states", "run"),
-    "fig9": ("fig9_comparison", "run"),
-    "fig10": ("fig10_window_sweep", "run"),
-    "fig11": ("fig11_turn_on", "run"),
-    "ml_quality": ("ml_quality", "run"),
-    "ml_lifecycle": ("ml_lifecycle", "run"),
-    "ablations": ("ablations", "run"),
-    "saturation": ("saturation", "run"),
-    "resilience": ("resilience", "run"),
-    "policy_bakeoff": ("policy_bakeoff", "run"),
-    "arbitration": ("arbitration", "run"),
-    "collective_study": ("collective_study", "run"),
-    "thermal_study": ("thermal_study", "run"),
-    "headline": ("headline", "run"),
+    "table1": ("tables", "TABLE1"),
+    "table2": ("tables", "TABLE2"),
+    "table5": ("tables", "TABLE5"),
+    "fig4": ("fig4_breakdown", None),
+    "fig5": ("fig5_energy", None),
+    "fig6": ("fig6_throughput", None),
+    "fig7": ("fig7_laser_power", None),
+    "fig8": ("fig8_states", None),
+    "fig9": ("fig9_comparison", None),
+    "fig10": ("fig10_window_sweep", None),
+    "fig11": ("fig11_turn_on", None),
+    "ml_quality": ("ml_quality", None),
+    "ml_lifecycle": ("ml_lifecycle", None),
+    "ablations": ("ablations", None),
+    "saturation": ("saturation", None),
+    "resilience": ("resilience", None),
+    "policy_bakeoff": ("policy_bakeoff", None),
+    "arbitration": ("arbitration", None),
+    "collective_study": ("collective_study", None),
+    "thermal_study": ("thermal_study", None),
+    "headline": ("headline", None),
 }
 
 
-def _entry(module: str, name: str) -> Callable[..., ExperimentResult]:
-    func = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    if name == "run":
-        return func
-    return lambda quick=True, seed=1: func()
+def _entry(module: str, name: Optional[str]) -> Experiment:
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name is None else getattr(loaded, name)
 
 
-def _registry() -> Dict[str, Callable[..., ExperimentResult]]:
+def _registry() -> Dict[str, Experiment]:
     """``REGISTRY``, importing every experiment module the first time."""
     if "REGISTRY" not in globals():
         globals()["REGISTRY"] = {
@@ -75,24 +77,36 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def run_experiment(
+    experiment: Union[str, Experiment], quick: bool = True, seed: int = 1
+) -> ExperimentResult:
+    """One experiment's table: a registry id, or any object with
+    ``jobs`` and ``table`` (an ablation part, say)."""
+    if isinstance(experiment, str):
+        experiment = _registry()[experiment]
+    return fold([experiment], quick=quick, seed=seed)[0]
+
+
 def run_all(quick: bool = True, seed: int = 1) -> List[ExperimentResult]:
-    """Run every registered experiment in registry order."""
-    return [run(quick=quick, seed=seed) for run in _registry().values()]
+    """Every registered experiment's table, in registry order, from one
+    batch of the distinct jobs they declare."""
+    return fold(list(_registry().values()), quick=quick, seed=seed)
 
 
 __all__ = [
     "REGISTRY",
+    "Experiment",
     "ExperimentEngine",
     "ExperimentResult",
     "JobResult",
     "JobSpec",
     "ResultCache",
     "TraceSpec",
-    "clear_cache",
     "configure",
     "current_engine",
     "engine_scope",
     "execute_job",
     "run_all",
+    "run_experiment",
     "run_jobs",
 ]

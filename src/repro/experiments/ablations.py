@@ -10,19 +10,24 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..config import DBAConfig, PearlConfig
 from ..ml.metrics import nrmse
 from ..ml.pipeline import PowerModelTrainer, collect_datasets
 from ..ml.ridge import select_lambda
+from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
-from .parallel import pair_spec, pearl_job, run_jobs
-from .power_scaling_suite import run_suite
+from . import power_scaling_suite
+from .parallel import JobResult, JobSpec, pair_spec, pearl_job
 from .runner import (
+    Experiment,
     ExperimentResult,
-    cached,
+    Results,
     experiment_pairs,
+    no_jobs,
     simulation_config,
 )
 
@@ -34,131 +39,146 @@ FEATURE_SUBSETS = {
     "first_13": list(range(13)),
 }
 
+#: DBA bandwidth steps the granularity ablation compares.
+STEPS = (0.25, 0.125, 0.0625)
 
-def dba_granularity(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Throughput/energy with 25% / 12.5% / 6.25% allocation steps.
+#: (CPU, GPU) beta upper bounds swept around the paper's optimum.
+BOUNDS = (
+    (0.08, 0.03),
+    (0.16, 0.06),  # the paper's brute-force optimum
+    (0.32, 0.12),
+    (0.16, 0.12),
+    (0.32, 0.06),
+)
 
-    Evaluated at the constrained 16 WL state where the split matters.
-    """
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="ablation: DBA step granularity")
-        pairs = experiment_pairs(quick)
-        steps = (0.25, 0.125, 0.0625)
-        specs = [
-            pearl_job(
-                PearlConfig(
-                    simulation=simulation_config(quick),
-                    dba=DBAConfig(bandwidth_step=step),
-                ),
-                pair_spec(pair, seed + i),
-                seed=seed + i,
-                static_state=16,
-            )
-            for step in steps
-            for i, pair in enumerate(pairs)
-        ]
-        jobs = run_jobs(specs)
-        for index, step in enumerate(steps):
-            chunk = jobs[index * len(pairs) : (index + 1) * len(pairs)]
-            result.add_row(
-                step_pct=100.0 * step,
-                throughput_flits_per_cycle=float(
-                    np.mean([job.throughput() for job in chunk])
-                ),
-                energy_per_bit_pj=float(
-                    np.mean([energy_per_bit_pj(job.stats) for job in chunk])
-                ),
-            )
-        result.notes.append("paper: 25% steps performed best")
-        return result
-
-    return cached(("ablation_granularity", quick, seed), compute)
+#: (policy, label) rows of the adaptive-threshold extension.
+THRESHOLD_POLICIES = (
+    (PowerPolicyKind.STATIC, "64WL static"),
+    (PowerPolicyKind.REACTIVE, "reactive (fixed thresholds)"),
+    (PowerPolicyKind.ADAPTIVE, "adaptive (self-tuning)"),
+)
 
 
-def upper_bounds(quick: bool = True, seed: int = 1) -> ExperimentResult:
+def _dba_jobs(
+    quick: bool, seed: int, dbas: Sequence[DBAConfig]
+) -> List[JobSpec]:
+    """Static 16 WL runs (where the split matters) per DBA config and pair."""
+    return [
+        pearl_job(
+            PearlConfig(simulation=simulation_config(quick), dba=dba),
+            pair_spec(pair, seed + i),
+            seed=seed + i,
+            static_state=16,
+        )
+        for dba in dbas
+        for i, pair in enumerate(experiment_pairs(quick))
+    ]
+
+
+def _per_config(
+    quick: bool, specs: List[JobSpec], results: Results
+) -> List[List[JobResult]]:
+    """The results of ``specs``, one list of per-pair runs per config."""
+    n = len(experiment_pairs(quick))
+    runs = [results[spec] for spec in specs]
+    return [runs[start : start + n] for start in range(0, len(runs), n)]
+
+
+def _granularity_jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    return _dba_jobs(
+        quick, seed, [DBAConfig(bandwidth_step=step) for step in STEPS]
+    )
+
+
+def dba_granularity(
+    quick: bool, seed: int, results: Results
+) -> ExperimentResult:
+    """Throughput/energy with 25% / 12.5% / 6.25% allocation steps."""
+    result = ExperimentResult(name="ablation: DBA step granularity")
+    chunks = _per_config(quick, _granularity_jobs(quick, seed), results)
+    for step, chunk in zip(STEPS, chunks):
+        result.add_row(
+            step_pct=100.0 * step,
+            throughput_flits_per_cycle=float(
+                np.mean([job.throughput() for job in chunk])
+            ),
+            energy_per_bit_pj=float(
+                np.mean([energy_per_bit_pj(job.stats) for job in chunk])
+            ),
+        )
+    result.notes.append("paper: 25% steps performed best")
+    return result
+
+
+def _bounds_jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    return _dba_jobs(
+        quick,
+        seed,
+        [
+            DBAConfig(cpu_upper_bound=cpu_bound, gpu_upper_bound=gpu_bound)
+            for cpu_bound, gpu_bound in BOUNDS
+        ],
+    )
+
+
+def upper_bounds(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """Sweep the beta upper bounds around the paper's optimum."""
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="ablation: DBA upper bounds")
-        pairs = experiment_pairs(quick)
-        bounds = (
-            (0.08, 0.03),
-            (0.16, 0.06),  # the paper's brute-force optimum
-            (0.32, 0.12),
-            (0.16, 0.12),
-            (0.32, 0.06),
+    result = ExperimentResult(name="ablation: DBA upper bounds")
+    chunks = _per_config(quick, _bounds_jobs(quick, seed), results)
+    for (cpu_bound, gpu_bound), chunk in zip(BOUNDS, chunks):
+        result.add_row(
+            cpu_upper_pct=100.0 * cpu_bound,
+            gpu_upper_pct=100.0 * gpu_bound,
+            throughput_flits_per_cycle=float(
+                np.mean([job.throughput() for job in chunk])
+            ),
         )
-        specs = [
-            pearl_job(
-                PearlConfig(
-                    simulation=simulation_config(quick),
-                    dba=DBAConfig(
-                        cpu_upper_bound=cpu_bound, gpu_upper_bound=gpu_bound
-                    ),
-                ),
-                pair_spec(pair, seed + i),
-                seed=seed + i,
-                static_state=16,
-            )
-            for cpu_bound, gpu_bound in bounds
-            for i, pair in enumerate(pairs)
-        ]
-        jobs = run_jobs(specs)
-        for index, (cpu_bound, gpu_bound) in enumerate(bounds):
-            chunk = jobs[index * len(pairs) : (index + 1) * len(pairs)]
-            result.add_row(
-                cpu_upper_pct=100.0 * cpu_bound,
-                gpu_upper_pct=100.0 * gpu_bound,
-                throughput_flits_per_cycle=float(
-                    np.mean([job.throughput() for job in chunk])
-                ),
-            )
-        return result
-
-    return cached(("ablation_bounds", quick, seed), compute)
+    return result
 
 
-def feature_reduction(quick: bool = True, seed: int = 2018) -> ExperimentResult:
-    """Validation NRMSE with reduced feature subsets."""
+def _datasets(quick: bool, seed: int):
+    """The default pipeline's trainer with its training and validation
+    ``(X, y)`` arrays, collected afresh (the fitting studies' data)."""
+    trainer = PowerModelTrainer(seed=seed, quick=quick)
+    train_set = collect_datasets(
+        trainer.train_pairs, trainer.config, seed=seed
+    )
+    val_set = collect_datasets(
+        trainer.val_pairs, trainer.config, seed=seed + 1000
+    )
+    return trainer, train_set.arrays(), val_set.arrays()
 
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="ablation: feature reduction")
-        trainer = PowerModelTrainer(seed=seed, quick=quick)
-        train_set = collect_datasets(
-            trainer.train_pairs, trainer.config, seed=seed
+
+def feature_reduction(
+    quick: bool, seed: int, results: Results
+) -> ExperimentResult:
+    """Validation NRMSE with reduced feature subsets (fits, no jobs)."""
+    result = ExperimentResult(name="ablation: feature reduction")
+    trainer, (X_train, y_train), (X_val, y_val) = _datasets(quick, seed)
+    for label, columns in FEATURE_SUBSETS.items():
+        model, lam = select_lambda(
+            X_train[:, columns],
+            y_train,
+            X_val[:, columns],
+            y_val,
+            trainer.config.ml.lambda_grid,
         )
-        val_set = collect_datasets(
-            trainer.val_pairs, trainer.config, seed=seed + 1000
+        score = nrmse(y_val, model.predict(X_val[:, columns]))
+        result.add_row(
+            features=label,
+            num_features=len(columns),
+            best_lambda=lam,
+            validation_nrmse=score,
         )
-        X_train, y_train = train_set.arrays()
-        X_val, y_val = val_set.arrays()
-        for label, columns in FEATURE_SUBSETS.items():
-            model, lam = select_lambda(
-                X_train[:, columns],
-                y_train,
-                X_val[:, columns],
-                y_val,
-                trainer.config.ml.lambda_grid,
-            )
-            score = nrmse(y_val, model.predict(X_val[:, columns]))
-            result.add_row(
-                features=label,
-                num_features=len(columns),
-                best_lambda=lam,
-                validation_nrmse=score,
-            )
-        result.notes.append(
-            "paper: reducing features improved neither power nor throughput"
-        )
-        return result
-
-    return cached(("ablation_features", quick, seed), compute)
+    result.notes.append(
+        "paper: reducing features improved neither power nor throughput"
+    )
+    return result
 
 
-def low_state(quick: bool = True, seed: int = 1) -> ExperimentResult:
+def low_state(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """The 8 WL state's contribution (ML RW500 with vs without)."""
-    suite = run_suite(quick, seed)
+    suite = power_scaling_suite.outcomes(quick, seed, results)
     baseline = suite["64WL"]
     result = ExperimentResult(name="ablation: 8WL low-power state")
     for label in ("ML RW500", "ML RW500 no8WL"):
@@ -172,108 +192,104 @@ def low_state(quick: bool = True, seed: int = 1) -> ExperimentResult:
     return result
 
 
-def adaptive_thresholds(quick: bool = True, seed: int = 1) -> ExperimentResult:
+def _adaptive_jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    config = PearlConfig(
+        simulation=simulation_config(quick)
+    ).with_reservation_window(500)
+    return [
+        pearl_job(
+            config,
+            pair_spec(pair, seed + i),
+            seed=seed + i,
+            power_policy=policy,
+        )
+        for policy, _ in THRESHOLD_POLICIES
+        for i, pair in enumerate(experiment_pairs(quick))
+    ]
+
+
+def adaptive_thresholds(
+    quick: bool, seed: int, results: Results
+) -> ExperimentResult:
     """Extension: fixed vs self-tuning reactive thresholds.
 
     Compares the paper's fixed-threshold reactive scaler against the
     adaptive variant that retunes thresholds to an occupancy band.
     """
-
-    def compute() -> ExperimentResult:
-        from ..noc.router import PowerPolicyKind
-
-        result = ExperimentResult(name="extension: adaptive thresholds")
-        pairs = experiment_pairs(quick)
-        config = PearlConfig(
-            simulation=simulation_config(quick)
-        ).with_reservation_window(500)
-        policies = (
-            (PowerPolicyKind.STATIC, "64WL static"),
-            (PowerPolicyKind.REACTIVE, "reactive (fixed thresholds)"),
-            (PowerPolicyKind.ADAPTIVE, "adaptive (self-tuning)"),
+    result = ExperimentResult(name="extension: adaptive thresholds")
+    chunks = _per_config(quick, _adaptive_jobs(quick, seed), results)
+    for (_, label), chunk in zip(THRESHOLD_POLICIES, chunks):
+        result.add_row(
+            policy=label,
+            throughput_flits_per_cycle=float(
+                np.mean([job.throughput() for job in chunk])
+            ),
+            laser_power_w=float(
+                np.mean([job.mean_laser_power_w for job in chunk])
+            ),
         )
-        specs = [
-            pearl_job(
-                config,
-                pair_spec(pair, seed + i),
-                seed=seed + i,
-                power_policy=policy,
-            )
-            for policy, _ in policies
-            for i, pair in enumerate(pairs)
-        ]
-        jobs = run_jobs(specs)
-        for index, (_, label) in enumerate(policies):
-            chunk = jobs[index * len(pairs) : (index + 1) * len(pairs)]
-            result.add_row(
-                policy=label,
-                throughput_flits_per_cycle=float(
-                    np.mean([job.throughput() for job in chunk])
-                ),
-                laser_power_w=float(
-                    np.mean([job.mean_laser_power_w for job in chunk])
-                ),
-            )
-        return result
-
-    return cached(("ablation_adaptive", quick, seed), compute)
+    return result
 
 
-def predictor_comparison(quick: bool = True, seed: int = 2018) -> ExperimentResult:
+def predictor_comparison(
+    quick: bool, seed: int, results: Results
+) -> ExperimentResult:
     """Future-work extension: ridge vs cheaper/richer predictors.
 
     Compares the paper's closed-form ridge against a last-value
     baseline, an EWMA, a degree-2 polynomial ridge and an SGD-trained
-    ridge on identical collected datasets (validation NRMSE).
+    ridge on identical collected datasets (validation NRMSE; fits, no
+    jobs).
     """
+    from ..ml.extensions import (
+        EwmaPredictor,
+        LastValuePredictor,
+        PolynomialRidge,
+        SgdRidge,
+    )
+    from ..ml.ridge import RidgeRegression
 
-    def compute() -> ExperimentResult:
-        from ..ml.extensions import (
-            EwmaPredictor,
-            LastValuePredictor,
-            PolynomialRidge,
-            SgdRidge,
-        )
-        from ..ml.ridge import RidgeRegression
-
-        result = ExperimentResult(name="extension: predictor comparison")
-        trainer = PowerModelTrainer(seed=seed, quick=quick)
-        train_set = collect_datasets(
-            trainer.train_pairs, trainer.config, seed=seed
-        )
-        val_set = collect_datasets(
-            trainer.val_pairs, trainer.config, seed=seed + 1000
-        )
-        X_train, y_train = train_set.arrays()
-        X_val, y_val = val_set.arrays()
-        predictors = {
-            "last_value": LastValuePredictor(),
-            "ewma": EwmaPredictor(alpha=0.5),
-            "ridge (paper)": RidgeRegression(lam=100.0),
-            "polynomial_ridge": PolynomialRidge(lam=100.0),
-            "sgd_ridge": SgdRidge(lam=100.0, epochs=30),
-        }
-        for label, model in predictors.items():
-            model.fit(X_train, y_train)
-            score = nrmse(y_val, model.predict(X_val))
-            result.add_row(predictor=label, validation_nrmse=score)
-        result.notes.append(
-            "extension of the paper's future-work direction: improving "
-            "prediction accuracy"
-        )
-        return result
-
-    return cached(("ablation_predictors", quick, seed), compute)
+    result = ExperimentResult(name="extension: predictor comparison")
+    _, (X_train, y_train), (X_val, y_val) = _datasets(quick, seed)
+    predictors = {
+        "last_value": LastValuePredictor(),
+        "ewma": EwmaPredictor(alpha=0.5),
+        "ridge (paper)": RidgeRegression(lam=100.0),
+        "polynomial_ridge": PolynomialRidge(lam=100.0),
+        "sgd_ridge": SgdRidge(lam=100.0, epochs=30),
+    }
+    for label, model in predictors.items():
+        model.fit(X_train, y_train)
+        score = nrmse(y_val, model.predict(X_val))
+        result.add_row(predictor=label, validation_nrmse=score)
+    result.notes.append(
+        "extension of the paper's future-work direction: improving "
+        "prediction accuracy"
+    )
+    return result
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+DBA_GRANULARITY = Experiment(_granularity_jobs, dba_granularity)
+UPPER_BOUNDS = Experiment(_bounds_jobs, upper_bounds)
+FEATURE_REDUCTION = Experiment(no_jobs, feature_reduction)
+LOW_STATE = Experiment(power_scaling_suite.jobs, low_state)
+ADAPTIVE_THRESHOLDS = Experiment(_adaptive_jobs, adaptive_thresholds)
+PREDICTOR_COMPARISON = Experiment(no_jobs, predictor_comparison)
+
+#: The studies the ``ablations`` table concatenates, in row order.
+PARTS = (DBA_GRANULARITY, UPPER_BOUNDS, LOW_STATE)
+
+
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """Every part's jobs, in part order."""
+    return [spec for part in PARTS for spec in part.jobs(quick, seed)]
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """All ablations concatenated (for the generic harness)."""
     combined = ExperimentResult(name="ablations")
-    for part in (
-        dba_granularity(quick, seed),
-        upper_bounds(quick, seed),
-        low_state(quick, seed),
-    ):
-        for row in part.rows:
-            combined.add_row(study=part.name, **row)
+    for part in PARTS:
+        part_table = part.table(quick, seed, results)
+        for row in part_table.rows:
+            combined.add_row(study=part_table.name, **row)
     return combined

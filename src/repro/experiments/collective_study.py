@@ -10,8 +10,7 @@ traffic is genuinely out of its training distribution — the drift
 columns show the monitor firing and, under ``retrain``, the refit
 replacement models (registered, no tag moved).  The deployed model
 lives in the default model registry under its training key, so a rerun
-fits nothing.  The grid runs as pearl jobs through
-:func:`~repro.experiments.parallel.run_jobs`.
+fits nothing.  The grid is the study's pearl jobs.
 
 PAM4 halves serialization latency per wavelength state but pays the
 BER-driven laser/receiver penalty; the ``energy_pj_per_bit`` column
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from typing import List
 
 from ..config import PearlConfig, SimulationConfig
 from ..ml.lifecycle import default_registry
@@ -33,8 +33,8 @@ from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
 from ..traffic.benchmarks import test_pairs
 from ..traffic.collectives import COLLECTIVE_ALGORITHMS
-from .parallel import JobResult, JobSpec, collective_spec, pearl_job, run_jobs
-from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, cached
+from .parallel import JobResult, JobSpec, collective_spec, pearl_job
+from .runner import FULL_CYCLES, QUICK_CYCLES, ExperimentResult, Results
 
 #: Quick mode exercises one bandwidth-optimal schedule; full sweeps all.
 QUICK_ALGORITHMS = ("allreduce_ring",)
@@ -58,43 +58,45 @@ DRIFT_KNOBS = dict(
 )
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+def _cells(quick: bool):
+    """The grid's ``(algorithm, signaling, policy, action)`` cells."""
+    algorithms = QUICK_ALGORITHMS if quick else COLLECTIVE_ALGORITHMS
+    return [
+        (algorithm, signaling, policy, action)
+        for algorithm in algorithms
+        for signaling in ("nrz", "pam4")
+        for policy in POLICY_GRID
+        for action in (("flag", "retrain") if policy == "ml" else ("-",))
+    ]
+
+
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """One pearl job per grid cell."""
+    warmup, cycles = QUICK_CYCLES if quick else FULL_CYCLES
+    base = PearlConfig(
+        simulation=SimulationConfig(
+            warmup_cycles=warmup, measure_cycles=cycles
+        )
+    ).with_reservation_window(WINDOW)
+    model_path = deployment_model_path(seed)
+    return [_job(base, cell, seed, model_path) for cell in _cells(quick)]
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """NRZ vs PAM4 × policy grid over the collective workload family."""
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(
-            name="collective_study: collectives x policies x signaling"
-        )
-        warmup, cycles = QUICK_CYCLES if quick else FULL_CYCLES
-        algorithms = QUICK_ALGORITHMS if quick else COLLECTIVE_ALGORITHMS
-        base = PearlConfig(
-            simulation=SimulationConfig(
-                warmup_cycles=warmup, measure_cycles=cycles
-            )
-        ).with_reservation_window(WINDOW)
-        cells = [
-            (algorithm, signaling, policy, action)
-            for algorithm in algorithms
-            for signaling in ("nrz", "pam4")
-            for policy in POLICY_GRID
-            for action in (("flag", "retrain") if policy == "ml" else ("-",))
-        ]
-        model_path = deployment_model_path(seed)
-        results = run_jobs(
-            [_job(base, cell, seed, model_path) for cell in cells]
-        )
-        for cell, job in zip(cells, results):
-            _add_row(result, *cell, job)
-        result.notes.append(
-            "model fitted on PARSEC-style deployment samples; collective "
-            "traffic is out-of-distribution, so ml rows show drift (and, "
-            "under retrain, refit replacements, registered with no tag "
-            "moved); pam4 halves serialization at a 4.8 dB "
-            "laser/receiver penalty"
-        )
-        return result
-
-    return cached(("collective_study", quick, seed), compute)
+    result = ExperimentResult(
+        name="collective_study: collectives x policies x signaling"
+    )
+    for cell, spec in zip(_cells(quick), jobs(quick, seed)):
+        _add_row(result, *cell, results[spec])
+    result.notes.append(
+        "model fitted on PARSEC-style deployment samples; collective "
+        "traffic is out-of-distribution, so ml rows show drift (and, "
+        "under retrain, refit replacements, registered with no tag "
+        "moved); pam4 halves serialization at a 4.8 dB "
+        "laser/receiver penalty"
+    )
+    return result
 
 
 def deployment_model_path(seed: int) -> Path:

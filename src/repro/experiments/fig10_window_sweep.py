@@ -14,10 +14,10 @@ import numpy as np
 from ..config import PearlConfig
 from ..ml.pipeline import ensure_model_file
 from ..noc.router import PowerPolicyKind
-from .parallel import pair_spec, pearl_job, run_jobs
+from .parallel import JobSpec, pair_spec, pearl_job
 from .runner import (
     ExperimentResult,
-    cached,
+    Results,
     experiment_pairs,
     simulation_config,
 )
@@ -26,51 +26,50 @@ from .runner import (
 WINDOWS = (100, 500, 1000, 2000)
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Throughput of ML scaling at each reservation-window size."""
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="fig10: ML window-size sweep")
-        pairs = experiment_pairs(quick)
-        base = PearlConfig(simulation=simulation_config(quick))
-        specs = [
-            pearl_job(base, pair_spec(pair, seed + i), seed=seed + i)
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """The static 64 WL baseline, then ML scaling at each window."""
+    pairs = experiment_pairs(quick)
+    base = PearlConfig(simulation=simulation_config(quick))
+    specs = [
+        pearl_job(base, pair_spec(pair, seed + i), seed=seed + i)
+        for i, pair in enumerate(pairs)
+    ]
+    for window in WINDOWS:
+        config = base.with_reservation_window(window)
+        model_path = ensure_model_file(window, quick=quick)
+        specs.extend(
+            pearl_job(
+                config,
+                pair_spec(pair, seed + i),
+                seed=seed + i,
+                power_policy=PowerPolicyKind.ML,
+                ml_model_path=model_path,
+            )
             for i, pair in enumerate(pairs)
-        ]
-        for window in WINDOWS:
-            config = base.with_reservation_window(window)
-            model_path = ensure_model_file(window, quick=quick)
-            specs.extend(
-                pearl_job(
-                    config,
-                    pair_spec(pair, seed + i),
-                    seed=seed + i,
-                    power_policy=PowerPolicyKind.ML,
-                    ml_model_path=model_path,
-                )
-                for i, pair in enumerate(pairs)
-            )
-        jobs = run_jobs(specs)
-        baseline_values: List[float] = [
-            job.throughput() for job in jobs[: len(pairs)]
-        ]
-        baseline = float(np.mean(baseline_values))
-        result.add_row(
-            window="64WL static",
-            throughput_flits_per_cycle=baseline,
-            loss_vs_static_pct=0.0,
         )
-        for index, window in enumerate(WINDOWS):
-            chunk = jobs[(index + 1) * len(pairs) : (index + 2) * len(pairs)]
-            mean = float(np.mean([job.throughput() for job in chunk]))
-            result.add_row(
-                window=f"ML RW{window}",
-                throughput_flits_per_cycle=mean,
-                loss_vs_static_pct=100.0 * (1.0 - mean / baseline),
-            )
-        result.notes.append(
-            "paper: best throughput at RW2000; RW500/RW1000 drop vs 64WL"
-        )
-        return result
+    return specs
 
-    return cached(("fig10", quick, seed), compute)
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
+    """Throughput of ML scaling at each reservation-window size."""
+    result = ExperimentResult(name="fig10: ML window-size sweep")
+    n = len(experiment_pairs(quick))
+    runs = [results[spec] for spec in jobs(quick, seed)]
+    baseline = float(np.mean([job.throughput() for job in runs[:n]]))
+    result.add_row(
+        window="64WL static",
+        throughput_flits_per_cycle=baseline,
+        loss_vs_static_pct=0.0,
+    )
+    for index, window in enumerate(WINDOWS):
+        chunk = runs[(index + 1) * n : (index + 2) * n]
+        mean = float(np.mean([job.throughput() for job in chunk]))
+        result.add_row(
+            window=f"ML RW{window}",
+            throughput_flits_per_cycle=mean,
+            loss_vs_static_pct=100.0 * (1.0 - mean / baseline),
+        )
+    result.notes.append(
+        "paper: best throughput at RW2000; RW500/RW1000 drop vs 64WL"
+    )
+    return result

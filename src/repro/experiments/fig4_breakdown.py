@@ -7,25 +7,33 @@ packets than GPU benchmarks overall, with the balance varying by pair.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..config import PearlConfig
-from .parallel import pair_spec, run_jobs, trace_job
+from .parallel import JobSpec, pair_spec, trace_job
 from .runner import (
     ExperimentResult,
+    Results,
     describe_pair,
     experiment_pairs,
     simulation_config,
 )
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Compute the per-pair packet breakdown (trace-level, no sim)."""
-    result = ExperimentResult(name="fig4: CPU-GPU packet breakdown")
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """One trace-statistics job per pair (trace-level, no sim)."""
     config = PearlConfig(simulation=simulation_config(quick))
-    pairs = experiment_pairs(quick)
-    jobs = run_jobs(
-        [trace_job(config, pair_spec(pair, seed)) for pair in pairs]
-    )
-    for pair, job in zip(pairs, jobs):
+    return [
+        trace_job(config, pair_spec(pair, seed))
+        for pair in experiment_pairs(quick)
+    ]
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
+    """The per-pair packet breakdown."""
+    result = ExperimentResult(name="fig4: CPU-GPU packet breakdown")
+    for pair, spec in zip(experiment_pairs(quick), jobs(quick, seed)):
+        job = results[spec]
         cpu = int(job.extras["cpu_packets"])
         gpu = int(job.extras["gpu_packets"])
         total = cpu + gpu

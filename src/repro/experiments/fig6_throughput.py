@@ -9,13 +9,18 @@ loss, ML RW500 ~14% loss.
 
 from __future__ import annotations
 
-from .power_scaling_suite import SUITE_LABELS, run_suite
-from .runner import ExperimentResult
+from . import power_scaling_suite
+from .power_scaling_suite import SUITE_LABELS
+from .runner import ExperimentResult, Results
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+#: The shared power-scaling sweep's jobs.
+jobs = power_scaling_suite.jobs
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """Aggregate the shared power-scaling sweep into the Fig. 6 table."""
-    suite = run_suite(quick, seed)
+    suite = power_scaling_suite.outcomes(quick, seed, results)
     baseline = suite["64WL"]
     result = ExperimentResult(name="fig6: power-scaling throughput")
     for label in SUITE_LABELS:

@@ -8,16 +8,20 @@ while ML RW500 spreads into the low-power states.
 
 from __future__ import annotations
 
-from .power_scaling_suite import run_suite
-from .runner import ExperimentResult
+from . import power_scaling_suite
+from .runner import ExperimentResult, Results
 
 #: The two ML configurations Fig. 8 plots.
 CONFIGS = ("ML RW500", "ML RW2000")
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+#: The shared power-scaling sweep's jobs.
+jobs = power_scaling_suite.jobs
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """Aggregate per-state residency from the shared sweep."""
-    suite = run_suite(quick, seed)
+    suite = power_scaling_suite.outcomes(quick, seed, results)
     result = ExperimentResult(name="fig8: wavelength-state residency")
     for label in CONFIGS:
         outcome = suite[label]

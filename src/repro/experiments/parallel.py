@@ -17,8 +17,9 @@ parallel run of the same specs are bit-for-bit identical:
   order.
 
 A :class:`~.cache.ResultCache` can back the engine, in which case
-completed jobs are persisted and a re-run (or a resumed interrupted
-sweep) only simulates the jobs it has not seen before.
+each job is persisted as it completes and a re-run (or a resumed
+interrupted sweep or batch) only simulates the jobs it has not seen
+before.
 """
 
 from __future__ import annotations
@@ -454,6 +455,14 @@ class ExperimentEngine:
             else:
                 pending.append(index)
 
+        def finish(index: int, result: JobResult) -> None:
+            # Persist each job as it lands, so a killed batch keeps
+            # every job that finished before it died.
+            results[index] = result
+            if self.cache is not None:
+                key, payload = keyed[index]
+                self.cache.put_by_key(key, result, spec_payload=payload)
+
         if self.jobs > 1 and len(pending) > 1:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(
@@ -461,21 +470,15 @@ class ExperimentEngine:
                 initializer=_init_worker_obs,
                 initargs=(OBS.config(),),
             ) as executor:
-                computed = list(
-                    executor.map(
-                        execute_job, [specs[i] for i in pending]
-                    )
+                computed = executor.map(
+                    execute_job, [specs[i] for i in pending]
                 )
-            for index, result in zip(pending, computed):
-                results[index] = result
+                for index, result in zip(pending, computed):
+                    finish(index, result)
         else:
             for index in pending:
-                results[index] = execute_job(specs[index])
+                finish(index, execute_job(specs[index]))
 
-        if self.cache is not None:
-            for index in pending:
-                key, payload = keyed[index]
-                self.cache.put_by_key(key, results[index], spec_payload=payload)
         if OBS.enabled:
             self._record_batch_telemetry(results, executed=len(pending))
         return results  # type: ignore[return-value]

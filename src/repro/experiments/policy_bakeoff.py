@@ -31,16 +31,17 @@ zero — the ladder clamps, nothing livelocks.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..config import PearlConfig
 from ..faults import FaultSchedule, uniform_wavelength_fault
+from ..ml.pipeline import ensure_model_file
 from ..noc.router import PowerPolicyKind
 from ..power.energy import energy_per_bit_pj
-from .parallel import pair_spec, pearl_job, run_jobs
+from .parallel import JobSpec, pair_spec, pearl_job
 from .runner import (
     ExperimentResult,
-    cached,
+    Results,
     describe_pair,
     experiment_pairs,
     simulation_config,
@@ -70,83 +71,68 @@ def _schedule(config: PearlConfig) -> FaultSchedule:
     )
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+def _pairs(quick: bool):
+    """The bake-off's pairs: one in quick mode, all 16 in full."""
+    pairs = experiment_pairs(quick)
+    return pairs[:1] if quick else pairs
+
+
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """A fault-free and a faulted run per pair and policy."""
+    config = PearlConfig(simulation=simulation_config(quick))
+    model_path = ensure_model_file(
+        config.power_scaling.reservation_window, quick=quick
+    )
+    faults = _schedule(config)
+    specs = []
+    for pair in _pairs(quick):
+        trace = pair_spec(pair, seed)
+        for policy in POLICIES:
+            path: Optional[str] = (
+                str(model_path) if policy is PowerPolicyKind.ML else None
+            )
+            static = 64 if policy is PowerPolicyKind.STATIC else None
+            for schedule in (None, faults):
+                specs.append(
+                    pearl_job(
+                        config,
+                        trace,
+                        seed=seed,
+                        power_policy=policy,
+                        static_state=static,
+                        ml_model_path=path,
+                        faults=schedule,
+                    )
+                )
+    return specs
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """Energy × latency × resilience across the adaptation policies."""
-
-    def compute() -> ExperimentResult:
-        from ..ml.pipeline import ensure_model_file
-
-        result = ExperimentResult(
-            name="extension: adaptation-policy bake-off"
-        )
-        config = PearlConfig(simulation=simulation_config(quick))
-        pairs = experiment_pairs(quick)
-        if quick:
-            pairs = pairs[:1]
-        model_path = ensure_model_file(
-            config.power_scaling.reservation_window, quick=quick
-        )
-        faults = _schedule(config)
-
-        specs = []
-        for pair in pairs:
-            trace = pair_spec(pair, seed)
-            for policy in POLICIES:
-                path: Optional[str] = (
-                    str(model_path)
-                    if policy is PowerPolicyKind.ML
-                    else None
-                )
-                static = 64 if policy is PowerPolicyKind.STATIC else None
-                specs.append(
-                    pearl_job(
-                        config,
-                        trace,
-                        seed=seed,
-                        power_policy=policy,
-                        static_state=static,
-                        ml_model_path=path,
-                    )
-                )
-                specs.append(
-                    pearl_job(
-                        config,
-                        trace,
-                        seed=seed,
-                        power_policy=policy,
-                        static_state=static,
-                        ml_model_path=path,
-                        faults=faults,
-                    )
-                )
-
-        jobs = iter(run_jobs(specs))
-        for pair in pairs:
-            for policy in POLICIES:
-                clean, faulted = next(jobs), next(jobs)
-                clean_tp = clean.throughput()
-                faulted_tp = faulted.throughput()
-                result.add_row(
-                    pair=describe_pair(pair),
-                    policy=policy.value,
-                    energy_pj_per_bit=energy_per_bit_pj(clean.stats),
-                    laser_power_w=clean.mean_laser_power_w,
-                    mean_latency=clean.stats.mean_latency(),
-                    p95_latency=clean.stats.latency_percentile(95),
-                    throughput=clean_tp,
-                    faulted_throughput=faulted_tp,
-                    retention=(
-                        faulted_tp / clean_tp if clean_tp > 0 else 0.0
-                    ),
-                    faulted_latency=faulted.stats.mean_latency(),
-                    fault_clamps=faulted.stats.fault_clamp_events,
-                )
-        result.notes.append(
-            "each policy runs fault-free and with a "
-            f"{FAULT_FRACTION:.0%} wavelength fault one third into "
-            "measurement; retention = faulted/clean throughput; "
-            "static 64 WL anchors the energy axis (docs/policies.md)"
-        )
-        return result
-
-    return cached(("policy_bakeoff", quick, seed), compute)
+    result = ExperimentResult(name="extension: adaptation-policy bake-off")
+    runs = iter([results[spec] for spec in jobs(quick, seed)])
+    for pair in _pairs(quick):
+        for policy in POLICIES:
+            clean, faulted = next(runs), next(runs)
+            clean_tp = clean.throughput()
+            faulted_tp = faulted.throughput()
+            result.add_row(
+                pair=describe_pair(pair),
+                policy=policy.value,
+                energy_pj_per_bit=energy_per_bit_pj(clean.stats),
+                laser_power_w=clean.mean_laser_power_w,
+                mean_latency=clean.stats.mean_latency(),
+                p95_latency=clean.stats.latency_percentile(95),
+                throughput=clean_tp,
+                faulted_throughput=faulted_tp,
+                retention=(faulted_tp / clean_tp if clean_tp > 0 else 0.0),
+                faulted_latency=faulted.stats.mean_latency(),
+                fault_clamps=faulted.stats.fault_clamp_events,
+            )
+    result.notes.append(
+        "each policy runs fault-free and with a "
+        f"{FAULT_FRACTION:.0%} wavelength fault one third into "
+        "measurement; retention = faulted/clean throughput; "
+        "static 64 WL anchors the energy axis (docs/policies.md)"
+    )
+    return result

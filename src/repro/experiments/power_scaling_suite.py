@@ -1,31 +1,25 @@
 """The shared power-scaling sweep behind Figs. 6, 7 and 8.
 
-Runs the six configurations of the paper's power-scaling evaluation —
-the 64 WL PEARL-Dyn baseline, reactive scaling at RW 500/2000, and ML
+The six configurations of the paper's power-scaling evaluation — the
+64 WL PEARL-Dyn baseline, reactive scaling at RW 500/2000, and ML
 scaling at RW 500 (with and without the 8 WL state) and RW 2000 — over
-the test benchmark pairs, aggregating throughput, mean laser power,
+the test benchmark pairs: :func:`jobs` declares the runs and
+:func:`outcomes` aggregates throughput, mean laser power,
 wavelength-state residency and prediction quality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..config import PearlConfig
-from ..ml.metrics import nrmse
 from ..ml.pipeline import ensure_model_file
 from ..noc.router import PowerPolicyKind
-from .parallel import JobResult, pair_spec, pearl_job, run_jobs
-from .runner import (
-    Pair,
-    cached,
-    describe_pair,
-    experiment_pairs,
-    simulation_config,
-)
+from .parallel import JobResult, JobSpec, pair_spec, pearl_job
+from .runner import Results, experiment_pairs, simulation_config
 
 
 @dataclass
@@ -36,9 +30,6 @@ class ConfigOutcome:
     throughput: float = 0.0
     laser_power_w: float = 0.0
     residency: Dict[int, float] = field(default_factory=dict)
-    per_pair_throughput: Dict[str, float] = field(default_factory=dict)
-    per_pair_power: Dict[str, float] = field(default_factory=dict)
-    test_nrmse: Optional[float] = None
     history_targets: List[float] = field(default_factory=list)
     history_predictions: List[float] = field(default_factory=list)
 
@@ -83,84 +74,68 @@ def parse_suite_label(label: str):
     raise ValueError(f"unknown suite label {label!r}")
 
 
-def _suite_jobs(label: str, pairs: List[Pair], quick: bool, seed: int):
-    """The per-pair job specs of one suite configuration."""
-    base = PearlConfig(simulation=simulation_config(quick))
-    window, policy, reintroduce_8wl = parse_suite_label(label)
-    config = base.with_reservation_window(window)
-    if reintroduce_8wl is not None:
-        config = config.replace(
-            ml=replace(config.ml, reintroduce_8wl=reintroduce_8wl)
-        )
-    model_path = None
-    if policy is PowerPolicyKind.ML:
-        model_path = ensure_model_file(window, quick=quick)
-    return [
-        pearl_job(
-            config,
-            pair_spec(pair, seed + i),
-            seed=seed + i,
-            power_policy=policy,
-            ml_model_path=model_path,
-        )
-        for i, pair in enumerate(pairs)
-    ]
-
-
-def _aggregate_config(
-    label: str, pairs: List[Pair], results: List[JobResult]
-) -> ConfigOutcome:
+def _aggregate_config(label: str, runs: List[JobResult]) -> ConfigOutcome:
     """Fold one configuration's per-pair job results into an outcome."""
-    outcome = ConfigOutcome(label=label)
-    residency_acc: Dict[int, float] = {}
-    labels_all: List[float] = []
-    preds_all: List[float] = []
-    throughputs: List[float] = []
-    powers: List[float] = []
-    for pair, result in zip(pairs, results):
-        name = describe_pair(pair)
-        throughput = result.throughput()
-        power = result.mean_laser_power_w
-        outcome.per_pair_throughput[name] = throughput
-        outcome.per_pair_power[name] = power
-        throughputs.append(throughput)
-        powers.append(power)
-        for state, fraction in result.state_residency.items():
-            residency_acc[state] = residency_acc.get(state, 0.0) + fraction
-        labels_all.extend(result.ml_labels)
-        preds_all.extend(result.ml_predictions)
-
-    outcome.throughput = float(np.mean(throughputs))
-    outcome.laser_power_w = float(np.mean(powers))
-    outcome.residency = {
-        state: total / len(pairs) for state, total in residency_acc.items()
-    }
-    if labels_all:
-        outcome.test_nrmse = nrmse(
-            np.asarray(labels_all), np.asarray(preds_all)
-        )
-        outcome.history_targets = labels_all
-        outcome.history_predictions = preds_all
-    return outcome
+    residency: Dict[int, float] = {}
+    targets: List[float] = []
+    predictions: List[float] = []
+    for run in runs:
+        for state, fraction in run.state_residency.items():
+            residency[state] = residency.get(state, 0.0) + fraction
+        targets.extend(run.ml_labels)
+        predictions.extend(run.ml_predictions)
+    return ConfigOutcome(
+        label=label,
+        throughput=float(np.mean([run.throughput() for run in runs])),
+        laser_power_w=float(np.mean([run.mean_laser_power_w for run in runs])),
+        residency={
+            state: total / len(runs) for state, total in residency.items()
+        },
+        history_targets=targets,
+        history_predictions=predictions,
+    )
 
 
-def run_suite(quick: bool = True, seed: int = 1) -> Dict[str, ConfigOutcome]:
-    """Run (or fetch the memoised) full power-scaling sweep.
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """All 6 configurations x N pairs of the sweep, in label order.
 
-    All 6 configurations x N pairs go to the engine as one submission,
-    so a parallel run overlaps across configurations, not just pairs.
+    Figs. 6-8, ml_quality, the 8 WL ablation and the headline claims
+    all declare these specs, so a batch that folds several of them
+    runs the sweep once and overlaps across configurations, not just
+    pairs.
     """
+    base = PearlConfig(simulation=simulation_config(quick))
+    specs = []
+    for label in SUITE_LABELS:
+        window, policy, reintroduce_8wl = parse_suite_label(label)
+        config = base.with_reservation_window(window)
+        if reintroduce_8wl is not None:
+            config = config.replace(
+                ml=replace(config.ml, reintroduce_8wl=reintroduce_8wl)
+            )
+        model_path = None
+        if policy is PowerPolicyKind.ML:
+            model_path = ensure_model_file(window, quick=quick)
+        specs.extend(
+            pearl_job(
+                config,
+                pair_spec(pair, seed + i),
+                seed=seed + i,
+                power_policy=policy,
+                ml_model_path=model_path,
+            )
+            for i, pair in enumerate(experiment_pairs(quick))
+        )
+    return specs
 
-    def compute() -> Dict[str, ConfigOutcome]:
-        pairs = experiment_pairs(quick)
-        specs = []
-        for label in SUITE_LABELS:
-            specs.extend(_suite_jobs(label, pairs, quick, seed))
-        results = run_jobs(specs)
-        outcomes: Dict[str, ConfigOutcome] = {}
-        for index, label in enumerate(SUITE_LABELS):
-            chunk = results[index * len(pairs) : (index + 1) * len(pairs)]
-            outcomes[label] = _aggregate_config(label, pairs, chunk)
-        return outcomes
 
-    return cached(("power_scaling_suite", quick, seed), compute)
+def outcomes(
+    quick: bool, seed: int, results: Results
+) -> Dict[str, ConfigOutcome]:
+    """The sweep's per-configuration outcomes, from its job results."""
+    n = len(experiment_pairs(quick))
+    runs = [results[spec] for spec in jobs(quick, seed)]
+    return {
+        label: _aggregate_config(label, runs[index * n : (index + 1) * n])
+        for index, label in enumerate(SUITE_LABELS)
+    }

@@ -1,9 +1,10 @@
 """EXPERIMENTS.md generator: paper-vs-measured for every artifact.
 
-``write_experiments_md`` runs (or fetches from the process cache) every
-registered experiment and renders a markdown report pairing each paper
-table/figure with the reproduced numbers and the paper's reported
-values, plus a pass/fail shape check.  The repository's checked-in
+``write_experiments_md`` runs every registered experiment as one batch
+(:func:`~repro.experiments.run_all`) and renders a markdown report
+pairing each paper table/figure with the reproduced numbers and the
+paper's reported values.  ``pearl-sim all`` prints (or, with
+``--output``, writes) the same report.  The repository's checked-in
 EXPERIMENTS.md is one such run.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Union
 
-from . import REGISTRY
+from . import REGISTRY, run_all
 from .runner import ExperimentResult
 
 #: Paper-reported values shown alongside each experiment, for eyeballing.
@@ -162,7 +163,6 @@ def write_experiments_md(
     seed: int = 1,
 ) -> Path:
     """Run every experiment and write the markdown report."""
-    results = [run(quick=quick, seed=seed) for run in REGISTRY.values()]
     path = Path(path)
-    path.write_text(render_markdown(results, quick))
+    path.write_text(render_markdown(run_all(quick=quick, seed=seed), quick))
     return path

@@ -18,15 +18,15 @@ the acceptance gate probes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..config import PearlConfig
 from ..faults import BitErrorFault, FaultSchedule, uniform_wavelength_fault
 from ..noc.router import PowerPolicyKind
-from .parallel import pair_spec, pearl_job, run_jobs
+from .parallel import JobSpec, pair_spec, pearl_job
 from .runner import (
     ExperimentResult,
-    cached,
+    Results,
     experiment_pairs,
     simulation_config,
 )
@@ -72,71 +72,70 @@ def _schedule(
     )
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Sweep wavelength-fault fractions and bit-error rates."""
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="extension: fault resilience")
-        config = PearlConfig(simulation=simulation_config(quick))
-        pair = experiment_pairs(quick)[0]
-        trace = pair_spec(pair, seed)
-        specs = []
-        for fraction in WAVELENGTH_FAULT_FRACTIONS:
-            faults = _schedule(config, fraction=fraction)
-            specs.append(
-                pearl_job(
-                    config,
-                    trace,
-                    seed=seed,
-                    power_policy=PowerPolicyKind.REACTIVE,
-                    faults=faults,
-                )
+def jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """Reactive and static runs per wavelength-fault fraction, then a
+    reactive run per bit-error rate, all on the first test pair."""
+    config = PearlConfig(simulation=simulation_config(quick))
+    trace = pair_spec(experiment_pairs(quick)[0], seed)
+    specs = []
+    for fraction in WAVELENGTH_FAULT_FRACTIONS:
+        faults = _schedule(config, fraction=fraction)
+        specs.append(
+            pearl_job(
+                config,
+                trace,
+                seed=seed,
+                power_policy=PowerPolicyKind.REACTIVE,
+                faults=faults,
             )
-            specs.append(
-                pearl_job(config, trace, seed=seed, faults=faults)
-            )
-        for rate in BIT_ERROR_RATES:
-            specs.append(
-                pearl_job(
-                    config,
-                    trace,
-                    seed=seed,
-                    power_policy=PowerPolicyKind.REACTIVE,
-                    faults=_schedule(config, bit_error_rate=rate),
-                )
-            )
-        jobs = iter(run_jobs(specs))
-        for fraction in WAVELENGTH_FAULT_FRACTIONS:
-            reactive, static = next(jobs), next(jobs)
-            result.add_row(
-                fault_kind="wavelength",
-                fault_level=fraction,
-                reactive_latency=reactive.stats.mean_latency(),
-                reactive_p95=reactive.stats.latency_percentile(95),
-                reactive_throughput=reactive.throughput(),
-                reactive_power_w=reactive.mean_laser_power_w,
-                reactive_clamps=reactive.stats.fault_clamp_events,
-                static_latency=static.stats.mean_latency(),
-                static_throughput=static.throughput(),
-            )
-        for rate in BIT_ERROR_RATES:
-            job = next(jobs)
-            result.add_row(
-                fault_kind="bit_error",
-                fault_level=rate,
-                reactive_latency=job.stats.mean_latency(),
-                reactive_p95=job.stats.latency_percentile(95),
-                reactive_throughput=job.throughput(),
-                crc_errors=job.stats.crc_errors,
-                retransmissions=job.stats.retransmissions,
-                packets_dropped=job.stats.packets_dropped,
-            )
-        result.notes.append(
-            "faults strike one third into the run; degradation is smooth "
-            "(no crash/livelock) through a 75% wavelength-fault rate, "
-            "quantized by the 48/32/16 state ladder (48 and 32 WL share "
-            "a serialization latency, so they differ only in power)"
         )
-        return result
+        specs.append(pearl_job(config, trace, seed=seed, faults=faults))
+    for rate in BIT_ERROR_RATES:
+        specs.append(
+            pearl_job(
+                config,
+                trace,
+                seed=seed,
+                power_policy=PowerPolicyKind.REACTIVE,
+                faults=_schedule(config, bit_error_rate=rate),
+            )
+        )
+    return specs
 
-    return cached(("resilience", quick, seed), compute)
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
+    """Degradation across wavelength-fault fractions and bit-error rates."""
+    result = ExperimentResult(name="extension: fault resilience")
+    runs = iter([results[spec] for spec in jobs(quick, seed)])
+    for fraction in WAVELENGTH_FAULT_FRACTIONS:
+        reactive, static = next(runs), next(runs)
+        result.add_row(
+            fault_kind="wavelength",
+            fault_level=fraction,
+            reactive_latency=reactive.stats.mean_latency(),
+            reactive_p95=reactive.stats.latency_percentile(95),
+            reactive_throughput=reactive.throughput(),
+            reactive_power_w=reactive.mean_laser_power_w,
+            reactive_clamps=reactive.stats.fault_clamp_events,
+            static_latency=static.stats.mean_latency(),
+            static_throughput=static.throughput(),
+        )
+    for rate in BIT_ERROR_RATES:
+        job = next(runs)
+        result.add_row(
+            fault_kind="bit_error",
+            fault_level=rate,
+            reactive_latency=job.stats.mean_latency(),
+            reactive_p95=job.stats.latency_percentile(95),
+            reactive_throughput=job.throughput(),
+            crc_errors=job.stats.crc_errors,
+            retransmissions=job.stats.retransmissions,
+            packets_dropped=job.stats.packets_dropped,
+        )
+    result.notes.append(
+        "faults strike one third into the run; degradation is smooth "
+        "(no crash/livelock) through a 75% wavelength-fault rate, "
+        "quantized by the 48/32/16 state ladder (48 and 32 WL share "
+        "a serialization latency, so they differ only in power)"
+    )
+    return result

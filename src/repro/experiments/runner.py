@@ -1,21 +1,29 @@
 """Shared experiment infrastructure.
 
-Every figure/table module exposes ``run(quick=True) -> ExperimentResult``.
-``quick`` trades pair count and run length for wall-clock time (the full
-evaluation sweeps all 16 test pairs of Table IV); both modes exercise
-identical code paths.  Results are memoised in-process so that figures
-sharing the same underlying sweep (e.g. Figs. 6, 7 and 8) simulate once.
+An experiment is two functions: ``jobs(quick, seed)`` lists the job
+specs it needs, and ``table(quick, seed, results)`` folds their
+results — a mapping from each spec to its :class:`JobResult` — into an
+:class:`ExperimentResult` without submitting a job.  Every figure/table
+module exposes both; :func:`fold` runs any list of experiments as one
+deduplicated batch, so figures that share a sweep (e.g. Figs. 6, 7 and
+8) simulate it once.  ``quick`` trades pair count and run length for
+wall-clock time (the full evaluation sweeps all 16 test pairs of
+Table IV); both modes exercise identical code paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..traffic.benchmarks import BenchmarkProfile, pair_name, test_pairs
+from .parallel import JobResult, JobSpec, run_jobs
 
 Pair = Tuple[BenchmarkProfile, BenchmarkProfile]
+
+#: What a ``table`` reads: each submitted spec's result.
+Results = Mapping[JobSpec, JobResult]
 
 #: Cycles used per mode (warm-up, measurement).
 QUICK_CYCLES = (500, 8_000)
@@ -119,21 +127,38 @@ def simulation_config(quick: bool = True) -> SimulationConfig:
     return SimulationConfig(warmup_cycles=warmup, measure_cycles=measure)
 
 
-_RESULT_CACHE: Dict[object, object] = {}
-
-
-def cached(key: object, compute: Callable[[], object]) -> object:
-    """Process-wide memoisation for expensive sweeps."""
-    if key not in _RESULT_CACHE:
-        _RESULT_CACHE[key] = compute()
-    return _RESULT_CACHE[key]
-
-
-def clear_cache() -> None:
-    """Drop all memoised sweeps (tests use this for isolation)."""
-    _RESULT_CACHE.clear()
-
-
 def describe_pair(pair: Pair) -> str:
     """Display name of a pair (e.g. ``FA+DCT``)."""
     return pair_name(*pair)
+
+
+class Experiment(NamedTuple):
+    """An experiment that is not a module of its own (a table dump, an
+    ablation study): the same ``jobs`` and ``table`` pair a module has."""
+
+    jobs: Callable[[bool, int], List[JobSpec]]
+    table: Callable[[bool, int, Results], ExperimentResult]
+
+
+def no_jobs(quick: bool = True, seed: int = 1) -> List[JobSpec]:
+    """The ``jobs`` of an experiment that simulates nothing through the
+    engine (a table dump, a model fit, direct runs)."""
+    return []
+
+
+def fold(
+    experiments: Sequence[Experiment], quick: bool = True, seed: int = 1
+) -> List[ExperimentResult]:
+    """Each experiment's table, folded from one batch of all their jobs.
+
+    The specs are gathered in experiment order and repeats dropped
+    (first seen wins), so a spec two experiments share runs once; the
+    batch goes through the default engine in one call.
+    """
+    specs = list(
+        dict.fromkeys(
+            spec for exp in experiments for spec in exp.jobs(quick, seed)
+        )
+    )
+    results = dict(zip(specs, run_jobs(specs))) if specs else {}
+    return [exp.table(quick, seed, results) for exp in experiments]

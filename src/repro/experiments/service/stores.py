@@ -197,6 +197,21 @@ class LocalDirStore(CacheStore):
         return str(self.directory)
 
 
+def _enable_wal(conn: sqlite3.Connection, timeout: float) -> None:
+    """Switch ``conn``'s file to WAL journalling.  Processes opening a
+    new file at once race for the switch, and sqlite tells the losers
+    "database is locked" without waiting, so retry for ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
 class SqliteStore(CacheStore):
     """One-file store on :mod:`sqlite3` (stdlib), WAL-journalled.
 
@@ -251,7 +266,7 @@ class SqliteStore(CacheStore):
             conn = sqlite3.connect(
                 str(self.path), timeout=30.0, check_same_thread=False
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn, timeout=30.0)
             conn.execute(self._SCHEMA)
             self._conn = conn
         return self._conn

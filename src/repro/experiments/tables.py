@@ -9,7 +9,7 @@ from __future__ import annotations
 from ..config import ArchitectureConfig, AreaConfig, OpticalConfig, PhotonicConfig
 from ..noc.photonic import PhotonicLinkModel
 from ..power.area import area_table, chip_area_mm2, control_overhead_fraction
-from .runner import ExperimentResult
+from .runner import Experiment, ExperimentResult, Results, no_jobs
 
 
 def table1(architecture: ArchitectureConfig = ArchitectureConfig()) -> ExperimentResult:
@@ -94,10 +94,20 @@ def table5(
     return result
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """All three tables concatenated (for the generic harness)."""
+#: The tables are built from the configs; they submit no job.
+jobs = no_jobs
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
+    """All three tables concatenated."""
     combined = ExperimentResult(name="tables I/II/V")
     for part in (table1(), table2(), table5()):
         for row in part.rows:
             combined.add_row(table=part.name, **row)
     return combined
+
+
+#: Each table as an experiment of its own (the registry's ids).
+TABLE1 = Experiment(no_jobs, lambda quick, seed, results: table1())
+TABLE2 = Experiment(no_jobs, lambda quick, seed, results: table2())
+TABLE5 = Experiment(no_jobs, lambda quick, seed, results: table5())

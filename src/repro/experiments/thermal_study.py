@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..config import PearlConfig
 from ..noc.thermal import ThermalTrimmingModel
-from .runner import ExperimentResult, cached
+from .runner import ExperimentResult, Results, no_jobs
 
 #: Wavelength states studied.
 STATES = (64, 48, 32, 16, 8)
@@ -25,33 +25,33 @@ SETTLE_STEPS = 40
 ACTIVITIES = (("idle", 0.0), ("busy", 0.9))
 
 
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
+#: The study settles a heater model directly; it submits no job.
+jobs = no_jobs
+
+
+def table(quick: bool, seed: int, results: Results) -> ExperimentResult:
     """Trimming power per state and activity level."""
-
-    def compute() -> ExperimentResult:
-        result = ExperimentResult(name="extension: thermal trimming study")
-        config = PearlConfig()
-        optical = config.optical
-        flat_w_per_state = {
-            state: 2 * state * optical.ring_heating_w for state in STATES
-        }
-        for state in STATES:
-            row = {"wavelengths": state,
-                   "flat_model_w": flat_w_per_state[state]}
-            for label, activity in ACTIVITIES:
-                # Let the heater loops settle at this operating point.
-                model = ThermalTrimmingModel(optical=optical)
-                for _ in range(SETTLE_STEPS):
-                    power = model.step(
-                        state, activity, cycles=SETTLE_CYCLES // SETTLE_STEPS
-                    )
-                row[f"trimming_{label}_w"] = float(power)
-                row[f"locked_{label}"] = model.all_locked()
-            result.add_row(**row)
-        result.notes.append(
-            "paper Sec. III-C: bank gating scales trimming with the laser; "
-            "self-heating lets heaters back off further when busy"
-        )
-        return result
-
-    return cached(("thermal_study", quick, seed), compute)
+    result = ExperimentResult(name="extension: thermal trimming study")
+    config = PearlConfig()
+    optical = config.optical
+    flat_w_per_state = {
+        state: 2 * state * optical.ring_heating_w for state in STATES
+    }
+    for state in STATES:
+        row = {"wavelengths": state,
+               "flat_model_w": flat_w_per_state[state]}
+        for label, activity in ACTIVITIES:
+            # Let the heater loops settle at this operating point.
+            model = ThermalTrimmingModel(optical=optical)
+            for _ in range(SETTLE_STEPS):
+                power = model.step(
+                    state, activity, cycles=SETTLE_CYCLES // SETTLE_STEPS
+                )
+            row[f"trimming_{label}_w"] = float(power)
+            row[f"locked_{label}"] = model.all_locked()
+        result.add_row(**row)
+    result.notes.append(
+        "paper Sec. III-C: bank gating scales trimming with the laser; "
+        "self-heating lets heaters back off further when busy"
+    )
+    return result

@@ -175,8 +175,8 @@ class ModelRegistry:
         """Point ``tag`` at the model ``ref`` names (atomic retarget)."""
         if not tag or "/" in tag:
             raise ValueError(f"invalid tag {tag!r}")
-        model_id = self.resolve(ref)
         tags = self._read_tags()
+        model_id = self._resolve(ref, tags)
         tags[tag] = model_id
         self.root.mkdir(parents=True, exist_ok=True)
         _atomic_write(
@@ -188,7 +188,10 @@ class ModelRegistry:
 
     def resolve(self, ref: str) -> str:
         """Tag, full id or unique id prefix -> model id."""
-        tags = self._read_tags()
+        return self._resolve(ref, self._read_tags())
+
+    def _resolve(self, ref: str, tags: Dict[str, str]) -> str:
+        """:meth:`resolve` against the tags of one ``tags.json`` read."""
         if ref in tags:
             return tags[ref]
         # Match against the stored ids, never a path built from ``ref``:
@@ -205,7 +208,8 @@ class ModelRegistry:
 
     def record(self, ref: str) -> ModelRecord:
         """The metadata record for a tag/id/prefix."""
-        return self._stored_record(self.resolve(ref), self._read_tags())
+        tags = self._read_tags()
+        return self._stored_record(self._resolve(ref, tags), tags)
 
     def get(self, ref: str) -> RidgeRegression:
         """Load the fitted model a tag/id/prefix names."""

@@ -11,9 +11,10 @@ engine, including the struct-of-arrays core.
 Usage::
 
     from repro import obs
+    from repro.experiments import run_experiment
 
     with obs.session(sample_every=1):
-        result = REGISTRY["fig9"]()
+        result = run_experiment("fig9")
         print(obs.OBS.registry.snapshot())
         obs.write_trace_artifacts("run", ...)
 

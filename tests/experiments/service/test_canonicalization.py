@@ -49,7 +49,6 @@ from repro.experiments.service.client import ServeClient
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import spec_from_doc, spec_to_doc
 from repro.experiments.service.sweeper import SweepRunner
-from repro.experiments.sweep import apply_override
 from repro.faults import (
     BitErrorFault,
     FaultSchedule,
@@ -462,7 +461,15 @@ class TestEveryConfigLeaf:
     def test_leaf_round_trips_and_moves_the_key(self, path):
         pair = experiment_pairs(quick=True)[0]
         base = pearl_job(PearlConfig(), pair_spec(pair, 3), seed=3)
-        config = apply_override(PearlConfig(), path, LEAF_OVERRIDES[path])
+        section, name = path.split(".")
+        default = PearlConfig()
+        config = default.replace(
+            **{
+                section: dataclasses.replace(
+                    getattr(default, section), **{name: LEAF_OVERRIDES[path]}
+                )
+            }
+        )
         spec = pearl_job(config, pair_spec(pair, 3), seed=3)
         doc = json.loads(json.dumps(spec_to_doc(spec)))
         decoded = spec_from_doc(doc)

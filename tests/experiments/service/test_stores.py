@@ -162,6 +162,27 @@ class TestSqliteConnection:
         assert store.stats().entries == 6 * 40
         store.close()
 
+    def test_wal_switch_waits_for_a_racing_writer(self, tmp_path):
+        """sqlite refuses the WAL switch at once, without waiting out the
+        busy timeout, while another connection writes the file in
+        rollback mode (two processes opening a new cache at once); the
+        store retries the switch instead of failing its operation."""
+        path = tmp_path / "cache.db"
+        writer = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
+        writer.execute("BEGIN IMMEDIATE")
+        commit = threading.Timer(0.2, writer.execute, args=("COMMIT",))
+        commit.start()
+        store = SqliteStore(path)
+        try:
+            store.put("k", b"meta", b"blob")
+            assert store.get("k") == (b"meta", b"blob")
+        finally:
+            commit.join()
+            writer.close()
+            store.close()
+
 
 class TestOpenStore:
     def test_bare_path_is_dir_backend(self, tmp_path):

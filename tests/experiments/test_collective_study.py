@@ -2,16 +2,16 @@
 
 ``ROWS`` are the quick table's rows as computed before the study ran
 its grid through the job engine; the move had to leave every one of
-them unchanged.  The study submits its grid with ``run_jobs``, so the
-engine's worker count must not change a row and its result cache must
-answer a rerun without executing a job.
+them unchanged.  The study declares its grid as jobs, so the engine's
+worker count must not change a row and its result cache must answer a
+rerun without executing a job.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import clear_cache, collective_study, engine_scope
+from repro.experiments import collective_study, engine_scope, run_experiment
 
 
 def _row(policy, signaling, action, throughput, latency, power, energy,
@@ -56,16 +56,13 @@ ROWS = [
 
 @pytest.fixture(autouse=True)
 def _isolated(tmp_path, monkeypatch):
-    """Refit models go to a throwaway registry; no rows stay memoised."""
+    """Refit models go to a throwaway registry."""
     monkeypatch.setenv("PEARL_REGISTRY_DIR", str(tmp_path / "registry"))
-    yield
-    clear_cache()
 
 
 def _quick_rows():
     """The quick rows, computed through the current engine."""
-    clear_cache()
-    return collective_study.run(quick=True).rows
+    return run_experiment("collective_study").rows
 
 
 def test_quick_rows_are_pinned():

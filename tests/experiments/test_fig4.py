@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments import fig4_breakdown
+from repro.experiments import run_experiment
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig4_breakdown.run(quick=True)
+        return run_experiment("fig4")
 
     def test_one_row_per_pair(self, result):
         assert len(result.rows) == 4  # quick mode diagonal

@@ -439,3 +439,32 @@ class TestEngineIntegration:
         direct.put(spec, cold)
         key = direct.key_for(spec)
         assert engine.cache.store.get(key) == direct.store.get(key)
+
+    def test_a_failed_batch_keeps_the_jobs_it_finished(
+        self, tmp_path, tiny_sim_config, monkeypatch
+    ):
+        """Each job is stored as it completes: a serial batch whose
+        third job raises leaves the first two in the cache."""
+        from repro.experiments import parallel
+
+        specs = [
+            trace_job(tiny_sim_config, pair_spec(pair, 1 + i), seed=1 + i)
+            for i, pair in enumerate(experiment_pairs(quick=True)[:3])
+        ]
+        ran = []
+
+        def third_fails(spec):
+            ran.append(spec)
+            if len(ran) == 3:
+                raise RuntimeError("job died")
+            return execute_job(spec)
+
+        monkeypatch.setattr(parallel, "execute_job", third_fails)
+        cache = ResultCache(directory=tmp_path)
+        with pytest.raises(RuntimeError, match="job died"):
+            ExperimentEngine(jobs=1, cache=cache).run(specs)
+        assert [cache.get(spec) is not None for spec in specs] == [
+            True,
+            True,
+            False,
+        ]

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro import obs
+from repro.config import PearlConfig, SimulationConfig
+from repro.experiments import engine_scope, parallel, run_experiment, runner
+from repro.experiments.parallel import ExperimentEngine, pair_spec, trace_job
 from repro.experiments.runner import (
+    Experiment,
     ExperimentResult,
-    cached,
-    clear_cache,
     describe_pair,
     experiment_pairs,
+    fold,
+    no_jobs,
     simulation_config,
 )
 from repro.traffic.benchmarks import test_pairs as paper_test_pairs
@@ -124,22 +129,118 @@ class TestPairsAndConfig:
         assert describe_pair(pair) == "FA+DCT"
 
 
+def _trace_spec(seed: int):
+    config = PearlConfig(
+        simulation=SimulationConfig(warmup_cycles=0, measure_cycles=200)
+    )
+    return trace_job(config, pair_spec(experiment_pairs()[0], seed))
+
+
+def _stub(specs, seen):
+    """An experiment declaring ``specs``; its table records what it read."""
+
+    def table(quick, seed, results):
+        seen.append([results[spec] for spec in specs])
+        return ExperimentResult(name="stub")
+
+    return Experiment(lambda quick, seed: list(specs), table)
+
+
+def _packets(quick, seed, results):
+    """The packet counts of the experiment's one trace job."""
+    result = ExperimentResult(name="packets")
+    result.add_row(**results[_trace_spec(seed)].extras)
+    return result
+
+
+#: An experiment of one trace job, seeded by the run's seed.
+PACKETS = Experiment(lambda quick, seed: [_trace_spec(seed)], _packets)
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """The specs the engine executes (its cache misses), in order."""
+    specs = []
+    execute = parallel.execute_job
+
+    def recording_execute(spec):
+        specs.append(spec)
+        return execute(spec)
+
+    monkeypatch.setattr(parallel, "execute_job", recording_execute)
+    return specs
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The spec lists the engine is handed, one per ``run`` call."""
+    calls = []
+    run = ExperimentEngine.run
+
+    def recording_run(self, specs, keyed=None):
+        calls.append(list(specs))
+        return run(self, specs, keyed)
+
+    monkeypatch.setattr(ExperimentEngine, "run", recording_run)
+    return calls
+
+
+class TestFold:
+    def test_a_shared_spec_runs_once_and_both_tables_read_it(self, batches):
+        a, shared, b = (_trace_spec(seed) for seed in (1, 2, 3))
+        first, second = [], []
+        with engine_scope(jobs=1, use_cache=False):
+            fold([_stub([a, shared], first), _stub([shared, b], second)])
+        assert batches == [[a, shared, b]]
+        assert first[0][1] is second[0][0]
+        assert first[0][0] is not second[0][1]
+
+    def test_equal_specs_built_apart_are_one_job(self, batches):
+        first, second = [], []
+        twins = [_stub([_trace_spec(1)], seen) for seen in (first, second)]
+        with engine_scope(jobs=1, use_cache=False):
+            fold(twins)
+        assert len(batches) == 1 and len(batches[0]) == 1
+        assert first[0][0] is second[0][0]
+
+    def test_no_jobs_no_engine_call(self, batches):
+        empty = Experiment(no_jobs, lambda q, s, r: ExperimentResult("x"))
+        tables = fold([empty])
+        assert batches == []
+        assert [table.name for table in tables] == ["x"]
+
+    def test_a_rerun_under_telemetry_executes_its_jobs(
+        self, monkeypatch, batches
+    ):
+        """Nothing memoises a table in the process: an experiment run a
+        second time, under telemetry and an uncached engine, runs its
+        jobs again and records them."""
+        monkeypatch.setattr(runner, "QUICK_CYCLES", (50, 300))
+        with engine_scope(jobs=1, use_cache=False):
+            first = run_experiment("arbitration")
+            with obs.session():
+                second = run_experiment("arbitration")
+                snapshot = obs.OBS.registry.snapshot()
+        assert second.rows == first.rows
+        assert len(batches) == 2
+        assert snapshot["engine/jobs_executed"]["value"] == len(batches[1]) > 0
+
+
 class TestCache:
-    def test_cached_computes_once(self):
-        clear_cache()
-        calls = []
+    """A repeated run is answered by the result cache of the engine in
+    scope, keyed by job spec: nothing memoises a table in the process."""
 
-        def compute():
-            calls.append(1)
-            return 42
+    def test_cached_computes_once(self, tmp_path, executed):
+        with engine_scope(jobs=1, use_cache=True, backend=f"dir:{tmp_path}"):
+            first = run_experiment(PACKETS)
+            second = run_experiment(PACKETS)
+        assert executed == [_trace_spec(1)]
+        assert second.rows == first.rows
 
-        assert cached("key", compute) == 42
-        assert cached("key", compute) == 42
-        assert len(calls) == 1
-        clear_cache()
-
-    def test_distinct_keys_isolated(self):
-        clear_cache()
-        assert cached("a", lambda: 1) == 1
-        assert cached("b", lambda: 2) == 2
-        clear_cache()
+    def test_distinct_keys_isolated(self, tmp_path, executed):
+        with engine_scope(jobs=1, use_cache=True, backend=f"dir:{tmp_path}"):
+            one = run_experiment(PACKETS, seed=1)
+            two = run_experiment(PACKETS, seed=2)
+            again = run_experiment(PACKETS, seed=1)
+        assert executed == [_trace_spec(1), _trace_spec(2)]
+        assert again.rows == one.rows != two.rows

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.tables import run, table1, table2, table5
+from repro.experiments import run_experiment, tables
+from repro.experiments.tables import table1, table2, table5
 
 
 class TestTable1:
@@ -41,6 +42,6 @@ class TestTable5:
 
 class TestCombined:
     def test_run_concatenates_all(self):
-        combined = run()
-        tables = {row["table"] for row in combined.rows}
-        assert len(tables) == 3
+        combined = run_experiment(tables)
+        names = {row["table"] for row in combined.rows}
+        assert len(names) == 3

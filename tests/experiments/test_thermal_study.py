@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import thermal_study
-from repro.experiments.runner import clear_cache
+from repro.experiments import run_experiment
 
 #: (wavelengths, flat_model_w, trimming_idle_w, locked_idle,
 #: trimming_busy_w, locked_busy) per state.
@@ -35,11 +34,7 @@ COLUMNS = (
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
 def test_rows_match_the_pinned_literals(quick):
-    clear_cache()
-    try:
-        result = thermal_study.run(quick=quick)
-    finally:
-        clear_cache()
+    result = run_experiment("thermal_study", quick=quick)
     rows = [tuple(row[name] for name in COLUMNS) for row in result.rows]
     # repr() tells every float bit apart.
     assert repr(rows) == repr(ROWS)

@@ -192,6 +192,33 @@ class TestTags:
         assert promoted == registry.record(records[3].model_id)
         assert (reput.tags, promoted.tags) == (["candidate"], [DEFAULT_TAG])
 
+    def test_record_and_promote_read_the_tags_once(
+        self, registry, monkeypatch
+    ):
+        """``record`` and ``promote`` resolve against the one
+        ``tags.json`` read they then tag or retarget with, so a retag
+        between two reads cannot give a record whose tags disagree
+        with the id it resolved."""
+        ids = [
+            registry.put(_fitted_model(seed=seed), training={"key": seed})
+            .model_id
+            for seed in range(3)
+        ]
+        registry.promote(ids[0], "served")
+        reads = []
+        read_tags = ModelRegistry._read_tags
+        monkeypatch.setattr(
+            ModelRegistry,
+            "_read_tags",
+            lambda self: reads.append(1) or read_tags(self),
+        )
+        assert registry.record("served").model_id == ids[0]
+        assert len(reads) == 1
+        assert registry.promote(ids[1]).tags == [DEFAULT_TAG]
+        assert len(reads) == 2
+        assert registry.model_path("served").parent.name == ids[0]
+        assert len(reads) == 3
+
 
 class TestFindByKey:
     def test_find_by_key_matches(self, registry):
