@@ -88,7 +88,7 @@ from repro.traffic.synthetic import (  # noqa: E402
     generate_pair_trace,
     uniform_random_trace,
 )
-from tests.oracle import fingerprint  # noqa: E402
+from tests.oracle import fingerprint, keep_delivery_order  # noqa: E402
 
 ENGINES = ("reference", "array")
 
@@ -333,7 +333,7 @@ def _time_row(
     outputs = {}
     for _ in range(repeats):
         for engine in ENGINES:
-            network = make()
+            network = keep_delivery_order(make())
             start = time.perf_counter()
             result = network.run(trace, engine=engine)
             wall = time.perf_counter() - start

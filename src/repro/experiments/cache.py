@@ -14,10 +14,12 @@ Each entry is a small ``meta`` JSON document plus a ``blob``:
   (:func:`~repro.experiments.service.spec_codec.result_to_bytes`):
   compact JSON with the arrays packed, byte for byte what
   ``pearl-sim serve`` streams for the job;
-* ``meta`` — the entry format, the job's spec payload *and the blob's
-  SHA-256*; committed last, so it doubles as the commit record and a
-  mixed meta/blob pair (two crashed writers interleaving) is detected
-  by digest instead of silently decoded.
+* ``meta`` — two JSON lines: the commit record (the entry format and
+  *the blob's SHA-256*), then the job's spec payload.  The meta is
+  committed last, so a mixed meta/blob pair (two crashed writers
+  interleaving) is detected by digest instead of silently decoded.  A
+  lookup parses the first line only; the spec is there for people
+  reading the cache.
 
 Where the bytes live is pluggable
 (:mod:`repro.experiments.service.stores`): the default
@@ -52,10 +54,11 @@ CODE_VERSION = "pearl-experiments-1"
 
 #: On-disk schema version of one cache entry.  Format 2 added the
 #: ``blob_sha256`` commit digest; format 3 made the blob the result
-#: document; format 4 holds result document format 2.  A hit serves the
-#: blob without parsing it, so any change to the document's shape bumps
-#: this too.  Older entries self-heal on read.
-ENTRY_FORMAT = 4
+#: document; format 4 holds result document format 2; format 5 holds
+#: format 3 and puts the commit record on the meta's first line.  A hit
+#: serves the blob without parsing it, so any change to the document's
+#: shape bumps this too.  Older entries self-heal on read.
+ENTRY_FORMAT = 5
 
 
 def canonical_json(payload: Any) -> str:
@@ -163,13 +166,14 @@ class ResultCache:
     ):
         """The verified result document stored under ``key``, or ``None``.
 
-        The bytes are checked, not parsed: the meta document must name
-        this :data:`ENTRY_FORMAT` and the blob's SHA-256.  With
-        ``decode``, its value for the bytes is returned instead.  Any
-        unreadable entry (bad meta JSON, an older format, a meta/blob
-        digest mismatch from a torn pair, bytes ``decode`` rejects with
-        :class:`ValueError`) counts as a miss: the stale entry is
-        deleted (self-heal) and the caller recomputes.
+        The bytes are checked, not parsed: the meta's commit record
+        (its first line) must name this :data:`ENTRY_FORMAT` and the
+        blob's SHA-256.  With ``decode``, its value for the bytes is
+        returned instead.  Any unreadable entry (a bad commit line, an
+        older format, a meta/blob digest mismatch from a torn pair,
+        bytes ``decode`` rejects with :class:`ValueError`) counts as a
+        miss: the stale entry is deleted (self-heal) and the caller
+        recomputes.
         """
         entry = self.store.get(key)
         if entry is None:
@@ -178,7 +182,9 @@ class ResultCache:
             return None
         meta, document = entry
         try:
-            doc = json.loads(meta)
+            # The commit record is the first line; the spec after it is
+            # never read here.
+            doc = json.loads(meta.partition(b"\n")[0])
             if type(doc) is not dict or doc.get("format") != ENTRY_FORMAT:
                 raise ValueError("unknown cache entry format")
             if doc.get("blob_sha256") != hashlib.sha256(document).hexdigest():
@@ -209,19 +215,17 @@ class ResultCache:
     ) -> bytes:
         """Persist a result under a precomputed key; return its document."""
         document = result_to_bytes(result)
-        meta: Dict[str, Any] = {
+        commit = {
             "format": ENTRY_FORMAT,
             # Binds this meta document to exactly this blob, so a reader
             # can reject any meta/blob interleaving from crashed or
             # racing writers.
             "blob_sha256": hashlib.sha256(document).hexdigest(),
         }
+        meta = canonical_json(commit) + "\n"
         if spec_payload is not None:
-            meta["spec"] = spec_payload
-        self.store.put(
-            key, (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"),
-            document,
-        )
+            meta += canonical_json(spec_payload) + "\n"
+        self.store.put(key, meta.encode("utf-8"), document)
         self._count("writes")
         return document
 

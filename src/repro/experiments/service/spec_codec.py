@@ -31,7 +31,8 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from operator import mul
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -139,11 +140,12 @@ def model_still_keyed(
 #: Result-document version tag, checked strictly on decode.  A cache hit
 #: streams the stored document without parsing it, so any change to the
 #: document's shape must also bump ``cache.ENTRY_FORMAT``.  Format 2
-#: added the drift and retraining outcome of a pearl job.
-RESULT_DOC_FORMAT = 2
+#: added the drift and retraining outcome of a pearl job; format 3
+#: carries the latency histogram in place of the per-packet latencies.
+RESULT_DOC_FORMAT = 3
 
 #: The packed arrays: little-endian fixed-width elements.
-_LATENCY_DTYPE = "<i8"
+_HISTOGRAM_DTYPE = "<i8"
 _ML_DTYPE = "<f8"
 
 #: Deflate level of the packed arrays.  On 20k-cycle runs level 5 keeps
@@ -158,14 +160,20 @@ def result_to_doc(result: JobResult) -> Dict[str, Any]:
 
     Scalars travel as JSON numbers (floats round-trip through ``repr``);
     the three arrays travel packed, as base64 of their deflated
-    little-endian bytes, so every float keeps its IEEE bits.
+    little-endian bytes, so every float keeps its IEEE bits.  The
+    latency histogram is one array: its values, then their counts.
     """
     stats = result.stats
+    histogram = (
+        stats.latency_values + stats.latency_counts
+        if stats is not None
+        else ()
+    )
     return {
         "format": RESULT_DOC_FORMAT,
         "kind": result.kind,
         "stats": (
-            stats.to_dict(include_latencies=False)
+            stats.to_dict(include_histogram=False)
             if stats is not None
             else None
         ),
@@ -177,9 +185,7 @@ def result_to_doc(result: JobResult) -> Dict[str, Any]:
         "laser_stall_cycles": result.laser_stall_cycles,
         "extras": result.extras,
         "telemetry": result.telemetry,
-        "latencies": _pack(
-            stats._latencies if stats is not None else (), _LATENCY_DTYPE
-        ),
+        "latency_histogram": _pack(histogram, _HISTOGRAM_DTYPE),
         "ml_predictions": _pack(result.ml_predictions, _ML_DTYPE),
         "ml_labels": _pack(result.ml_labels, _ML_DTYPE),
         "drift_events": result.drift_events,
@@ -207,7 +213,8 @@ def result_from_doc(doc: Dict[str, Any]) -> JobResult:
     Strict: a wrong or missing ``format``, a missing field, a
     lifecycle field of the wrong JSON type, an array that is not base64
     of a deflate stream or whose byte length is not a whole number of
-    elements all raise :class:`ValueError`.
+    elements, and a latency histogram its statistics contradict (see
+    :func:`_histogram`) all raise :class:`ValueError`.
     """
     if type(doc) is not dict:
         raise ValueError("result document must be a JSON object")
@@ -215,13 +222,20 @@ def result_from_doc(doc: Dict[str, Any]) -> JobResult:
     if type(version) is not int or version != RESULT_DOC_FORMAT:
         raise ValueError(f"unknown result document format: {version!r}")
     try:
-        latencies = _unpack(doc["latencies"], _LATENCY_DTYPE, "latencies")
+        packed = _unpack(
+            doc["latency_histogram"], _HISTOGRAM_DTYPE, "latency_histogram"
+        )
         model_ids = _typed(doc, "retrained_model_ids", list)
         if not all(type(ref) is str for ref in model_ids):
             raise ValueError("retrained_model_ids must hold strings")
         stats = None
         if doc["stats"] is not None:
-            stats = NetworkStats.from_dict(doc["stats"], latencies=latencies)
+            stats = NetworkStats.from_dict(doc["stats"])
+            stats.latency_values, stats.latency_counts = _histogram(
+                packed, stats
+            )
+        elif packed:
+            raise ValueError("latency_histogram without stats")
         return JobResult(
             kind=doc["kind"],
             stats=stats,
@@ -262,6 +276,46 @@ def _typed(doc: Dict[str, Any], name: str, kind: type) -> Any:
             f"{name} must be a {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _histogram(
+    packed: List[int], stats: NetworkStats
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Split a packed latency histogram into its values and counts.
+
+    Strict: the array must hold value/count pairs, the values must be
+    non-negative and strictly increasing, every count at least 1, and
+    the histogram must agree with ``stats``: as many samples as
+    delivered packets, summing to their total latency.  The checks run
+    on Python ints: exact, and faster than numpy calls on arrays of a
+    few hundred elements in a served hit.
+    """
+    half, odd = divmod(len(packed), 2)
+    if odd:
+        raise ValueError(
+            f"latency_histogram holds {len(packed)} elements, "
+            "not value/count pairs"
+        )
+    values = packed[:half]
+    counts = packed[half:]
+    if values and (values[0] < 0 or values != sorted(set(values))):
+        raise ValueError(
+            "latency_histogram values must be non-negative and "
+            "strictly increasing"
+        )
+    if counts and min(counts) < 1:
+        raise ValueError("latency_histogram counts must be at least 1")
+    if sum(counts) != stats.packets_delivered:
+        raise ValueError(
+            f"latency_histogram counts {sum(counts)} samples for "
+            f"{stats.packets_delivered} delivered packets"
+        )
+    total = sum(counter.total_latency for counter in stats.counters.values())
+    if sum(map(mul, values, counts)) != total:
+        raise ValueError(
+            f"latency_histogram does not sum to the total latency {total}"
+        )
+    return tuple(values), tuple(counts)
 
 
 def _pack(values, dtype: str) -> str:

@@ -6,12 +6,21 @@ laser/electrical energy integrals that back the paper's throughput
 (Figs. 6, 9, 10), laser power (Figs. 7, 11) and energy-per-bit (Fig. 5)
 plots.  Warm-up cycles can be excluded by calling
 :meth:`begin_measurement` at the warm-up boundary.
+
+Latency is kept as an exact histogram: the engines record one sample
+per delivered packet while the run lasts, and :meth:`finish` folds them
+into the sorted distinct latencies and their counts.  Every percentile
+is an order statistic, so it reads off the cumulative counts exactly,
+and the means come from the counters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple
 
 from .packet import CoreType, Packet
 
@@ -48,7 +57,13 @@ class NetworkStats:
         self.link_total_cycles = 0
         self.measure_start_cycle = 0
         self.final_cycle = 0
+        #: The run's per-packet latencies in delivery order, until
+        #: :meth:`finish` folds them into the histogram below.
         self._latencies: List[int] = []
+        #: The measurement phase's latency histogram: the sorted
+        #: distinct latencies and how many packets took each.
+        self.latency_values: Tuple[int, ...] = ()
+        self.latency_counts: Tuple[int, ...] = ()
         self.laser_energy_j = 0.0
         self.trimming_energy_j = 0.0
         self.modulation_energy_j = 0.0
@@ -78,6 +93,8 @@ class NetworkStats:
         self.link_busy_cycles = 0
         self.link_total_cycles = 0
         self._latencies = []
+        self.latency_values = ()
+        self.latency_counts = ()
         self.laser_energy_j = 0.0
         self.trimming_energy_j = 0.0
         self.modulation_energy_j = 0.0
@@ -90,8 +107,23 @@ class NetworkStats:
         self.fault_clamp_events = 0
 
     def finish(self, cycle: int) -> None:
-        """Record the final simulated cycle."""
+        """Record the final simulated cycle and fold the latency samples.
+
+        The per-packet list becomes the histogram and is dropped, so a
+        finished run holds one value and one count per distinct latency.
+        The fold counts into a dict, not through ``np.unique``: that
+        would build arrays the size of the list beside it and raise the
+        run's peak memory.
+        """
         self.final_cycle = cycle
+        if self._latencies:
+            self._set_histogram(Counter(self._latencies))
+            self._latencies = []
+
+    def _set_histogram(self, tally: Dict[int, int]) -> None:
+        """Store a latency -> packet count tally as the sorted histogram."""
+        self.latency_values = tuple(sorted(tally))
+        self.latency_counts = tuple(tally[v] for v in self.latency_values)
 
     # -- event hooks ----------------------------------------------------------
 
@@ -166,29 +198,21 @@ class NetworkStats:
         return total / delivered
 
     def latency_percentile(self, q: float) -> float:
-        """Latency percentile in cycles (q in [0, 100]).
+        """Latency percentile of the finished run in cycles (q in [0, 100]).
 
-        Tail latency (p95/p99) is what the CPU side actually feels under
-        GPU floods; the mean hides it.
+        The sample of rank ``round(q / 100 * (n - 1))`` among the ``n``
+        sorted packet latencies, read off the histogram's cumulative
+        counts.  Tail latency (p95/p99) is what the CPU side actually
+        feels under GPU floods; the mean hides it.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        if not self._latencies:
+        if not self.latency_counts:
             return 0.0
-        ordered = sorted(self._latencies)
-        index = min(
-            int(round(q / 100.0 * (len(ordered) - 1))), len(ordered) - 1
-        )
-        return float(ordered[index])
-
-    def latency_summary(self) -> Dict[str, float]:
-        """p50/p95/p99/max latency of the measurement phase."""
-        return {
-            "p50": self.latency_percentile(50),
-            "p95": self.latency_percentile(95),
-            "p99": self.latency_percentile(99),
-            "max": self.latency_percentile(100),
-        }
+        cumulative = list(accumulate(self.latency_counts))
+        n = cumulative[-1]
+        rank = min(int(round(q / 100.0 * (n - 1))), n - 1)
+        return float(self.latency_values[bisect_right(cumulative, rank)])
 
     def link_utilization(self) -> float:
         """Busy fraction across all sampled link-cycles."""
@@ -239,14 +263,14 @@ class NetworkStats:
         "fault_clamp_events",
     )
 
-    def to_dict(self, include_latencies: bool = True) -> Dict[str, object]:
-        """Lossless plain-dict form (the result cache persists this).
+    def to_dict(self, include_histogram: bool = True) -> Dict[str, object]:
+        """Lossless plain-dict form of a finished run.
 
-        Every field is a JSON-compatible int/float, so a round trip
-        through :meth:`from_dict` reproduces the instance bit-for-bit.
-        ``include_latencies=False`` leaves the (potentially large)
-        per-packet latency list out; callers storing it separately pass
-        it back to :meth:`from_dict` via ``latencies``.
+        Every field is a JSON-compatible int/float (the histogram as two
+        int lists), so a round trip through :meth:`from_dict` reproduces
+        the instance bit-for-bit.  ``include_histogram=False`` leaves
+        the latency histogram out, for callers that store it separately
+        and set it on the rebuilt instance.
         """
         data: Dict[str, object] = {
             "counters": {
@@ -270,19 +294,14 @@ class NetworkStats:
             data[name] = getattr(self, name)
         for name in self._FAULT_FIELDS:
             data[name] = getattr(self, name)
-        if include_latencies:
-            data["latencies"] = list(self._latencies)
+        if include_histogram:
+            data["latency_values"] = list(self.latency_values)
+            data["latency_counts"] = list(self.latency_counts)
         return data
 
     @classmethod
-    def from_dict(
-        cls, data: Dict[str, object], latencies: Sequence[int] = ()
-    ) -> "NetworkStats":
-        """Rebuild an instance written by :meth:`to_dict`.
-
-        ``latencies`` must already hold Python ints (``ndarray.tolist()``
-        output, say): it is copied without per-element conversion.
-        """
+    def from_dict(cls, data: Dict[str, object]) -> "NetworkStats":
+        """Rebuild an instance written by :meth:`to_dict`."""
         stats = cls()
         for core_name, values in data["counters"].items():
             counter = stats.counters[CoreType[core_name]]
@@ -302,22 +321,22 @@ class NetworkStats:
         for name in cls._FAULT_FIELDS:
             # .get: dumps written before the fault layer carry no counters.
             setattr(stats, name, int(data.get(name, 0)))
-        stored = data.get("latencies")
-        stats._latencies = (
-            list(latencies) if stored is None else [int(v) for v in stored]
-        )
+        if "latency_values" in data:
+            stats.latency_values = tuple(map(int, data["latency_values"]))
+            stats.latency_counts = tuple(map(int, data["latency_counts"]))
         return stats
 
     @classmethod
     def merge(cls, parts: Sequence["NetworkStats"]) -> "NetworkStats":
         """Combine several runs into one aggregate.
 
-        Counters, energies and latency samples add; the merged
+        Counters, energies and latency histograms add; the merged
         measurement window is the concatenation of the parts, so
         throughput is total flits over total measured cycles.  Used to
         aggregate the per-job stats a parallel sweep returns.
         """
         merged = cls()
+        tally: Counter = Counter()
         for part in parts:
             for core, counter in part.counters.items():
                 target = merged.counters[core]
@@ -331,7 +350,8 @@ class NetworkStats:
             merged.link_busy_cycles += part.link_busy_cycles
             merged.link_total_cycles += part.link_total_cycles
             merged.final_cycle += part.measured_cycles
-            merged._latencies.extend(part._latencies)
+            for value, count in zip(part.latency_values, part.latency_counts):
+                tally[value] += count
             for name in cls._ENERGY_FIELDS:
                 setattr(
                     merged, name, getattr(merged, name) + getattr(part, name)
@@ -340,6 +360,7 @@ class NetworkStats:
                 setattr(
                     merged, name, getattr(merged, name) + getattr(part, name)
                 )
+        merged._set_histogram(tally)
         return merged
 
     def summary(self) -> Dict[str, float]:

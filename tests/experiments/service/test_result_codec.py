@@ -38,14 +38,25 @@ ML_VALUES = st.one_of(
         [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]
     ),
 )
+#: A latency histogram: sorted distinct values, a count of 1 or more each.
+HISTOGRAMS = st.lists(
+    st.tuples(st.integers(0, 2**40), st.integers(1, 2**20)),
+    max_size=40,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: tuple(zip(*sorted(pairs))) or ((), ()))
+
+
+def _long_histogram(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    values = np.unique(rng.integers(0, 2**40, size=n))
+    counts = rng.integers(1, 2**20, size=len(values), endpoint=True)
+    return tuple(values.tolist()), tuple(counts.tolist())
+
+
 #: Long arrays (thousands of elements, several deflate blocks), built
 #: from a drawn seed so they cost the property no generation time.
-LONG_LATENCIES = st.builds(
-    lambda seed, n: np.random.default_rng(seed)
-    .integers(-(2**63), 2**63 - 1, size=n, endpoint=True)
-    .tolist(),
-    st.integers(0, 2**32),
-    st.integers(1_000, 5_000),
+LONG_HISTOGRAMS = st.builds(
+    _long_histogram, st.integers(0, 2**32), st.integers(1_000, 5_000)
 )
 #: Random IEEE bit patterns: NaN payloads, infinities, subnormals.
 LONG_ML = st.builds(
@@ -71,17 +82,27 @@ JSON_DICTS = st.dictionaries(
 
 @st.composite
 def network_stats(draw):
+    """Statistics whose counters agree with their latency histogram
+    (as a run's do, and as decoding checks)."""
     stats = NetworkStats()
     for core in CoreType:
         counter = stats.counters[core]
         counter.packets_injected = draw(INT64)
         counter.flits_delivered = draw(INT64)
-        counter.total_latency = draw(INT64)
+    values, counts = draw(HISTOGRAMS | LONG_HISTOGRAMS)
+    stats.latency_values, stats.latency_counts = values, counts
+    delivered = sum(counts)
+    total = sum(v * c for v, c in zip(values, counts))
+    cpu = stats.counters[CoreType.CPU]
+    gpu = stats.counters[CoreType.GPU]
+    cpu.packets_delivered = draw(st.integers(0, delivered))
+    gpu.packets_delivered = delivered - cpu.packets_delivered
+    cpu.total_latency = draw(st.integers(0, total))
+    gpu.total_latency = total - cpu.total_latency
     stats.final_cycle = draw(INT64)
     stats.crc_errors = draw(INT64)
     stats.laser_energy_j = draw(FINITE)
     stats.ml_energy_j = draw(FINITE)
-    stats._latencies = draw(st.lists(INT64, max_size=40) | LONG_LATENCIES)
     return stats
 
 
@@ -160,8 +181,8 @@ class TestRoundTrip:
         Update this pin together with those bumps."""
         doc = result_to_doc(JobResult(kind="trace"))
         assert (ENTRY_FORMAT, RESULT_DOC_FORMAT, sorted(doc)) == (
-            4,
-            2,
+            5,
+            3,
             [
                 "drift_events",
                 "drift_retraining_recommended",
@@ -170,7 +191,7 @@ class TestRoundTrip:
                 "format",
                 "kind",
                 "laser_stall_cycles",
-                "latencies",
+                "latency_histogram",
                 "mean_laser_power_w",
                 "ml_labels",
                 "ml_predictions",
@@ -195,8 +216,21 @@ def _packed(raw: bytes) -> str:
     return base64.b64encode(zlib.compress(raw)).decode("ascii")
 
 
+def _histogram(*numbers: int) -> dict:
+    """A ``latency_histogram`` field packing ``numbers`` as ``<i8``."""
+    return {"latency_histogram": _packed(np.array(numbers, "<i8").tobytes())}
+
+
 def _doc(**changes):
-    doc = result_to_doc(JobResult(kind="trace", ml_predictions=[1.5]))
+    """A valid document whose stats hold three packets, latencies 10,
+    10 and 20: histogram values (10, 20), counts (2, 1), total 40."""
+    stats = NetworkStats()
+    cpu = stats.counters[CoreType.CPU]
+    cpu.packets_delivered, cpu.total_latency = 3, 40
+    stats.latency_values, stats.latency_counts = (10, 20), (2, 1)
+    doc = result_to_doc(
+        JobResult(kind="pearl", stats=stats, ml_predictions=[1.5])
+    )
     doc.update(changes)
     return doc
 
@@ -206,7 +240,7 @@ REJECTED = [
     ("format-wrong", lambda doc: doc.update(format=RESULT_DOC_FORMAT + 1)),
     ("format-string", lambda doc: doc.update(format=str(RESULT_DOC_FORMAT))),
     ("format-bool", lambda doc: doc.update(format=True)),
-    ("not-base64", lambda doc: doc.update(latencies="not*base64!")),
+    ("not-base64", lambda doc: doc.update(latency_histogram="not*base64!")),
     ("not-a-string", lambda doc: doc.update(ml_labels=[1.0, 2.0])),
     (
         "broken-deflate",
@@ -217,10 +251,38 @@ REJECTED = [
     (
         "truncated-deflate",
         lambda doc: doc.update(
-            latencies=base64.b64encode(zlib.compress(bytes(64))[:-4]).decode()
+            latency_histogram=base64.b64encode(
+                zlib.compress(bytes(64))[:-4]
+            ).decode()
         ),
     ),
-    ("latency-width", lambda doc: doc.update(latencies=_packed(bytes(12)))),
+    (
+        "latency-width",
+        lambda doc: doc.update(latency_histogram=_packed(bytes(12))),
+    ),
+    # Each histogram below agrees with the stats (3 packets, total 40)
+    # in every respect but the one its id names.
+    ("histogram-odd", lambda doc: doc.update(_histogram(10, 20, 2))),
+    ("histogram-negative", lambda doc: doc.update(_histogram(-5, 50, 2, 1))),
+    ("histogram-unsorted", lambda doc: doc.update(_histogram(20, 10, 1, 2))),
+    (
+        "histogram-repeated",
+        lambda doc: doc.update(_histogram(10, 10, 20, 1, 1, 1)),
+    ),
+    (
+        "histogram-zero-count",
+        lambda doc: doc.update(_histogram(10, 15, 20, 2, 0, 1)),
+    ),
+    (
+        "histogram-negative-count",
+        lambda doc: doc.update(_histogram(5, 10, 20, 2, -1, 2)),
+    ),
+    ("histogram-count-sum", lambda doc: doc.update(_histogram(10, 4))),
+    (
+        "histogram-latency-sum",
+        lambda doc: doc.update(_histogram(10, 21, 2, 1)),
+    ),
+    ("histogram-without-stats", lambda doc: doc.update(stats=None)),
     ("ml-width", lambda doc: doc.update(ml_labels=_packed(bytes(7)))),
     ("field-missing", lambda doc: doc.pop("mean_laser_power_w")),
     ("stats-mistyped", lambda doc: doc.update(stats=[1, 2])),

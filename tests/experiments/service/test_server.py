@@ -9,6 +9,7 @@ uses.
 from __future__ import annotations
 
 import asyncio
+import base64
 import hashlib
 import http.client
 import io
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from repro.experiments.service.client import ServeClient, ServeError
 from repro.experiments.service.server import SweepServer
 from repro.experiments.service.spec_codec import (
     result_from_bytes,
+    result_to_doc,
     spec_from_doc,
     spec_to_doc,
 )
@@ -803,13 +806,22 @@ def _store_url(tmp_path, backend: str) -> str:
     return f"sqlite:{tmp_path / 'cache.db'}"
 
 
+def _per_packet_latencies(result) -> np.ndarray:
+    """One latency per delivered packet, as the older layouts stored them."""
+    stats = result.stats
+    return np.repeat(
+        np.asarray(stats.latency_values, dtype=np.int64),
+        stats.latency_counts,
+    )
+
+
 def _put_format2_entry(store, key, result, spec_payload) -> None:
     """Write ``result`` in the entry-format-2 layout: every scalar in the
     meta document, the three arrays in a compressed npz blob."""
     buffer = io.BytesIO()
     np.savez_compressed(
         buffer,
-        latencies=np.asarray(result.stats._latencies, dtype=np.int64),
+        latencies=_per_packet_latencies(result),
         ml_predictions=np.asarray(result.ml_predictions, dtype=np.float64),
         ml_labels=np.asarray(result.ml_labels, dtype=np.float64),
     )
@@ -825,7 +837,26 @@ def _put_format2_entry(store, key, result, spec_payload) -> None:
         "laser_stall_cycles": result.laser_stall_cycles,
         "extras": result.extras,
         "telemetry": result.telemetry,
-        "stats": result.stats.to_dict(include_latencies=False),
+        "stats": result.stats.to_dict(include_histogram=False),
+        "spec": spec_payload,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    store.put(key, (json.dumps(meta, sort_keys=True) + "\n").encode(), blob)
+
+
+def _put_format4_entry(store, key, result, spec_payload) -> None:
+    """Write ``result`` in the entry-format-4 layout: one meta line with
+    the spec and the blob digest over result document format 2, which
+    packs one latency per delivered packet."""
+    doc = result_to_doc(result)
+    del doc["latency_histogram"]
+    doc["format"] = 2
+    doc["latencies"] = base64.b64encode(
+        zlib.compress(_per_packet_latencies(result).astype("<i8").tobytes())
+    ).decode("ascii")
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    meta = {
+        "format": 4,
         "spec": spec_payload,
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
@@ -858,23 +889,29 @@ class TestStoredDocument:
         assert json.loads(lines[-1])["cached"] is True
         assert lines[-1].endswith(b'"result": ' + stored + b"}")
 
+    @pytest.mark.parametrize(
+        "put_old_entry",
+        [_put_format2_entry, _put_format4_entry],
+        ids=["format2", "format4"],
+    )
     def test_format2_entry_heals_as_a_miss(
-        self, tmp_path, tiny_sim_config, backend
+        self, tmp_path, tiny_sim_config, backend, put_old_entry
     ):
-        """An entry of the npz layout is evicted on read, in process
-        and when served, and recomputed under the same job key."""
+        """An entry of an older layout (the npz blob, or the per-packet
+        latencies of entry format 4) is evicted on read, in process
+        and when served, and recomputed once under the same job key."""
         pair = experiment_pairs(quick=True)[0]
         spec = pearl_job(tiny_sim_config, pair_spec(pair, 3), seed=3)
         direct = execute_job(spec)
         cache = ResultCache(store=_store_url(tmp_path, backend))
         key = cache.key_for(spec)
 
-        _put_format2_entry(cache.store, key, direct, spec.payload())
+        put_old_entry(cache.store, key, direct, spec.payload())
         assert cache.get(spec) is None
         assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
         assert cache.store.get(key) is None
 
-        _put_format2_entry(cache.store, key, direct, spec.payload())
+        put_old_entry(cache.store, key, direct, spec.payload())
         with _LiveServer(SweepServer(cache=cache, port=0, jobs=1)) as live:
             healed = live.client.submit(spec_to_doc(spec))
             assert healed[-1]["key"] == key
@@ -884,7 +921,7 @@ class TestStoredDocument:
             assert stats["executions"] == 1
             assert stats["cache_hits"] == 1
         meta, blob = cache.store.get(key)
-        assert json.loads(meta)["format"] == ENTRY_FORMAT
+        assert json.loads(meta.splitlines()[0])["format"] == ENTRY_FORMAT
         assert _fingerprint(result_from_bytes(blob)) == _fingerprint(direct)
         assert _fingerprint(served) == _fingerprint(direct)
 

@@ -129,6 +129,15 @@ class TestInvalidation:
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
 
+def _rewrite_commit(meta_path, edit) -> None:
+    """Apply ``edit`` to an entry's commit record (the meta's first
+    line), keeping the spec line after it."""
+    commit, rest = meta_path.read_text().split("\n", 1)
+    record = json.loads(commit)
+    edit(record)
+    meta_path.write_text(json.dumps(record) + "\n" + rest)
+
+
 class TestCorruption:
     def _primed(self, tmp_path, spec):
         cache = ResultCache(directory=tmp_path)
@@ -171,9 +180,12 @@ class TestCorruption:
         cache, json_path, npz_path = self._primed(tmp_path, spec)
         blob = b'{"format": "not a result document"}'
         npz_path.write_bytes(blob)
-        meta = json.loads(json_path.read_text())
-        meta["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-        json_path.write_text(json.dumps(meta))
+        _rewrite_commit(
+            json_path,
+            lambda record: record.update(
+                blob_sha256=hashlib.sha256(blob).hexdigest()
+            ),
+        )
         assert cache.get(spec) is None
         assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
         assert not json_path.exists()
@@ -221,12 +233,12 @@ class TestTornPairDetection:
         cache.put(spec, execute_job(spec))
         key = cache.key_for(spec)
         meta_path = tmp_path / f"{key}.json"
-        import json as _json
 
-        doc = _json.loads(meta_path.read_text())
-        doc["format"] = 1
-        doc.pop("blob_sha256")
-        meta_path.write_text(_json.dumps(doc))
+        def format1(record):
+            record["format"] = 1
+            record.pop("blob_sha256")
+
+        _rewrite_commit(meta_path, format1)
         assert cache.get(spec) is None
         assert cache.errors == 1
         cache.put(spec, execute_job(spec))

@@ -16,7 +16,6 @@ Regenerate snapshots with ``python scripts/update_golden.py`` after an
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List
 
 from repro.config import PearlConfig, SimulationConfig
@@ -28,7 +27,12 @@ from repro.noc.stats import NetworkStats
 from repro.traffic.benchmarks import get_benchmark
 from repro.traffic.synthetic import generate_pair_trace
 
-from ..oracle import drifting_model, literal_model
+from ..oracle import (
+    delivery_digest,
+    drifting_model,
+    keep_delivery_order,
+    literal_model,
+)
 
 GOLDEN_SEED = 11
 POLICIES = (
@@ -74,15 +78,14 @@ def case_names() -> List[str]:
 def canonical_stats(stats: NetworkStats) -> Dict[str, object]:
     """The JSON-able canonical form of a run's statistics.
 
-    Per-packet latencies are folded into a digest so snapshots stay
-    small while still pinning every individual latency sample.
+    The run must have gone under :func:`keep_delivery_order`: its
+    per-packet latencies are pinned by a digest in delivery order,
+    which keeps snapshots small while pinning every sample (and implies
+    the histogram).
     """
-    latency_digest = hashlib.sha256(
-        ",".join(str(value) for value in stats._latencies).encode()
-    ).hexdigest()
     return {
-        "stats": stats.to_dict(include_latencies=False),
-        "latencies_sha256": latency_digest,
+        "stats": stats.to_dict(include_histogram=False),
+        "latencies_sha256": delivery_digest(stats),
     }
 
 
@@ -119,7 +122,7 @@ def run_case(policy: str, allocator: str, engine: str) -> Dict[str, object]:
         ml_model=literal_model() if policy == "ml" else None,
         seed=GOLDEN_SEED,
     )
-    return canonical(network.run(trace, engine=engine))
+    return canonical(keep_delivery_order(network).run(trace, engine=engine))
 
 
 def retrain_config() -> PearlConfig:
@@ -162,7 +165,7 @@ def run_retrain_case(engine: str) -> Dict[str, object]:
             seed=GOLDEN_SEED,
             registry=ModelRegistry(tmp),
         )
-        result = network.run(trace, engine=engine)
+        result = keep_delivery_order(network).run(trace, engine=engine)
     out = canonical(result)
     out["retrain_events"] = result.retrain_events
     out["retrained_model_ids"] = list(result.retrained_model_ids)
@@ -207,7 +210,7 @@ def run_collective_retrain_case(engine: str) -> Dict[str, object]:
             seed=GOLDEN_SEED,
             registry=ModelRegistry(tmp),
         )
-        result = network.run(trace, engine=engine)
+        result = keep_delivery_order(network).run(trace, engine=engine)
     out = canonical(result)
     out["retrain_events"] = result.retrain_events
     out["retrained_model_ids"] = list(result.retrained_model_ids)
@@ -232,7 +235,7 @@ def run_collective_pam4_case(engine: str) -> Dict[str, object]:
     network = PearlNetwork(
         config, power_policy=PowerPolicyKind.REACTIVE, seed=GOLDEN_SEED
     )
-    return canonical(network.run(trace, engine=engine))
+    return canonical(keep_delivery_order(network).run(trace, engine=engine))
 
 
 def run_cmesh_case(divisor: int) -> Dict[str, object]:
@@ -243,13 +246,17 @@ def run_cmesh_case(divisor: int) -> Dict[str, object]:
         bandwidth_divisor=divisor,
         seed=GOLDEN_SEED,
     )
-    return canonical_stats(network.run(_golden_trace(config)))
+    return canonical_stats(
+        keep_delivery_order(network).run(_golden_trace(config))
+    )
 
 
 def run_mwsr_case() -> Dict[str, object]:
     """The golden workload on the token-arbitrated MWSR crossbar."""
     config = golden_config()
     network = MwsrNetwork(config, seed=GOLDEN_SEED)
-    out = canonical_stats(network.run(_golden_trace(config)))
+    out = canonical_stats(
+        keep_delivery_order(network).run(_golden_trace(config))
+    )
     out["token_wait_events"] = int(network.total_token_waits())
     return out

@@ -1,6 +1,8 @@
 """Tests for repro.noc.stats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.noc.packet import CacheLevel, CoreType, make_request, make_response
 from repro.noc.stats import NetworkStats
@@ -128,16 +130,36 @@ class TestDerivedMetrics:
             assert key in summary
 
 
+def _finished(latencies, cycles=100):
+    """A finished run whose packets took ``latencies``, in that order."""
+    stats = NetworkStats()
+    for latency in latencies:
+        _delivered_request(stats, cycle=latency)
+    stats.finish(cycles)
+    return stats
+
+
+def _sorted_sample(latencies, q):
+    """The percentile as the per-packet list defined it."""
+    if not latencies:
+        return 0.0
+    ordered = sorted(latencies)
+    n = len(ordered)
+    return float(ordered[min(int(round(q / 100.0 * (n - 1))), n - 1)])
+
+
+#: Latency lists: empty, one sample, heavy ties, and wide values.
+LATENCY_LISTS = st.one_of(
+    st.just([]),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=1),
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),
+    st.lists(st.integers(0, 2**40), max_size=100),
+)
+
+
 class TestLatencyPercentiles:
     def _populated(self):
-        stats = NetworkStats()
-        for latency in range(1, 101):  # latencies 1..100
-            packet = make_request(
-                0, 16, CoreType.CPU, CacheLevel.CPU_L2_DOWN, cycle=0
-            )
-            stats.on_injected(packet)
-            stats.on_delivered(packet, latency)
-        return stats
+        return _finished(range(1, 101))  # latencies 1..100
 
     def test_median(self):
         stats = self._populated()
@@ -153,10 +175,6 @@ class TestLatencyPercentiles:
         values = [stats.latency_percentile(q) for q in (0, 25, 50, 75, 95, 100)]
         assert values == sorted(values)
 
-    def test_summary_keys(self):
-        summary = self._populated().latency_summary()
-        assert set(summary) == {"p50", "p95", "p99", "max"}
-
     def test_empty_is_zero(self):
         assert NetworkStats().latency_percentile(99) == 0.0
 
@@ -168,6 +186,34 @@ class TestLatencyPercentiles:
         stats = self._populated()
         stats.begin_measurement(0)
         assert stats.latency_percentile(50) == 0.0
+
+
+class TestHistogramExactness:
+    """The histogram answers what the per-packet list answered, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        latencies=LATENCY_LISTS,
+        q=st.floats(0.0, 100.0, allow_nan=False),
+    )
+    def test_percentile_is_the_sorted_sample(self, latencies, q):
+        stats = _finished(latencies)
+        assert stats._latencies == []  # folded and dropped
+        assert sum(stats.latency_counts) == len(latencies)
+        for quantile in (0, 0.1, 25, 50, 95, 99, 99.9, 100, q):
+            assert stats.latency_percentile(quantile) == _sorted_sample(
+                latencies, quantile
+            ), quantile
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(LATENCY_LISTS, max_size=4))
+    def test_merge_is_the_fold_of_the_concatenation(self, parts):
+        merged = NetworkStats.merge([_finished(part) for part in parts])
+        whole = _finished([value for part in parts for value in part])
+        assert (merged.latency_values, merged.latency_counts) == (
+            whole.latency_values,
+            whole.latency_counts,
+        )
 
 
 class TestSerialization:
@@ -195,13 +241,16 @@ class TestSerialization:
         rebuilt = NetworkStats.from_dict(stats.to_dict())
         assert rebuilt.to_dict() == stats.to_dict()
         assert rebuilt.summary() == stats.summary()
-        assert rebuilt.latency_summary() == stats.latency_summary()
+        assert rebuilt.latency_percentile(95) == stats.latency_percentile(95)
 
     def test_roundtrip_with_external_latencies(self):
         stats = self._populated_run()
-        data = stats.to_dict(include_latencies=False)
-        assert "latencies" not in data
-        rebuilt = NetworkStats.from_dict(data, latencies=stats._latencies)
+        data = stats.to_dict(include_histogram=False)
+        assert "latency_values" not in data
+        assert "latency_counts" not in data
+        rebuilt = NetworkStats.from_dict(data)
+        rebuilt.latency_values = stats.latency_values
+        rebuilt.latency_counts = stats.latency_counts
         assert rebuilt.to_dict() == stats.to_dict()
 
     def test_empty_roundtrip(self):
@@ -238,8 +287,9 @@ class TestMerge:
     def test_latency_samples_concatenate(self):
         a = self._run(100, [10, 20])
         b = self._run(200, [30])
-        merged = NetworkStats.merge([a, b])
-        assert sorted(merged._latencies) == [10, 20, 30]
+        merged = NetworkStats.merge([a, b, self._run(50, [20])])
+        assert merged.latency_values == (10, 20, 30)
+        assert merged.latency_counts == (1, 2, 1)
         assert merged.latency_percentile(100) == 30
 
     def test_merge_of_one_matches_original(self):
@@ -270,7 +320,9 @@ class TestFieldCoverage:
                     for field in vars(counter):
                         setattr(counter, field, next(values))
             elif name == "_latencies":
-                stats._latencies = [next(values), next(values)]
+                pass  # the run's samples: folded and empty once finished
+            elif name in ("latency_values", "latency_counts"):
+                setattr(stats, name, (next(values), next(values)))
             elif isinstance(attr, float):
                 setattr(stats, name, next(values) + 0.5)
             elif isinstance(attr, int):
@@ -290,9 +342,10 @@ class TestFieldCoverage:
     def test_external_latency_roundtrip_carries_every_attribute(self):
         original = self._populated()
         rebuilt = NetworkStats.from_dict(
-            original.to_dict(include_latencies=False),
-            latencies=original._latencies,
+            original.to_dict(include_histogram=False)
         )
+        rebuilt.latency_values = original.latency_values
+        rebuilt.latency_counts = original.latency_counts
         assert vars(rebuilt) == vars(original)
 
     def test_merge_of_one_carries_every_attribute(self):

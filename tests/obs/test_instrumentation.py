@@ -49,8 +49,8 @@ def _tiny_run(seed=7, engine="array"):
     trace = generate_pair_trace(
         cpu, gpu, config.architecture, config.simulation.total_cycles, seed
     )
-    network = PearlNetwork(
-        config, power_policy=PowerPolicyKind.REACTIVE, seed=seed
+    network = oracle.keep_delivery_order(
+        PearlNetwork(config, power_policy=PowerPolicyKind.REACTIVE, seed=seed)
     )
     return oracle.fingerprint(network, network.run(trace, engine=engine))
 

@@ -9,10 +9,12 @@ of the suite goes through this module:
   knobs, trace, policy, allocator, seeds, faults, model, responder and
   L3 link count) and builds its configuration, trace and network;
 * :func:`fingerprint` is everything two runs of one description must
-  agree on: every :class:`~repro.noc.network.JobResult` field, statistics with their
-  per-packet latencies, and the network's end state (sequence number,
-  injection backlog, retransmit queue, packet census and each router's
-  laser, reservation, fault-clamp and ML-energy state);
+  agree on: every :class:`~repro.noc.network.JobResult` field,
+  statistics with their latency histogram, the digest of the per-packet
+  latencies in delivery order (:func:`keep_delivery_order` keeps the
+  list the histogram folds), and the network's end state (sequence
+  number, injection backlog, retransmit queue, packet census and each
+  router's laser, reservation, fault-clamp and ML-energy state);
 * :func:`run_engine` runs one engine, records the frozen rows the
   engine hands :meth:`PearlNetwork._close_windows` at every close and
   checks the laws; :func:`check_run` runs both engines and requires
@@ -30,6 +32,7 @@ of the suite goes through this module:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -265,7 +268,7 @@ class Run:
                 if self.model == "registry"
                 else MODELS[self.model]()
             )
-        return PearlNetwork(
+        network = PearlNetwork(
             self.config(),
             power_policy=PowerPolicyKind(self.policy),
             use_dynamic_bandwidth=self.allocator == "dynamic",
@@ -276,6 +279,7 @@ class Run:
             faults=self.faults,
             registry=None if root is None else ModelRegistry(root),
         )
+        return keep_delivery_order(network)
 
 
 def _request(cycle, source, destination, core) -> InjectionEvent:
@@ -328,13 +332,45 @@ ZERO_LATENCY = (
 # ---------------------------------------------------------------------------
 
 
+def keep_delivery_order(network):
+    """Keep the run's per-packet latencies, in delivery order.
+
+    :meth:`NetworkStats.finish` folds them into the latency histogram,
+    which forgets their order.  Wrapped here, ``finish`` first sets
+    ``network.stats.delivery_order`` to the list it is about to fold,
+    so :func:`delivery_digest` can pin every sample in its place.
+    Works on any network with a ``stats``; returns the network.
+    """
+    stats = network.stats
+    finish = stats.finish
+
+    def keeping_finish(cycle: int) -> None:
+        stats.delivery_order = stats._latencies
+        finish(cycle)
+
+    stats.finish = keeping_finish
+    return network
+
+
+def delivery_digest(stats) -> str:
+    """SHA-256 of a run's per-packet latencies in delivery order, as kept
+    by :func:`keep_delivery_order` (the goldens' ``latencies_sha256``)."""
+    return hashlib.sha256(
+        ",".join(str(value) for value in stats.delivery_order).encode()
+    ).hexdigest()
+
+
 def fingerprint(network: PearlNetwork, result: JobResult) -> dict:
-    """Everything two runs of one description must reproduce exactly."""
+    """Everything two runs of one description must reproduce exactly.
+
+    The network must have run under :func:`keep_delivery_order`.
+    """
     out = {
         field.name: getattr(result, field.name)
         for field in dataclasses.fields(result)
     }
     out["stats"] = result.stats.to_dict()
+    out["latencies_sha256"] = delivery_digest(result.stats)
     out["sequence"] = network._sequence
     out["backlog"] = network.injection_backlog_size
     out["retransmit_queue"] = network.retransmit_queue_size
@@ -364,6 +400,10 @@ def check_laws(network: PearlNetwork, result: JobResult) -> None:
     bound compares drops with CRC errors, which the warm-up boundary
     resets apart, so it applies to warm-up-free runs only.
 
+    The histogram law: the latency histogram holds one sample per
+    delivered packet, and its samples sum to the counters' total
+    latency.
+
     The laser law holds per router: the bank's residency and powered
     cycle counts each sum to the measured cycles, its stall cycles do
     not exceed them, its energy is its ladder's power at each powered
@@ -382,6 +422,11 @@ def check_laws(network: PearlNetwork, result: JobResult) -> None:
     assert stats.total_energy_j() >= 0
     if stats.packets_delivered:
         assert stats.mean_latency() > 0
+    values, counts = stats.latency_values, stats.latency_counts
+    assert sum(counts) == stats.packets_delivered
+    assert sum(v * c for v, c in zip(values, counts)) == sum(
+        counter.total_latency for counter in stats.counters.values()
+    )
     opening = network.warmup_census
     injected = sum(c.packets_injected for c in stats.counters.values())
     census = network.pending_packet_census()
